@@ -5,12 +5,12 @@ Train accepts a JSON config file plus flag overrides; flags win.
 """
 
 import argparse
-import json
 import sys
 
-from .errors import ColdstartError, DataError
+from .errors import DataError
 from .pipeline import RunConfig, run_evaluate, run_predict, run_train, run_verify
 from .synth import GroundTruth, SynthConfig, generate
+from .util import load_json
 
 
 def build_parser():
@@ -72,8 +72,9 @@ def build_parser():
 def _train_config(args):
     base = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
+        base = load_json(args.config)
+        if not isinstance(base, dict):
+            raise DataError(f"{args.config}: config must be a JSON object")
     overrides = {
         "episodes": args.episodes,
         "credits": args.credits,
@@ -161,15 +162,12 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except ColdstartError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # the boundary: any other failure is internal, reported in one line
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

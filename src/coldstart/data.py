@@ -166,13 +166,3 @@ def split_indices(n, test_fraction, seed):
     order = np.random.default_rng(seed).permutation(n)
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 
-
-def split_holdout(features, target, test_fraction, seed):
-    """Deterministic seeded row split into (train pair, test pair)."""
-    y = np.asarray(target, dtype=float)
-    if features.n_rows != len(y):
-        raise DataError("features and target have different row counts")
-    train_idx, test_idx = split_indices(features.n_rows, test_fraction, seed)
-    train = (features.take_rows(train_idx.tolist()), y[train_idx])
-    test = (features.take_rows(test_idx.tolist()), y[test_idx])
-    return train, test

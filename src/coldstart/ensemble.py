@@ -9,8 +9,6 @@ weights shared among the zero-error members.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DataError
 from .families import FittedModel
 from .preprocess import preprocessor_from_dict, preprocessor_to_dict
@@ -98,15 +96,6 @@ def build_bundle(candidates, preprocessor=None, scheme="inverse_error", k=3, met
     )
 
 
-def ensemble_predict(bundle, X):
-    """Weighted average of member predictions on a numeric feature matrix."""
-    out = None
-    for member in bundle.members:
-        pred = np.asarray(member.model.predict(X), dtype=float)
-        out = member.weight * pred if out is None else out + member.weight * pred
-    return out
-
-
 def bundle_to_dict(bundle):
     return {
         "schema_version": BUNDLE_SCHEMA_VERSION,
@@ -127,16 +116,24 @@ def bundle_to_dict(bundle):
 
 
 def bundle_from_dict(d):
+    """Decode a bundle; a missing or ill-typed key is a DataError."""
+    if not isinstance(d, dict):
+        raise DataError("bundle must be a JSON object")
     version = d.get("schema_version")
     if version != BUNDLE_SCHEMA_VERSION:
         raise DataError(f"unsupported bundle schema version {version!r}")
-    members = [
-        EnsembleMember(
-            model=FittedModel.from_dict(m),
-            validation_mape=m["validation_mape"],
-            weight=m["weight"],
+    try:
+        members = [
+            EnsembleMember(
+                model=FittedModel.from_dict(m),
+                validation_mape=m["validation_mape"],
+                weight=m["weight"],
+            )
+            for m in d["members"]
+        ]
+        prep = None if d.get("preprocessor") is None else preprocessor_from_dict(d["preprocessor"])
+        return EnsembleBundle(
+            members=members, preprocessor=prep, scheme=d["scheme"], meta=dict(d.get("meta", {}))
         )
-        for m in d["members"]
-    ]
-    prep = None if d.get("preprocessor") is None else preprocessor_from_dict(d["preprocessor"])
-    return EnsembleBundle(members=members, preprocessor=prep, scheme=d["scheme"], meta=dict(d.get("meta", {})))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed bundle: {type(exc).__name__}: {exc}") from exc

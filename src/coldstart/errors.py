@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 DataError covers problems with input content (bad CSV cells, schema
-mismatches, degenerate targets); the CLI maps it to exit code 3.
-Anything else that escapes is treated as an internal invariant violation
-(exit code 4).
+mismatches, degenerate targets, malformed JSON or bundles); the CLI maps
+it, an unreadable file and non-UTF-8 text to exit code 3. Anything else
+that escapes is treated as an internal invariant violation (exit code 4)
+and reported in one line, without a traceback.
 """
 
 

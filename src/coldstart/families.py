@@ -6,16 +6,77 @@ production configuration (1000 trees, min split 30, depth 30); gbt defaults
 pin learning rate 0.5.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import linear, trees
 from .errors import DataError
 
-FAMILIES = ("decision_tree", "random_forest", "gbt", "lasso", "ridge", "elastic_net")
+# fit(resolved params, X, y, seed) -> model; predict(model, X) -> predictions;
+# to_dict/from_dict round-trip the model through the bundle JSON
+Family = namedtuple("Family", "fit predict to_dict from_dict")
 
-LINEAR_FAMILIES = ("lasso", "ridge", "elastic_net")
 
-L1_RATIO_BY_FAMILY = {"lasso": 1.0, "ridge": 0.0, "elastic_net": 0.5}
+def _tree_params(p, seed, max_features):
+    return trees.TreeParams(
+        max_depth=p["max_depth"],
+        min_samples_split=p["min_samples_split"],
+        max_features=p.get("max_features", max_features),
+        seed=seed,
+    )
+
+
+def _linear_family(l1_ratio):
+    return Family(
+        fit=lambda p, X, y, seed: linear.fit_linear(
+            X,
+            y,
+            alpha=p["alpha"],
+            l1_ratio=p.get("l1_ratio", l1_ratio),
+            tol=p.get("tol", 1e-6),
+            max_iter=p.get("max_iter", 10000),
+        ),
+        predict=lambda model, X: linear.predict_linear(model, X),
+        to_dict=linear.linear_to_dict,
+        from_dict=linear.linear_from_dict,
+    )
+
+
+# Entries look fit and predict functions up through their module at call
+# time, so a wrapper patched onto trees or linear sees every call.
+FAMILY_TABLE = {
+    "decision_tree": Family(
+        fit=lambda p, X, y, seed: trees.fit_decision_tree(X, y, _tree_params(p, seed, "all")),
+        predict=lambda model, X: trees.predict_tree(model, X),
+        to_dict=lambda model: {"kind": "tree", "root": trees.tree_to_dict(model)},
+        from_dict=lambda d: trees.tree_from_dict(d["root"]),
+    ),
+    "random_forest": Family(
+        fit=lambda p, X, y, seed: trees.fit_random_forest(
+            X, y, _tree_params(p, seed, "third"), n_estimators=p["n_estimators"]
+        ),
+        predict=lambda model, X: trees.predict_forest(model, X),
+        to_dict=trees.forest_to_dict,
+        from_dict=trees.forest_from_dict,
+    ),
+    "gbt": Family(
+        fit=lambda p, X, y, seed: trees.fit_gbt(
+            X,
+            y,
+            rounds=p["rounds"],
+            learning_rate=p["learning_rate"],
+            tree_params=_tree_params(p, seed, "all"),
+        ),
+        predict=lambda model, X: trees.predict_gbt(model, X),
+        to_dict=trees.gbt_to_dict,
+        from_dict=trees.gbt_from_dict,
+    ),
+    "lasso": _linear_family(1.0),
+    "ridge": _linear_family(0.0),
+    "elastic_net": _linear_family(0.5),
+}
+
+FAMILIES = tuple(FAMILY_TABLE)
 
 DEFAULT_PARAMS = {
     "decision_tree": {"max_depth": None, "min_samples_split": 30},
@@ -54,8 +115,10 @@ DEFAULT_SCORING = {
 
 
 def check_family(family):
-    if family not in FAMILIES:
+    """The family's table entry; DataError for an unknown name."""
+    if family not in FAMILY_TABLE:
         raise DataError(f"unknown model family {family!r}; expected one of {FAMILIES}")
+    return FAMILY_TABLE[family]
 
 
 def resolve_params(family, params=None):
@@ -67,69 +130,11 @@ def resolve_params(family, params=None):
 
 def fit_family(family, params, X, y, seed=0):
     """Fit one model of the given family; params override family defaults."""
-    p = resolve_params(family, params)
-    if family == "decision_tree":
-        tp = trees.TreeParams(
-            max_depth=p["max_depth"],
-            min_samples_split=p["min_samples_split"],
-            max_features=p.get("max_features", "all"),
-            seed=seed,
-        )
-        return trees.fit_decision_tree(X, y, tp)
-    if family == "random_forest":
-        tp = trees.TreeParams(
-            max_depth=p["max_depth"],
-            min_samples_split=p["min_samples_split"],
-            max_features=p.get("max_features", "third"),
-            seed=seed,
-        )
-        return trees.fit_random_forest(X, y, tp, n_estimators=p["n_estimators"])
-    if family == "gbt":
-        tp = trees.TreeParams(
-            max_depth=p["max_depth"],
-            min_samples_split=p["min_samples_split"],
-            max_features=p.get("max_features", "all"),
-            seed=seed,
-        )
-        return trees.fit_gbt(X, y, rounds=p["rounds"], learning_rate=p["learning_rate"], tree_params=tp)
-    # linear families
-    return linear.fit_linear(
-        X,
-        y,
-        alpha=p["alpha"],
-        l1_ratio=p.get("l1_ratio", L1_RATIO_BY_FAMILY[family]),
-        tol=p.get("tol", 1e-6),
-        max_iter=p.get("max_iter", 10000),
-    )
+    return FAMILY_TABLE[family].fit(resolve_params(family, params), X, y, seed)
 
 
 def predict_family(family, model, X):
-    check_family(family)
-    if family in LINEAR_FAMILIES:
-        return linear.predict_linear(model, X)
-    return trees.predict_tree_family(model, X)
-
-
-def model_to_dict(family, model):
-    check_family(family)
-    if family in LINEAR_FAMILIES:
-        return linear.linear_to_dict(model)
-    if family == "decision_tree":
-        return {"kind": "tree", "root": trees.tree_to_dict(model)}
-    if family == "random_forest":
-        return trees.forest_to_dict(model)
-    return trees.gbt_to_dict(model)
-
-
-def model_from_dict(family, d):
-    check_family(family)
-    if family in LINEAR_FAMILIES:
-        return linear.linear_from_dict(d)
-    if family == "decision_tree":
-        return trees.tree_from_dict(d["root"])
-    if family == "random_forest":
-        return trees.forest_from_dict(d)
-    return trees.gbt_from_dict(d)
+    return check_family(family).predict(model, X)
 
 
 @dataclass
@@ -147,7 +152,7 @@ class FittedModel:
         return {
             "family": self.family,
             "params": {k: v for k, v in self.params.items()},
-            "model": model_to_dict(self.family, self.model),
+            "model": check_family(self.family).to_dict(self.model),
         }
 
     @classmethod
@@ -155,5 +160,5 @@ class FittedModel:
         return cls(
             family=d["family"],
             params=dict(d["params"]),
-            model=model_from_dict(d["family"], d["model"]),
+            model=check_family(d["family"]).from_dict(d["model"]),
         )

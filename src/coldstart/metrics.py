@@ -1,4 +1,4 @@
-"""Forecast error metrics, error buckets, feature importance, and clustering.
+"""Forecast error metrics, error buckets, and feature importance.
 
 MAPE follows the exclude-and-count policy for zero targets: cold-start data
 can legitimately contain zero-view rows, so those rows are dropped from the
@@ -259,62 +259,3 @@ def impurity_importance(model, feature_names):
         return _ranked(list(feature_names), scores, degenerate=True)
     return _ranked(list(feature_names), scores / total)
 
-
-def kmeans_cluster(points, k, seed, max_iter=100, tol=1e-6):
-    """Lloyd's k-means with k-means++ seeding.
-
-    Returns (assignments, centroids). An emptied cluster is reseeded to the
-    point farthest from its current centroid.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    n = pts.shape[0]
-    if k <= 0 or k > n:
-        raise DataError(f"k must be in [1, n]={n}, got {k}")
-    if not np.all(np.isfinite(pts)):
-        raise DataError("k-means input contains non-finite values")
-
-    rng = np.random.default_rng(seed)
-    # k-means++ initialization
-    centroids = np.empty((k, pts.shape[1]))
-    first = rng.integers(n)
-    centroids[0] = pts[first]
-    closest_sq = np.sum((pts - centroids[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = float(closest_sq.sum())
-        if total == 0:
-            idx = rng.integers(n)
-        else:
-            probs = closest_sq / total
-            idx = rng.choice(n, p=probs)
-        centroids[c] = pts[idx]
-        closest_sq = np.minimum(closest_sq, np.sum((pts - centroids[c]) ** 2, axis=1))
-
-    assignments = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
-        dists = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        assignments = np.argmin(dists, axis=1)
-        new_centroids = centroids.copy()
-        for c in range(k):
-            member = assignments == c
-            if np.any(member):
-                new_centroids[c] = pts[member].mean(axis=0)
-            else:
-                # reseed an emptied cluster to the globally farthest point
-                far = int(np.argmax(np.min(dists, axis=1)))
-                new_centroids[c] = pts[far]
-        shift = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
-        centroids = new_centroids
-        if shift < tol:
-            break
-    dists = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    assignments = np.argmin(dists, axis=1)
-    return assignments, centroids
-
-
-def kmeans_inertia(points, assignments, centroids):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    return float(np.sum((pts - centroids[assignments]) ** 2))

@@ -11,7 +11,7 @@ import csv
 import datetime
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,27 +86,7 @@ class RunConfig:
             raise DataError("at least one model family is required")
 
     def to_dict(self):
-        return {
-            "episodes": self.episodes,
-            "credits": self.credits,
-            "genres": self.genres,
-            "platform": self.platform,
-            "genre_alias": self.genre_alias,
-            "out_dir": self.out_dir,
-            "reference_date": self.reference_date,
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-            "families": list(self.families),
-            "n_iter": self.n_iter,
-            "cv_folds": self.cv_folds,
-            "top_k": self.top_k,
-            "scheme": self.scheme,
-            "target_transform": self.target_transform,
-            "grids": self.grids,
-            "importance_repeats": self.importance_repeats,
-            "numeric_strategy": self.numeric_strategy,
-            "categorical_strategy": self.categorical_strategy,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -409,7 +389,16 @@ def load_bundle(path):
     return bundle_from_dict(load_json(path))
 
 
-def _features_for_bundle(bundle, episodes, credits, genres, platform):
+def _load_for_scoring(bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path):
+    """Load a bundle and scoring inputs and build their features.
+
+    Returns (bundle, episodes, table, X) with X transformed by the bundle's
+    own preprocessor.
+    """
+    bundle = load_bundle(bundle_path)
+    episodes, credits, genres, platform = load_inputs(
+        episodes_path, credits_path, genres_path, platform_path, alias_path
+    )
     reference = datetime.date.fromisoformat(bundle.meta["reference_date"])
     # scoring a subset of episodes against the full metadata catalog is
     # normal here; the unknown-series warnings only matter at train time
@@ -417,18 +406,15 @@ def _features_for_bundle(bundle, episodes, credits, genres, platform):
         warnings.filterwarnings("ignore", message=".*for unknown series.*")
         table, _ = build_model_table(episodes, credits, genres, platform, reference)
     drop = [s.name for s in table.schemas if s.role in ("id", "target")]
-    features = table.drop_columns(drop)
-    X = transform(bundle.preprocessor, features)
-    return table, X
+    X = transform(bundle.preprocessor, table.drop_columns(drop))
+    return bundle, episodes, table, X
 
 
 def run_predict(bundle_path, episodes_path, credits_path, genres_path, platform_path, out_path, alias_path=None):
     """Write predictions.csv for new episodes; returns a summary dict."""
-    bundle = load_bundle(bundle_path)
-    episodes, credits, genres, platform = load_inputs(
-        episodes_path, credits_path, genres_path, platform_path, alias_path
+    bundle, _, table, X = _load_for_scoring(
+        bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
-    table, X = _features_for_bundle(bundle, episodes, credits, genres, platform)
     views, clamped = predict_views(bundle, X.values)
 
     out_dir = os.path.dirname(os.path.abspath(out_path))
@@ -454,12 +440,10 @@ def _require_views(episodes):
 
 def run_evaluate(bundle_path, episodes_path, credits_path, genres_path, platform_path, out_dir, alias_path=None):
     """Score a bundle against episodes with known views; writes report + plots."""
-    bundle = load_bundle(bundle_path)
-    episodes, credits, genres, platform = load_inputs(
-        episodes_path, credits_path, genres_path, platform_path, alias_path
+    bundle, episodes, table, X = _load_for_scoring(
+        bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
     y = _require_views(episodes)
-    table, X = _features_for_bundle(bundle, episodes, credits, genres, platform)
 
     views, clamped = predict_views(bundle, X.values)
     report = metric_report(y, views)
@@ -504,13 +488,11 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
     Returns (ok, mismatches). Exact equality is expected: the bundle stores
     full-precision floats and every computation is deterministic.
     """
-    bundle = load_bundle(bundle_path)
-    report = load_json(report_path)
-    episodes, credits, genres, platform = load_inputs(
-        episodes_path, credits_path, genres_path, platform_path, alias_path
+    bundle, episodes, _, X = _load_for_scoring(
+        bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
+    report = load_json(report_path)
     y = _require_views(episodes)
-    _, X = _features_for_bundle(bundle, episodes, credits, genres, platform)
     mode = bundle.meta.get("target_transform", "none")
 
     mismatches = []

@@ -7,8 +7,6 @@ formatting everywhere.
 
 import numpy as np
 
-from .linear import fit_linear
-
 WIDTH, HEIGHT = 640, 480
 MARGIN = 60
 
@@ -55,15 +53,14 @@ def _axes(title, x_label, y_label):
 def least_squares_line(x, y):
     """(slope, intercept) of the plain least-squares line through (x, y).
 
-    Fits the unregularized linear model on the centered predictor, which the
-    coordinate solver nails in a couple of exact sweeps.
+    Closed form; a constant x gives the flat line through the mean of y.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xb = float(x.mean())
-    model = fit_linear((x - xb).reshape(-1, 1), y, alpha=0.0, l1_ratio=0.0, tol=1e-13, max_iter=10000)
-    slope = float(model.coefficients[0])
-    return slope, model.intercept - slope * xb
+    dx = x - x.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ (y - y.mean())) / sxx if sxx > 0 else 0.0
+    return slope, float(y.mean()) - slope * float(x.mean())
 
 
 def scatter_svg(actual, predicted, title="Actual vs predicted views"):

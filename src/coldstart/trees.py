@@ -285,17 +285,6 @@ def predict_gbt(model, X):
     return out
 
 
-def predict_tree_family(model, X):
-    """Predict with any tree-family model (single tree, forest, or GBT)."""
-    if isinstance(model, TreeNode):
-        return predict_tree(model, X)
-    if isinstance(model, ForestModel):
-        return predict_forest(model, X)
-    if isinstance(model, GbtModel):
-        return predict_gbt(model, X)
-    raise DataError(f"not a tree-family model: {type(model).__name__}")
-
-
 # --- JSON-friendly serialization -------------------------------------------
 
 def tree_to_dict(node):

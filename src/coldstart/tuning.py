@@ -3,9 +3,10 @@
 Search candidates are drawn without replacement from the grid's cartesian
 product; every evaluation seed derives deterministically from the search
 seed, so identical inputs always reproduce the same candidate sequence,
-fold scores, and winner. When handed a RawTable instead of a matrix, the
-cross-validation runner fits the preprocessor inside each fold's training
-complement so no statistics leak across folds.
+fold scores, and winner. The search takes a RawTable: fold_matrices fits
+the preprocessor inside each fold's training complement, so no statistics
+leak across folds, and builds each fold's matrices once per search, so
+every candidate is scored on the same matrices.
 """
 
 import itertools
@@ -14,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, metrics
-from .data import RawTable
 from .errors import DataError
 from .preprocess import fit_preprocessor, transform
-from .trees import as_matrix
 from .util import mix_seed
 
 
@@ -90,21 +89,40 @@ def score_predictions(scoring, y, yhat):
     raise DataError(f"unknown scoring {scoring!r}")
 
 
-def cross_validate(family, params, X, y, plan, scoring, seed=0):
-    """Per-fold scores for one candidate on an already-built feature matrix."""
-    X = as_matrix(X)
+def fold_matrices(table, y, plan, numeric_strategy, categorical_strategy):
+    """Per-fold (X_tr, y_tr, X_te, y_te, prep) for a RawTable and fold plan.
+
+    Each fold's preprocessor is fit on its training complement only and
+    returned, so leakage checks can inspect its statistics.
+    """
     y = np.asarray(y, dtype=float)
-    if len(y) != X.shape[0] or len(y) != len(plan.assignments):
+    if table.n_rows != len(y) or len(y) != len(plan.assignments):
         raise DataError("fold plan does not cover the data")
-    scores = []
+    folds = []
     for fold in range(plan.k):
         tr = plan.train_indices(fold)
         te = plan.test_indices(fold)
         if len(tr) == 0:
             raise DataError(f"fold {fold} has an empty training complement")
-        model = families.fit_family(family, params, X[tr], y[tr], seed=mix_seed(seed, fold))
-        yhat = families.predict_family(family, model, X[te])
-        scores.append(score_predictions(scoring, y[te], yhat))
+        train_rows = table.take_rows(tr.tolist())
+        prep = fit_preprocessor(
+            train_rows,
+            strategy_numeric=numeric_strategy,
+            strategy_categorical=categorical_strategy,
+        )
+        X_tr = transform(prep, train_rows).values
+        X_te = transform(prep, table.take_rows(te.tolist())).values
+        folds.append((X_tr, y[tr], X_te, y[te], prep))
+    return folds
+
+
+def cross_validate(family, params, folds, scoring, seed=0):
+    """Per-fold scores for one candidate over the matrices of fold_matrices."""
+    scores = []
+    for fold, (X_tr, y_tr, X_te, y_te, _) in enumerate(folds):
+        model = families.fit_family(family, params, X_tr, y_tr, seed=mix_seed(seed, fold))
+        yhat = families.predict_family(family, model, X_te)
+        scores.append(score_predictions(scoring, y_te, yhat))
     return scores
 
 
@@ -119,35 +137,12 @@ def cross_validate_pipeline(
     numeric_strategy="median",
     categorical_strategy="mode",
 ):
-    """Like cross_validate, but fits preprocessing inside each fold.
+    """Scores for one candidate with preprocessing fit inside each fold.
 
-    Returns (scores, fold_preprocessors); the fitted per-fold preprocessors
-    are exposed so leakage checks can inspect their statistics.
+    Returns (scores, fold_preprocessors).
     """
-    y = np.asarray(y, dtype=float)
-    if table.n_rows != len(y) or len(y) != len(plan.assignments):
-        raise DataError("fold plan does not cover the data")
-    scores = []
-    preprocessors = []
-    for fold in range(plan.k):
-        tr = plan.train_indices(fold).tolist()
-        te = plan.test_indices(fold).tolist()
-        if not tr:
-            raise DataError(f"fold {fold} has an empty training complement")
-        prep = fit_preprocessor(
-            table.take_rows(tr),
-            strategy_numeric=numeric_strategy,
-            strategy_categorical=categorical_strategy,
-        )
-        X_tr = transform(prep, table.take_rows(tr))
-        X_te = transform(prep, table.take_rows(te))
-        model = families.fit_family(
-            family, params, X_tr.values, y[tr], seed=mix_seed(seed, fold)
-        )
-        yhat = families.predict_family(family, model, X_te.values)
-        scores.append(score_predictions(scoring, y[te], yhat))
-        preprocessors.append(prep)
-    return scores, preprocessors
+    folds = fold_matrices(table, y, plan, numeric_strategy, categorical_strategy)
+    return cross_validate(family, params, folds, scoring, seed), [f[4] for f in folds]
 
 
 def enumerate_grid(grid):
@@ -168,7 +163,7 @@ def randomized_search(
     family,
     grid,
     n_iter,
-    X,
+    table,
     y,
     k,
     seed,
@@ -178,9 +173,8 @@ def randomized_search(
 ):
     """Sample up to n_iter distinct grid assignments and rank them by CV score.
 
-    Accepts either a numeric matrix or a RawTable; the table path runs the
-    leak-free per-fold preprocessing pipeline. Ties in mean score go to the
-    earliest sampled candidate.
+    The fold matrices are built once and shared by every candidate. Ties in
+    mean score go to the earliest sampled candidate.
     """
     if n_iter < 1:
         raise DataError("n_iter must be >= 1")
@@ -192,28 +186,13 @@ def randomized_search(
     m = min(n_iter, len(combos))
     order = np.random.default_rng(seed).permutation(len(combos))[:m]
 
-    n = X.n_rows if isinstance(X, RawTable) else as_matrix(X).shape[0]
-    plan = kfold_indices(n, k, seed)
+    plan = kfold_indices(table.n_rows, k, seed)
+    folds = fold_matrices(table, y, plan, numeric_strategy, categorical_strategy)
 
     candidates = []
     for i, combo_idx in enumerate(order):
         params = combos[int(combo_idx)]
-        if isinstance(X, RawTable):
-            fold_scores, _ = cross_validate_pipeline(
-                family,
-                params,
-                X,
-                y,
-                plan,
-                scoring,
-                seed=mix_seed(seed, i),
-                numeric_strategy=numeric_strategy,
-                categorical_strategy=categorical_strategy,
-            )
-        else:
-            fold_scores = cross_validate(
-                family, params, X, y, plan, scoring, seed=mix_seed(seed, i)
-            )
+        fold_scores = cross_validate(family, params, folds, scoring, seed=mix_seed(seed, i))
         candidates.append(
             {
                 "params": params,

@@ -3,6 +3,8 @@
 import json
 import hashlib
 
+from .errors import DataError
+
 MASK64 = (1 << 64) - 1
 
 
@@ -35,8 +37,12 @@ def dump_json(obj, path):
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse a UTF-8 JSON file; undecodable or malformed content is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def config_digest(obj):

@@ -306,3 +306,44 @@ def test_bundle_round_trip_predicts_identically(tiny_run):
     a, _ = predict_views(bundle, X)
     b, _ = predict_views(clone, X)
     assert np.array_equal(a, b)
+
+
+# --- bad inputs ----------------------------------------------------------------
+
+def _bundle_without_members(tiny_run):
+    doc = load_json(tiny_run.result["bundle"])
+    del doc["members"]
+    return json.dumps(doc).encode("utf-8")
+
+
+# case -> (input it replaces, bytes written in its place)
+BAD_INPUTS = {
+    "config_malformed_json": ("config", lambda run: b'{"seed": 1,'),
+    "config_not_an_object": ("config", lambda run: b"[1, 2, 3]"),
+    "bundle_not_json": ("bundle", lambda run: b"this is not json"),
+    "bundle_without_members": ("bundle", _bundle_without_members),
+    "episodes_not_utf8": ("episodes", lambda run: b"series_id,episode_id\n\xff\xfe\x00\x81\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
+    kind, content = BAD_INPUTS[case]
+    bad = tmp_path / f"bad_{kind}"
+    bad.write_bytes(content(tiny_run))
+    paths = {"bundle": tiny_run.result["bundle"], "episodes": str(tiny_run.data_dir / "episodes.csv")}
+    paths[kind] = str(bad)
+    inputs = [
+        "--episodes", paths["episodes"],
+        "--credits", str(tiny_run.data_dir / "credits.csv"),
+        "--genres", str(tiny_run.data_dir / "genres.csv"),
+        "--platform", str(tiny_run.data_dir / "platform.csv"),
+    ]
+    if kind == "config":
+        argv = ["train", "--config", paths["config"], *inputs, "--out", str(tmp_path / "out")]
+    else:
+        argv = ["predict", "--bundle", paths["bundle"], *inputs, "--out", str(tmp_path / "predictions.csv")]
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code in (2, 3), err
+    assert "Traceback" not in err

@@ -6,7 +6,6 @@ from coldstart.data import (
     FeatureMatrix,
     RawTable,
     build_dataset,
-    split_holdout,
     split_indices,
 )
 from coldstart.errors import DataError, SchemaError
@@ -87,19 +86,15 @@ def test_build_dataset_requires_single_target():
 
 
 def test_split_sizes_and_determinism():
-    table = make_table([("x", "numeric", [float(i) for i in range(10)])])
-    y = np.arange(10.0)
-    (tr1, try1), (te1, tey1) = split_holdout(table, y, 0.2, seed=42)
-    (tr2, try2), (te2, tey2) = split_holdout(table, y, 0.2, seed=42)
-    assert tr1.n_rows == 8 and te1.n_rows == 2
-    assert list(try1) == list(try2) and list(tey1) == list(tey2)
-    assert tr1.column("x") == tr2.column("x")
+    tr1, te1 = split_indices(10, 0.2, seed=42)
+    tr2, te2 = split_indices(10, 0.2, seed=42)
+    assert len(tr1) == 8 and len(te1) == 2
+    assert list(tr1) == list(tr2) and list(te1) == list(te2)
 
 
 def test_split_two_rows():
-    table = make_table([("x", "numeric", [1.0, 2.0])])
-    (tr, _), (te, _) = split_holdout(table, np.array([1.0, 2.0]), 0.5, seed=0)
-    assert tr.n_rows == 1 and te.n_rows == 1
+    tr, te = split_indices(2, 0.5, seed=0)
+    assert len(tr) == 1 and len(te) == 1
 
 
 def test_split_partition_enumerated():
@@ -124,9 +119,8 @@ def test_split_partition_property_many():
 
 
 def test_split_degenerate_inputs():
-    table = make_table([("x", "numeric", [1.0])])
     with pytest.raises(DataError):
-        split_holdout(table, np.array([1.0]), 0.5, seed=0)
+        split_indices(1, 0.5, seed=0)
     with pytest.raises(DataError):
         split_indices(10, 0.0, seed=0)
     with pytest.raises(DataError):

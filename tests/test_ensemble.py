@@ -10,12 +10,12 @@ from coldstart.ensemble import (
     bundle_from_dict,
     bundle_to_dict,
     compute_weights,
-    ensemble_predict,
     select_top_models,
 )
 from coldstart.errors import DataError
 from coldstart.families import FittedModel
 from coldstart.linear import LinearModel
+from coldstart.pipeline import member_views, predict_views
 
 
 def constant_model(value, n_features=1):
@@ -102,7 +102,7 @@ def test_ensemble_predict_hand_arithmetic():
         EnsembleMember(constant_model(30.0), validation_mape=3.0, weight=0.2),
     ]
     bundle = EnsembleBundle(members=members, preprocessor=None, scheme="inverse_error")
-    pred = ensemble_predict(bundle, np.zeros((1, 1)))
+    pred, _ = predict_views(bundle, np.zeros((1, 1)))
     assert abs(pred[0] - 17.0) < 1e-12
 
 
@@ -112,11 +112,11 @@ def test_identical_members_identity_and_degenerate_weights():
         EnsembleMember(constant_model(9.0), 2.0, weight=0.0),
     ]
     bundle = EnsembleBundle(members, None, "inverse_error")
-    assert ensemble_predict(bundle, np.zeros((3, 1)))[0] == 7.0
+    assert predict_views(bundle, np.zeros((3, 1)))[0][0] == 7.0
 
     same = [EnsembleMember(constant_model(4.0), 1.0, 0.5), EnsembleMember(constant_model(4.0), 1.0, 0.5)]
     bundle = EnsembleBundle(same, None, "equal")
-    assert np.allclose(ensemble_predict(bundle, np.zeros((2, 1))), 4.0)
+    assert np.allclose(predict_views(bundle, np.zeros((2, 1)))[0], 4.0)
 
 
 def test_prediction_within_member_envelope():
@@ -133,8 +133,9 @@ def test_prediction_within_member_envelope():
             )
         )
     bundle = build_bundle([(m, e) for m, e in zip(models, [5.0, 7.0, 11.0])])
-    preds = [m.predict(X) for m in models]
-    combined = ensemble_predict(bundle, X)
+    # members are combined after clamping negative views to zero
+    preds = [member_views(m, X, "none")[0] for m in models]
+    combined, _ = predict_views(bundle, X)
     lo = np.min(preds, axis=0)
     hi = np.max(preds, axis=0)
     assert np.all(combined >= lo - 1e-12) and np.all(combined <= hi + 1e-12)
@@ -180,7 +181,7 @@ def test_bundle_serialization_round_trip():
     )
     clone = bundle_from_dict(bundle_to_dict(bundle))
     X = np.zeros((5, 1))
-    assert np.array_equal(ensemble_predict(bundle, X), ensemble_predict(clone, X))
+    assert np.array_equal(predict_views(bundle, X)[0], predict_views(clone, X)[0])
     assert clone.meta["seed"] == 7
     assert [m.weight for m in clone.members] == [m.weight for m in bundle.members]
 

@@ -5,8 +5,6 @@ from coldstart.errors import DataError
 from coldstart.metrics import (
     error_buckets,
     impurity_importance,
-    kmeans_cluster,
-    kmeans_inertia,
     mape,
     metric_report,
     pearson,
@@ -217,45 +215,3 @@ def test_importance_ranks_are_permutation():
     ranks = sorted(r for _, _, r in report.features)
     assert ranks == [1, 2, 3, 4, 5]
 
-
-def test_kmeans_single_and_degenerate():
-    rng = np.random.default_rng(8)
-    pts = rng.normal(size=(20, 3))
-    _, centroids = kmeans_cluster(pts, k=1, seed=0)
-    assert np.allclose(centroids[0], pts.mean(axis=0))
-
-    assignments, centroids = kmeans_cluster(pts[:5], k=5, seed=0)
-    assert sorted(assignments.tolist()) == [0, 1, 2, 3, 4]
-    assert kmeans_inertia(pts[:5], assignments, centroids) < 1e-20
-
-
-def test_kmeans_separated_blobs():
-    rng = np.random.default_rng(9)
-    blob_a = rng.normal(loc=(0, 0), scale=0.2, size=(30, 2))
-    blob_b = rng.normal(loc=(10, 10), scale=0.2, size=(30, 2))
-    pts = np.vstack([blob_a, blob_b])
-    assignments, _ = kmeans_cluster(pts, k=2, seed=3)
-    first, second = assignments[:30], assignments[30:]
-    assert len(set(first.tolist())) == 1
-    assert len(set(second.tolist())) == 1
-    assert first[0] != second[0]
-
-
-def test_kmeans_inertia_non_increasing():
-    rng = np.random.default_rng(10)
-    pts = rng.normal(size=(60, 2))
-    last = None
-    for iterations in range(1, 8):
-        assignments, centroids = kmeans_cluster(pts, k=4, seed=1, max_iter=iterations)
-        inertia = kmeans_inertia(pts, assignments, centroids)
-        if last is not None:
-            assert inertia <= last + 1e-9
-        last = inertia
-
-
-def test_kmeans_bounds():
-    pts = np.zeros((3, 2))
-    with pytest.raises(DataError):
-        kmeans_cluster(pts, k=0, seed=0)
-    with pytest.raises(DataError):
-        kmeans_cluster(pts, k=4, seed=0)

@@ -23,6 +23,8 @@ def test_least_squares_line_recovers_known_slope():
     slope, intercept = least_squares_line(x, y)
     assert abs(slope - 2.0) < 1e-9
     assert abs(intercept - 1.0) < 1e-9
+    # a constant x has no slope to fit: the flat line through the mean of y
+    assert least_squares_line([3.0, 3.0, 3.0], [1.0, 2.0, 6.0]) == (0.0, 3.0)
 
 
 def test_svgs_are_deterministic_and_self_contained():

@@ -16,7 +16,6 @@ from coldstart.trees import (
     predict_forest,
     predict_gbt,
     predict_tree,
-    predict_tree_family,
     tree_from_dict,
     tree_to_dict,
     walk_nodes,
@@ -253,11 +252,11 @@ def test_gbt_determinism():
 
 def test_predict_dispatch_and_dimension_check():
     leaf_only = fit_decision_tree(FIXTURE_X, np.full(4, 2.0), TreeParams())
-    assert np.allclose(predict_tree_family(leaf_only, FIXTURE_X), 2.0)
+    assert np.allclose(predict_tree(leaf_only, FIXTURE_X), 2.0)
 
     forest = fit_random_forest(FIXTURE_X, FIXTURE_Y, TreeParams(max_features="all", seed=0), 3, bootstrap=False)
     single = fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_features="all", seed=0))
-    assert np.array_equal(predict_tree_family(forest, FIXTURE_X), predict_tree(single, FIXTURE_X))
+    assert np.array_equal(predict_forest(forest, FIXTURE_X), predict_tree(single, FIXTURE_X))
 
     with pytest.raises(DataError):
         predict_forest(forest, np.zeros((2, 5)))
@@ -265,7 +264,7 @@ def test_predict_dispatch_and_dimension_check():
     with pytest.raises(DataError):
         predict_gbt(gbt, np.zeros((2, 3)))
     with pytest.raises(DataError):
-        predict_tree_family("not a model", FIXTURE_X)
+        predict_tree(single, np.zeros((2, 0)))
 
 
 def test_serialization_round_trips():

@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
 
+from coldstart import tuning
 from coldstart.data import ColumnSchema, RawTable
 from coldstart.errors import DataError
 from coldstart.tuning import (
     cross_validate,
     cross_validate_pipeline,
     enumerate_grid,
+    fold_matrices,
     kfold_indices,
     randomized_search,
 )
+
+
+def numeric_table(X):
+    """A RawTable whose numeric columns x0, x1, ... hold the columns of X."""
+    X = np.asarray(X, dtype=float)
+    names = [f"x{j}" for j in range(X.shape[1])]
+    return RawTable(
+        [ColumnSchema(n, "numeric") for n in names], {n: X[:, j].tolist() for j, n in enumerate(names)}
+    )
 
 
 def test_kfold_exact_division():
@@ -52,7 +63,8 @@ def test_cross_validate_mean_predictor_scores_near_zero_r2():
     y = rng.normal(size=100)  # feature-independent target
     plan = kfold_indices(100, 5, seed=0)
     # a depth-limited stump-free tree: min_samples_split too high to split
-    scores = cross_validate("decision_tree", {"min_samples_split": 1000}, X, y, plan, "r2")
+    folds = fold_matrices(numeric_table(X), y, plan, "median", "mode")
+    scores = cross_validate("decision_tree", {"min_samples_split": 1000}, folds, "r2")
     assert all(abs(s) < 0.25 for s in scores)  # R^2 of the train-mean predictor
 
 
@@ -61,9 +73,8 @@ def test_cross_validate_no_peeking_at_test_fold():
     X = rng.uniform(size=(60, 1))
     y = X[:, 0] + rng.normal(scale=0.5, size=60)  # noisy: memorizing cannot reach 1
     plan = kfold_indices(60, 5, seed=1)
-    scores = cross_validate(
-        "decision_tree", {"max_depth": None, "min_samples_split": 2}, X, y, plan, "r2"
-    )
+    folds = fold_matrices(numeric_table(X), y, plan, "median", "mode")
+    scores = cross_validate("decision_tree", {"max_depth": None, "min_samples_split": 2}, folds, "r2")
     assert all(s < 0.999 for s in scores)
 
 
@@ -71,7 +82,8 @@ def test_leave_one_out_equivalent():
     X = np.arange(5, dtype=float).reshape(-1, 1)
     y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     plan = kfold_indices(5, 5, seed=0)
-    scores = cross_validate("decision_tree", {"min_samples_split": 2}, X, y, plan, "neg_mape")
+    folds = fold_matrices(numeric_table(X), y, plan, "median", "mode")
+    scores = cross_validate("decision_tree", {"min_samples_split": 2}, folds, "neg_mape")
     assert len(scores) == 5  # each score from a 4-row fit
 
 
@@ -107,7 +119,7 @@ def test_search_single_assignment_wins():
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
     result = randomized_search(
-        "decision_tree", {"max_depth": [2]}, n_iter=5, X=X, y=y, k=3, seed=0
+        "decision_tree", {"max_depth": [2]}, n_iter=5, table=numeric_table(X), y=y, k=3, seed=0
     )
     assert len(result.candidates) == 1
     assert result.best_params == {"max_depth": 2}
@@ -118,7 +130,7 @@ def test_search_exhausts_grid_without_replacement():
     X = rng.normal(size=(30, 2))
     y = X[:, 0] * 2 + rng.normal(scale=0.1, size=30)
     grid = {"alpha": [0.001, 0.1, 10.0]}
-    result = randomized_search("ridge", grid, n_iter=50, X=X, y=y, k=3, seed=9)
+    result = randomized_search("ridge", grid, n_iter=50, table=numeric_table(X), y=y, k=3, seed=9)
     tried = sorted(c["params"]["alpha"] for c in result.candidates)
     assert tried == [0.001, 0.1, 10.0]
 
@@ -128,8 +140,9 @@ def test_search_determinism_and_winner_is_max():
     X = rng.normal(size=(40, 3))
     y = X @ np.array([1.0, 0.0, -1.0]) + rng.normal(scale=0.2, size=40)
     grid = {"alpha": [0.001, 0.01, 0.1, 1.0, 10.0]}
-    a = randomized_search("lasso", grid, n_iter=3, X=X, y=y, k=5, seed=42, scoring="r2")
-    b = randomized_search("lasso", grid, n_iter=3, X=X, y=y, k=5, seed=42, scoring="r2")
+    table = numeric_table(X)
+    a = randomized_search("lasso", grid, n_iter=3, table=table, y=y, k=5, seed=42, scoring="r2")
+    b = randomized_search("lasso", grid, n_iter=3, table=table, y=y, k=5, seed=42, scoring="r2")
     assert a.to_dict() == b.to_dict()
     assert len(a.candidates) == 3
     best_mean = a.candidates[a.best_index]["mean_score"]
@@ -141,7 +154,9 @@ def test_search_tie_goes_to_earliest_sampled():
     y = np.array([1.0, 1.0, 1.0, 1.0])
     # constant target: every candidate scores identically under neg_mape
     grid = {"max_depth": [2, 3, 4]}
-    result = randomized_search("decision_tree", grid, n_iter=3, X=X, y=y, k=2, seed=1, scoring="neg_mape")
+    result = randomized_search(
+        "decision_tree", grid, n_iter=3, table=numeric_table(X), y=y, k=2, seed=1, scoring="neg_mape"
+    )
     assert result.best_index == 0
 
 
@@ -152,7 +167,7 @@ def test_search_on_raw_table_runs_pipeline_mode():
     table = RawTable([ColumnSchema("x", "numeric")], {"x": [float(v) for v in values]})
     y = values * 3.0 + 5.0 + rng.normal(scale=0.1, size=n)
     result = randomized_search(
-        "ridge", {"alpha": [0.001, 1.0]}, n_iter=4, X=table, y=y, k=5, seed=42, scoring="r2"
+        "ridge", {"alpha": [0.001, 1.0]}, n_iter=4, table=table, y=y, k=5, seed=42, scoring="r2"
     )
     assert len(result.candidates) == 2
     assert result.best_params["alpha"] == 0.001
@@ -160,9 +175,30 @@ def test_search_on_raw_table_runs_pipeline_mode():
 
 
 def test_search_input_validation():
-    X = np.zeros((10, 1))
+    table = numeric_table(np.zeros((10, 1)))
     y = np.zeros(10)
     with pytest.raises(DataError):
-        randomized_search("ridge", {"alpha": [1.0]}, n_iter=0, X=X, y=y, k=2, seed=0)
+        randomized_search("ridge", {"alpha": [1.0]}, n_iter=0, table=table, y=y, k=2, seed=0)
     with pytest.raises(DataError):
-        randomized_search("mystery", {"alpha": [1.0]}, n_iter=1, X=X, y=y, k=2, seed=0)
+        randomized_search("mystery", {"alpha": [1.0]}, n_iter=1, table=table, y=y, k=2, seed=0)
+    with pytest.raises(DataError):
+        randomized_search("ridge", {"alpha": [1.0]}, n_iter=1, table=table, y=y[:9], k=2, seed=0)
+
+
+def test_search_fits_preprocessor_once_per_fold(monkeypatch):
+    calls = []
+    original = tuning.fit_preprocessor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, "fit_preprocessor", counting)
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(40, 2))
+    y = X[:, 0] + rng.normal(scale=0.1, size=40)
+    result = randomized_search(
+        "ridge", {"alpha": [0.01, 0.1, 1.0]}, n_iter=3, table=numeric_table(X), y=y, k=4, seed=3
+    )
+    assert len(result.candidates) == 3
+    assert len(calls) == 4  # one fit per fold, shared by all three candidates
