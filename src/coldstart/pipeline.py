@@ -396,10 +396,15 @@ def _load_for_scoring(bundle_path, episodes_path, credits_path, genres_path, pla
     own preprocessor.
     """
     bundle = load_bundle(bundle_path)
+    try:
+        reference = datetime.date.fromisoformat(bundle.meta["reference_date"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{bundle_path}: bundle meta needs an ISO reference_date ({exc!r})") from exc
+    if bundle.preprocessor is None:
+        raise DataError(f"{bundle_path}: bundle has no preprocessor")
     episodes, credits, genres, platform = load_inputs(
         episodes_path, credits_path, genres_path, platform_path, alias_path
     )
-    reference = datetime.date.fromisoformat(bundle.meta["reference_date"])
     # scoring a subset of episodes against the full metadata catalog is
     # normal here; the unknown-series warnings only matter at train time
     with warnings.catch_warnings():
@@ -492,6 +497,15 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
         bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
     report = load_json(report_path)
+
+    def reported(*keys):
+        value = report
+        for key in keys:
+            if not isinstance(value, dict) or key not in value:
+                raise DataError(f"{report_path}: training report lacks {'.'.join(keys)}")
+            value = value[key]
+        return value
+
     y = _require_views(episodes)
     mode = bundle.meta.get("target_transform", "none")
 
@@ -499,6 +513,8 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
 
     def check(label, got, want):
         if isinstance(want, float) or isinstance(got, float):
+            if not isinstance(want, (int, float)):
+                raise DataError(f"{label}: {want!r} is not a number")
             equal = float(got) == float(want)
         else:
             equal = got == want
@@ -507,9 +523,9 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
 
     ens_views, _ = predict_views(bundle, X.values)
     ens = metric_report(y, ens_views)
-    check("ensemble_validation.mape", ens.mape, report["ensemble_validation"]["mape"])
-    check("ensemble_validation.smape", ens.smape, report["ensemble_validation"]["smape"])
-    check("ensemble_validation.r2", ens.r2, report["ensemble_validation"]["r2"])
+    check("ensemble_validation.mape", ens.mape, reported("ensemble_validation", "mape"))
+    check("ensemble_validation.smape", ens.smape, reported("ensemble_validation", "smape"))
+    check("ensemble_validation.r2", ens.r2, reported("ensemble_validation", "r2"))
 
     recomputed_mapes = []
     for member in bundle.members:
@@ -517,24 +533,24 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
         views, _ = member_views(member.model, X.values, mode)
         recomputed = mape(y, views)
         recomputed_mapes.append(recomputed)
-        check(f"validation.{family}.mape", recomputed, report["validation"][family]["mape"])
+        check(f"validation.{family}.mape", recomputed, reported("validation", family, "mape"))
         check(f"bundle member {family} validation_mape", recomputed, member.validation_mape)
 
     rederived_weights = weights_for_errors(recomputed_mapes, bundle.scheme)
     for member, weight in zip(bundle.members, rederived_weights):
         family = member.model.family
-        check(f"weights.{family}", weight, report["weights"][family])
+        check(f"weights.{family}", weight, reported("weights", family))
         check(f"bundle member {family} weight", weight, member.weight)
 
     best_views, _ = member_views(bundle.members[0].model, X.values, mode)
     check(
         "error_buckets.before",
         error_buckets(y, best_views).counts,
-        report["error_buckets"]["before"],
+        reported("error_buckets", "before"),
     )
     check(
         "error_buckets.after",
         error_buckets(y, ens_views).counts,
-        report["error_buckets"]["after"],
+        reported("error_buckets", "after"),
     )
     return not mismatches, mismatches

@@ -1,7 +1,8 @@
 """Small shared helpers: seed derivation, rounding, canonical JSON."""
 
-import json
 import hashlib
+import json
+import os
 
 from .errors import DataError
 
@@ -29,11 +30,23 @@ def round_half_up(x):
 
 
 def dump_json(obj, path):
-    """Write JSON with sorted keys and full float precision (repr round-trip)."""
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """Write JSON with sorted keys and full float precision (repr round-trip).
+
+    A non-finite float raises ValueError instead of writing invalid JSON.
+    The text goes to a sibling temp file that replaces ``path`` only once it
+    is complete, so a failed write leaves any existing file untouched.
+    """
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_json(path):

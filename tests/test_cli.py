@@ -310,10 +310,15 @@ def test_bundle_round_trip_predicts_identically(tiny_run):
 
 # --- bad inputs ----------------------------------------------------------------
 
-def _bundle_without_members(tiny_run):
-    doc = load_json(tiny_run.result["bundle"])
-    del doc["members"]
-    return json.dumps(doc).encode("utf-8")
+def _edited(kind, edit):
+    """Content maker: the tiny run's bundle or report JSON after ``edit(doc)``."""
+
+    def content(tiny_run):
+        doc = load_json(tiny_run.result[kind])
+        edit(doc)
+        return json.dumps(doc).encode("utf-8")
+
+    return content
 
 
 # case -> (input it replaces, bytes written in its place)
@@ -321,8 +326,23 @@ BAD_INPUTS = {
     "config_malformed_json": ("config", lambda run: b'{"seed": 1,'),
     "config_not_an_object": ("config", lambda run: b"[1, 2, 3]"),
     "bundle_not_json": ("bundle", lambda run: b"this is not json"),
-    "bundle_without_members": ("bundle", _bundle_without_members),
+    "bundle_without_members": ("bundle", _edited("bundle", lambda d: d.pop("members"))),
+    "bundle_without_reference_date": (
+        "bundle", _edited("bundle", lambda d: d["meta"].pop("reference_date"))
+    ),
+    "bundle_reference_date_not_iso": (
+        "bundle", _edited("bundle", lambda d: d["meta"].update(reference_date="last spring"))
+    ),
+    "bundle_null_preprocessor": ("bundle", _edited("bundle", lambda d: d.update(preprocessor=None))),
     "episodes_not_utf8": ("episodes", lambda run: b"series_id,episode_id\n\xff\xfe\x00\x81\n"),
+    "report_not_an_object": ("report", lambda run: b'["validation"]'),
+    "report_mape_not_a_number": (
+        "report", _edited("report", lambda d: d["ensemble_validation"].update(mape="low"))
+    ),
+    **{
+        f"report_without_{key}": ("report", _edited("report", lambda d, key=key: d.pop(key)))
+        for key in ("validation", "weights", "ensemble_validation", "error_buckets")
+    },
 }
 
 
@@ -331,7 +351,9 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
     kind, content = BAD_INPUTS[case]
     bad = tmp_path / f"bad_{kind}"
     bad.write_bytes(content(tiny_run))
-    paths = {"bundle": tiny_run.result["bundle"], "episodes": str(tiny_run.data_dir / "episodes.csv")}
+    # verify recomputes the report's numbers, which come from the holdout rows
+    episodes = tiny_run.result["holdout_episodes"] if kind == "report" else tiny_run.data_dir / "episodes.csv"
+    paths = {"bundle": tiny_run.result["bundle"], "report": tiny_run.result["report"], "episodes": str(episodes)}
     paths[kind] = str(bad)
     inputs = [
         "--episodes", paths["episodes"],
@@ -341,6 +363,8 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
     ]
     if kind == "config":
         argv = ["train", "--config", paths["config"], *inputs, "--out", str(tmp_path / "out")]
+    elif kind == "report":
+        argv = ["verify", "--bundle", paths["bundle"], "--report", paths["report"], *inputs]
     else:
         argv = ["predict", "--bundle", paths["bundle"], *inputs, "--out", str(tmp_path / "predictions.csv")]
     code = run_cli(*argv)

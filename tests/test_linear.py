@@ -128,9 +128,48 @@ def test_max_iter_flags_not_raises():
     rng = np.random.default_rng(6)
     X = standardize(rng.normal(size=(30, 3)))
     y = rng.normal(size=30)
-    model = fit_linear(X, y, alpha=0.0, l1_ratio=0.0, tol=1e-14, max_iter=2)
+    with pytest.warns(UserWarning, match=r"alpha=0\.0, l1_ratio=0\.0.*2 sweeps"):
+        model = fit_linear(X, y, alpha=0.0, l1_ratio=0.0, tol=1e-14, max_iter=2)
     assert model.converged is False
     assert model.n_iterations == 2
+
+
+def test_fit_is_scale_invariant():
+    # correlated columns make coordinate descent slow enough that an absolute
+    # stopping rule stops the two scales at different distances from the optimum
+    rng = np.random.default_rng(9)
+    base = rng.normal(size=(80, 4))
+    X = standardize(np.column_stack([base, base + 0.1 * rng.normal(size=(80, 4))]))
+    y = X @ np.array([1.5, 0.0, -2.0, 0.5, 0.0, 1.0, 0.0, 0.3]) + rng.normal(scale=0.5, size=80) + 3.0
+    scale = 1e6
+    for alpha, l1_ratio in ((0.01, 1.0), (0.01, 0.5)):
+        small = fit_linear(X, y, alpha=alpha, l1_ratio=l1_ratio)
+        # y -> scale*y maps the optimum to scale*beta when the L1 weight grows
+        # by scale and the L2 weight stays: solve for that (alpha, l1_ratio)
+        big_alpha = scale * alpha * l1_ratio + alpha * (1.0 - l1_ratio)
+        big = fit_linear(X, scale * y, alpha=big_alpha, l1_ratio=scale * alpha * l1_ratio / big_alpha)
+        assert small.converged and big.converged
+        want = scale * small.coefficients
+        assert np.max(np.abs(big.coefficients - want)) <= 1e-5 * np.max(np.abs(want))
+        assert abs(big.intercept - scale * small.intercept) <= 1e-5 * abs(scale * small.intercept)
+
+
+def test_lasso_converges_on_singular_design():
+    # a full one-hot block sums to the intercept column, as in the
+    # preprocessor's output, so X with an intercept is exactly singular
+    rng = np.random.default_rng(10)
+    n = 400
+    numeric = standardize(rng.normal(size=(n, 4)))
+    level = rng.integers(0, 5, size=n)
+    X = np.column_stack([numeric, (level[:, None] == np.arange(5)).astype(float)])
+    y = np.exp(11.0 + 0.6 * numeric[:, 0] - 0.4 * numeric[:, 1] + 0.3 * level + rng.normal(scale=0.3, size=n))
+    model = fit_linear(X, y, alpha=0.01, l1_ratio=1.0)
+    assert model.converged
+    assert model.n_iterations < 1000
+    zero_excess, active_residual = kkt_residuals(model, X, y)
+    # the A4 bounds, in units of the target scale
+    assert zero_excess <= 1e-5 * np.max(np.abs(y))
+    assert active_residual <= 1e-4 * np.max(np.abs(y))
 
 
 def test_predict_cases():

@@ -1,0 +1,34 @@
+import json
+
+import pytest
+
+from coldstart import util
+from coldstart.util import dump_json
+
+
+def test_dump_json_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "report.json"
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            dump_json({"mape": value}, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_dump_json_keeps_existing_file(tmp_path, monkeypatch):
+    path = tmp_path / "bundle.json"
+    dump_json({"members": [1.5, 2.0]}, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        dump_json({"members": [float("nan")]}, path)
+    assert path.read_bytes() == before
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+
+    # the new text is complete on disk but never replaces the old file
+    monkeypatch.setattr(util.os, "replace", no_space)
+    with pytest.raises(OSError):
+        dump_json({"members": [3.0]}, path)
+    assert path.read_bytes() == before
+    assert json.loads(before) == {"members": [1.5, 2.0]}
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]
