@@ -15,7 +15,7 @@ from .preprocess import preprocessor_from_dict, preprocessor_to_dict
 
 SCHEMES = ("inverse_error", "equal")
 
-BUNDLE_SCHEMA_VERSION = 1
+BUNDLE_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -121,7 +121,7 @@ def bundle_from_dict(d):
         raise DataError("bundle must be a JSON object")
     version = d.get("schema_version")
     if version != BUNDLE_SCHEMA_VERSION:
-        raise DataError(f"unsupported bundle schema version {version!r}")
+        raise DataError(f"bundle schema version {version!r} is not {BUNDLE_SCHEMA_VERSION}; retrain the bundle")
     try:
         members = [
             EnsembleMember(

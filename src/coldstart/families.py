@@ -13,8 +13,9 @@ from . import linear, trees
 from .errors import DataError
 
 # fit(resolved params, X, y, seed) -> model; predict(model, X) -> predictions;
-# to_dict/from_dict round-trip the model through the bundle JSON
-Family = namedtuple("Family", "fit predict to_dict from_dict")
+# to_dict/from_dict round-trip the model through the bundle JSON;
+# trees(model) -> the model's list of trees.Tree, None for a non-tree family
+Family = namedtuple("Family", "fit predict to_dict from_dict trees")
 
 
 def _tree_params(p, seed, max_features):
@@ -39,6 +40,7 @@ def _linear_family(l1_ratio):
         predict=lambda model, X: linear.predict_linear(model, X),
         to_dict=linear.linear_to_dict,
         from_dict=linear.linear_from_dict,
+        trees=None,
     )
 
 
@@ -50,6 +52,7 @@ FAMILY_TABLE = {
         predict=lambda model, X: trees.predict_tree(model, X),
         to_dict=lambda model: {"kind": "tree", "root": trees.tree_to_dict(model)},
         from_dict=lambda d: trees.tree_from_dict(d["root"]),
+        trees=lambda model: [model],
     ),
     "random_forest": Family(
         fit=lambda p, X, y, seed: trees.fit_random_forest(
@@ -58,6 +61,7 @@ FAMILY_TABLE = {
         predict=lambda model, X: trees.predict_forest(model, X),
         to_dict=trees.forest_to_dict,
         from_dict=trees.forest_from_dict,
+        trees=lambda model: model.trees,
     ),
     "gbt": Family(
         fit=lambda p, X, y, seed: trees.fit_gbt(
@@ -70,6 +74,7 @@ FAMILY_TABLE = {
         predict=lambda model, X: trees.predict_gbt(model, X),
         to_dict=trees.gbt_to_dict,
         from_dict=trees.gbt_from_dict,
+        trees=lambda model: model.stages,
     ),
     "lasso": _linear_family(1.0),
     "ridge": _linear_family(0.0),

@@ -8,6 +8,7 @@ per episode, and date-derived features (age, day of week, month, quarter).
 
 import csv
 import datetime
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -68,8 +69,8 @@ def load_csv(path, expected_schema):
     """Read a headered CSV into a RawTable, matching columns by header name.
 
     Empty cells become missing (None); numeric, passthrough, and target
-    cells parse as floats; date cells parse as ISO-8601 dates. Columns in
-    the file but not in the schema are ignored.
+    cells parse as finite floats; date cells parse as ISO-8601 dates.
+    Columns in the file but not in the schema are ignored.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -94,10 +95,12 @@ def load_csv(path, expected_schema):
                     try:
                         value = float(cell)
                     except ValueError:
+                        value = math.nan  # reported below, with the non-finite values
+                    if not math.isfinite(value):
                         raise DataError(
-                            f"{path}: unparseable numeric cell {cell!r} "
+                            f"{path}: unparseable or non-finite numeric cell {cell!r} "
                             f"(row {row_num}, column {schema.name!r})"
-                        ) from None
+                        )
                 elif schema.role == "date":
                     try:
                         value = datetime.date.fromisoformat(cell)

@@ -13,6 +13,8 @@ import numpy as np
 
 from .data import FeatureMatrix
 from .errors import DataError
+from .families import check_family
+from .trees import impurity_by_feature
 from .util import mix_seed
 
 BUCKET_EDGES = (10.0, 20.0, 30.0, 40.0)
@@ -231,31 +233,18 @@ def permutation_importance(model, X, y, metric="mape", repeats=5, seed=0):
     return _ranked(names, scores)
 
 
-def impurity_importance(model, feature_names):
+def impurity_importance(family, model, feature_names):
     """Variance-reduction importance summed over every split, normalized to 1.
 
     Regression analog of Gini importance: each internal node contributes
     n_samples * impurity_decrease to the feature it splits on; forests and
-    boosted models sum across their trees.
+    boosted models sum across their trees. DataError for a non-tree family.
     """
-    from .trees import ForestModel, GbtModel, TreeNode, walk_nodes
-
-    if isinstance(model, TreeNode):
-        trees = [model]
-    elif isinstance(model, ForestModel):
-        trees = model.trees
-    elif isinstance(model, GbtModel):
-        trees = model.stages
-    else:
-        raise DataError(f"impurity importance needs a tree-family model, got {type(model).__name__}")
-
-    scores = np.zeros(len(feature_names))
-    for tree in trees:
-        for node in walk_nodes(tree):
-            if not node.is_leaf:
-                scores[node.feature_index] += node.n_samples * node.impurity_decrease
+    trees_of = check_family(family).trees
+    if trees_of is None:
+        raise DataError(f"impurity importance needs a tree-family model, got {family!r}")
+    scores = impurity_by_feature(trees_of(model), len(feature_names))
     total = float(scores.sum())
     if total <= 0:
         return _ranked(list(feature_names), scores, degenerate=True)
     return _ranked(list(feature_names), scores / total)
-

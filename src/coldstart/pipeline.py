@@ -19,7 +19,7 @@ from . import plots
 from .data import build_dataset, split_indices
 from .ensemble import build_bundle, bundle_from_dict, bundle_to_dict, weights_for_errors
 from .errors import DataError
-from .families import DEFAULT_GRIDS, FAMILIES, FittedModel, fit_family
+from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, FittedModel, fit_family
 from .ingest import (
     apply_genre_aliases,
     build_model_table,
@@ -38,7 +38,6 @@ from .metrics import (
     permutation_importance,
 )
 from .preprocess import fit_preprocessor, transform
-from .trees import ForestModel, GbtModel, TreeNode
 from .tuning import randomized_search
 from .util import config_digest, dump_json, load_json, mix_seed
 
@@ -314,8 +313,8 @@ def run_train(config):
     )
     impurity = None
     for member in bundle.members:
-        if isinstance(member.model.model, (TreeNode, ForestModel, GbtModel)):
-            impurity = impurity_importance(member.model.model, X_train.feature_names)
+        if FAMILY_TABLE[member.model.family].trees is not None:
+            impurity = impurity_importance(member.model.family, member.model.model, X_train.feature_names)
             break
 
     series_ids = table.column("series_id")

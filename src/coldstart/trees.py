@@ -9,10 +9,19 @@ sum-of-squares formulation. Candidate thresholds are midpoints of
 consecutive distinct sorted feature values; rows with x <= threshold go
 left. Ties in delta resolve to the lowest feature index, then the lowest
 threshold.
+
+A fitted tree is a ``Tree``: parallel arrays indexed by node id, as in
+scikit-learn's ``Tree``. Node 0 is the root and nodes are numbered in
+preorder (a node, its whole left subtree, then its right subtree), so
+every child has a larger index than its parent. ``feature`` is -1 at a
+leaf; an internal node sends rows with ``x[feature] <= threshold`` to
+``left`` and the rest to ``right``. ``value`` is the node's target mean,
+``n_samples`` its row count and ``impurity_decrease`` the delta of its
+split (0 at a leaf).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,18 +49,18 @@ class TreeParams:
 
 
 @dataclass
-class TreeNode:
-    prediction: float  # leaf mean; unused for routing on internal nodes
-    n_samples: int
-    feature_index: int | None = None
-    threshold: float = 0.0
-    impurity_decrease: float = 0.0
-    left: "TreeNode | None" = field(default=None, repr=False)
-    right: "TreeNode | None" = field(default=None, repr=False)
+class Tree:
+    feature: np.ndarray  # int; -1 at a leaf
+    threshold: np.ndarray
+    left: np.ndarray  # int child ids; -1 at a leaf
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray  # int
+    impurity_decrease: np.ndarray
 
-    @property
-    def is_leaf(self):
-        return self.feature_index is None
+
+TREE_ARRAYS = tuple(f.name for f in fields(Tree))
+INT_ARRAYS = ("feature", "left", "right", "n_samples")
 
 
 @dataclass
@@ -143,40 +152,38 @@ def _feature_subset(p, mode, rng):
     return rng.choice(p, size=m, replace=False)
 
 
-def _grow(X, y, params, depth, rng):
-    n = len(y)
-    if (
-        (params.max_depth is not None and depth >= params.max_depth)
-        or n < params.min_samples_split
-    ):
-        return TreeNode(prediction=float(y.mean()), n_samples=n)
-    subset = _feature_subset(X.shape[1], params.max_features, rng)
-    found = best_split(X, y, subset)
-    if found is None:
-        return TreeNode(prediction=float(y.mean()), n_samples=n)
-    fi, threshold, decrease = found
-    mask = X[:, fi] <= threshold
-    left = _grow(X[mask], y[mask], params, depth + 1, rng)
-    right = _grow(X[~mask], y[~mask], params, depth + 1, rng)
-    return TreeNode(
-        prediction=float(y.mean()),
-        n_samples=n,
-        feature_index=fi,
-        threshold=threshold,
-        impurity_decrease=decrease,
-        left=left,
-        right=right,
-    )
+def _grow(X, y, params, rng, rows):
+    """Grow one tree on ``X[rows], y[rows]`` depth first, left subtree before
+    right, so that nodes come out in preorder and the per-node feature-subset
+    draws happen in that order. Each node's rows keep their relative order."""
+    nodes = {name: [] for name in TREE_ARRAYS}
+    stack = [(rows, 0, -1)]  # rows, depth, parent of a right child
+    while stack:
+        rows, depth, parent = stack.pop()
+        node = len(nodes["value"])
+        if parent >= 0:
+            nodes["right"][parent] = node
+        Xn, yn = X[rows], y[rows]
+        found = None
+        if (params.max_depth is None or depth < params.max_depth) and len(rows) >= params.min_samples_split:
+            found = best_split(Xn, yn, _feature_subset(X.shape[1], params.max_features, rng))
+        fi, threshold, decrease = found or (-1, 0.0, 0.0)
+        left = -1 if found is None else node + 1
+        for name, v in zip(TREE_ARRAYS, (fi, threshold, left, -1, float(yn.mean()), len(rows), decrease)):
+            nodes[name].append(v)
+        if found is not None:
+            mask = Xn[:, fi] <= threshold
+            stack += [(rows[~mask], depth + 1, node), (rows[mask], depth + 1, -1)]
+    return Tree(**{name: np.array(v, dtype=int if name in INT_ARRAYS else float) for name, v in nodes.items()})
 
 
 def fit_decision_tree(X, y, params):
-    """Greedy recursive CART fit; stops at max_depth, min_samples_split,
+    """Greedy CART fit; stops at max_depth, min_samples_split,
     or when no split reduces variance."""
     X, y = _align(X, y)
     if len(y) == 0:
         raise DataError("cannot fit a tree on zero rows")
-    rng = np.random.default_rng(params.seed)
-    return _grow(X, y, params, depth=0, rng=rng)
+    return _grow(X, y, params, np.random.default_rng(params.seed), np.arange(len(y)))
 
 
 def fit_random_forest(X, y, params, n_estimators, bootstrap=True):
@@ -194,11 +201,8 @@ def fit_random_forest(X, y, params, n_estimators, bootstrap=True):
     trees = []
     for t in range(n_estimators):
         rng = np.random.default_rng(mix_seed(params.seed, t))
-        if bootstrap:
-            idx = rng.integers(0, n, size=n)
-            trees.append(_grow(X[idx], y[idx], params, depth=0, rng=rng))
-        else:
-            trees.append(_grow(X, y, params, depth=0, rng=rng))
+        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(_grow(X, y, params, rng, rows))
     return ForestModel(trees=trees, params=params, n_estimators=n_estimators, n_features=X.shape[1])
 
 
@@ -220,7 +224,7 @@ def fit_gbt(X, y, rounds, learning_rate, tree_params):
     for r in range(rounds):
         residual = y - preds
         rng = np.random.default_rng(mix_seed(tree_params.seed, r))
-        stage = _grow(X, residual, tree_params, depth=0, rng=rng)
+        stage = _grow(X, residual, tree_params, rng, np.arange(len(y)))
         preds = preds + learning_rate * predict_tree(stage, X)
         stages.append(stage)
     return GbtModel(
@@ -231,40 +235,39 @@ def fit_gbt(X, y, rounds, learning_rate, tree_params):
     )
 
 
-def walk_nodes(node):
-    """Yield every node of a tree, parents before children."""
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        yield nd
-        if not nd.is_leaf:
-            stack.append(nd.right)
-            stack.append(nd.left)
-
-
 def _check_width(X, n_features, what):
     if X.shape[1] != n_features:
         raise DataError(f"{what} expects {n_features} features, got {X.shape[1]}")
 
 
-def predict_tree(node, X):
+def predict_tree(tree, X):
+    """Route all rows down together, one split test per level."""
     X = as_matrix(X)
-    max_fi = max((nd.feature_index for nd in walk_nodes(node) if not nd.is_leaf), default=-1)
+    max_fi = int(tree.feature.max())
     if max_fi >= X.shape[1]:
         raise DataError(f"tree references feature {max_fi} but input has {X.shape[1]}")
+    # leaves route to themselves, so a row stays put once it reaches one
+    leaf = tree.feature < 0
+    ids = np.arange(leaf.size)
+    feature = np.where(leaf, 0, tree.feature)
+    left = np.where(leaf, ids, tree.left)
+    right = np.where(leaf, ids, tree.right)
+    # X[i, f] as flat[i * width + f]: one 1-D gather, cheaper than X[rows, f]
+    flat = X.ravel()
     out = np.empty(X.shape[0])
-    stack = [(node, np.arange(X.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if nd.is_leaf:
-            out[idx] = nd.prediction
-        else:
-            mask = X[idx, nd.feature_index] <= nd.threshold
-            stack.append((nd.left, idx[mask]))
-            stack.append((nd.right, idx[~mask]))
-    return out
+    rows = np.arange(X.shape[0])
+    start = rows * X.shape[1]
+    node = np.zeros(X.shape[0], dtype=int)
+    while True:
+        done = leaf[node]
+        # drop finished rows only once they are half of those left: dropping
+        # them at every level costs more than the steps it saves
+        if 2 * np.count_nonzero(done) >= node.size:
+            out[rows[done]] = tree.value[node[done]]
+            rows, start, node = rows[~done], start[~done], node[~done]
+            if not rows.size:
+                return out
+        node = np.where(flat[start + feature[node]] <= tree.threshold[node], left[node], right[node])
 
 
 def predict_forest(model, X):
@@ -285,34 +288,40 @@ def predict_gbt(model, X):
     return out
 
 
+def impurity_by_feature(trees, n_features):
+    """Sum n_samples * impurity_decrease per split feature over ``trees``,
+    adding in tree order, then node order."""
+    feature = np.concatenate([np.empty(0, dtype=int)] + [t.feature for t in trees])
+    gain = np.concatenate([np.empty(0)] + [t.n_samples * t.impurity_decrease for t in trees])
+    internal = feature >= 0
+    return np.bincount(feature[internal], weights=gain[internal], minlength=n_features)
+
+
 # --- JSON-friendly serialization -------------------------------------------
 
-def tree_to_dict(node):
-    if node.is_leaf:
-        return {"prediction": node.prediction, "n": node.n_samples}
-    return {
-        "feature": node.feature_index,
-        "threshold": node.threshold,
-        "decrease": node.impurity_decrease,
-        "n": node.n_samples,
-        "prediction": node.prediction,
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
-    }
+def tree_to_dict(tree):
+    return {name: getattr(tree, name).tolist() for name in TREE_ARRAYS}
 
 
 def tree_from_dict(d):
-    if "feature" not in d:
-        return TreeNode(prediction=d["prediction"], n_samples=d["n"])
-    return TreeNode(
-        prediction=d["prediction"],
-        n_samples=d["n"],
-        feature_index=d["feature"],
-        threshold=d["threshold"],
-        impurity_decrease=d["decrease"],
-        left=tree_from_dict(d["left"]),
-        right=tree_from_dict(d["right"]),
-    )
+    """Decode a tree, rejecting arrays that predict_tree could not walk to a
+    leaf: unequal lengths, non-integer ids, or a child that does not come
+    after its parent."""
+    arrays = {}
+    for name in TREE_ARRAYS:
+        a = np.array(d[name])
+        if a.dtype.kind not in ("iu" if name in INT_ARRAYS else "iuf"):
+            raise DataError(f"tree array {name!r} must hold {'integers' if name in INT_ARRAYS else 'numbers'}")
+        arrays[name] = a if name in INT_ARRAYS else a.astype(float)
+    n = arrays["feature"].size
+    if n == 0 or any(a.shape != (n,) for a in arrays.values()):
+        raise DataError("tree arrays must be non-empty lists of one length")
+    parent = np.flatnonzero(arrays["feature"] >= 0)
+    for side in ("left", "right"):
+        child = arrays[side][parent]
+        if np.any((child <= parent) | (child >= n)):
+            raise DataError(f"tree has a {side} child outside (parent, {n})")
+    return Tree(**arrays)
 
 
 def forest_to_dict(model):
@@ -320,12 +329,7 @@ def forest_to_dict(model):
         "kind": "forest",
         "n_estimators": model.n_estimators,
         "n_features": model.n_features,
-        "params": {
-            "max_depth": model.params.max_depth,
-            "min_samples_split": model.params.min_samples_split,
-            "max_features": model.params.max_features,
-            "seed": model.params.seed,
-        },
+        "params": asdict(model.params),
         "trees": [tree_to_dict(t) for t in model.trees],
     }
 

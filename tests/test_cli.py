@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import warnings
 
@@ -321,7 +322,44 @@ def _edited(kind, edit):
     return content
 
 
-# case -> (input it replaces, bytes written in its place)
+def _gbt_stage(edit):
+    """Content maker: the tiny run's bundle after ``edit(first gbt tree)``."""
+
+    def edit_bundle(doc):
+        member = next(m for m in doc["members"] if m["family"] == "gbt")
+        edit(member["model"]["stages"][0])
+
+    return _edited("bundle", edit_bundle)
+
+
+def _csv_source(tiny_run, name):
+    if name == "holdout":
+        return tiny_run.result["holdout_episodes"]
+    return tiny_run.data_dir / name
+
+
+def _csv_cell(name, column, value):
+    """Content maker: a tiny-run CSV with ``column`` of its first data row set to ``value``."""
+
+    def content(tiny_run):
+        with open(_csv_source(tiny_run, name), newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][rows[0].index(column)] = value
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        return out.getvalue().encode("utf-8")
+
+    return content
+
+
+def _truncated_episodes(tiny_run):
+    """episodes.csv cut off two characters into the fourth row's episode id."""
+    lines = (tiny_run.data_dir / "episodes.csv").read_text().splitlines(keepends=True)
+    return ("".join(lines[:3]) + lines[3][: lines[3].index(",") + 3]).encode("utf-8")
+
+
+# case -> (input it replaces, bytes written in its place); "holdout" is the
+# holdout episodes file with views, which evaluate scores
 BAD_INPUTS = {
     "config_malformed_json": ("config", lambda run: b'{"seed": 1,'),
     "config_not_an_object": ("config", lambda run: b"[1, 2, 3]"),
@@ -334,7 +372,23 @@ BAD_INPUTS = {
         "bundle", _edited("bundle", lambda d: d["meta"].update(reference_date="last spring"))
     ),
     "bundle_null_preprocessor": ("bundle", _edited("bundle", lambda d: d.update(preprocessor=None))),
+    "bundle_schema_version_1": ("bundle", _edited("bundle", lambda d: d.update(schema_version=1))),
+    "tree_arrays_of_unequal_length": ("bundle", _gbt_stage(lambda t: t["threshold"].pop())),
+    "tree_feature_not_integer": (
+        "bundle", _gbt_stage(lambda t: t.update(feature=[float(f) for f in t["feature"]]))
+    ),
+    "tree_child_refers_to_itself": ("bundle", _gbt_stage(lambda t: t["left"].__setitem__(0, 0))),
+    "tree_child_past_last_node": (
+        "bundle", _gbt_stage(lambda t: t["right"].__setitem__(0, len(t["right"])))
+    ),
     "episodes_not_utf8": ("episodes", lambda run: b"series_id,episode_id\n\xff\xfe\x00\x81\n"),
+    "episodes_empty": ("episodes", lambda run: b""),
+    "episodes_truncated": ("episodes", _truncated_episodes),
+    **{
+        f"credits_awards_{value}": ("credits", _csv_cell("credits.csv", "awards", value))
+        for value in ("nan", "inf", "1e400")
+    },
+    "holdout_views_inf": ("holdout", _csv_cell("holdout", "views", "inf")),
     "report_not_an_object": ("report", lambda run: b'["validation"]'),
     "report_mape_not_a_number": (
         "report", _edited("report", lambda d: d["ensemble_validation"].update(mape="low"))
@@ -352,12 +406,17 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
     bad = tmp_path / f"bad_{kind}"
     bad.write_bytes(content(tiny_run))
     # verify recomputes the report's numbers, which come from the holdout rows
-    episodes = tiny_run.result["holdout_episodes"] if kind == "report" else tiny_run.data_dir / "episodes.csv"
-    paths = {"bundle": tiny_run.result["bundle"], "report": tiny_run.result["report"], "episodes": str(episodes)}
-    paths[kind] = str(bad)
+    episodes = _csv_source(tiny_run, "holdout" if kind == "report" else "episodes.csv")
+    paths = {
+        "bundle": tiny_run.result["bundle"],
+        "report": tiny_run.result["report"],
+        "episodes": str(episodes),
+        "credits": str(tiny_run.data_dir / "credits.csv"),
+    }
+    paths["episodes" if kind == "holdout" else kind] = str(bad)
     inputs = [
         "--episodes", paths["episodes"],
-        "--credits", str(tiny_run.data_dir / "credits.csv"),
+        "--credits", paths["credits"],
         "--genres", str(tiny_run.data_dir / "genres.csv"),
         "--platform", str(tiny_run.data_dir / "platform.csv"),
     ]
@@ -365,6 +424,8 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
         argv = ["train", "--config", paths["config"], *inputs, "--out", str(tmp_path / "out")]
     elif kind == "report":
         argv = ["verify", "--bundle", paths["bundle"], "--report", paths["report"], *inputs]
+    elif kind == "holdout":
+        argv = ["evaluate", "--bundle", paths["bundle"], *inputs, "--out", str(tmp_path / "eval")]
     else:
         argv = ["predict", "--bundle", paths["bundle"], *inputs, "--out", str(tmp_path / "predictions.csv")]
     code = run_cli(*argv)

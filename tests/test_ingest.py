@@ -43,10 +43,12 @@ def test_load_csv_empty_cell_is_missing_not_zero(tmp_path):
 
 def test_load_csv_bad_numeric_names_row_and_column(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text('x\n"12,5"\n')
-    with pytest.raises(DataError) as err:
-        load_csv(path, [ColumnSchema("x", "numeric")])
-    assert "row 2" in str(err.value) and "'x'" in str(err.value)
+    # float() parses the last four, but a non-finite value is not a number to model
+    for cell in ('"12,5"', "nan", "inf", "-Infinity", "1e400"):
+        path.write_text(f"x\n1\n{cell}\n")
+        with pytest.raises(DataError) as err:
+            load_csv(path, [ColumnSchema("x", "numeric")])
+        assert "t.csv" in str(err.value) and "row 3" in str(err.value) and "'x'" in str(err.value)
 
 
 def test_load_csv_missing_header_and_empty_file(tmp_path):

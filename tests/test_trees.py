@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,8 +21,8 @@ from coldstart.trees import (
     predict_tree,
     tree_from_dict,
     tree_to_dict,
-    walk_nodes,
 )
+from coldstart.util import dump_json, load_json
 
 FIXTURE_X = np.array([[1.0], [2.0], [3.0], [4.0]])
 FIXTURE_Y = np.array([0.0, 0.0, 10.0, 10.0])
@@ -97,7 +100,7 @@ def test_best_split_brute_force_agreement():
 
 def test_fit_constant_target_single_leaf():
     tree = fit_decision_tree(FIXTURE_X, np.full(4, 3.0), TreeParams())
-    assert tree.is_leaf and tree.prediction == 3.0
+    assert tree.feature.tolist() == [-1] and tree.value.tolist() == [3.0]
 
 
 def test_fit_interpolates_distinct_feature():
@@ -110,9 +113,9 @@ def test_fit_interpolates_distinct_feature():
 
 def test_stump_from_fixture():
     tree = fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_depth=1))
-    assert not tree.is_leaf
-    assert tree.left.is_leaf and tree.right.is_leaf
-    assert tree.left.prediction == 0.0 and tree.right.prediction == 10.0
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.left[0] == 1 and tree.right[0] == 2
+    assert tree.value[1] == 0.0 and tree.value[2] == 10.0
 
 
 def test_min_samples_split_respected():
@@ -120,9 +123,7 @@ def test_min_samples_split_respected():
     X = rng.normal(size=(100, 3))
     y = rng.normal(size=100)
     tree = fit_decision_tree(X, y, TreeParams(min_samples_split=40))
-    for node in walk_nodes(tree):
-        if not node.is_leaf:
-            assert node.n_samples >= 40
+    assert np.all(tree.n_samples[tree.feature >= 0] >= 40)
 
 
 def test_leaf_predictions_are_leaf_means():
@@ -134,14 +135,10 @@ def test_leaf_predictions_are_leaf_means():
     # route each training row and compare against its leaf's stored mean
     groups = {}
     for i in range(60):
-        node = tree
-        while not node.is_leaf:
-            node = node.left if X[i, node.feature_index] <= node.threshold else node.right
-        groups.setdefault(id(node), ([], node))
-        groups[id(node)][0].append(y[i])
-    for values, node in groups.values():
-        assert abs(node.prediction - np.mean(values)) < 1e-12
-    assert np.all(np.isin(preds, [node.prediction for _, node in groups.values()]))
+        groups.setdefault(_leaf_of(tree, X[i]), []).append(y[i])
+    for node, values in groups.items():
+        assert abs(tree.value[node] - np.mean(values)) < 1e-12
+    assert np.all(np.isin(preds, tree.value[list(groups)]))
 
 
 def test_impurity_decrease_telescopes():
@@ -150,23 +147,59 @@ def test_impurity_decrease_telescopes():
     y = rng.normal(size=80)
     tree = fit_decision_tree(X, y, TreeParams(max_depth=5))
     n = len(y)
-    internal_sum = sum(
-        node.n_samples * node.impurity_decrease for node in walk_nodes(tree) if not node.is_leaf
-    )
+    internal = tree.feature >= 0
+    internal_sum = float(np.sum(tree.n_samples[internal] * tree.impurity_decrease[internal]))
     leaf_var = sum(
-        node.n_samples
-        * np.var(y[[i for i in range(n) if _leaf_of(tree, X[i]) is node]])
-        for node in walk_nodes(tree)
-        if node.is_leaf
+        tree.n_samples[node] * np.var(y[[i for i in range(n) if _leaf_of(tree, X[i]) == node]])
+        for node in np.flatnonzero(~internal)
     )
     assert abs(internal_sum - (n * np.var(y) - leaf_var)) < 1e-8 * max(1.0, internal_sum)
 
 
 def _leaf_of(tree, x):
-    node = tree
-    while not node.is_leaf:
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return node
+    """Scalar reference walk: the id of the leaf that row ``x`` reaches."""
+    node = 0
+    while tree.feature[node] >= 0:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return int(node)
+
+
+def test_predict_tree_matches_scalar_walk():
+    rng = np.random.default_rng(15)
+    for trial in range(40):
+        n = int(rng.integers(2, 120))
+        X = rng.normal(size=(n, 3))
+        if trial % 2 == 1:
+            X = np.round(X, 1)  # repeated feature values
+        y = rng.normal(size=n)
+        params = TreeParams(max_depth=int(rng.integers(1, 9)), seed=trial)
+        tree = fit_decision_tree(X, y, params)
+        assert tree.feature.max() < 3
+        # one row per split that sits exactly on its threshold, so it must go left
+        internal = np.flatnonzero(tree.feature >= 0)
+        on_split = np.repeat(X[:1], internal.size, axis=0)
+        on_split[np.arange(internal.size), tree.feature[internal]] = tree.threshold[internal]
+        X_new = np.vstack([X, rng.normal(size=(50, 3)), on_split])
+        expected = np.array([tree.value[_leaf_of(tree, x)] for x in X_new])
+        assert np.array_equal(predict_tree(tree, X_new), expected)
+
+
+def test_deep_chain_tree_needs_no_recursion(tmp_path):
+    # each split peels off the largest target, so the tree is a 299-level chain
+    x = np.arange(300, dtype=float).reshape(-1, 1)
+    y = 3.0 ** np.arange(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 150)
+    try:
+        tree = fit_decision_tree(x, y, TreeParams(max_depth=None, min_samples_split=2))
+        assert len(tree.feature) == 599
+        assert np.array_equal(predict_tree(tree, x), y)
+        dump_json(tree_to_dict(tree), tmp_path / "tree.json")
+        clone = tree_from_dict(load_json(tmp_path / "tree.json"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tree_to_dict(clone) == tree_to_dict(tree)
+    assert np.array_equal(predict_tree(clone, x), y)
 
 
 def test_forest_deterministic_and_distinct_trees():
