@@ -43,11 +43,24 @@ class RawTable:
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
 
+    @classmethod
+    def from_rows(cls, schemas, rows):
+        """Table from row tuples whose cells follow ``schemas``; no rows gives empty columns."""
+        schemas = list(schemas)
+        rows = list(rows)
+        if any(len(row) != len(schemas) for row in rows):
+            raise SchemaError(f"every row needs {len(schemas)} cells")
+        cells = zip(*rows) if rows else [()] * len(schemas)
+        return cls(schemas, {s.name: list(col) for s, col in zip(schemas, cells)})
+
     @property
     def n_rows(self):
         if not self.schemas:
             return 0
         return len(self.columns[self.schemas[0].name])
+
+    def __len__(self):
+        return self.n_rows
 
     @property
     def column_names(self):

@@ -1,6 +1,9 @@
 """CSV loading and metadata feature engineering.
 
-Turns four episode/credit/genre/platform CSVs into one model-ready table:
+Each input stays one RawTable from file to model. The read_* functions load
+an episode/credit/genre/platform CSV against its column constant, check it
+row by row (errors name the file and row) and return the table;
+build_model_table takes the four tables and returns one model-ready table:
 show length normalized to minutes, per-role crew aggregates (best rating,
 total awards, crew count), distinct-genre counts, platform metrics joined
 per episode, and date-derived features (age, day of week, month, quarter).
@@ -20,41 +23,31 @@ ROLES_CREW = ("actor", "director", "writer")
 
 PLATFORM_METRICS = ("exposures", "minutes_viewed", "revenue", "audience_estimate", "impressions")
 
-
-@dataclass(frozen=True)
-class EpisodeRow:
-    series_id: str
-    episode_id: str
-    release_date: datetime.date
-    length_minutes: float
-    views: float | None = None  # absent at predict time
-
-
-@dataclass(frozen=True)
-class PersonCredit:
-    series_id: str
-    name: str
-    role: str  # actor | director | writer
-    imdb_rating: float | None = None
-    awards: int | None = None
-
-
-@dataclass(frozen=True)
-class GenreRow:
-    series_id: str
-    genre: str
-    source: str = ""
-
-
-@dataclass(frozen=True)
-class PlatformRow:
-    series_id: str
-    episode_id: str
-    exposures: float | None = None
-    minutes_viewed: float | None = None
-    revenue: float | None = None
-    audience_estimate: float | None = None
-    impressions: float | None = None
+# columns of each input file; read_episodes returns EPISODE_COLUMNS (length
+# parsed to minutes) plus VIEWS_COLUMN when the file has one
+EPISODE_CSV_COLUMNS = (
+    ColumnSchema("series_id", "id"),
+    ColumnSchema("episode_id", "id"),
+    ColumnSchema("release_date", "date"),
+    ColumnSchema("length", "categorical"),
+)
+EPISODE_COLUMNS = EPISODE_CSV_COLUMNS[:3] + (ColumnSchema("length_minutes", "numeric"),)
+VIEWS_COLUMN = ColumnSchema("views", "target")
+CREDIT_COLUMNS = (
+    ColumnSchema("series_id", "id"),
+    ColumnSchema("name", "categorical"),
+    ColumnSchema("role", "categorical"),
+    ColumnSchema("imdb_rating", "numeric"),
+    ColumnSchema("awards", "numeric"),
+)
+GENRE_COLUMNS = (
+    ColumnSchema("series_id", "id"),
+    ColumnSchema("genre", "categorical"),
+    ColumnSchema("source", "categorical"),
+)
+PLATFORM_COLUMNS = (ColumnSchema("series_id", "id"), ColumnSchema("episode_id", "id")) + tuple(
+    ColumnSchema(m, "numeric") for m in PLATFORM_METRICS
+)
 
 
 @dataclass(frozen=True)
@@ -134,116 +127,52 @@ def parse_length_to_minutes(raw):
     raise DataError(f"unrecognized length format {raw!r}")
 
 
-def _table_cells(table, row, names):
-    return {n: table.column(n)[row] for n in names}
-
-
 def read_episodes(path):
-    """Load episodes.csv into EpisodeRow objects; the views column is optional."""
+    """Load episodes.csv with its length parsed to minutes; the views column is optional."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-    schema = [
-        ColumnSchema("series_id", "id"),
-        ColumnSchema("episode_id", "id"),
-        ColumnSchema("release_date", "date"),
-        ColumnSchema("length", "categorical"),
-    ]
-    has_views = "views" in header
-    if has_views:
-        schema.append(ColumnSchema("views", "target"))
-    table = load_csv(path, schema)
+    extra = (VIEWS_COLUMN,) if VIEWS_COLUMN.name in header else ()
+    table = load_csv(path, EPISODE_CSV_COLUMNS + extra)
 
-    episodes = []
-    for i in range(table.n_rows):
-        cells = _table_cells(table, i, [s.name for s in schema])
-        for key in ("series_id", "episode_id", "release_date", "length"):
-            if cells[key] is None:
-                raise DataError(f"{path}: row {i + 2} is missing {key!r}")
-        episodes.append(
-            EpisodeRow(
-                series_id=cells["series_id"],
-                episode_id=cells["episode_id"],
-                release_date=cells["release_date"],
-                length_minutes=parse_length_to_minutes(cells["length"]),
-                views=cells.get("views"),
-            )
-        )
-    return episodes
+    minutes = []
+    for i, cells in enumerate(zip(*(table.column(s.name) for s in EPISODE_CSV_COLUMNS))):
+        for schema, cell in zip(EPISODE_CSV_COLUMNS, cells):
+            if cell is None:
+                raise DataError(f"{path}: row {i + 2} is missing {schema.name!r}")
+        minutes.append(parse_length_to_minutes(cells[-1]))  # length is the last CSV column
+    columns = {s.name: table.column(s.name) for s in EPISODE_COLUMNS[:3] + extra}
+    columns["length_minutes"] = minutes
+    return RawTable(list(EPISODE_COLUMNS + extra), columns)
 
 
 def read_credits(path):
-    schema = [
-        ColumnSchema("series_id", "id"),
-        ColumnSchema("name", "categorical"),
-        ColumnSchema("role", "categorical"),
-        ColumnSchema("imdb_rating", "numeric"),
-        ColumnSchema("awards", "numeric"),
-    ]
-    table = load_csv(path, schema)
-    credits = []
-    for i in range(table.n_rows):
-        cells = _table_cells(table, i, [s.name for s in schema])
-        role = cells["role"]
+    table = load_csv(path, CREDIT_COLUMNS)
+    cells = zip(table.column("role"), table.column("imdb_rating"), table.column("awards"))
+    for i, (role, rating, awards) in enumerate(cells):
         if role not in ROLES_CREW:
             raise DataError(f"{path}: row {i + 2} has unknown crew role {role!r}")
-        rating = cells["imdb_rating"]
         if rating is not None and not 0.0 <= rating <= 10.0:
             raise DataError(f"{path}: row {i + 2} rating {rating} outside [0, 10]")
-        awards = cells["awards"]
         if awards is not None and awards < 0:
             raise DataError(f"{path}: row {i + 2} has negative awards")
-        credits.append(
-            PersonCredit(
-                series_id=cells["series_id"],
-                name=cells["name"],
-                role=role,
-                imdb_rating=rating,
-                awards=None if awards is None else int(awards),
-            )
-        )
-    return credits
+        if awards is not None and not awards.is_integer():
+            raise DataError(f"{path}: non-integer awards {awards!r} (row {i + 2}, column 'awards')")
+    return table
 
 
 def read_genres(path):
-    schema = [
-        ColumnSchema("series_id", "id"),
-        ColumnSchema("genre", "categorical"),
-        ColumnSchema("source", "categorical"),
-    ]
-    table = load_csv(path, schema)
-    rows = []
-    for i in range(table.n_rows):
-        cells = _table_cells(table, i, [s.name for s in schema])
-        if not cells["genre"]:
+    table = load_csv(path, GENRE_COLUMNS)
+    for i, genre in enumerate(table.column("genre")):
+        if not genre:
             raise DataError(f"{path}: row {i + 2} has an empty genre")
-        rows.append(
-            GenreRow(
-                series_id=cells["series_id"],
-                genre=cells["genre"],
-                source=cells["source"] or "",
-            )
-        )
-    return rows
+    return table
 
 
 def read_platform(path):
-    schema = [ColumnSchema("series_id", "id"), ColumnSchema("episode_id", "id")]
-    schema += [ColumnSchema(m, "numeric") for m in PLATFORM_METRICS]
-    table = load_csv(path, schema)
-    rows = []
-    for i in range(table.n_rows):
-        cells = _table_cells(table, i, [s.name for s in schema])
-        rows.append(
-            PlatformRow(
-                series_id=cells["series_id"],
-                episode_id=cells["episode_id"],
-                **{m: cells[m] for m in PLATFORM_METRICS},
-            )
-        )
-    return rows
+    return load_csv(path, PLATFORM_COLUMNS)
 
 
 def read_genre_aliases(path):
@@ -262,10 +191,9 @@ def read_genre_aliases(path):
 
 def apply_genre_aliases(genres, alias_map):
     if not alias_map:
-        return list(genres)
-    return [
-        GenreRow(g.series_id, alias_map.get(g.genre, g.genre), g.source) for g in genres
-    ]
+        return genres
+    mapped = [alias_map.get(g, g) for g in genres.column("genre")]
+    return RawTable(list(genres.schemas), {**genres.columns, "genre": mapped})
 
 
 def derive_date_features(release_date, reference_date):
@@ -283,85 +211,78 @@ def derive_date_features(release_date, reference_date):
 
 
 def consolidate_metadata(episodes, credits, genres, platform):
-    """One feature row per episode from crew, genre, and platform inputs.
+    """One feature row per episode from crew, genre, and platform tables.
 
     Per role and series: best_<role>_rating is the max rating over that
     series' credits (missing if none carry a rating), <role>_total_awards
     the sum of awards, <role>_crew_count the number of credits — all after
     dropping exact duplicate credit rows. genre_count is the number of
     distinct genre labels per series. Platform metrics join on
-    (series_id, episode_id). Input series referenced by credit/genre/
+    (series_id, episode_id); two platform rows for one episode are an
+    error, as are two episode rows. Input series referenced by credit/genre/
     platform rows but absent from episodes produce warnings, not errors.
     """
+    series = episodes.column("series_id")
+    keys = list(zip(series, episodes.column("episode_id")))
     seen = set()
-    for ep in episodes:
-        key = (ep.series_id, ep.episode_id)
+    for key in keys:
         if key in seen:
             raise DataError(f"duplicate episode {key}")
         seen.add(key)
-    known_series = {ep.series_id for ep in episodes}
+    known_series = set(series)
 
-    deduped = list(dict.fromkeys(credits))  # exact duplicate rows removed, order kept
-    crew = {}  # (series, role) -> dict(best, awards, count)
-    for credit in deduped:
-        if credit.series_id not in known_series:
-            warnings.warn(f"credit for unknown series {credit.series_id!r}")
+    best, awards, count = {}, {}, {}  # (series, role) -> aggregate
+    credit_rows = zip(*(credits.column(s.name) for s in CREDIT_COLUMNS))
+    for sid, _, role, rating, award in dict.fromkeys(credit_rows):  # exact duplicates removed, order kept
+        if sid not in known_series:
+            warnings.warn(f"credit for unknown series {sid!r}")
             continue
-        slot = crew.setdefault(
-            (credit.series_id, credit.role), {"best": None, "awards": 0, "count": 0}
-        )
-        slot["count"] += 1
-        if credit.imdb_rating is not None:
-            if slot["best"] is None or credit.imdb_rating > slot["best"]:
-                slot["best"] = credit.imdb_rating
-        if credit.awards is not None:
-            slot["awards"] += credit.awards
+        slot = (sid, role)
+        count[slot] = count.get(slot, 0) + 1
+        if rating is not None and (best.get(slot) is None or rating > best[slot]):
+            best[slot] = rating
+        if award is not None:
+            awards[slot] = awards.get(slot, 0) + award
 
     genre_sets = {}
-    for row in genres:
-        if row.series_id not in known_series:
-            warnings.warn(f"genre for unknown series {row.series_id!r}")
+    for sid, genre in zip(genres.column("series_id"), genres.column("genre")):
+        if sid not in known_series:
+            warnings.warn(f"genre for unknown series {sid!r}")
             continue
-        genre_sets.setdefault(row.series_id, set()).add(row.genre)
+        genre_sets.setdefault(sid, set()).add(genre)
 
-    platform_by_key = {}
-    for row in platform:
-        if row.series_id not in known_series:
-            warnings.warn(f"platform row for unknown series {row.series_id!r}")
+    platform_row = {}  # (series, episode) -> row index in platform
+    for j, key in enumerate(zip(platform.column("series_id"), platform.column("episode_id"))):
+        if key[0] not in known_series:
+            warnings.warn(f"platform row for unknown series {key[0]!r}")
             continue
-        platform_by_key[(row.series_id, row.episode_id)] = row
+        if key in platform_row:
+            raise DataError(f"duplicate platform row {key}")
+        platform_row[key] = j
+    rows = [platform_row.get(key) for key in keys]
 
-    schemas = [
-        ColumnSchema("series_id", "id"),
-        ColumnSchema("episode_id", "id"),
-        ColumnSchema("length_minutes", "numeric"),
-    ]
+    schemas = [s for s in EPISODE_COLUMNS if s.name != "release_date"]
+    columns = {s.name: list(episodes.column(s.name)) for s in schemas}
     for role in ROLES_CREW:
-        schemas.append(ColumnSchema(f"best_{role}_rating", "numeric"))
-        schemas.append(ColumnSchema(f"{role}_total_awards", "numeric"))
-        schemas.append(ColumnSchema(f"{role}_crew_count", "numeric"))
+        slots = [(sid, role) for sid in series]
+        schemas += [
+            ColumnSchema(f"best_{role}_rating", "numeric"),
+            ColumnSchema(f"{role}_total_awards", "numeric"),
+            ColumnSchema(f"{role}_crew_count", "numeric"),
+        ]
+        columns[f"best_{role}_rating"] = [best.get(slot) for slot in slots]
+        columns[f"{role}_total_awards"] = [float(awards.get(slot, 0)) for slot in slots]
+        columns[f"{role}_crew_count"] = [float(count.get(slot, 0)) for slot in slots]
     schemas.append(ColumnSchema("genre_count", "numeric"))
-    schemas += [ColumnSchema(m, "numeric") for m in PLATFORM_METRICS]
-    has_views = any(ep.views is not None for ep in episodes)
-    if has_views:
-        schemas.append(ColumnSchema("views", "target"))
-
-    columns = {s.name: [] for s in schemas}
-    for ep in episodes:
-        columns["series_id"].append(ep.series_id)
-        columns["episode_id"].append(ep.episode_id)
-        columns["length_minutes"].append(ep.length_minutes)
-        for role in ROLES_CREW:
-            slot = crew.get((ep.series_id, role), {"best": None, "awards": 0, "count": 0})
-            columns[f"best_{role}_rating"].append(slot["best"])
-            columns[f"{role}_total_awards"].append(float(slot["awards"]))
-            columns[f"{role}_crew_count"].append(float(slot["count"]))
-        columns["genre_count"].append(float(len(genre_sets.get(ep.series_id, ()))))
-        prow = platform_by_key.get((ep.series_id, ep.episode_id))
-        for metric in PLATFORM_METRICS:
-            columns[metric].append(None if prow is None else getattr(prow, metric))
-        if has_views:
-            columns["views"].append(ep.views)
+    columns["genre_count"] = [float(len(genre_sets.get(sid, ()))) for sid in series]
+    for metric in PLATFORM_METRICS:
+        schemas.append(ColumnSchema(metric, "numeric"))
+        values = platform.column(metric)
+        columns[metric] = [None if j is None else values[j] for j in rows]
+    views = episodes.columns.get(VIEWS_COLUMN.name)
+    if views is not None and any(v is not None for v in views):
+        schemas.append(VIEWS_COLUMN)
+        columns[VIEWS_COLUMN.name] = list(views)
     return RawTable(schemas, columns)
 
 
@@ -372,21 +293,16 @@ def build_model_table(episodes, credits, genres, platform, reference_date=None):
     columns so they one-hot encode; age_days stays numeric. reference_date
     defaults to the latest release date in the input.
     """
-    if not episodes:
+    if not episodes.n_rows:
         raise DataError("no episodes to build a table from")
+    release_dates = episodes.column("release_date")
     if reference_date is None:
-        reference_date = max(ep.release_date for ep in episodes)
+        reference_date = max(release_dates)
     table = consolidate_metadata(episodes, credits, genres, platform)
 
-    age, dow, month, quarter = [], [], [], []
-    for ep in episodes:
-        feats = derive_date_features(ep.release_date, reference_date)
-        age.append(float(feats.age_days))
-        dow.append(str(feats.day_of_week))
-        month.append(str(feats.month))
-        quarter.append(str(feats.quarter))
-    table = table.with_column(ColumnSchema("age_days", "numeric"), age)
-    table = table.with_column(ColumnSchema("day_of_week", "categorical"), dow)
-    table = table.with_column(ColumnSchema("month", "categorical"), month)
-    table = table.with_column(ColumnSchema("quarter", "categorical"), quarter)
+    feats = [derive_date_features(d, reference_date) for d in release_dates]
+    table = table.with_column(ColumnSchema("age_days", "numeric"), [float(f.age_days) for f in feats])
+    table = table.with_column(ColumnSchema("day_of_week", "categorical"), [str(f.day_of_week) for f in feats])
+    table = table.with_column(ColumnSchema("month", "categorical"), [str(f.month) for f in feats])
+    table = table.with_column(ColumnSchema("quarter", "categorical"), [str(f.quarter) for f in feats])
     return table, reference_date

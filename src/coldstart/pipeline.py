@@ -11,7 +11,7 @@ import csv
 import datetime
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -69,6 +69,20 @@ class RunConfig:
     categorical_strategy: str = "mode"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            allowed = (int, float) if f.type is float else f.type
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                kind = getattr(f.type, "__name__", f.type)
+                raise DataError(f"config {f.name!r} must be {kind}, got {value!r}")
+        for family, grid in self.grids.items():
+            if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+                raise DataError(f"config grids[{family!r}] must map parameter names to lists of values")
+        if self.reference_date is not None:
+            try:
+                datetime.date.fromisoformat(self.reference_date)
+            except ValueError:
+                raise DataError(f"reference_date {self.reference_date!r} is not an ISO date") from None
         paths = [self.episodes, self.credits, self.genres, self.platform]
         if self.genre_alias:
             paths.append(self.genre_alias)
@@ -155,20 +169,13 @@ def _length_string(minutes):
 
 
 def _write_holdout_episodes(path, episodes, indices):
+    rows = episodes.take_rows(indices)
+    names = ("series_id", "episode_id", "release_date", "length_minutes", "views")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["series_id", "episode_id", "release_date", "length", "views"])
-        for i in indices:
-            ep = episodes[i]
-            writer.writerow(
-                [
-                    ep.series_id,
-                    ep.episode_id,
-                    ep.release_date.isoformat(),
-                    _length_string(ep.length_minutes),
-                    "" if ep.views is None else repr(ep.views),
-                ]
-            )
+        for sid, eid, release, minutes, views in zip(*(rows.column(n) for n in names)):
+            writer.writerow([sid, eid, release.isoformat(), _length_string(minutes), repr(views)])
 
 
 def per_series_table(series_ids, y, yhat):
@@ -357,7 +364,7 @@ def run_train(config):
         },
     }
 
-    dump_json(bundle_to_dict(bundle), bundle_path)
+    dump_json(bundle_to_dict(bundle), bundle_path, compact=True)
     dump_json(report, report_path)
     _write_holdout_episodes(holdout_path, episodes, hold_idx.tolist())
 
@@ -434,12 +441,13 @@ def run_predict(bundle_path, episodes_path, credits_path, genres_path, platform_
 
 
 def _require_views(episodes):
-    missing = [i for i, ep in enumerate(episodes) if ep.views is None]
+    views = episodes.columns.get("views") or [None] * episodes.n_rows
+    missing = [i for i, v in enumerate(views) if v is None]
     if missing:
         raise DataError(
             f"episodes are missing views values (first at data row {missing[0] + 2})"
         )
-    return np.asarray([ep.views for ep in episodes], dtype=float)
+    return np.asarray(views, dtype=float)
 
 
 def run_evaluate(bundle_path, episodes_path, credits_path, genres_path, platform_path, out_dir, alias_path=None):

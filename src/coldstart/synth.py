@@ -22,9 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import RawTable
 from .errors import DataError
-from .ingest import consolidate_metadata, derive_date_features
-from .ingest import EpisodeRow, GenreRow, PersonCredit, PlatformRow
+from .ingest import (
+    CREDIT_COLUMNS,
+    EPISODE_COLUMNS,
+    EPISODE_CSV_COLUMNS,
+    GENRE_COLUMNS,
+    PLATFORM_COLUMNS,
+    VIEWS_COLUMN,
+    consolidate_metadata,
+    derive_date_features,
+)
 from .util import dump_json, round_half_up
 
 GENRE_CATALOG = (
@@ -121,10 +130,10 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, schemas, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow([s.name for s in schemas])
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
@@ -139,7 +148,9 @@ def generate(config, out_dir, truth=None):
     rng = np.random.default_rng(config.seed)
     os.makedirs(out_dir, exist_ok=True)
 
-    episodes = []  # (EpisodeRow, raw length string) pairs
+    # rows as tuples in the order of the ingest column constants
+    episodes = []  # (series_id, episode_id, release_date, length_minutes)
+    lengths = []  # the episode's length as written to the CSV
     credits = []
     genres = []
     platform = []
@@ -162,7 +173,7 @@ def generate(config, out_dir, truth=None):
                         rating = None
                     if rng.random() < 0.1:
                         awards = None
-                credit = PersonCredit(sid, f"{sid}-{role}-{i + 1}", role, rating, awards)
+                credit = (sid, f"{sid}-{role}-{i + 1}", role, rating, awards)
                 credits.append(credit)
                 if rng.random() < 0.08:  # exact duplicate rows exercise dedup
                     credits.append(credit)
@@ -171,10 +182,10 @@ def generate(config, out_dir, truth=None):
         picks = rng.choice(len(GENRE_CATALOG), size=n_genres, replace=False)
         for g in sorted(int(p) for p in picks):
             source = GENRE_SOURCES[int(rng.integers(0, len(GENRE_SOURCES)))]
-            genres.append(GenreRow(sid, GENRE_CATALOG[g], source))
+            genres.append((sid, GENRE_CATALOG[g], source))
             if rng.random() < 0.15:  # same genre from a second catalog
                 other = GENRE_SOURCES[int(rng.integers(0, len(GENRE_SOURCES)))]
-                genres.append(GenreRow(sid, GENRE_CATALOG[g], other))
+                genres.append((sid, GENRE_CATALOG[g], other))
 
         premiere = FIRST_RELEASE + datetime.timedelta(days=int(rng.integers(0, 365)))
         n_episodes = int(rng.integers(config.episodes_min, config.episodes_max + 1))
@@ -183,32 +194,29 @@ def generate(config, out_dir, truth=None):
             release = premiere + datetime.timedelta(days=7 * e)
             minutes = int(rng.integers(20, 75))
             style = int(rng.integers(0, 4))
-            episodes.append(
-                (EpisodeRow(sid, eid, release, float(minutes), views=None),
-                 _format_length(minutes, style))
-            )
+            episodes.append((sid, eid, release, float(minutes)))
+            lengths.append(_format_length(minutes, style))
             # platform metrics are marketing-side noise, deliberately
             # independent of the view formula
-            metrics_row = {}
-            for name, mu in (
-                ("exposures", 10.5),
-                ("minutes_viewed", 8.0),
-                ("revenue", 7.0),
-                ("audience_estimate", 9.0),
-                ("impressions", 11.0),
-            ):
+            metrics = []
+            for mu in (10.5, 8.0, 7.0, 9.0, 11.0):  # per PLATFORM_METRICS entry
                 value = float(np.round(rng.lognormal(mu, 0.6), 2))
-                metrics_row[name] = None if rng.random() < 0.15 else value
-            platform.append(PlatformRow(sid, eid, **metrics_row))
+                metrics.append(None if rng.random() < 0.15 else value)
+            platform.append((sid, eid, *metrics))
 
-    episode_rows = [ep for ep, _ in episodes]
-    reference_date = max(ep.release_date for ep in episode_rows)
+    release_dates = [ep[2] for ep in episodes]
+    reference_date = max(release_dates)
 
     # compute the generating features with the pipeline's own aggregation
-    table = consolidate_metadata(episode_rows, credits, genres, platform)
+    table = consolidate_metadata(
+        RawTable.from_rows(EPISODE_COLUMNS, episodes),
+        RawTable.from_rows(CREDIT_COLUMNS, credits),
+        RawTable.from_rows(GENRE_COLUMNS, genres),
+        RawTable.from_rows(PLATFORM_COLUMNS, platform),
+    )
     views = []
-    for i, ep in enumerate(episode_rows):
-        dates = derive_date_features(ep.release_date, reference_date)
+    for i, release in enumerate(release_dates):
+        dates = derive_date_features(release, reference_date)
         expected = truth.expected_views(
             best_actor_rating=table.column("best_actor_rating")[i],
             actor_total_awards=table.column("actor_total_awards")[i],
@@ -220,7 +228,7 @@ def generate(config, out_dir, truth=None):
         views.append(expected * noise)
 
     n_holdout = min(round_half_up(config.n_series * config.cold_start_fraction), config.n_series)
-    all_ids = sorted({ep.series_id for ep in episode_rows})
+    all_ids = sorted({ep[0] for ep in episodes})
     holdout = sorted(
         str(x) for x in rng.choice(all_ids, size=n_holdout, replace=False)
     ) if n_holdout else []
@@ -235,37 +243,22 @@ def generate(config, out_dir, truth=None):
 
     _write_csv(
         paths["episodes"],
-        ["series_id", "episode_id", "release_date", "length", "views"],
+        EPISODE_CSV_COLUMNS + (VIEWS_COLUMN,),
         [
-            (ep.series_id, ep.episode_id, ep.release_date.isoformat(), raw_length, views[i])
-            for i, (ep, raw_length) in enumerate(episodes)
+            (sid, eid, release.isoformat(), length, v)
+            for (sid, eid, release, _), length, v in zip(episodes, lengths, views)
         ],
     )
-    _write_csv(
-        paths["credits"],
-        ["series_id", "name", "role", "imdb_rating", "awards"],
-        [(c.series_id, c.name, c.role, c.imdb_rating, c.awards) for c in credits],
-    )
-    _write_csv(
-        paths["genres"],
-        ["series_id", "genre", "source"],
-        [(g.series_id, g.genre, g.source) for g in genres],
-    )
-    _write_csv(
-        paths["platform"],
-        ["series_id", "episode_id", "exposures", "minutes_viewed", "revenue", "audience_estimate", "impressions"],
-        [
-            (p.series_id, p.episode_id, p.exposures, p.minutes_viewed, p.revenue, p.audience_estimate, p.impressions)
-            for p in platform
-        ],
-    )
+    _write_csv(paths["credits"], CREDIT_COLUMNS, credits)
+    _write_csv(paths["genres"], GENRE_COLUMNS, genres)
+    _write_csv(paths["platform"], PLATFORM_COLUMNS, platform)
     dump_json(
         {
             "config": config.to_dict(),
             "coefficients": truth.to_dict(),
             "reference_date": reference_date.isoformat(),
             "holdout_series": holdout,
-            "n_episodes": len(episode_rows),
+            "n_episodes": len(episodes),
         },
         paths["ground_truth"],
     )

@@ -29,14 +29,17 @@ def round_half_up(x):
     return int(x + 0.5) if x >= 0 else -int(-x + 0.5)
 
 
-def dump_json(obj, path):
+def dump_json(obj, path, compact=False):
     """Write JSON with sorted keys and full float precision (repr round-trip).
 
+    Indented two spaces per level, or with no whitespace at all when
+    ``compact`` (for large machine-read files such as a model bundle).
     A non-finite float raises ValueError instead of writing invalid JSON.
     The text goes to a sibling temp file that replaces ``path`` only once it
     is complete, so a failed write leaves any existing file untouched.
     """
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    text = json.dumps(obj, sort_keys=True, allow_nan=False, **layout)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

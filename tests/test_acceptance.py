@@ -137,7 +137,7 @@ def benefit_runs(tmp_path_factory):
                 [s.name for s in table.schemas if s.role in ("id", "target")]
             )
             X = transform(bundle.preprocessor, features)
-            y = np.asarray([ep.views for ep in episodes])
+            y = np.asarray(episodes.column("views"))
             member_over40 = []
             for member in bundle.members:
                 views, _ = member_views(member.model, X.values, config.target_transform)
@@ -365,7 +365,7 @@ def test_a8_importance_signal(tmp_path):
                 data_dir / "genres.csv", data_dir / "platform.csv",
             )
             table, _ = build_model_table(episodes, credits, genres, platform)
-        y = np.asarray([ep.views for ep in episodes])
+        y = np.asarray(episodes.column("views"))
 
         keep = ["best_actor_rating", "actor_total_awards", "genre_count", "age_days"]
         columns = {name: np.asarray(table.column(name), dtype=float) for name in keep}

@@ -297,6 +297,12 @@ def test_verify_catches_tampered_report(tiny_run, tmp_path):
     assert code == 4
 
 
+def test_bundle_file_is_compact_json(tiny_run):
+    raw = open(tiny_run.result["bundle"], "rb").read()
+    assert b"\n" not in raw[:-1]
+    assert json.loads(raw) == bundle_to_dict(load_bundle(tiny_run.result["bundle"]))
+
+
 def test_bundle_round_trip_predicts_identically(tiny_run):
     bundle = load_bundle(tiny_run.result["bundle"])
     clone = bundle_from_dict(bundle_to_dict(bundle))
@@ -352,17 +358,35 @@ def _csv_cell(name, column, value):
     return content
 
 
+def _config(**fields):
+    """Content maker: a config file holding ``fields``."""
+    return lambda run: json.dumps(fields).encode("utf-8")
+
+
+def _duplicated_platform_row(tiny_run):
+    """platform.csv with its first data row written twice."""
+    lines = (tiny_run.data_dir / "platform.csv").read_text().splitlines(keepends=True)
+    return "".join(lines[:2] + lines[1:]).encode("utf-8")
+
+
 def _truncated_episodes(tiny_run):
     """episodes.csv cut off two characters into the fourth row's episode id."""
     lines = (tiny_run.data_dir / "episodes.csv").read_text().splitlines(keepends=True)
     return ("".join(lines[:3]) + lines[3][: lines[3].index(",") + 3]).encode("utf-8")
 
 
-# case -> (input it replaces, bytes written in its place); "holdout" is the
-# holdout episodes file with views, which evaluate scores
+# case -> (input it replaces, bytes written in its place, *extra train flags);
+# "holdout" is the holdout episodes file with views, which evaluate scores
 BAD_INPUTS = {
     "config_malformed_json": ("config", lambda run: b'{"seed": 1,'),
     "config_not_an_object": ("config", lambda run: b"[1, 2, 3]"),
+    "config_test_fraction_string": ("config", _config(test_fraction="0.2")),
+    "config_seed_float": ("config", _config(seed=1.5)),
+    "config_importance_repeats_string": ("config", _config(importance_repeats="1")),
+    "config_grids_not_an_object": ("config", _config(grids=["x"])),
+    "config_grid_values_not_a_list": ("config", _config(grids={"lasso": {"alpha": 0.1}})),
+    "config_reference_date_not_a_date": ("config", _config(reference_date="2016-13-45")),
+    "flag_reference_date_not_a_date": ("config", _config(), "--reference-date", "2016-13-45"),
     "bundle_not_json": ("bundle", lambda run: b"this is not json"),
     "bundle_without_members": ("bundle", _edited("bundle", lambda d: d.pop("members"))),
     "bundle_without_reference_date": (
@@ -386,8 +410,9 @@ BAD_INPUTS = {
     "episodes_truncated": ("episodes", _truncated_episodes),
     **{
         f"credits_awards_{value}": ("credits", _csv_cell("credits.csv", "awards", value))
-        for value in ("nan", "inf", "1e400")
+        for value in ("nan", "inf", "1e400", "2.5")
     },
+    "platform_duplicate_row": ("platform", _duplicated_platform_row),
     "holdout_views_inf": ("holdout", _csv_cell("holdout", "views", "inf")),
     "report_not_an_object": ("report", lambda run: b'["validation"]'),
     "report_mape_not_a_number": (
@@ -402,7 +427,7 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
-    kind, content = BAD_INPUTS[case]
+    kind, content, *flags = BAD_INPUTS[case]
     bad = tmp_path / f"bad_{kind}"
     bad.write_bytes(content(tiny_run))
     # verify recomputes the report's numbers, which come from the holdout rows
@@ -412,16 +437,17 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
         "report": tiny_run.result["report"],
         "episodes": str(episodes),
         "credits": str(tiny_run.data_dir / "credits.csv"),
+        "platform": str(tiny_run.data_dir / "platform.csv"),
     }
     paths["episodes" if kind == "holdout" else kind] = str(bad)
     inputs = [
         "--episodes", paths["episodes"],
         "--credits", paths["credits"],
         "--genres", str(tiny_run.data_dir / "genres.csv"),
-        "--platform", str(tiny_run.data_dir / "platform.csv"),
+        "--platform", paths["platform"],
     ]
     if kind == "config":
-        argv = ["train", "--config", paths["config"], *inputs, "--out", str(tmp_path / "out")]
+        argv = ["train", "--config", paths["config"], *inputs, *flags, "--out", str(tmp_path / "out")]
     elif kind == "report":
         argv = ["verify", "--bundle", paths["bundle"], "--report", paths["report"], *inputs]
     elif kind == "holdout":

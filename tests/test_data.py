@@ -147,3 +147,15 @@ def test_raw_table_invariants():
         )
     with pytest.raises(SchemaError):
         ColumnSchema("a", "bogus_role")
+
+
+def test_raw_table_from_rows():
+    schemas = [ColumnSchema("id", "id"), ColumnSchema("x", "numeric")]
+    table = RawTable.from_rows(schemas, [("a", 1.0), ("b", None)])
+    assert table.column("x") == [1.0, None]
+    assert len(table) == table.n_rows == 2
+    empty = RawTable.from_rows(schemas, [])
+    assert empty.columns == {"id": [], "x": []}
+    assert len(empty) == 0
+    with pytest.raises(SchemaError):
+        RawTable.from_rows(schemas, [("a", 1.0), ("b",)])

@@ -2,18 +2,21 @@ import datetime
 
 import pytest
 
-from coldstart.data import ColumnSchema
+from coldstart.data import ColumnSchema, RawTable
 from coldstart.errors import DataError
 from coldstart.ingest import (
-    EpisodeRow,
-    GenreRow,
-    PersonCredit,
-    PlatformRow,
+    CREDIT_COLUMNS,
+    EPISODE_COLUMNS,
+    GENRE_COLUMNS,
+    PLATFORM_COLUMNS,
+    PLATFORM_METRICS,
+    VIEWS_COLUMN,
     apply_genre_aliases,
     consolidate_metadata,
     derive_date_features,
     load_csv,
     parse_length_to_minutes,
+    read_credits,
     read_episodes,
 )
 
@@ -21,7 +24,21 @@ D = datetime.date
 
 
 def ep(sid, eid, date=D(2016, 1, 1), length=30.0, views=100.0):
-    return EpisodeRow(sid, eid, date, length, views)
+    return (sid, eid, date, length, views)
+
+
+def consolidate(episodes, credits=(), genres=(), platform=()):
+    """consolidate_metadata over tables built from the given row tuples."""
+    return consolidate_metadata(
+        RawTable.from_rows(EPISODE_COLUMNS + (VIEWS_COLUMN,), episodes),
+        RawTable.from_rows(CREDIT_COLUMNS, credits),
+        genres if isinstance(genres, RawTable) else RawTable.from_rows(GENRE_COLUMNS, genres),
+        RawTable.from_rows(PLATFORM_COLUMNS, platform),
+    )
+
+
+def platform_row(sid, eid, **metrics):
+    return (sid, eid, *(metrics.get(m) for m in PLATFORM_METRICS))
 
 
 # --- load_csv ---------------------------------------------------------------
@@ -65,9 +82,17 @@ def test_load_csv_missing_header_and_empty_file(tmp_path):
 def test_read_episodes_views_optional(tmp_path):
     path = tmp_path / "eps.csv"
     path.write_text("series_id,episode_id,release_date,length\nS1,E1,2016-01-01,30m\n")
-    rows = read_episodes(path)
-    assert rows[0].views is None
-    assert rows[0].length_minutes == 30.0
+    table = read_episodes(path)
+    assert "views" not in table.column_names
+    assert table.column("length_minutes") == [30.0]
+
+
+def test_read_credits_rejects_non_integer_awards(tmp_path):
+    path = tmp_path / "credits.csv"
+    path.write_text("series_id,name,role,imdb_rating,awards\nS1,a,actor,7,2\nS1,b,actor,7,2.5\n")
+    with pytest.raises(DataError) as err:
+        read_credits(path)
+    assert "credits.csv" in str(err.value) and "row 3" in str(err.value) and "'awards'" in str(err.value)
 
 
 # --- length parsing ----------------------------------------------------------
@@ -128,44 +153,44 @@ def test_date_features_reference_before_release_errors():
 
 def test_best_rating_is_max():
     credits = [
-        PersonCredit("S1", "a", "actor", 7.0, 0),
-        PersonCredit("S1", "b", "actor", 8.5, 0),
+        ("S1", "a", "actor", 7.0, 0),
+        ("S1", "b", "actor", 8.5, 0),
     ]
-    table = consolidate_metadata([ep("S1", "E1")], credits, [], [])
+    table = consolidate([ep("S1", "E1")], credits)
     assert table.column("best_actor_rating") == [8.5]
 
 
 def test_genre_distinct_count():
     genres = [
-        GenreRow("S1", "drama", "imdb"),
-        GenreRow("S1", "crime", "imdb"),
-        GenreRow("S1", "drama", "rotten"),
+        ("S1", "drama", "imdb"),
+        ("S1", "crime", "imdb"),
+        ("S1", "drama", "rotten"),
     ]
-    table = consolidate_metadata([ep("S1", "E1")], [], genres, [])
+    table = consolidate([ep("S1", "E1")], genres=genres)
     assert table.column("genre_count") == [2.0]
 
 
 def test_award_and_count_aggregation():
     credits = [
-        PersonCredit("S1", "a1", "actor", 6.0, 3),
-        PersonCredit("S1", "a2", "actor", 7.0, 1),
-        PersonCredit("S1", "d1", "director", 8.0, 4),
+        ("S1", "a1", "actor", 6.0, 3),
+        ("S1", "a2", "actor", 7.0, 1),
+        ("S1", "d1", "director", 8.0, 4),
     ]
-    table = consolidate_metadata([ep("S1", "E1")], credits, [], [])
+    table = consolidate([ep("S1", "E1")], credits)
     assert table.column("actor_total_awards") == [4.0]
     assert table.column("director_total_awards") == [4.0]
     assert table.column("actor_crew_count") == [2.0]
 
 
 def test_exact_duplicate_credits_removed():
-    credit = PersonCredit("S1", "a1", "actor", 6.0, 3)
-    table = consolidate_metadata([ep("S1", "E1")], [credit, credit], [], [])
+    credit = ("S1", "a1", "actor", 6.0, 3)
+    table = consolidate([ep("S1", "E1")], [credit, credit])
     assert table.column("actor_total_awards") == [3.0]
     assert table.column("actor_crew_count") == [1.0]
 
 
 def test_zero_credits_of_role():
-    table = consolidate_metadata([ep("S1", "E1")], [], [], [])
+    table = consolidate([ep("S1", "E1")])
     assert table.column("best_writer_rating") == [None]
     assert table.column("writer_total_awards") == [0.0]
     assert table.column("writer_crew_count") == [0.0]
@@ -173,36 +198,44 @@ def test_zero_credits_of_role():
 
 def test_missing_ratings_do_not_poison_max():
     credits = [
-        PersonCredit("S1", "a1", "actor", None, None),
-        PersonCredit("S1", "a2", "actor", 5.5, 2),
+        ("S1", "a1", "actor", None, None),
+        ("S1", "a2", "actor", 5.5, 2),
     ]
-    table = consolidate_metadata([ep("S1", "E1")], credits, [], [])
+    table = consolidate([ep("S1", "E1")], credits)
     assert table.column("best_actor_rating") == [5.5]
     assert table.column("actor_total_awards") == [2.0]
     assert table.column("actor_crew_count") == [2.0]
 
 
 def test_platform_join_and_missing():
-    platform = [PlatformRow("S1", "E1", exposures=10.0)]
-    table = consolidate_metadata([ep("S1", "E1"), ep("S1", "E2")], [], [], platform)
+    platform = [platform_row("S1", "E1", exposures=10.0)]
+    table = consolidate([ep("S1", "E1"), ep("S1", "E2")], platform=platform)
     assert table.column("exposures") == [10.0, None]
     assert table.column("revenue") == [None, None]
 
 
+def test_duplicate_platform_rows_error():
+    # keeping either row would make the features depend on row order
+    rows = [platform_row("S1", "E1", exposures=1.0), platform_row("S1", "E1", exposures=2.0)]
+    for platform in (rows, rows[::-1]):
+        with pytest.raises(DataError, match=r"\('S1', 'E1'\)"):
+            consolidate([ep("S1", "E1")], platform=platform)
+
+
 def test_row_count_matches_episodes():
     episodes = [ep("S1", f"E{i}") for i in range(7)] + [ep("S2", "E1")]
-    table = consolidate_metadata(episodes, [], [], [])
+    table = consolidate(episodes)
     assert table.n_rows == 8
 
 
 def test_duplicate_episode_errors():
     with pytest.raises(DataError):
-        consolidate_metadata([ep("S1", "E1"), ep("S1", "E1")], [], [], [])
+        consolidate([ep("S1", "E1"), ep("S1", "E1")])
 
 
 def test_unknown_series_warns_not_errors():
     with pytest.warns(UserWarning):
-        consolidate_metadata([ep("S1", "E1")], [PersonCredit("S9", "x", "actor", 5.0, 1)], [], [])
+        consolidate([ep("S1", "E1")], [("S9", "x", "actor", 5.0, 1)])
 
 
 def test_aggregation_permutation_invariant():
@@ -210,29 +243,29 @@ def test_aggregation_permutation_invariant():
 
     episodes = [ep("S1", "E1"), ep("S2", "E1")]
     credits = [
-        PersonCredit("S1", "a", "actor", 7.5, 1),
-        PersonCredit("S1", "b", "actor", 6.5, 2),
-        PersonCredit("S2", "c", "actor", 9.0, 0),
-        PersonCredit("S1", "d", "writer", 8.0, 5),
+        ("S1", "a", "actor", 7.5, 1),
+        ("S1", "b", "actor", 6.5, 2),
+        ("S2", "c", "actor", 9.0, 0),
+        ("S1", "d", "writer", 8.0, 5),
     ]
-    genres = [GenreRow("S1", "drama", "x"), GenreRow("S1", "crime", "x"), GenreRow("S2", "drama", "y")]
-    platform = [PlatformRow("S1", "E1", exposures=3.0), PlatformRow("S2", "E1", revenue=9.0)]
-    base = consolidate_metadata(episodes, credits, genres, platform)
+    genres = [("S1", "drama", "x"), ("S1", "crime", "x"), ("S2", "drama", "y")]
+    platform = [platform_row("S1", "E1", exposures=3.0), platform_row("S2", "E1", revenue=9.0)]
+    base = consolidate(episodes, credits, genres, platform)
     rng = random.Random(7)
     for _ in range(5):
         rng.shuffle(credits)
         rng.shuffle(genres)
         rng.shuffle(platform)
-        again = consolidate_metadata(episodes, credits, genres, platform)
+        again = consolidate(episodes, credits, genres, platform)
         for name in base.column_names:
             assert base.column(name) == again.column(name)
 
 
 def test_genre_aliases():
-    genres = [GenreRow("S1", "Sci-Fi", "imdb"), GenreRow("S1", "scifi", "rotten")]
+    genres = RawTable.from_rows(GENRE_COLUMNS, [("S1", "Sci-Fi", "imdb"), ("S1", "scifi", "rotten")])
     mapped = apply_genre_aliases(genres, {"Sci-Fi": "scifi"})
-    table = consolidate_metadata([ep("S1", "E1")], [], mapped, [])
+    table = consolidate([ep("S1", "E1")], genres=mapped)
     assert table.column("genre_count") == [1.0]
     # unmapped genres pass through verbatim
     same = apply_genre_aliases(genres, {})
-    assert [g.genre for g in same] == ["Sci-Fi", "scifi"]
+    assert same.column("genre") == ["Sci-Fi", "scifi"]
