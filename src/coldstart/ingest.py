@@ -142,7 +142,10 @@ def read_episodes(path):
         for schema, cell in zip(EPISODE_CSV_COLUMNS, cells):
             if cell is None:
                 raise DataError(f"{path}: row {i + 2} is missing {schema.name!r}")
-        minutes.append(parse_length_to_minutes(cells[-1]))  # length is the last CSV column
+        try:
+            minutes.append(parse_length_to_minutes(cells[-1]))  # length is the last CSV column
+        except DataError as exc:
+            raise DataError(f"{path}: {exc} (row {i + 2}, column 'length')") from None
     columns = {s.name: table.column(s.name) for s in EPISODE_COLUMNS[:3] + extra}
     columns["length_minutes"] = minutes
     return RawTable(list(EPISODE_COLUMNS + extra), columns)

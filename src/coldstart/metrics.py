@@ -7,7 +7,7 @@ SMAPE uses the factor-2 numerator with |y| + |yhat| in the denominator
 (range 0..200) and defines the both-zero term as 0.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,22 +29,13 @@ class MetricReport:
     n_excluded_zero_target: int
 
     def to_dict(self):
-        return {
-            "mape": self.mape,
-            "smape": self.smape,
-            "r2": self.r2,
-            "n_scored": self.n_scored,
-            "n_excluded_zero_target": self.n_excluded_zero_target,
-        }
+        return asdict(self)
 
 
 @dataclass
 class ErrorBuckets:
     edges: tuple
     counts: list  # 5 ints: <10, 10-20, 20-30, 30-40, >40 percent
-
-    def to_dict(self):
-        return {"edges": list(self.edges), "counts": list(self.counts)}
 
 
 @dataclass
@@ -168,18 +159,8 @@ def error_buckets(y, yhat):
     if not np.any(mask):
         raise DataError("error buckets undefined: all targets are zero")
     pct = 100.0 * np.abs(y[mask] - yhat[mask]) / np.abs(y[mask])
-    counts = [0, 0, 0, 0, 0]
-    for e in pct:
-        if e < BUCKET_EDGES[0]:
-            counts[0] += 1
-        elif e < BUCKET_EDGES[1]:
-            counts[1] += 1
-        elif e < BUCKET_EDGES[2]:
-            counts[2] += 1
-        elif e < BUCKET_EDGES[3]:
-            counts[3] += 1
-        else:
-            counts[4] += 1
+    bins = np.searchsorted(BUCKET_EDGES, pct, side="right")
+    counts = np.bincount(bins, minlength=len(BUCKET_EDGES) + 1).tolist()
     return ErrorBuckets(edges=BUCKET_EDGES, counts=counts)
 
 
@@ -192,10 +173,10 @@ def _ranked(names, scores, degenerate=False):
     return ImportanceReport(features=feats, degenerate=degenerate)
 
 
-def permutation_importance(model, X, y, metric="mape", repeats=5, seed=0):
+def permutation_importance(predict, X, y, metric="mape", repeats=5, seed=0):
     """Score each feature by the metric degradation when it is shuffled.
 
-    ``model`` is anything with a predict(values) method. Scores are oriented
+    ``predict`` maps a value matrix to predictions. Scores are oriented
     so that larger means more important regardless of whether the metric is
     an error (mape) or a score (r2).
     """
@@ -219,7 +200,7 @@ def permutation_importance(model, X, y, metric="mape", repeats=5, seed=0):
     else:
         raise DataError(f"unsupported importance metric {metric!r}")
 
-    baseline = score(y, model.predict(values))
+    baseline = score(y, predict(values))
     p = values.shape[1]
     scores = np.zeros(p)
     for j in range(p):
@@ -228,7 +209,7 @@ def permutation_importance(model, X, y, metric="mape", repeats=5, seed=0):
             rng = np.random.default_rng(mix_seed(seed, j * 1000 + rep))
             shuffled = values.copy()
             shuffled[:, j] = rng.permutation(shuffled[:, j])
-            deltas.append(sign * (score(y, model.predict(shuffled)) - baseline))
+            deltas.append(sign * (score(y, predict(shuffled)) - baseline))
         scores[j] = float(np.mean(deltas))
     return _ranked(names, scores)
 

@@ -5,6 +5,13 @@ leak-free randomized search per family, top-3 selection, inverse-error
 weighting — and emits bundle.json, training_report.json, the holdout
 episodes CSV, and the SVG plots. Everything derives from the run seed, so
 two runs with the same config produce byte-identical artifacts.
+
+score_bundle computes a report's scoring section (selection, weights,
+member and ensemble metrics, clamp counts, error buckets, per-series
+accuracy) from a bundle and rows with known views. All three scoring
+commands use it: train writes it into the training report, evaluate writes
+it as the evaluation report, and verify recomputes it from the holdout
+episodes and compares it with the training report exactly.
 """
 
 import csv
@@ -32,7 +39,6 @@ from .ingest import (
 from .metrics import (
     error_buckets,
     impurity_importance,
-    mape,
     metric_report,
     pearson_matrix,
     permutation_importance,
@@ -126,26 +132,20 @@ def member_views(fitted, X, mode):
     return np.where(clamped, 0.0, views), clamped
 
 
-def predict_views(bundle, X):
-    """Ensemble view predictions: weighted average of clamped member views."""
-    mode = bundle.meta.get("target_transform", "none")
+def _fold_views(members, member_results):
+    """Weighted sum of member views, in member order, and the union of their clamp masks."""
     total = None
     clamped = None
-    for m in bundle.members:
-        views, neg = member_views(m.model, X, mode)
+    for m, (views, neg) in zip(members, member_results):
         total = m.weight * views if total is None else total + m.weight * views
         clamped = neg if clamped is None else clamped | neg
     return total, clamped
 
 
-class BundlePredictor:
-    """Adapter exposing ensemble view prediction as a plain predict()."""
-
-    def __init__(self, bundle):
-        self.bundle = bundle
-
-    def predict(self, X):
-        return predict_views(self.bundle, X)[0]
+def predict_views(bundle, X):
+    """Ensemble view predictions: weighted average of clamped member views."""
+    mode = bundle.meta.get("target_transform", "none")
+    return _fold_views(bundle.members, [member_views(m.model, X, mode) for m in bundle.members])
 
 
 def load_inputs(episodes_path, credits_path, genres_path, platform_path, alias_path=None):
@@ -201,7 +201,38 @@ def per_series_table(series_ids, y, yhat):
     return rows
 
 
-def _emit_plots(out_dir, hold_y, ensemble_pred, numeric_named, importance, buckets_before, buckets_after):
+def score_bundle(bundle, X, y, series_ids):
+    """A report's scoring section for the bundle on rows X with known views y.
+
+    Plain JSON: the members (``selected``, ``weights``), each member's
+    metrics and clamp count, the ensemble's, the error buckets of the best
+    member (before) and of the ensemble (after), and per-series accuracy.
+    Each member predicts once and the ensemble is folded from those views
+    as predict_views folds them, so every float equals a prediction there.
+    """
+    mode = bundle.meta.get("target_transform", "none")
+    results = [member_views(m.model, X, mode) for m in bundle.members]
+    ensemble, ensemble_clamped = _fold_views(bundle.members, results)
+    families = [m.model.family for m in bundle.members]
+    before = error_buckets(y, results[0][0])
+    return {
+        "selected": families,
+        "weights": {m.model.family: m.weight for m in bundle.members},
+        "validation": {f: metric_report(y, views).to_dict() for f, (views, _) in zip(families, results)},
+        "validation_clamped": {f: int(neg.sum()) for f, (_, neg) in zip(families, results)},
+        "ensemble_validation": metric_report(y, ensemble).to_dict(),
+        "ensemble_clamped": int(ensemble_clamped.sum()),
+        "error_buckets": {
+            "edges": list(before.edges),
+            "before": before.counts,
+            "after": error_buckets(y, ensemble).counts,
+        },
+        "per_series": per_series_table(series_ids, y, ensemble),
+    }
+
+
+def _emit_plots(out_dir, bundle, X, y, section, importance):
+    """Write the scatter, correlation, importance (when given) and error-bucket SVGs."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -211,7 +242,10 @@ def _emit_plots(out_dir, hold_y, ensemble_pred, numeric_named, importance, bucke
             fh.write(text)
         written.append(path)
 
-    _put("actual_vs_predicted.svg", plots.scatter_svg(hold_y, ensemble_pred))
+    _put("actual_vs_predicted.svg", plots.scatter_svg(y, predict_views(bundle, X.values)[0]))
+    numeric_named = [
+        (c.name, X.values[:, X.feature_names.index(c.name)]) for c in bundle.preprocessor.numeric
+    ] + [("views", y)]
     names, matrix = pearson_matrix(numeric_named)
     _put("correlation_heatmap.svg", plots.heatmap_svg(names, matrix))
     if importance is not None:
@@ -220,7 +254,8 @@ def _emit_plots(out_dir, hold_y, ensemble_pred, numeric_named, importance, bucke
             "importance.svg",
             plots.importance_svg([n for n, _, _ in ranked], [s for _, s, _ in ranked]),
         )
-    _put("error_buckets.svg", plots.buckets_svg(buckets_before.counts, buckets_after.counts))
+    buckets = section["error_buckets"]
+    _put("error_buckets.svg", plots.buckets_svg(buckets["before"], buckets["after"]))
     return written
 
 
@@ -304,14 +339,10 @@ def run_train(config):
         },
     )
 
-    ens_views, ens_clamped = predict_views(bundle, X_hold.values)
-    ens_report = metric_report(y_hold, ens_views)
-    best_member_views, _ = member_views(bundle.members[0].model, X_hold.values, config.target_transform)
-    buckets_before = error_buckets(y_hold, best_member_views)
-    buckets_after = error_buckets(y_hold, ens_views)
-
+    series_ids = table.column("series_id")
+    section = score_bundle(bundle, X_hold.values, y_hold, [series_ids[i] for i in hold_idx.tolist()])
     perm = permutation_importance(
-        BundlePredictor(bundle),
+        lambda values: predict_views(bundle, values)[0],
         X_hold,
         y_hold,
         metric="mape",
@@ -323,10 +354,6 @@ def run_train(config):
         if FAMILY_TABLE[member.model.family].trees is not None:
             impurity = impurity_importance(member.model.family, member.model.model, X_train.feature_names)
             break
-
-    series_ids = table.column("series_id")
-    hold_series = [series_ids[i] for i in hold_idx.tolist()]
-    per_series = per_series_table(hold_series, y_hold, ens_views)
 
     os.makedirs(config.out_dir, exist_ok=True)
     bundle_path = os.path.join(config.out_dir, "bundle.json")
@@ -344,20 +371,12 @@ def run_train(config):
         "n_holdout": len(hold_idx),
         "feature_names": X_train.feature_names,
         "cv_results": cv_results,
+        "failed_families": failed,
+        "scheme": config.scheme,
+        **section,
+        # every fitted candidate, where the section has the members only
         "validation": validation,
         "validation_clamped": clamp_counts,
-        "failed_families": failed,
-        "selected": [m.model.family for m in bundle.members],
-        "weights": {m.model.family: m.weight for m in bundle.members},
-        "scheme": config.scheme,
-        "ensemble_validation": ens_report.to_dict(),
-        "ensemble_clamped": int(ens_clamped.sum()),
-        "error_buckets": {
-            "edges": list(buckets_before.edges),
-            "before": list(buckets_before.counts),
-            "after": list(buckets_after.counts),
-        },
-        "per_series": per_series,
         "importance": {
             "permutation": perm.to_dict(),
             "impurity": None if impurity is None else impurity.to_dict(),
@@ -368,26 +387,15 @@ def run_train(config):
     dump_json(report, report_path)
     _write_holdout_episodes(holdout_path, episodes, hold_idx.tolist())
 
-    numeric_named = [
-        (c.name, X_hold.values[:, X_hold.feature_names.index(c.name)]) for c in prep.numeric
-    ] + [("views", y_hold)]
-    plot_paths = _emit_plots(
-        os.path.join(config.out_dir, "plots"),
-        y_hold,
-        ens_views,
-        numeric_named,
-        perm,
-        buckets_before,
-        buckets_after,
-    )
+    plot_paths = _emit_plots(os.path.join(config.out_dir, "plots"), bundle, X_hold, y_hold, section, perm)
 
     return {
         "bundle": bundle_path,
         "report": report_path,
         "holdout_episodes": holdout_path,
         "plots": plot_paths,
-        "selected": report["selected"],
-        "ensemble_validation": report["ensemble_validation"],
+        "selected": section["selected"],
+        "ensemble_validation": section["ensemble_validation"],
     }
 
 
@@ -451,113 +459,84 @@ def _require_views(episodes):
 
 
 def run_evaluate(bundle_path, episodes_path, credits_path, genres_path, platform_path, out_dir, alias_path=None):
-    """Score a bundle against episodes with known views; writes report + plots."""
+    """Score a bundle against episodes with known views; writes report + plots.
+
+    The report is the scoring section of score_bundle plus a schema version.
+    """
     bundle, episodes, table, X = _load_for_scoring(
         bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
     y = _require_views(episodes)
-
-    views, clamped = predict_views(bundle, X.values)
-    report = metric_report(y, views)
-    best_views, _ = member_views(
-        bundle.members[0].model, X.values, bundle.meta.get("target_transform", "none")
-    )
-    buckets_before = error_buckets(y, best_views)
-    buckets_after = error_buckets(y, views)
-    per_series = per_series_table(table.column("series_id"), y, views)
+    section = score_bundle(bundle, X.values, y, table.column("series_id"))
 
     os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "metrics": report.to_dict(),
-        "n_clamped": int(clamped.sum()),
-        "error_buckets": {
-            "edges": list(buckets_before.edges),
-            "before": list(buckets_before.counts),
-            "after": list(buckets_after.counts),
-        },
-        "per_series": per_series,
-        "members": [
-            {"family": m.model.family, "weight": m.weight, "validation_mape": m.validation_mape}
-            for m in bundle.members
-        ],
-    }
     report_path = os.path.join(out_dir, "evaluation_report.json")
-    dump_json(payload, report_path)
+    dump_json({"schema_version": REPORT_SCHEMA_VERSION, **section}, report_path)
+    plot_paths = _emit_plots(os.path.join(out_dir, "plots"), bundle, X, y, section, None)
+    return {"report": report_path, "plots": plot_paths, "metrics": section["ensemble_validation"]}
 
-    numeric_named = [
-        (c.name, X.values[:, X.feature_names.index(c.name)]) for c in bundle.preprocessor.numeric
-    ] + [("views", y)]
-    plot_paths = _emit_plots(
-        os.path.join(out_dir, "plots"), y, views, numeric_named, None, buckets_before, buckets_after
-    )
-    return {"report": report_path, "plots": plot_paths, "metrics": payload["metrics"]}
+
+def _json_kind(value):
+    """A value's JSON kind for verify; null is a number, as a null accuracy stands for one."""
+    if value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)):
+        return "number"
+    return type(value).__name__
 
 
 def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_path, platform_path, alias_path=None):
-    """Recompute the training report's validation numbers from the bundle.
+    """Recompute the training report's scoring section from the bundle.
 
-    Returns (ok, mismatches). Exact equality is expected: the bundle stores
-    full-precision floats and every computation is deterministic.
+    score_bundle on the holdout episodes must reproduce the report's section
+    exactly, leaf for leaf; the report's ``validation`` and
+    ``validation_clamped`` are compared for the selected families only, as
+    the other candidates are not in the bundle. Each member's bundle MAPE,
+    and the bundle weights rederived from the recomputed MAPEs, are checked
+    too. Returns (ok, mismatches), each mismatch naming its key path. A
+    missing key, or a value of another JSON kind than the recomputed one,
+    is a DataError: the report is malformed, not unreproduced.
     """
-    bundle, episodes, _, X = _load_for_scoring(
+    bundle, episodes, table, X = _load_for_scoring(
         bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
     report = load_json(report_path)
+    if not isinstance(report, dict):
+        raise DataError(f"{report_path}: training report must be a JSON object")
+    section = score_bundle(bundle, X.values, _require_views(episodes), table.column("series_id"))
 
-    def reported(*keys):
-        value = report
-        for key in keys:
-            if not isinstance(value, dict) or key not in value:
-                raise DataError(f"{report_path}: training report lacks {'.'.join(keys)}")
-            value = value[key]
-        return value
-
-    y = _require_views(episodes)
-    mode = bundle.meta.get("target_transform", "none")
+    stored = {key: report[key] for key in section if key in report}
+    for key in ("validation", "validation_clamped"):
+        if isinstance(stored.get(key), dict):
+            stored[key] = {f: v for f, v in stored[key].items() if f in section[key]}
 
     mismatches = []
 
-    def check(label, got, want):
-        if isinstance(want, float) or isinstance(got, float):
-            if not isinstance(want, (int, float)):
-                raise DataError(f"{label}: {want!r} is not a number")
-            equal = float(got) == float(want)
-        else:
-            equal = got == want
-        if not equal:
-            mismatches.append(f"{label}: recomputed {got!r} != reported {want!r}")
+    def compare(got, want, path):
+        if _json_kind(got) != _json_kind(want):
+            raise DataError(f"{report_path}: {path} is a {_json_kind(want)}, expected a {_json_kind(got)}")
+        if isinstance(got, dict):
+            for key, value in got.items():
+                at = f"{path}.{key}" if path else key
+                if key not in want:
+                    raise DataError(f"{report_path}: training report lacks {at}")
+                compare(value, want[key], at)
+            extra = sorted(want.keys() - got.keys())
+            mismatches.extend(f"{path}.{key}: not in the recomputed section" for key in extra)
+        elif isinstance(got, list) and len(got) != len(want):
+            mismatches.append(f"{path}: recomputed {len(got)} entries != reported {len(want)}")
+        elif isinstance(got, list):
+            for i, (g, w) in enumerate(zip(got, want)):
+                compare(g, w, f"{path}[{i}]")
+        elif got != want:
+            mismatches.append(f"{path}: recomputed {got!r} != reported {want!r}")
 
-    ens_views, _ = predict_views(bundle, X.values)
-    ens = metric_report(y, ens_views)
-    check("ensemble_validation.mape", ens.mape, reported("ensemble_validation", "mape"))
-    check("ensemble_validation.smape", ens.smape, reported("ensemble_validation", "smape"))
-    check("ensemble_validation.r2", ens.r2, reported("ensemble_validation", "r2"))
+    compare(section, stored, "")
 
-    recomputed_mapes = []
-    for member in bundle.members:
+    mapes = [section["validation"][m.model.family]["mape"] for m in bundle.members]
+    weights = weights_for_errors(mapes, bundle.scheme)
+    for member, mape, weight in zip(bundle.members, mapes, weights):
         family = member.model.family
-        views, _ = member_views(member.model, X.values, mode)
-        recomputed = mape(y, views)
-        recomputed_mapes.append(recomputed)
-        check(f"validation.{family}.mape", recomputed, reported("validation", family, "mape"))
-        check(f"bundle member {family} validation_mape", recomputed, member.validation_mape)
-
-    rederived_weights = weights_for_errors(recomputed_mapes, bundle.scheme)
-    for member, weight in zip(bundle.members, rederived_weights):
-        family = member.model.family
-        check(f"weights.{family}", weight, reported("weights", family))
-        check(f"bundle member {family} weight", weight, member.weight)
-
-    best_views, _ = member_views(bundle.members[0].model, X.values, mode)
-    check(
-        "error_buckets.before",
-        error_buckets(y, best_views).counts,
-        reported("error_buckets", "before"),
-    )
-    check(
-        "error_buckets.after",
-        error_buckets(y, ens_views).counts,
-        reported("error_buckets", "after"),
-    )
+        if mape != member.validation_mape:
+            mismatches.append(f"bundle member {family} validation_mape: recomputed {mape!r} != {member.validation_mape!r}")
+        if weight != member.weight:
+            mismatches.append(f"bundle member {family} weight: recomputed {weight!r} != {member.weight!r}")
     return not mismatches, mismatches

@@ -390,7 +390,7 @@ def test_a8_importance_signal(tmp_path):
         from coldstart.data import FeatureMatrix
 
         report = permutation_importance(
-            _GbtLog(),
+            _GbtLog().predict,
             FeatureMatrix(X[hold_idx], names),
             np.log(y[hold_idx]),
             metric="r2",

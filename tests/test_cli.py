@@ -245,6 +245,37 @@ def test_evaluate_reproduces_training_validation(tiny_run, tmp_path):
     assert len(doc["error_buckets"]["after"]) == 5
 
 
+SECTION_KEYS = (
+    "selected",
+    "weights",
+    "validation",
+    "validation_clamped",
+    "ensemble_validation",
+    "ensemble_clamped",
+    "error_buckets",
+    "per_series",
+)
+
+
+def test_evaluate_on_holdout_reproduces_training_section(tiny_run, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_evaluate(
+            tiny_run.result["bundle"],
+            tiny_run.result["holdout_episodes"],
+            str(tiny_run.data_dir / "credits.csv"),
+            str(tiny_run.data_dir / "genres.csv"),
+            str(tiny_run.data_dir / "platform.csv"),
+            str(tmp_path / "eval"),
+        )
+    doc = load_json(result["report"])
+    assert doc.pop("schema_version") == 1
+    want = {key: tiny_run.report[key] for key in SECTION_KEYS}
+    for key in ("validation", "validation_clamped"):
+        want[key] = {family: want[key][family] for family in tiny_run.report["selected"]}
+    assert doc == want
+
+
 def test_evaluate_rejects_missing_views(tiny_run, tmp_path):
     lines = open(tiny_run.result["holdout_episodes"]).read().splitlines()
     header = lines[0].split(",")
@@ -268,16 +299,64 @@ def test_evaluate_rejects_missing_views(tiny_run, tmp_path):
 
 # --- verify ------------------------------------------------------------------
 
-def test_verify_passes_on_intact_artifacts(tiny_run):
-    ok, mismatches = run_verify(
+def _verify(tiny_run, report_path):
+    return run_verify(
         tiny_run.result["bundle"],
-        tiny_run.result["report"],
+        str(report_path),
         tiny_run.result["holdout_episodes"],
         str(tiny_run.data_dir / "credits.csv"),
         str(tiny_run.data_dir / "genres.csv"),
         str(tiny_run.data_dir / "platform.csv"),
     )
+
+
+def test_verify_passes_on_intact_artifacts(tiny_run):
+    ok, mismatches = _verify(tiny_run, tiny_run.result["report"])
     assert ok, mismatches
+
+
+def _leaves(value, keys):
+    """Key tuples of every leaf under ``value``, which sits at ``keys``."""
+    if isinstance(value, dict):
+        return [leaf for k, v in value.items() for leaf in _leaves(v, keys + (k,))]
+    if isinstance(value, list):
+        return [leaf for i, v in enumerate(value) for leaf in _leaves(v, keys + (i,))]
+    return [keys]
+
+
+def _key_path(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+def _at(doc, keys):
+    for k in keys:
+        doc = doc[k]
+    return doc
+
+
+def test_verify_names_every_tampered_scoring_leaf(tiny_run, tmp_path):
+    report = tiny_run.report
+    selected = report["selected"]
+    roots = [("ensemble_validation",), ("ensemble_clamped",), ("error_buckets",), ("per_series", 0)]
+    roots += [(key, family) for key in ("validation", "validation_clamped") for family in selected]
+    # (keys of the edited value, its new value or None to perturb it, path verify must name)
+    cases = [(keys, None, _key_path(keys)) for root in roots for keys in _leaves(_at(report, root), root)]
+    cases += [
+        (("selected",), selected[::-1], "selected[0]"),
+        (("weights", selected[0]), None, f"weights.{selected[0]}"),
+    ]
+
+    tampered = tmp_path / "report.json"
+    for keys, new, path in cases:
+        doc = json.loads(json.dumps(report))
+        old = _at(doc, keys)
+        if new is None:
+            new = old + "x" if isinstance(old, str) else 1.0 if old is None else old + 1
+        _at(doc, keys[:-1])[keys[-1]] = new
+        tampered.write_text(json.dumps(doc))
+        ok, mismatches = _verify(tiny_run, tampered)
+        assert not ok, path
+        assert any(m.split(": ")[0] == path for m in mismatches), (path, mismatches)
 
 
 def test_verify_catches_tampered_report(tiny_run, tmp_path):
@@ -375,6 +454,20 @@ def _truncated_episodes(tiny_run):
     return ("".join(lines[:3]) + lines[3][: lines[3].index(",") + 3]).encode("utf-8")
 
 
+# case -> (key path verify names, edit): a well-formed report that the bundle
+# does not reproduce, so verify exits 4; "{member}" is the first selected family
+TAMPERED_REPORTS = {
+    "report_per_series_tampered": (
+        "per_series[0].accuracy", lambda d: d["per_series"][0].update(accuracy=-1.0)
+    ),
+    "report_ensemble_clamped_tampered": (
+        "ensemble_clamped", lambda d: d.update(ensemble_clamped=d["ensemble_clamped"] + 1)
+    ),
+    "report_member_r2_tampered": (
+        "validation.{member}.r2", lambda d: d["validation"][d["selected"][0]].update(r2=-1.0)
+    ),
+}
+
 # case -> (input it replaces, bytes written in its place, *extra train flags);
 # "holdout" is the holdout episodes file with views, which evaluate scores
 BAD_INPUTS = {
@@ -413,6 +506,7 @@ BAD_INPUTS = {
         for value in ("nan", "inf", "1e400", "2.5")
     },
     "platform_duplicate_row": ("platform", _duplicated_platform_row),
+    "episodes_length_unparsed": ("episodes", _csv_cell("episodes.csv", "length", "ninety")),
     "holdout_views_inf": ("holdout", _csv_cell("holdout", "views", "inf")),
     "report_not_an_object": ("report", lambda run: b'["validation"]'),
     "report_mape_not_a_number": (
@@ -422,6 +516,7 @@ BAD_INPUTS = {
         f"report_without_{key}": ("report", _edited("report", lambda d, key=key: d.pop(key)))
         for key in ("validation", "weights", "ensemble_validation", "error_buckets")
     },
+    **{case: ("report", _edited("report", edit)) for case, (_, edit) in TAMPERED_REPORTS.items()},
 }
 
 
@@ -456,5 +551,10 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
         argv = ["predict", "--bundle", paths["bundle"], *inputs, "--out", str(tmp_path / "predictions.csv")]
     code = run_cli(*argv)
     err = capsys.readouterr().err
-    assert code in (2, 3), err
     assert "Traceback" not in err
+    if case in TAMPERED_REPORTS:
+        path = TAMPERED_REPORTS[case][0].format(member=tiny_run.report["selected"][0])
+        assert code == 4, err
+        assert f"MISMATCH {path}: " in err
+    else:
+        assert code in (2, 3), err

@@ -87,6 +87,15 @@ def test_read_episodes_views_optional(tmp_path):
     assert table.column("length_minutes") == [30.0]
 
 
+def test_read_episodes_bad_length_names_row_and_column(tmp_path):
+    path = tmp_path / "eps.csv"
+    path.write_text("series_id,episode_id,release_date,length\nS1,E1,2016-01-01,30m\nS1,E2,2016-01-08,ninety\n")
+    with pytest.raises(DataError) as err:
+        read_episodes(path)
+    message = str(err.value)
+    assert "eps.csv" in message and "row 3" in message and "'length'" in message and "'ninety'" in message
+
+
 def test_read_credits_rejects_non_integer_awards(tmp_path):
     path = tmp_path / "credits.csv"
     path.write_text("series_id,name,role,imdb_rating,awards\nS1,a,actor,7,2\nS1,b,actor,7,2.5\n")

@@ -159,7 +159,7 @@ def test_permutation_importance_signal_vs_noise():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(300, 2))
     y = 3.0 * X[:, 0] + 10.0
-    report = permutation_importance(_Linear(), X, y, metric="r2", repeats=5, seed=0)
+    report = permutation_importance(_Linear().predict, X, y, metric="r2", repeats=5, seed=0)
     assert report.rank_of("f0") == 1
     noise_score = [s for n, s, _ in report.features if n == "f1"][0]
     assert abs(noise_score) < 1e-9  # model never reads f1
@@ -169,8 +169,8 @@ def test_permutation_importance_deterministic():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(50, 3))
     y = X[:, 0] * 2 + 5.0
-    a = permutation_importance(_Linear(), X, y, metric="mape", repeats=3, seed=11)
-    b = permutation_importance(_Linear(), X, y, metric="mape", repeats=3, seed=11)
+    a = permutation_importance(_Linear().predict, X, y, metric="mape", repeats=3, seed=11)
+    b = permutation_importance(_Linear().predict, X, y, metric="mape", repeats=3, seed=11)
     assert a.to_dict() == b.to_dict()
 
 
