@@ -146,7 +146,8 @@ def main(argv=None):
             )
             m = result["metrics"]
             print(f"report: {result['report']}")
-            print(f"MAPE {m['mape']:.3f}%  SMAPE {m['smape']:.3f}%  R2 {m['r2']:.4f}")
+            r2 = "undefined" if m["r2"] is None else f"{m['r2']:.4f}"
+            print(f"MAPE {m['mape']:.3f}%  SMAPE {m['smape']:.3f}%  R2 {r2}")
         elif args.command == "verify":
             ok, mismatches = run_verify(
                 args.bundle, args.report, args.episodes, args.credits, args.genres,

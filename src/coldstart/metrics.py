@@ -19,12 +19,17 @@ from .util import mix_seed
 
 BUCKET_EDGES = (10.0, 20.0, 30.0, 40.0)
 
+# permutation_importance stacks shuffled copies of the matrix and predicts
+# them together in chunks of at most this many rows (one copy per chunk when
+# a copy alone is longer); the bound keeps a chunk's memory small
+IMPORTANCE_CHUNK_ROWS = 4096
+
 
 @dataclass
 class MetricReport:
     mape: float
     smape: float
-    r2: float
+    r2: float | None  # None where R2 is undefined
     n_scored: int
     n_excluded_zero_target: int
 
@@ -137,12 +142,20 @@ def pearson_matrix(named_vectors):
 
 
 def metric_report(y, yhat):
-    """MAPE + SMAPE + R2 in one record with the zero-target bookkeeping."""
+    """MAPE + SMAPE + R2 in one record with the zero-target bookkeeping.
+
+    R2 is None where ``r2`` is undefined (fewer than 2 rows, or constant
+    targets), so that one episode still gets a report.
+    """
     y, yhat = _aligned(y, yhat)
+    try:
+        r2_value = r2(y, yhat)
+    except DataError:
+        r2_value = None
     return MetricReport(
         mape=mape(y, yhat),
         smape=smape(y, yhat),
-        r2=r2(y, yhat),
+        r2=r2_value,
         n_scored=int(np.sum(y != 0)),
         n_excluded_zero_target=mape_excluded_count(y),
     )
@@ -176,9 +189,10 @@ def _ranked(names, scores, degenerate=False):
 def permutation_importance(predict, X, y, metric="mape", repeats=5, seed=0):
     """Score each feature by the metric degradation when it is shuffled.
 
-    ``predict`` maps a value matrix to predictions. Scores are oriented
-    so that larger means more important regardless of whether the metric is
-    an error (mape) or a score (r2).
+    ``predict`` maps a value matrix to predictions, row by row: the shuffled
+    copies are stacked and predicted together, up to IMPORTANCE_CHUNK_ROWS
+    rows per call. Scores are oriented so that larger means more important
+    regardless of whether the metric is an error (mape) or a score (r2).
     """
     if repeats < 1:
         raise DataError("repeats must be >= 1")
@@ -201,16 +215,22 @@ def permutation_importance(predict, X, y, metric="mape", repeats=5, seed=0):
         raise DataError(f"unsupported importance metric {metric!r}")
 
     baseline = score(y, predict(values))
-    p = values.shape[1]
-    scores = np.zeros(p)
-    for j in range(p):
-        deltas = []
-        for rep in range(repeats):
+    n, p = values.shape
+    # one shuffle per (feature, repeat), each from its own seeded generator
+    draws = [(j, rep) for j in range(p) for rep in range(repeats)]
+    per_chunk = max(1, IMPORTANCE_CHUNK_ROWS // n)
+    deltas = np.empty(len(draws))
+    for start in range(0, len(draws), per_chunk):
+        chunk = draws[start : start + per_chunk]
+        stacked = np.empty((len(chunk), n, p))
+        stacked[:] = values
+        for copy, (j, rep) in zip(stacked, chunk):
             rng = np.random.default_rng(mix_seed(seed, j * 1000 + rep))
-            shuffled = values.copy()
-            shuffled[:, j] = rng.permutation(shuffled[:, j])
-            deltas.append(sign * (score(y, predict(shuffled)) - baseline))
-        scores[j] = float(np.mean(deltas))
+            copy[:, j] = rng.permutation(values[:, j])
+        preds = predict(stacked.reshape(-1, p)).reshape(len(chunk), n)
+        for i, pred in enumerate(preds):
+            deltas[start + i] = sign * (score(y, pred) - baseline)
+    scores = [float(np.mean(d)) for d in deltas.reshape(p, repeats)]
     return _ranked(names, scores)
 
 

@@ -18,6 +18,20 @@ leaf; an internal node sends rows with ``x[feature] <= threshold`` to
 ``left`` and the rest to ``right``. ``value`` is the node's target mean,
 ``n_samples`` its row count and ``impurity_decrease`` the delta of its
 split (0 at a leaf).
+
+Split search works on rank codes, not on the float values. Each fit codes
+every column of X once, by ``rank_code``: a value's code is the number of
+distinct smaller values in its column, so codes compare exactly as the
+values do and equal values (0.0 and -0.0 among them) share a code. Every
+tree of a forest and every boosting round reuses those codes. At a node,
+``best_split`` gathers the codes of the drawn columns for the node's rows
+and takes a stable argsort of those small unsigned ints (a radix sort in
+numpy), so tied rows stay in row order and the prefix sums add in the same
+order as a stable sort of the floats would. A boundary is a candidate
+where the code changes; its threshold is the midpoint of the two float
+values read from X at the rows on either side, and ``x <= threshold``
+holds exactly for the rows whose code is at most the left row's code.
+Inputs holding NaN or inf are rejected: NaN has no place in that order.
 """
 
 import math
@@ -90,7 +104,28 @@ def _align(X, y):
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise DataError(f"misaligned shapes X={X.shape} y={y.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DataError("tree inputs must be finite: X or y holds NaN or inf")
     return X, y
+
+
+def rank_code(X):
+    """Per-column dense ranks of a finite matrix X, as a p x n array of the
+    smallest unsigned int dtype that holds them."""
+    codes = np.empty(X.shape[::-1], dtype=np.min_scalar_type(max(X.shape[0] - 1, 0)))
+    for j, column in enumerate(X.T):
+        codes[j] = np.unique(column, return_inverse=True)[1]
+    return codes
+
+
+@dataclass(frozen=True)
+class RankedRows:
+    """One tree node's sample: the rows ``rows`` of a finite float matrix
+    ``X``, with ``codes = rank_code(X)``."""
+
+    X: np.ndarray
+    codes: np.ndarray
+    rows: np.ndarray
 
 
 def best_split(X, y, feature_subset=None):
@@ -98,48 +133,55 @@ def best_split(X, y, feature_subset=None):
 
     Evaluates every midpoint between consecutive distinct sorted values of
     each candidate feature and returns the split with the largest variance
-    reduction, or None when no split strictly reduces variance.
+    reduction, or None when no split strictly reduces variance. ``X`` is a
+    float matrix aligned with ``y``, or a ``RankedRows`` whose rows ``y``
+    follows (the grower's form, which reuses the fit's rank codes).
     """
-    X, y = _align(X, y)
+    if isinstance(X, RankedRows):
+        node = X
+    else:
+        X, y = _align(X, y)
+        node = RankedRows(X, rank_code(X), np.arange(len(y)))
     n = len(y)
     if n < 2 or float(y.max()) == float(y.min()):
         return None
     if feature_subset is None:
-        cols = np.arange(X.shape[1])
+        cols = np.arange(node.codes.shape[0])
     else:
         cols = np.sort(np.asarray(feature_subset, dtype=int))
     if len(cols) == 0:
         return None
 
-    Xs = X[:, cols]
-    order = np.argsort(Xs, axis=0, kind="stable")
-    x_sorted = np.take_along_axis(Xs, order, axis=0)
+    codes = node.codes[cols].take(node.rows, axis=1)
+    order = np.argsort(codes, axis=1, kind="stable")
+    # one flat gather: entry (c, i) of order is flat index c * n + order[c, i]
+    codes_sorted = codes.ravel().take(order + np.arange(0, codes.size, n)[:, None])
     yc = y - y.mean()  # shift-invariant delta; centering tames the squares
-    y_sorted = yc[order]
+    prefix = np.cumsum(yc[order], axis=1)
 
-    prefix = np.cumsum(y_sorted, axis=0)
-    total = prefix[-1, :]
-    n_left = np.arange(1, n, dtype=float)[:, None]
+    # a boundary is a candidate only where the feature value changes; nonzero
+    # lists them feature-major, so the first argmax is the lowest feature,
+    # then the lowest threshold
+    ci, pos = np.nonzero(codes_sorted[:, 1:] != codes_sorted[:, :-1])
+    if ci.size == 0:
+        return None
+    left = prefix[ci, pos]
+    n_left = pos + 1.0
     n_right = n - n_left
-    mean_left = prefix[:-1, :] / n_left
-    mean_right = (total[None, :] - prefix[:-1, :]) / n_right
+    mean_left = left / n_left
+    mean_right = (prefix[ci, -1] - left) / n_right
     delta = (n_left * n_right) / float(n * n) * (mean_left - mean_right) ** 2
-    # a boundary is a real candidate only where the feature value changes
-    delta = np.where(x_sorted[1:, :] > x_sorted[:-1, :], delta, -1.0)
-
-    # feature-major flatten: first argmax = lowest feature, then lowest threshold
-    flat = delta.T.reshape(-1)
-    best = int(np.argmax(flat))
-    best_delta = float(flat[best])
+    best = int(np.argmax(delta))
+    best_delta = float(delta[best])
     if best_delta <= 0.0:
         return None
-    ci, pos = divmod(best, n - 1)
-    lo = float(x_sorted[pos, ci])
-    hi = float(x_sorted[pos + 1, ci])
+    ci, pos = int(ci[best]), int(pos[best])
+    feature = int(cols[ci])
+    lo, hi = (float(v) for v in node.X[node.rows[order[ci, pos : pos + 2]], feature])
     threshold = (lo + hi) / 2.0
     if not threshold < hi:  # adjacent floats: keep the right side non-empty
         threshold = lo
-    return int(cols[ci]), threshold, best_delta
+    return feature, threshold, best_delta
 
 
 def _feature_subset(p, mode, rng):
@@ -152,10 +194,11 @@ def _feature_subset(p, mode, rng):
     return rng.choice(p, size=m, replace=False)
 
 
-def _grow(X, y, params, rng, rows):
+def _grow(X, codes, y, params, rng, rows):
     """Grow one tree on ``X[rows], y[rows]`` depth first, left subtree before
     right, so that nodes come out in preorder and the per-node feature-subset
-    draws happen in that order. Each node's rows keep their relative order."""
+    draws happen in that order. ``codes`` is ``rank_code(X)``. Each node's
+    rows keep their relative order."""
     nodes = {name: [] for name in TREE_ARRAYS}
     stack = [(rows, 0, -1)]  # rows, depth, parent of a right child
     while stack:
@@ -163,16 +206,17 @@ def _grow(X, y, params, rng, rows):
         node = len(nodes["value"])
         if parent >= 0:
             nodes["right"][parent] = node
-        Xn, yn = X[rows], y[rows]
+        yn = y[rows]
         found = None
         if (params.max_depth is None or depth < params.max_depth) and len(rows) >= params.min_samples_split:
-            found = best_split(Xn, yn, _feature_subset(X.shape[1], params.max_features, rng))
+            subset = _feature_subset(X.shape[1], params.max_features, rng)
+            found = best_split(RankedRows(X, codes, rows), yn, subset)
         fi, threshold, decrease = found or (-1, 0.0, 0.0)
         left = -1 if found is None else node + 1
         for name, v in zip(TREE_ARRAYS, (fi, threshold, left, -1, float(yn.mean()), len(rows), decrease)):
             nodes[name].append(v)
         if found is not None:
-            mask = Xn[:, fi] <= threshold
+            mask = X[rows, fi] <= threshold
             stack += [(rows[~mask], depth + 1, node), (rows[mask], depth + 1, -1)]
     return Tree(**{name: np.array(v, dtype=int if name in INT_ARRAYS else float) for name, v in nodes.items()})
 
@@ -183,7 +227,7 @@ def fit_decision_tree(X, y, params):
     X, y = _align(X, y)
     if len(y) == 0:
         raise DataError("cannot fit a tree on zero rows")
-    return _grow(X, y, params, np.random.default_rng(params.seed), np.arange(len(y)))
+    return _grow(X, rank_code(X), y, params, np.random.default_rng(params.seed), np.arange(len(y)))
 
 
 def fit_random_forest(X, y, params, n_estimators, bootstrap=True):
@@ -198,11 +242,12 @@ def fit_random_forest(X, y, params, n_estimators, bootstrap=True):
     if n_estimators < 1:
         raise DataError("n_estimators must be >= 1")
     n = len(y)
+    codes = rank_code(X)
     trees = []
     for t in range(n_estimators):
         rng = np.random.default_rng(mix_seed(params.seed, t))
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_grow(X, y, params, rng, rows))
+        trees.append(_grow(X, codes, y, params, rng, rows))
     return ForestModel(trees=trees, params=params, n_estimators=n_estimators, n_features=X.shape[1])
 
 
@@ -220,11 +265,12 @@ def fit_gbt(X, y, rounds, learning_rate, tree_params):
         raise DataError("rounds must be >= 0")
     base = float(y.mean())
     preds = np.full(len(y), base)
+    codes = rank_code(X)
     stages = []
     for r in range(rounds):
         residual = y - preds
         rng = np.random.default_rng(mix_seed(tree_params.seed, r))
-        stage = _grow(X, residual, tree_params, rng, np.arange(len(y)))
+        stage = _grow(X, codes, residual, tree_params, rng, np.arange(len(y)))
         preds = preds + learning_rate * predict_tree(stage, X)
         stages.append(stage)
     return GbtModel(

@@ -8,7 +8,7 @@ import pytest
 
 from coldstart.cli import main
 from coldstart.ensemble import bundle_from_dict, bundle_to_dict
-from coldstart.pipeline import load_bundle, run_evaluate, run_predict, run_verify
+from coldstart.pipeline import _json_kind, load_bundle, run_evaluate, run_predict, run_verify
 from coldstart.util import load_json
 
 
@@ -295,6 +295,31 @@ def test_evaluate_rejects_missing_views(tiny_run, tmp_path):
         "--out", str(tmp_path / "eval"),
     )
     assert code == 3
+
+
+def test_evaluate_one_episode_reports_null_r2(tiny_run, tmp_path, capsys):
+    lines = open(tiny_run.result["holdout_episodes"]).read().splitlines()
+    one = tmp_path / "episodes.csv"
+    one.write_text("\n".join(lines[:2]) + "\n")
+    code = run_cli(
+        "evaluate",
+        "--bundle", tiny_run.result["bundle"],
+        "--episodes", str(one),
+        "--credits", str(tiny_run.data_dir / "credits.csv"),
+        "--genres", str(tiny_run.data_dir / "genres.csv"),
+        "--platform", str(tiny_run.data_dir / "platform.csv"),
+        "--out", str(tmp_path / "eval"),
+    )
+    assert code == 0
+    assert "R2 undefined" in capsys.readouterr().out
+    doc = load_json(tmp_path / "eval" / "evaluation_report.json")
+    assert doc.pop("schema_version") == 1
+    assert sorted(doc) == sorted(SECTION_KEYS)
+    assert doc["ensemble_validation"]["r2"] is None
+    assert doc["ensemble_validation"]["n_scored"] == 1
+    # every leaf has the JSON kind verify expects at that path of a full report
+    for keys in _leaves(doc, ()):
+        assert _json_kind(_at(doc, keys)) == _json_kind(_at(tiny_run.report, keys)), _key_path(keys)
 
 
 # --- verify ------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from coldstart.errors import DataError
 from coldstart.metrics import (
+    IMPORTANCE_CHUNK_ROWS,
     error_buckets,
     impurity_importance,
     mape,
@@ -14,6 +15,7 @@ from coldstart.metrics import (
     smape,
 )
 from coldstart.trees import TreeParams, fit_decision_tree, fit_gbt, fit_random_forest
+from coldstart.util import mix_seed
 
 
 # independent direct-formula references, kept deliberately naive
@@ -163,6 +165,49 @@ def test_permutation_importance_signal_vs_noise():
     assert report.rank_of("f0") == 1
     noise_score = [s for n, s, _ in report.features if n == "f1"][0]
     assert abs(noise_score) < 1e-9  # model never reads f1
+
+
+def per_copy_importance(predict, X, y, metric, repeats, seed):
+    """Reference: one predict per shuffled copy, the loop the batched
+    permutation_importance replaced; returns the unranked scores."""
+    score = mape if metric == "mape" else r2
+    sign = 1.0 if metric == "mape" else -1.0
+    baseline = score(y, predict(X))
+    scores = []
+    for j in range(X.shape[1]):
+        deltas = []
+        for rep in range(repeats):
+            shuffled = X.copy()
+            shuffled[:, j] = np.random.default_rng(mix_seed(seed, j * 1000 + rep)).permutation(shuffled[:, j])
+            deltas.append(sign * (score(y, predict(shuffled)) - baseline))
+        scores.append(float(np.mean(deltas)))
+    return scores
+
+
+@pytest.mark.parametrize("metric", ["mape", "r2"])
+@pytest.mark.parametrize("repeats", [1, 3])
+@pytest.mark.parametrize("n", [1000, IMPORTANCE_CHUNK_ROWS + 904])
+def test_batched_importance_matches_per_copy_loop(n, repeats, metric):
+    # n=1000 does not divide the chunk size, so chunks hold 4 copies and the
+    # last one fewer; the larger n gets one copy per predict call
+    rng = np.random.default_rng(n + repeats)
+    X = rng.normal(size=(n, 6))
+
+    def model(values):  # row-wise, with no reduction that could depend on the batch
+        return 10.0 + 3.0 * np.abs(values[:, 0]) + values[:, 1] * values[:, 2] + np.where(values[:, 3] > 0, 1.5, 0.0)
+
+    y = model(X) + rng.normal(scale=0.3, size=n)
+    sizes = []
+
+    def predict(values):
+        sizes.append(len(values))
+        return model(values)
+
+    report = permutation_importance(predict, X, y, metric=metric, repeats=repeats, seed=7)
+    want = per_copy_importance(model, X, y, metric, repeats, 7)
+    assert [score for _, score, _ in report.features] == want
+    assert max(sizes) <= max(n, IMPORTANCE_CHUNK_ROWS)
+    assert sum(sizes) == n * (1 + 6 * repeats)
 
 
 def test_permutation_importance_deterministic():

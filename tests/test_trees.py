@@ -4,8 +4,10 @@ import sys
 import numpy as np
 import pytest
 
+from coldstart import trees
 from coldstart.errors import DataError
 from coldstart.trees import (
+    TREE_ARRAYS,
     GbtModel,
     TreeParams,
     best_split,
@@ -49,6 +51,129 @@ def brute_force_split(X, y, feature_subset=None):
     if best is None or best[2] <= 0:
         return None
     return best
+
+
+def float_split(X, y, feature_subset):
+    """Reference search on the float values, as the grower did before rank
+    coding: a stable argsort per node and column, rows in order."""
+    n = len(y)
+    if n < 2 or float(y.max()) == float(y.min()):
+        return None
+    cols = np.arange(X.shape[1]) if feature_subset is None else np.sort(np.asarray(feature_subset, dtype=int))
+    if len(cols) == 0:
+        return None
+    Xs = X[:, cols]
+    order = np.argsort(Xs, axis=0, kind="stable")
+    x_sorted = np.take_along_axis(Xs, order, axis=0)
+    y_sorted = (y - y.mean())[order]
+    prefix = np.cumsum(y_sorted, axis=0)
+    total = prefix[-1, :]
+    n_left = np.arange(1, n, dtype=float)[:, None]
+    n_right = n - n_left
+    mean_left = prefix[:-1, :] / n_left
+    mean_right = (total[None, :] - prefix[:-1, :]) / n_right
+    delta = (n_left * n_right) / float(n * n) * (mean_left - mean_right) ** 2
+    delta = np.where(x_sorted[1:, :] > x_sorted[:-1, :], delta, -1.0)
+    flat = delta.T.reshape(-1)
+    best = int(np.argmax(flat))
+    if float(flat[best]) <= 0.0:
+        return None
+    ci, pos = divmod(best, n - 1)
+    lo, hi = float(x_sorted[pos, ci]), float(x_sorted[pos + 1, ci])
+    threshold = (lo + hi) / 2.0
+    if not threshold < hi:
+        threshold = lo
+    return int(cols[ci]), threshold, float(flat[best])
+
+
+def float_grow(X, codes, y, params, rng, rows):
+    """Reference grower with ``_grow``'s signature that ignores the rank
+    codes and searches each node's float rows with ``float_split``."""
+    nodes = {name: [] for name in TREE_ARRAYS}
+    stack = [(rows, 0, -1)]
+    while stack:
+        rows, depth, parent = stack.pop()
+        node = len(nodes["value"])
+        if parent >= 0:
+            nodes["right"][parent] = node
+        Xn, yn = X[rows], y[rows]
+        found = None
+        if (params.max_depth is None or depth < params.max_depth) and len(rows) >= params.min_samples_split:
+            found = float_split(Xn, yn, trees._feature_subset(X.shape[1], params.max_features, rng))
+        fi, threshold, decrease = found or (-1, 0.0, 0.0)
+        left = -1 if found is None else node + 1
+        for name, v in zip(TREE_ARRAYS, (fi, threshold, left, -1, float(yn.mean()), len(rows), decrease)):
+            nodes[name].append(v)
+        if found is not None:
+            mask = Xn[:, fi] <= threshold
+            stack += [(rows[~mask], depth + 1, node), (rows[mask], depth + 1, -1)]
+    return trees.Tree(**{k: np.array(v, dtype=int if k in trees.INT_ARRAYS else float) for k, v in nodes.items()})
+
+
+def tied_matrix(rng, n, p):
+    """Columns with heavy ties, cycling through rounded normals, 0/1 one-hot
+    indicators, small integers and signed zeros; a third of the rows repeat."""
+    kinds = [
+        lambda: np.round(rng.normal(size=n), 1),
+        lambda: rng.integers(0, 2, size=n).astype(float),
+        lambda: rng.integers(-3, 4, size=n).astype(float),
+        lambda: rng.choice([-0.0, 0.0, 1.0, -2.5], size=n),
+    ]
+    X = np.column_stack([kinds[j % len(kinds)]() for j in range(p)])
+    X[rng.integers(0, n, size=n // 3)] = X[rng.integers(0, n, size=n // 3)]
+    return X
+
+
+def assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in TREE_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            # tobytes also tells 0.0 from -0.0, which array_equal does not
+            assert np.array_equal(x, y) and x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def test_rank_coded_growth_matches_float_growth(monkeypatch):
+    rng = np.random.default_rng(2025)
+    fits = []
+    for trial in range(12):
+        n = int(rng.integers(5, 90))
+        X = tied_matrix(rng, n, int(rng.integers(1, 9)))
+        y = rng.normal(size=n)
+        if trial % 3 == 0:
+            y = np.round(y)  # tied targets: many equal deltas
+        mode = trees.MAX_FEATURES_MODES[trial % 3]
+        params = TreeParams(
+            max_depth=None if trial % 4 == 0 else int(rng.integers(1, 7)),
+            min_samples_split=int(rng.integers(2, 6)),
+            max_features=mode,
+            seed=trial,
+        )
+        fits += [
+            lambda X=X, y=y, params=params: [fit_decision_tree(X, y, params)],
+            lambda X=X, y=y, params=params: fit_random_forest(X, y, params, n_estimators=4).trees,
+            lambda X=X, y=y, params=params: fit_gbt(X, y, rounds=3, learning_rate=0.3, tree_params=params).stages,
+        ]
+    got = [fit() for fit in fits]
+    monkeypatch.setattr(trees, "_grow", float_grow)
+    for fit, trees_got in zip(fits, got):
+        assert_same_trees(trees_got, fit())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tree_inputs_must_be_finite(bad):
+    X_bad, y_bad = FIXTURE_X.copy(), FIXTURE_Y.copy()
+    X_bad[2, 0] = bad
+    y_bad[1] = bad
+    for fit in (
+        lambda X, y: best_split(X, y),
+        lambda X, y: fit_decision_tree(X, y, TreeParams()),
+        lambda X, y: fit_random_forest(X, y, TreeParams(), n_estimators=2),
+        lambda X, y: fit_gbt(X, y, rounds=2, learning_rate=0.5, tree_params=TreeParams()),
+    ):
+        for X, y in ((X_bad, FIXTURE_Y), (FIXTURE_X, y_bad)):
+            with pytest.raises(DataError, match="finite"):
+                fit(X, y)
 
 
 def test_best_split_fixture():
