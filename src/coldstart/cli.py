@@ -146,8 +146,9 @@ def main(argv=None):
             )
             m = result["metrics"]
             print(f"report: {result['report']}")
+            mape = "undefined" if m["mape"] is None else f"{m['mape']:.3f}%"
             r2 = "undefined" if m["r2"] is None else f"{m['r2']:.4f}"
-            print(f"MAPE {m['mape']:.3f}%  SMAPE {m['smape']:.3f}%  R2 {r2}")
+            print(f"MAPE {mape}  SMAPE {m['smape']:.3f}%  R2 {r2}")
         elif args.command == "verify":
             ok, mismatches = run_verify(
                 args.bundle, args.report, args.episodes, args.credits, args.genres,

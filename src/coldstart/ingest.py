@@ -58,12 +58,54 @@ class DateFeatures:
     quarter: int
 
 
+NUMERIC_ROLES = ("numeric", "passthrough", "target")
+
+
+def _parse_numeric(cells):
+    """Floats (None for an empty cell) and the index of the first cell that
+    is not a finite float, or None."""
+    try:
+        values = [float(c) if c else None for c in cells]
+        # a NaN or inf makes the sum non-finite; so can an overflow of finite
+        # values, which the scan below then clears
+        if math.isfinite(sum(filter(None, values))):
+            return values, None
+    except ValueError:
+        values = None
+    for i, cell in enumerate(cells):
+        if cell:
+            try:
+                bad = not math.isfinite(float(cell))
+            except ValueError:
+                bad = True
+            if bad:
+                return None, i
+    return values, None
+
+
+def _parse_dates(cells):
+    """Dates (None for an empty cell), each distinct string parsed once, and
+    the index of the first unparseable cell, or None."""
+    parsed = {"": None}
+    for cell in dict.fromkeys(cells):  # distinct cells in first-seen order
+        if cell not in parsed:
+            try:
+                parsed[cell] = datetime.date.fromisoformat(cell)
+            except ValueError:
+                return None, cells.index(cell)
+    return [parsed[c] for c in cells], None
+
+
 def load_csv(path, expected_schema):
     """Read a headered CSV into a RawTable, matching columns by header name.
 
-    Empty cells become missing (None); numeric, passthrough, and target
-    cells parse as finite floats; date cells parse as ISO-8601 dates.
-    Columns in the file but not in the schema are ignored.
+    Empty cells become missing (None), as do the cells a short row lacks;
+    numeric, passthrough, and target cells parse as finite floats; date
+    cells parse as ISO-8601 dates. Columns in the file but not in the
+    schema are ignored. The rows are read once and each schema column is
+    parsed in one pass; when several cells are bad, the error names the
+    first in row-major order (lowest row, then schema position), as a
+    cell-by-cell read would.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -71,40 +113,33 @@ def load_csv(path, expected_schema):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        positions = {}
         for schema in expected_schema:
             if schema.name not in header:
                 raise SchemaError(f"{path}: missing expected header {schema.name!r}")
-            positions[schema.name] = header.index(schema.name)
+        positions = [header.index(schema.name) for schema in expected_schema]
+        rows = list(reader)
 
-        columns = {s.name: [] for s in expected_schema}
-        for row_num, row in enumerate(reader, start=2):
-            for schema in expected_schema:
-                pos = positions[schema.name]
-                cell = row[pos].strip() if pos < len(row) else ""
-                if cell == "":
-                    value = None
-                elif schema.role in ("numeric", "passthrough", "target"):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        value = math.nan  # reported below, with the non-finite values
-                    if not math.isfinite(value):
-                        raise DataError(
-                            f"{path}: unparseable or non-finite numeric cell {cell!r} "
-                            f"(row {row_num}, column {schema.name!r})"
-                        )
-                elif schema.role == "date":
-                    try:
-                        value = datetime.date.fromisoformat(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: unparseable date {cell!r} "
-                            f"(row {row_num}, column {schema.name!r})"
-                        ) from None
-                else:
-                    value = cell
-                columns[schema.name].append(value)
+    width = max(positions, default=-1) + 1
+    if rows and min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    columns = {}
+    first_error = None  # (row index, message); a tie keeps the earlier column
+    for schema, pos in zip(expected_schema, positions):
+        cells = [row[pos].strip() for row in rows]
+        if schema.role in NUMERIC_ROLES:
+            values, bad = _parse_numeric(cells)
+            what = "unparseable or non-finite numeric cell"
+        elif schema.role == "date":
+            values, bad = _parse_dates(cells)
+            what = "unparseable date"
+        else:
+            values, bad = [c or None for c in cells], None
+        if bad is not None and (first_error is None or bad < first_error[0]):
+            message = f"{path}: {what} {cells[bad]!r} (row {bad + 2}, column {schema.name!r})"
+            first_error = (bad, message)
+        columns[schema.name] = values
+    if first_error is not None:
+        raise DataError(first_error[1])
     return RawTable(list(expected_schema), columns)
 
 
@@ -137,17 +172,27 @@ def read_episodes(path):
     extra = (VIEWS_COLUMN,) if VIEWS_COLUMN.name in header else ()
     table = load_csv(path, EPISODE_CSV_COLUMNS + extra)
 
-    minutes = []
-    for i, cells in enumerate(zip(*(table.column(s.name) for s in EPISODE_CSV_COLUMNS))):
-        for schema, cell in zip(EPISODE_CSV_COLUMNS, cells):
-            if cell is None:
-                raise DataError(f"{path}: row {i + 2} is missing {schema.name!r}")
-        try:
-            minutes.append(parse_length_to_minutes(cells[-1]))  # length is the last CSV column
-        except DataError as exc:
-            raise DataError(f"{path}: {exc} (row {i + 2}, column 'length')") from None
+    cells = [table.column(s.name) for s in EPISODE_CSV_COLUMNS]
+    lengths = cells[-1]  # length is the last CSV column
+    n = len(lengths)
+    minutes = {None: None}
+    bad_length = n
+    for raw in dict.fromkeys(lengths):  # each distinct length string parsed once
+        if raw not in minutes:
+            try:
+                minutes[raw] = parse_length_to_minutes(raw)
+            except DataError as exc:
+                bad_length, length_error = lengths.index(raw), exc
+                break
+    # name the first bad row; within a row, a missing cell before a bad length
+    missing = min((column.index(None) for column in cells if None in column), default=n)
+    if missing < n and missing <= bad_length:
+        name = next(s.name for s, column in zip(EPISODE_CSV_COLUMNS, cells) if column[missing] is None)
+        raise DataError(f"{path}: row {missing + 2} is missing {name!r}")
+    if bad_length < n:
+        raise DataError(f"{path}: {length_error} (row {bad_length + 2}, column 'length')")
     columns = {s.name: table.column(s.name) for s in EPISODE_COLUMNS[:3] + extra}
-    columns["length_minutes"] = minutes
+    columns["length_minutes"] = [minutes[raw] for raw in lengths]
     return RawTable(list(EPISODE_COLUMNS + extra), columns)
 
 
@@ -303,9 +348,16 @@ def build_model_table(episodes, credits, genres, platform, reference_date=None):
         reference_date = max(release_dates)
     table = consolidate_metadata(episodes, credits, genres, platform)
 
-    feats = [derive_date_features(d, reference_date) for d in release_dates]
-    table = table.with_column(ColumnSchema("age_days", "numeric"), [float(f.age_days) for f in feats])
-    table = table.with_column(ColumnSchema("day_of_week", "categorical"), [str(f.day_of_week) for f in feats])
-    table = table.with_column(ColumnSchema("month", "categorical"), [str(f.month) for f in feats])
-    table = table.with_column(ColumnSchema("quarter", "categorical"), [str(f.quarter) for f in feats])
+    derived = {}  # one derivation per distinct release date, in first-seen order
+    for d in dict.fromkeys(release_dates):
+        f = derive_date_features(d, reference_date)
+        derived[d] = (float(f.age_days), str(f.day_of_week), str(f.month), str(f.quarter))
+    date_columns = (
+        ColumnSchema("age_days", "numeric"),
+        ColumnSchema("day_of_week", "categorical"),
+        ColumnSchema("month", "categorical"),
+        ColumnSchema("quarter", "categorical"),
+    )
+    for schema, values in zip(date_columns, zip(*(derived[d] for d in release_dates))):
+        table = table.with_column(schema, values)
     return table, reference_date

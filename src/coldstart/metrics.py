@@ -2,7 +2,9 @@
 
 MAPE follows the exclude-and-count policy for zero targets: cold-start data
 can legitimately contain zero-view rows, so those rows are dropped from the
-mean and reported in ``n_excluded_zero_target`` instead of raising.
+mean and reported in ``n_excluded_zero_target`` instead of raising. When
+every target is zero, ``mape`` raises, ``metric_report`` gives a null MAPE
+and ``error_buckets`` five zero counts.
 SMAPE uses the factor-2 numerator with |y| + |yhat| in the denominator
 (range 0..200) and defines the both-zero term as 0.
 """
@@ -24,10 +26,14 @@ BUCKET_EDGES = (10.0, 20.0, 30.0, 40.0)
 # a copy alone is longer); the bound keeps a chunk's memory small
 IMPORTANCE_CHUNK_ROWS = 4096
 
+# feature j's repeat r shuffles with seed mix_seed(seed, j * 1000 + r); the
+# bound keeps those seeds distinct, as a repeat 1000 would reuse feature j+1's
+IMPORTANCE_MAX_REPEATS = 1000
+
 
 @dataclass
 class MetricReport:
-    mape: float
+    mape: float | None  # None where every target is zero
     smape: float
     r2: float | None  # None where R2 is undefined
     n_scored: int
@@ -144,8 +150,9 @@ def pearson_matrix(named_vectors):
 def metric_report(y, yhat):
     """MAPE + SMAPE + R2 in one record with the zero-target bookkeeping.
 
-    R2 is None where ``r2`` is undefined (fewer than 2 rows, or constant
-    targets), so that one episode still gets a report.
+    MAPE is None where every target is zero, and R2 where ``r2`` is
+    undefined (fewer than 2 rows, or constant targets), so that any
+    non-empty set of episodes still gets a report.
     """
     y, yhat = _aligned(y, yhat)
     try:
@@ -153,7 +160,7 @@ def metric_report(y, yhat):
     except DataError:
         r2_value = None
     return MetricReport(
-        mape=mape(y, yhat),
+        mape=mape(y, yhat) if np.any(y != 0) else None,
         smape=smape(y, yhat),
         r2=r2_value,
         n_scored=int(np.sum(y != 0)),
@@ -165,12 +172,11 @@ def error_buckets(y, yhat):
     """Bin per-row absolute percentage errors at 10/20/30/40 percent.
 
     Bins are lower-inclusive: an error of exactly 10% lands in the 10-20
-    bucket. Zero-target rows are excluded (they have no percentage error).
+    bucket. Zero-target rows are excluded (they have no percentage error),
+    so all-zero targets give five zero counts.
     """
     y, yhat = _aligned(y, yhat)
     mask = y != 0
-    if not np.any(mask):
-        raise DataError("error buckets undefined: all targets are zero")
     pct = 100.0 * np.abs(y[mask] - yhat[mask]) / np.abs(y[mask])
     bins = np.searchsorted(BUCKET_EDGES, pct, side="right")
     counts = np.bincount(bins, minlength=len(BUCKET_EDGES) + 1).tolist()
@@ -194,8 +200,8 @@ def permutation_importance(predict, X, y, metric="mape", repeats=5, seed=0):
     rows per call. Scores are oriented so that larger means more important
     regardless of whether the metric is an error (mape) or a score (r2).
     """
-    if repeats < 1:
-        raise DataError("repeats must be >= 1")
+    if not 1 <= repeats <= IMPORTANCE_MAX_REPEATS:
+        raise DataError(f"repeats must be in 1..{IMPORTANCE_MAX_REPEATS}, got {repeats}")
     if isinstance(X, FeatureMatrix):
         values, names = X.values, list(X.feature_names)
     else:

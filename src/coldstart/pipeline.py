@@ -37,6 +37,7 @@ from .ingest import (
     read_platform,
 )
 from .metrics import (
+    IMPORTANCE_MAX_REPEATS,
     error_buckets,
     impurity_importance,
     metric_report,
@@ -84,6 +85,8 @@ class RunConfig:
         for family, grid in self.grids.items():
             if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
                 raise DataError(f"config grids[{family!r}] must map parameter names to lists of values")
+        if not 1 <= self.importance_repeats <= IMPORTANCE_MAX_REPEATS:
+            raise DataError(f"importance_repeats must be in 1..{IMPORTANCE_MAX_REPEATS}, got {self.importance_repeats}")
         if self.reference_date is not None:
             try:
                 datetime.date.fromisoformat(self.reference_date)
@@ -274,6 +277,11 @@ def run_train(config):
     train_table = features_all.take_rows(train_idx.tolist())
     hold_table = features_all.take_rows(hold_idx.tolist())
     y_train, y_hold = y_all[train_idx], y_all[hold_idx]
+    if not np.any(y_hold != 0):
+        raise DataError(
+            "every holdout episode has zero views, so holdout MAPE is undefined "
+            "and the ensemble weights cannot be derived from it"
+        )
     y_fit = transform_target(y_train, config.target_transform)
 
     prep = fit_preprocessor(
@@ -441,10 +449,10 @@ def run_predict(bundle_path, episodes_path, credits_path, genres_path, platform_
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["series_id", "episode_id", "predicted_views", "clamped"])
-        sids = table.column("series_id")
-        eids = table.column("episode_id")
-        for i in range(len(views)):
-            writer.writerow([sids[i], eids[i], repr(float(views[i])), int(clamped[i])])
+        # tolist gives Python floats, whose repr the writer emits
+        writer.writerows(
+            zip(table.column("series_id"), table.column("episode_id"), views.tolist(), clamped.astype(int).tolist())
+        )
     return {"out": out_path, "n_rows": int(len(views)), "n_clamped": int(clamped.sum())}
 
 
@@ -532,7 +540,8 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
     compare(section, stored, "")
 
     mapes = [section["validation"][m.model.family]["mape"] for m in bundle.members]
-    weights = weights_for_errors(mapes, bundle.scheme)
+    # all-zero views have no MAPE (the section check names it), so no weights either
+    weights = [None] * len(mapes) if None in mapes else weights_for_errors(mapes, bundle.scheme)
     for member, mape, weight in zip(bundle.members, mapes, weights):
         family = member.model.family
         if mape != member.validation_mape:

@@ -32,6 +32,17 @@ where the code changes; its threshold is the midpoint of the two float
 values read from X at the rows on either side, and ``x <= threshold``
 holds exactly for the rows whose code is at most the left row's code.
 Inputs holding NaN or inf are rejected: NaN has no place in that order.
+
+Prediction routes every row down at once through a slot table built from
+the arrays on each call (the vectorized predication of Asadi, Lin & de
+Vries 2014). Slot ``2*i + b`` is node i's branch b, with b = 1 where
+``x <= threshold`` (left) and 0 otherwise (right), so a NaN cell goes
+right; ``feature``, ``threshold`` and ``value`` are repeated per slot and
+``child`` holds the even slot of each branch's child, a leaf's slots
+pointing back at the leaf. A row holds its node's even slot, and one level
+is the branch-free step ``slot = child[slot + (x[feature[slot]] <=
+threshold[slot])]``: the same comparison as a node-by-node walk, so every
+prediction is the same float.
 """
 
 import math
@@ -287,33 +298,36 @@ def _check_width(X, n_features, what):
 
 
 def predict_tree(tree, X):
-    """Route all rows down together, one split test per level."""
+    """Route all rows down together, one predicated step per level."""
     X = as_matrix(X)
     max_fi = int(tree.feature.max())
     if max_fi >= X.shape[1]:
         raise DataError(f"tree references feature {max_fi} but input has {X.shape[1]}")
-    # leaves route to themselves, so a row stays put once it reaches one
+    # slot 2*i + b is node i's branch b, b = (x <= threshold); a row holds the
+    # even slot of its node, and leaves route to themselves
     leaf = tree.feature < 0
     ids = np.arange(leaf.size)
-    feature = np.where(leaf, 0, tree.feature)
-    left = np.where(leaf, ids, tree.left)
-    right = np.where(leaf, ids, tree.right)
+    feature = np.repeat(np.where(leaf, 0, tree.feature), 2)
+    threshold = np.repeat(tree.threshold, 2)
+    value = np.repeat(tree.value, 2)
+    child = 2 * np.stack([np.where(leaf, ids, tree.right), np.where(leaf, ids, tree.left)], axis=1).ravel()
+    leaf = np.repeat(leaf, 2)
     # X[i, f] as flat[i * width + f]: one 1-D gather, cheaper than X[rows, f]
     flat = X.ravel()
     out = np.empty(X.shape[0])
     rows = np.arange(X.shape[0])
     start = rows * X.shape[1]
-    node = np.zeros(X.shape[0], dtype=int)
+    slot = np.zeros(X.shape[0], dtype=int)
     while True:
-        done = leaf[node]
+        done = leaf.take(slot)
         # drop finished rows only once they are half of those left: dropping
         # them at every level costs more than the steps it saves
-        if 2 * np.count_nonzero(done) >= node.size:
-            out[rows[done]] = tree.value[node[done]]
-            rows, start, node = rows[~done], start[~done], node[~done]
+        if 2 * np.count_nonzero(done) >= slot.size:
+            out[rows[done]] = value.take(slot[done])
+            rows, start, slot = rows[~done], start[~done], slot[~done]
             if not rows.size:
                 return out
-        node = np.where(flat[start + feature[node]] <= tree.threshold[node], left[node], right[node])
+        slot = child.take(slot + (flat.take(start + feature.take(slot)) <= threshold.take(slot)))
 
 
 def predict_forest(model, X):

@@ -322,6 +322,53 @@ def test_evaluate_one_episode_reports_null_r2(tiny_run, tmp_path, capsys):
         assert _json_kind(_at(doc, keys)) == _json_kind(_at(tiny_run.report, keys)), _key_path(keys)
 
 
+def test_evaluate_all_zero_views_reports_null_mape(tiny_run, tmp_path, capsys):
+    rows = list(csv.reader(open(tiny_run.result["holdout_episodes"], newline="")))
+    rows[1][rows[0].index("views")] = "0"
+    one = tmp_path / "episodes.csv"
+    with open(one, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows[:2])
+    code = run_cli(
+        "evaluate",
+        "--bundle", tiny_run.result["bundle"],
+        "--episodes", str(one),
+        "--credits", str(tiny_run.data_dir / "credits.csv"),
+        "--genres", str(tiny_run.data_dir / "genres.csv"),
+        "--platform", str(tiny_run.data_dir / "platform.csv"),
+        "--out", str(tmp_path / "eval"),
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "MAPE undefined" in out and "R2 undefined" in out
+    doc = load_json(tmp_path / "eval" / "evaluation_report.json")
+    assert doc.pop("schema_version") == 1
+    assert sorted(doc) == sorted(SECTION_KEYS)
+    assert doc["ensemble_validation"]["mape"] is None
+    assert doc["ensemble_validation"]["n_scored"] == 0
+    assert doc["ensemble_validation"]["n_excluded_zero_target"] == 1
+    assert all(report["mape"] is None for report in doc["validation"].values())
+    assert doc["error_buckets"]["before"] == doc["error_buckets"]["after"] == [0] * 5
+    assert doc["per_series"][0]["accuracy"] is None
+    for keys in _leaves(doc, ()):
+        assert _json_kind(_at(doc, keys)) == _json_kind(_at(tiny_run.report, keys)), _key_path(keys)
+
+
+def test_train_on_all_zero_holdout_names_the_cause(tiny_run, tmp_path, capsys):
+    rows = list(csv.reader(open(tiny_run.data_dir / "episodes.csv", newline="")))
+    views = rows[0].index("views")
+    for row in rows[1:]:
+        row[views] = "0"
+    zero = tmp_path / "episodes.csv"
+    with open(zero, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**tiny_run.config.to_dict(), "episodes": str(zero)}))
+    code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "every holdout episode has zero views" in err and "MAPE is undefined" in err
+
+
 # --- verify ------------------------------------------------------------------
 
 def _verify(tiny_run, report_path):
@@ -501,6 +548,8 @@ BAD_INPUTS = {
     "config_test_fraction_string": ("config", _config(test_fraction="0.2")),
     "config_seed_float": ("config", _config(seed=1.5)),
     "config_importance_repeats_string": ("config", _config(importance_repeats="1")),
+    "config_importance_repeats_zero": ("config", _config(importance_repeats=0)),
+    "config_importance_repeats_1001": ("config", _config(importance_repeats=1001)),
     "config_grids_not_an_object": ("config", _config(grids=["x"])),
     "config_grid_values_not_a_list": ("config", _config(grids={"lasso": {"alpha": 0.1}})),
     "config_reference_date_not_a_date": ("config", _config(reference_date="2016-13-45")),

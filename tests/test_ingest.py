@@ -1,4 +1,7 @@
+import csv
 import datetime
+import math
+import random
 
 import pytest
 
@@ -68,6 +71,114 @@ def test_load_csv_bad_numeric_names_row_and_column(tmp_path):
         assert "t.csv" in str(err.value) and "row 3" in str(err.value) and "'x'" in str(err.value)
 
 
+XYD = [ColumnSchema("x", "numeric"), ColumnSchema("y", "target"), ColumnSchema("d", "date")]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # bad cells in different rows and columns: the earlier row is named
+        ("1,2,2016-01-01\n3,oops,2016-01-02\nbad,4,2016-01-03\n", "numeric cell 'oops' (row 3, column 'y')"),
+        ("1,2,2016-01-01\n3,4,2016-13-01\nbad,4,2016-01-03\n", "date '2016-13-01' (row 3, column 'd')"),
+        # two bad cells in one row: the earlier schema column is named
+        ("1,2,2016-01-01\n3,inf,never\n", "numeric cell 'inf' (row 3, column 'y')"),
+        ("1,2,2016-01-01\nnan,inf,2016-01-01\n", "numeric cell 'nan' (row 3, column 'x')"),
+        # a bad date after a valid date that repeats is named at its own row
+        ("1,2,2016-01-01\n1,2,2016-01-01\n1,2,2016-02-30\n1,2,2016-01-01\n", "date '2016-02-30' (row 4, column 'd')"),
+    ],
+)
+def test_load_csv_names_the_first_bad_cell_in_row_major_order(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y,d\n" + body)
+    with pytest.raises(DataError) as err:
+        load_csv(path, XYD)
+    assert str(err.value) == f"{path}: unparseable {'or non-finite ' if 'numeric' in message else ''}{message}"
+
+
+def test_load_csv_short_row_reads_missing_cells_as_none(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("s,x,y,d\nS1,1,2,2016-01-01\nS2,3\nS3\n")
+    table = load_csv(path, [ColumnSchema("s", "id")] + XYD)
+    assert table.column("s") == ["S1", "S2", "S3"]
+    assert table.column("x") == [1.0, 3.0, None]
+    assert table.column("y") == [2.0, None, None]
+    assert table.column("d") == [D(2016, 1, 1), None, None]
+
+
+def test_load_csv_accepts_finite_values_whose_sum_overflows(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x\n1e308\n1e308\n-1e308\n")
+    assert load_csv(path, [ColumnSchema("x", "numeric")]).column("x") == [1e308, 1e308, -1e308]
+
+
+def rowwise_load_csv(path, expected_schema):
+    """Reference loader: the cell-by-cell read that load_csv's column parse
+    replaced, raising at the first bad cell in row-major order."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        columns = {s.name: [] for s in expected_schema}
+        for row_num, row in enumerate(reader, start=2):
+            for schema in expected_schema:
+                pos = header.index(schema.name)
+                cell = row[pos].strip() if pos < len(row) else ""
+                if cell == "":
+                    value = None
+                elif schema.role in ("numeric", "passthrough", "target"):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}: unparseable or non-finite numeric cell {cell!r} "
+                            f"(row {row_num}, column {schema.name!r})"
+                        )
+                elif schema.role == "date":
+                    try:
+                        value = datetime.date.fromisoformat(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: unparseable date {cell!r} (row {row_num}, column {schema.name!r})"
+                        ) from None
+                else:
+                    value = cell
+                columns[schema.name].append(value)
+    return columns
+
+
+def test_column_parse_matches_rowwise_reference(tmp_path):
+    rng = random.Random(8)
+    # role -> (good cells, bad cells); a 1e308 pair overflows a sum
+    cells_of = {
+        "numeric": (["1", " 2.5 ", "-0.0", "1e308", ""], ["x", "nan", "inf", "1e400"]),
+        "date": (["2016-01-01", " 2017-02-28", ""], ["2016-02-30", "soon"]),
+        "categorical": (["a", " b ", "", "c d"], ["a"]),
+    }
+    schema = [ColumnSchema("d", "date"), ColumnSchema("n", "numeric"), ColumnSchema("c", "categorical"), ColumnSchema("t", "target")]
+    file_roles = ("numeric", "categorical", "categorical", "numeric", "date")  # t,c,skip,n,d
+    path = tmp_path / "t.csv"
+    outcomes = set()
+    for _ in range(300):
+        bad_rate = rng.choice([0.0, 0.02, 0.2])
+        lines = ["t,c,skip,n,d"]
+        for _ in range(rng.randint(0, 12)):
+            cells = [rng.choice(cells_of[role][rng.random() < bad_rate]) for role in file_roles]
+            lines.append(",".join(cells[: rng.choice([5, 5, 5, 4, 2])]))  # some rows short
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            want = rowwise_load_csv(path, schema)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                load_csv(path, schema)
+            assert str(err.value) == str(exc)
+            outcomes.add("error")
+        else:
+            assert load_csv(path, schema).columns == want
+            outcomes.add("table")
+    assert outcomes == {"error", "table"}
+
+
 def test_load_csv_missing_header_and_empty_file(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a\n1\n")
@@ -94,6 +205,24 @@ def test_read_episodes_bad_length_names_row_and_column(tmp_path):
         read_episodes(path)
     message = str(err.value)
     assert "eps.csv" in message and "row 3" in message and "'length'" in message and "'ninety'" in message
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # a missing cell and a bad length in one row: the missing cell is named
+        ("S1,E1,2016-01-01,30m\nS1,,2016-01-08,ninety\n", "row 3 is missing 'episode_id'"),
+        ("S1,E1,2016-01-01,ninety\nS1,,2016-01-08,30m\n", "unrecognized length format 'ninety' (row 2, column 'length')"),
+        ("S1,E1,2016-01-01,30m\nS1,E2,2016-01-08,30m\nS1,E3,2016-01-15,\n", "row 4 is missing 'length'"),
+        ("S1,E1,2016-01-01,30m\nS1,E2,2016-01-08,30m\nS1,E3,2016-01-15,1h 5x\n", "(row 4, column 'length')"),
+    ],
+)
+def test_read_episodes_names_the_first_bad_row(tmp_path, body, message):
+    path = tmp_path / "eps.csv"
+    path.write_text("series_id,episode_id,release_date,length\n" + body)
+    with pytest.raises(DataError) as err:
+        read_episodes(path)
+    assert str(err.value).startswith(f"{path}: ") and str(err.value).endswith(message)
 
 
 def test_read_credits_rejects_non_integer_awards(tmp_path):

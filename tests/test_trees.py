@@ -309,6 +309,63 @@ def test_predict_tree_matches_scalar_walk():
         assert np.array_equal(predict_tree(tree, X_new), expected)
 
 
+def levelwise_predict_tree(tree, X):
+    """Reference descent: the level-wise walk with per-level left/right
+    gathers and ``where`` that predict_tree's slot table replaced."""
+    X = np.asarray(X, dtype=float)
+    leaf = tree.feature < 0
+    ids = np.arange(leaf.size)
+    feature = np.where(leaf, 0, tree.feature)
+    left = np.where(leaf, ids, tree.left)
+    right = np.where(leaf, ids, tree.right)
+    flat = X.ravel()
+    out = np.empty(X.shape[0])
+    rows = np.arange(X.shape[0])
+    start = rows * X.shape[1]
+    node = np.zeros(X.shape[0], dtype=int)
+    while True:
+        done = leaf[node]
+        if 2 * np.count_nonzero(done) >= node.size:
+            out[rows[done]] = tree.value[node[done]]
+            rows, start, node = rows[~done], start[~done], node[~done]
+            if not rows.size:
+                return out
+        node = np.where(flat[start + feature[node]] <= tree.threshold[node], left[node], right[node])
+
+
+def _edge_rows(tree, X, rng):
+    """Rows of X with cells set to each split's threshold, its float
+    neighbours, a signed zero, or NaN."""
+    internal = np.flatnonzero(tree.feature >= 0)
+    edges = []
+    for node in internal:
+        t = tree.threshold[node]
+        edges += [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+    edges += [0.0, -0.0, np.nan]
+    rows = X[rng.integers(0, len(X), size=4 * len(edges))].copy()
+    for i, row in enumerate(rows):
+        row[rng.integers(0, X.shape[1], size=rng.integers(1, X.shape[1] + 1))] = edges[i % len(edges)]
+    return np.vstack([X, rows])
+
+
+def test_slot_descent_matches_levelwise_descent():
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(150, 4))
+    X[:, 1] = np.round(X[:, 1], 1)  # repeated values
+    X[::7, 2] = 0.0  # zero thresholds, so that -0.0 and 0.0 meet them
+    X[1::7, 2] = -1e-300
+    y = X[:, 0] * 2.0 + np.sin(3.0 * X[:, 1]) + (X[:, 2] > 0) + rng.normal(scale=0.1, size=150)
+    params = TreeParams(max_depth=6, min_samples_split=4, max_features="third", seed=3)
+    models = [fit_decision_tree(X, y, TreeParams(max_depth=8))]
+    models += fit_random_forest(X, y, params, 8).trees
+    models += fit_gbt(X, y, 8, 0.3, TreeParams(max_depth=3, seed=4)).stages
+    models.append(fit_decision_tree(X, np.ones(150), TreeParams()))  # a single leaf
+    assert models[-1].feature.size == 1
+    for tree in models:
+        X_new = _edge_rows(tree, X, rng)
+        assert np.array_equal(predict_tree(tree, X_new), levelwise_predict_tree(tree, X_new))
+
+
 def test_deep_chain_tree_needs_no_recursion(tmp_path):
     # each split peels off the largest target, so the tree is a 299-level chain
     x = np.arange(300, dtype=float).reshape(-1, 1)
