@@ -1,9 +1,12 @@
 """Core table types shared by every stage of the pipeline.
 
 A RawTable is a small column store: each column carries a ColumnSchema
-(name + role) and a list of cell values where missing cells are plain
-``None`` — no in-band magic numbers. A FeatureMatrix is the fully numeric,
-fully observed matrix that models consume.
+(name + role) and its cells. A column is a list, where missing cells are
+plain ``None`` — no in-band magic numbers — or, in the feature tables that
+build_dataset returns, a float64 array for each numeric and passthrough
+column, where NaN marks a missing cell and is never a value. A
+FeatureMatrix is the fully numeric, fully observed matrix that models
+consume.
 """
 
 from dataclasses import dataclass, field
@@ -28,10 +31,14 @@ class ColumnSchema:
 
 @dataclass
 class RawTable:
-    """Immutable-by-convention column store; missing cells are None."""
+    """Immutable-by-convention column store.
+
+    A column is a list of cells, missing cells None, or a float64 array
+    (see float_column), missing cells NaN.
+    """
 
     schemas: list
-    columns: dict = field(repr=False)  # name -> list of cells
+    columns: dict = field(repr=False)  # name -> list of cells or float64 array
 
     def __post_init__(self):
         names = [s.name for s in self.schemas]
@@ -79,7 +86,12 @@ class RawTable:
 
     def take_rows(self, indices):
         """New table with the given rows, in the given order."""
-        cols = {n: [self.columns[n][i] for i in indices] for n in self.columns}
+        rows = np.asarray(indices, dtype=np.intp)
+        positions = rows.tolist()
+        cols = {
+            n: col[rows] if isinstance(col, np.ndarray) else list(map(col.__getitem__, positions))
+            for n, col in self.columns.items()
+        }
         return RawTable(list(self.schemas), cols)
 
     def drop_columns(self, names):
@@ -131,13 +143,30 @@ def validate_target(values):
     return y
 
 
+def float_column(cells, name):
+    """A numeric or passthrough column as a float64 array, NaN where a cell is missing.
+
+    An array is returned as it is. A list is converted, None to NaN; a list
+    cell that is itself NaN would then read as missing, so it is a DataError.
+    """
+    if isinstance(cells, np.ndarray):
+        return cells
+    values = np.array(cells, dtype=float)
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        if cells[i] is not None:
+            raise DataError(f"column {name!r} has a NaN cell (row {i}); a missing cell is None")
+    return values
+
+
 def build_dataset(table, schema):
     """Split a raw table into (features-only table, target vector).
 
     The schema list assigns a role to every column of ``table``; exactly one
     column must have role ``target``. Id and target columns are excluded
     from the returned feature table; row order is preserved so target[i]
-    pairs with feature row i.
+    pairs with feature row i. Numeric and passthrough columns are encoded
+    once here as float64 arrays (see float_column); the other columns stay
+    lists.
     """
     by_name = {}
     for s in schema:
@@ -161,7 +190,15 @@ def build_dataset(table, schema):
     y = validate_target(raw_target)
 
     keep = [by_name[n] for n in table.column_names if by_name[n].role not in ("id", "target")]
-    features = RawTable(keep, {s.name: list(table.column(s.name)) for s in keep})
+    features = RawTable(
+        keep,
+        {
+            s.name: float_column(table.column(s.name), s.name)
+            if s.role in ("numeric", "passthrough")
+            else list(table.column(s.name))
+            for s in keep
+        },
+    )
     return features, y
 
 

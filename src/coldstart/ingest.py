@@ -277,7 +277,10 @@ def consolidate_metadata(episodes, credits, genres, platform):
         if key in seen:
             raise DataError(f"duplicate episode {key}")
         seen.add(key)
-    known_series = set(series)
+    distinct = list(dict.fromkeys(series))  # each series once, first-seen order
+    known_series = set(distinct)
+    position = {sid: i for i, sid in enumerate(distinct)}
+    series_index = list(map(position.__getitem__, series))  # episode -> its series' position
 
     best, awards, count = {}, {}, {}  # (series, role) -> aggregate
     credit_rows = zip(*(credits.column(s.name) for s in CREDIT_COLUMNS))
@@ -309,20 +312,21 @@ def consolidate_metadata(episodes, credits, genres, platform):
         platform_row[key] = j
     rows = [platform_row.get(key) for key in keys]
 
+    # crew and genre values depend on the series only: one per distinct
+    # series, expanded to the episodes through series_index
+    per_series = {}
+    for role in ROLES_CREW:
+        slots = [(sid, role) for sid in distinct]
+        per_series[f"best_{role}_rating"] = [best.get(slot) for slot in slots]
+        per_series[f"{role}_total_awards"] = [float(awards.get(slot, 0)) for slot in slots]
+        per_series[f"{role}_crew_count"] = [float(count.get(slot, 0)) for slot in slots]
+    per_series["genre_count"] = [float(len(genre_sets.get(sid, ()))) for sid in distinct]
+
     schemas = [s for s in EPISODE_COLUMNS if s.name != "release_date"]
     columns = {s.name: list(episodes.column(s.name)) for s in schemas}
-    for role in ROLES_CREW:
-        slots = [(sid, role) for sid in series]
-        schemas += [
-            ColumnSchema(f"best_{role}_rating", "numeric"),
-            ColumnSchema(f"{role}_total_awards", "numeric"),
-            ColumnSchema(f"{role}_crew_count", "numeric"),
-        ]
-        columns[f"best_{role}_rating"] = [best.get(slot) for slot in slots]
-        columns[f"{role}_total_awards"] = [float(awards.get(slot, 0)) for slot in slots]
-        columns[f"{role}_crew_count"] = [float(count.get(slot, 0)) for slot in slots]
-    schemas.append(ColumnSchema("genre_count", "numeric"))
-    columns["genre_count"] = [float(len(genre_sets.get(sid, ()))) for sid in series]
+    for name, values in per_series.items():
+        schemas.append(ColumnSchema(name, "numeric"))
+        columns[name] = list(map(values.__getitem__, series_index))
     for metric in PLATFORM_METRICS:
         schemas.append(ColumnSchema(metric, "numeric"))
         values = platform.column(metric)

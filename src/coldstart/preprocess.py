@@ -4,16 +4,26 @@ Fit learns per-column state from a raw feature table; transform applies it
 to any table with the same schema, producing a fully numeric FeatureMatrix.
 Unknown categories at transform time encode as the all-zero vector so new
 shows with unseen metadata keep a stable feature dimension.
+
+Both work a column at a time. A numeric or passthrough column is read as a
+float64 array with NaN for a missing cell (data.float_column), whether the
+table holds it as an array (build_dataset) or as a list with None. A
+categorical column is a list; each distinct cell is keyed once by its str()
+form, so cells equal as Python values (1 and 1.0) count as one cell.
 """
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureMatrix, RawTable
+from .data import ROLES, FeatureMatrix, RawTable, float_column
 from .errors import DataError, SchemaError
 
 SENTINEL = "__missing__"
+NUMERIC_STRATEGIES = ("mean", "median")
+CATEGORICAL_STRATEGIES = ("mode", "sentinel")
 
 
 @dataclass
@@ -50,19 +60,31 @@ class Preprocessor:
         return names
 
 
-def _mode(values):
+def _categorical_state(name, cells, strategy):
+    """Impute category and categories (the sorted str forms of the cells).
+
+    Cells are counted as Python values, then folded through str(), so 1 and
+    "1" are one category.
+    """
     counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
+    for value, n in Counter(cells).items():
+        if value is not None:
+            key = str(value)
+            counts[key] = counts.get(key, 0) + n
+    categories = sorted(counts)
+    if strategy == "sentinel":
+        return SENTINEL, sorted(set(categories) | {SENTINEL})
+    if not counts:
+        raise DataError(f"categorical column {name!r} is entirely missing")
     best = max(counts.values())
-    return min(v for v, c in counts.items() if c == best)  # ties: lexicographic
+    return min(k for k, c in counts.items() if c == best), categories  # ties: lexicographic
 
 
 def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="mode"):
     """Learn imputation + scaling + one-hot state from a raw feature table."""
-    if strategy_numeric not in ("mean", "median"):
+    if strategy_numeric not in NUMERIC_STRATEGIES:
         raise DataError(f"unknown numeric strategy {strategy_numeric!r}")
-    if strategy_categorical not in ("mode", "sentinel"):
+    if strategy_categorical not in CATEGORICAL_STRATEGIES:
         raise DataError(f"unknown categorical strategy {strategy_categorical!r}")
     if features.n_rows == 0:
         raise DataError("cannot fit preprocessor on an empty table")
@@ -71,16 +93,17 @@ def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="
     categorical = []
     passthrough = []
     for schema in features.schemas:
-        cells = features.column(schema.name)
         if schema.role == "numeric":
-            present = np.asarray([v for v in cells if v is not None], dtype=float)
+            values = float_column(features.column(schema.name), schema.name)
+            missing = np.isnan(values)
+            present = values[~missing]  # row order, as the mean and median saw it
             if len(present) == 0:
                 raise DataError(f"numeric column {schema.name!r} is entirely missing")
             if strategy_numeric == "mean":
                 impute = float(present.mean())
             else:
                 impute = float(np.median(present))
-            filled = np.asarray([impute if v is None else float(v) for v in cells])
+            filled = np.where(missing, impute, values)
             numeric.append(
                 NumericColumnState(
                     name=schema.name,
@@ -90,15 +113,9 @@ def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="
                 )
             )
         elif schema.role == "categorical":
-            present = [str(v) for v in cells if v is not None]
-            categories = sorted(set(present))
-            if strategy_categorical == "mode":
-                if not present:
-                    raise DataError(f"categorical column {schema.name!r} is entirely missing")
-                impute = _mode(present)
-            else:
-                impute = SENTINEL
-                categories = sorted(set(categories) | {SENTINEL})
+            impute, categories = _categorical_state(
+                schema.name, features.column(schema.name), strategy_categorical
+            )
             categorical.append(
                 CategoricalColumnState(
                     name=schema.name, impute_category=impute, categories=categories
@@ -145,34 +162,30 @@ def transform(preprocessor, features):
     names = []
 
     for col in preprocessor.numeric:
-        cells = features.column(col.name)
-        filled = np.asarray(
-            [col.impute_value if v is None else float(v) for v in cells]
-        )
+        values = float_column(features.column(col.name), col.name)
+        filled = np.where(np.isnan(values), col.impute_value, values)
         divisor = col.std if col.std > 0 else 1.0
         blocks.append(((filled - col.mean) / divisor).reshape(n, 1))
         names.append(col.name)
 
     for col in preprocessor.categorical:
         cells = features.column(col.name)
-        block = np.zeros((n, len(col.categories)))
         index = {cat: j for j, cat in enumerate(col.categories)}
-        for i, v in enumerate(cells):
-            v = col.impute_category if v is None else str(v)
-            j = index.get(v)
-            if j is not None:  # unknown categories stay all-zero
-                block[i, j] = 1.0
+        # each distinct cell mapped once; unknown categories (-1) stay all-zero
+        code = {v: index.get(col.impute_category if v is None else str(v), -1) for v in set(cells)}
+        codes = np.fromiter(map(code.__getitem__, cells), dtype=np.intp, count=n)
+        rows = np.flatnonzero(codes >= 0)
+        block = np.zeros((n, len(col.categories)))
+        block[rows, codes[rows]] = 1.0
         blocks.append(block)
         names.extend(f"{col.name}={cat}" for cat in col.categories)
 
     for name in preprocessor.passthrough:
-        cells = features.column(name)
-        out = np.empty(n)
-        for i, v in enumerate(cells):
-            if v is None:
-                raise DataError(f"missing value in passthrough column {name!r} (row {i})")
-            out[i] = float(v)
-        blocks.append(out.reshape(n, 1))
+        values = float_column(features.column(name), name)
+        missing = np.flatnonzero(np.isnan(values))
+        if len(missing):
+            raise DataError(f"missing value in passthrough column {name!r} (row {missing[0]})")
+        blocks.append(values.reshape(n, 1))
         names.append(name)
 
     if blocks:
@@ -199,19 +212,65 @@ def preprocessor_to_dict(p):
     }
 
 
+def _number(value, what):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DataError(f"preprocessor {what} must be a finite number, got {value!r}")
+    return value
+
+
+def _string(value, what):
+    if not isinstance(value, str):
+        raise DataError(f"preprocessor {what} must be a string, got {value!r}")
+    return value
+
+
+def _strings(values, what):
+    if not isinstance(values, list):
+        raise DataError(f"preprocessor {what} must be a list of strings, got {values!r}")
+    return [_string(v, f"{what}[{i}]") for i, v in enumerate(values)]
+
+
+def _role_pair(pair, what):
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise DataError(f"preprocessor {what} must be a [name, role] pair, got {pair!r}")
+    name, role = _string(pair[0], f"{what} name"), _string(pair[1], f"{what} role")
+    if role not in ROLES:
+        raise DataError(f"preprocessor {what} has unknown role {role!r}")
+    return name, role
+
+
 def preprocessor_from_dict(d):
+    """Decode a preprocessor; an ill-typed value or unknown name is a DataError.
+
+    A missing key or a section that is not a list of objects raises KeyError
+    or TypeError, which bundle_from_dict reports as a malformed bundle.
+    """
+    for key, known in (
+        ("strategy_numeric", NUMERIC_STRATEGIES),
+        ("strategy_categorical", CATEGORICAL_STRATEGIES),
+    ):
+        if d[key] not in known:
+            raise DataError(f"preprocessor {key} {d[key]!r} is not one of {list(known)}")
     return Preprocessor(
-        numeric=[NumericColumnState(**c) for c in d["numeric"]],
+        numeric=[
+            NumericColumnState(
+                name=_string(c["name"], f"numeric[{i}].name"),
+                impute_value=_number(c["impute_value"], f"numeric[{i}].impute_value"),
+                mean=_number(c["mean"], f"numeric[{i}].mean"),
+                std=_number(c["std"], f"numeric[{i}].std"),
+            )
+            for i, c in enumerate(d["numeric"])
+        ],
         categorical=[
             CategoricalColumnState(
-                name=c["name"],
-                impute_category=c["impute_category"],
-                categories=list(c["categories"]),
+                name=_string(c["name"], f"categorical[{i}].name"),
+                impute_category=_string(c["impute_category"], f"categorical[{i}].impute_category"),
+                categories=_strings(c["categories"], f"categorical[{i}].categories"),
             )
-            for c in d["categorical"]
+            for i, c in enumerate(d["categorical"])
         ],
-        passthrough=list(d["passthrough"]),
-        schema=[(n, r) for n, r in d["schema"]],
+        passthrough=_strings(d["passthrough"], "passthrough"),
+        schema=[_role_pair(pair, f"schema[{i}]") for i, pair in enumerate(d["schema"])],
         strategy_numeric=d["strategy_numeric"],
         strategy_categorical=d["strategy_categorical"],
     )

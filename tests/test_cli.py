@@ -563,6 +563,15 @@ BAD_INPUTS = {
         "bundle", _edited("bundle", lambda d: d["meta"].update(reference_date="last spring"))
     ),
     "bundle_null_preprocessor": ("bundle", _edited("bundle", lambda d: d.update(preprocessor=None))),
+    "bundle_preprocessor_std_string": (
+        "bundle", _edited("bundle", lambda d: d["preprocessor"]["numeric"][0].update(std="x"))
+    ),
+    "bundle_preprocessor_mean_null": (
+        "bundle", _edited("bundle", lambda d: d["preprocessor"]["numeric"][0].update(mean=None))
+    ),
+    "bundle_preprocessor_categories_string": (
+        "bundle", _edited("bundle", lambda d: d["preprocessor"]["categorical"][0].update(categories="abc"))
+    ),
     "bundle_schema_version_1": ("bundle", _edited("bundle", lambda d: d.update(schema_version=1))),
     "tree_arrays_of_unequal_length": ("bundle", _gbt_stage(lambda t: t["threshold"].pop())),
     "tree_feature_not_integer": (

@@ -159,3 +159,19 @@ def test_raw_table_from_rows():
     assert len(empty) == 0
     with pytest.raises(SchemaError):
         RawTable.from_rows(schemas, [("a", 1.0), ("b",)])
+
+
+def test_take_rows_gathers_array_and_list_columns_alike():
+    cells = [1.0, None, 3.5, None, -2.0]
+    table = RawTable(
+        [ColumnSchema("a", "numeric"), ColumnSchema("l", "numeric"), ColumnSchema("c", "categorical")],
+        {"a": np.array(cells, dtype=float), "l": list(cells), "c": ["u", "v", None, "w", "u"]},
+    )
+    for indices in ([4, 0, 2], [1, 1, 3, 1], [], list(range(5))[::-1], np.array([2, 0, 2])):
+        rows = table.take_rows(indices)
+        assert isinstance(rows.column("a"), np.ndarray) and isinstance(rows.column("l"), list)
+        want = [cells[i] for i in indices]
+        assert rows.column("l") == want
+        assert [None if np.isnan(v) else float(v) for v in rows.column("a")] == want
+        assert rows.column("c") == [table.column("c")[i] for i in indices]
+        assert rows.n_rows == len(indices)

@@ -3,12 +3,16 @@ renaming one of them must fail here and not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from coldstart import trees
+from coldstart import pipeline, trees
+from coldstart.data import split_indices
 from coldstart.ingest import read_episodes
+from coldstart.pipeline import RunConfig
+from coldstart.synth import SynthConfig, generate
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -61,3 +65,42 @@ def test_traced_tree_fits_record_one_best_split_span_per_searched_node():
     finally:
         tracer.uninstall()
     assert sum(span.name == "trees.best_split" for span in tracer.spans) == 39
+
+
+def test_traced_train_records_every_preprocess_call(tmp_path):
+    # the benchmark's preprocess.fit_calls, transform_calls and transform_rows
+    # sum these spans: per family, one fit and two transforms for each of the
+    # k folds, whose transforms cover every training row k times; then one
+    # fit and two transforms (training rows and holdout) for the final model
+    tracer_mod = load_tracer()
+    for layer in tracer_mod.TARGETS:
+        importlib.import_module(f"coldstart.{layer}")
+    generate(SynthConfig(n_series=12, episodes_min=4, episodes_max=6, seed=3), tmp_path / "data")
+    families, k = ["decision_tree", "ridge"], 3
+    config = RunConfig(
+        **{name: str(tmp_path / "data" / f"{name}.csv") for name in ("episodes", "credits", "genres", "platform")},
+        out_dir=str(tmp_path / "out"),
+        families=families,
+        n_iter=1,
+        cv_folds=k,
+        grids={"decision_tree": {"max_depth": [3]}, "ridge": {"alpha": [1.0]}},
+        importance_repeats=1,
+    )
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        tracer.run = "train"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pipeline.run_train(config)
+    finally:
+        tracer.uninstall()
+    n_train, n_holdout = (
+        len(idx) for idx in split_indices(len(read_episodes(config.episodes)), config.test_fraction, config.seed)
+    )
+    fits = [s for s in tracer.spans if s.name == "preprocess.fit_preprocessor"]
+    transforms = [s for s in tracer.spans if s.name == "preprocess.transform"]
+    F = len(families)
+    assert len(fits) == k * F + 1
+    assert len(transforms) == 2 * k * F + 2
+    assert sum(s.attrs["rows"] for s in transforms) == (k * F + 1) * n_train + n_holdout

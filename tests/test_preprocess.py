@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from coldstart.data import ColumnSchema, RawTable
+from coldstart.data import ColumnSchema, RawTable, build_dataset
 from coldstart.errors import DataError, SchemaError
-from coldstart.preprocess import fit_preprocessor, preprocessor_from_dict, preprocessor_to_dict, transform
+from coldstart.preprocess import (
+    SENTINEL,
+    CategoricalColumnState,
+    NumericColumnState,
+    Preprocessor,
+    fit_preprocessor,
+    preprocessor_from_dict,
+    preprocessor_to_dict,
+    transform,
+)
 
 
 def make_table(cols):
@@ -184,3 +193,217 @@ def test_serialization_round_trip():
     out2 = transform(clone, table)
     assert np.array_equal(out1.values, out2.values)
     assert out1.feature_names == out2.feature_names
+
+
+# --- the column-at-a-time fit and transform against the per-cell reference ---
+
+
+def reference_fit(features, strategy_numeric="median", strategy_categorical="mode"):
+    """fit_preprocessor as a loop over cells, on a table of list columns."""
+    numeric, categorical, passthrough = [], [], []
+    for schema in features.schemas:
+        cells = features.column(schema.name)
+        if schema.role == "numeric":
+            present = np.asarray([v for v in cells if v is not None], dtype=float)
+            if len(present) == 0:
+                raise DataError("entirely missing")
+            impute = float(present.mean()) if strategy_numeric == "mean" else float(np.median(present))
+            filled = np.asarray([impute if v is None else float(v) for v in cells])
+            numeric.append(NumericColumnState(schema.name, impute, float(filled.mean()), float(filled.std())))
+        elif schema.role == "categorical":
+            present = [str(v) for v in cells if v is not None]
+            categories = sorted(set(present))
+            if strategy_categorical == "mode":
+                if not present:
+                    raise DataError("entirely missing")
+                counts = {}
+                for v in present:
+                    counts[v] = counts.get(v, 0) + 1
+                best = max(counts.values())
+                impute = min(v for v, c in counts.items() if c == best)
+            else:
+                impute = SENTINEL
+                categories = sorted(set(categories) | {SENTINEL})
+            categorical.append(CategoricalColumnState(schema.name, impute, categories))
+        else:
+            passthrough.append(schema.name)
+    return Preprocessor(
+        numeric, categorical, passthrough, [(s.name, s.role) for s in features.schemas],
+        strategy_numeric, strategy_categorical,
+    )
+
+
+def reference_transform(prep, features):
+    """transform as a loop over cells, on a table of list columns."""
+    n = features.n_rows
+    blocks = []
+    for col in prep.numeric:
+        filled = np.asarray([col.impute_value if v is None else float(v) for v in features.column(col.name)])
+        blocks.append(((filled - col.mean) / (col.std if col.std > 0 else 1.0)).reshape(n, 1))
+    for col in prep.categorical:
+        block = np.zeros((n, len(col.categories)))
+        index = {cat: j for j, cat in enumerate(col.categories)}
+        for i, v in enumerate(features.column(col.name)):
+            j = index.get(col.impute_category if v is None else str(v))
+            if j is not None:
+                block[i, j] = 1.0
+        blocks.append(block)
+    for name in prep.passthrough:
+        out = np.empty(n)
+        for i, v in enumerate(features.column(name)):
+            if v is None:
+                raise DataError("missing passthrough")
+            out[i] = float(v)
+        blocks.append(out.reshape(n, 1))
+    return np.hstack(blocks)
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def state_key(prep):
+    """Fitted state with every float as its bytes, so equality is bitwise."""
+    return (
+        [(c.name, bits(c.impute_value), bits(c.mean), bits(c.std)) for c in prep.numeric],
+        [(c.name, c.impute_category, list(c.categories)) for c in prep.categorical],
+        list(prep.passthrough),
+        list(prep.schema),
+        prep.strategy_numeric,
+        prep.strategy_categorical,
+    )
+
+
+def random_cells(rng, role, n, missing, pool):
+    cells = []
+    for _ in range(n):
+        if rng.random() < missing:
+            cells.append(None)
+        elif role == "categorical":
+            cells.append(pool[int(rng.integers(len(pool)))])
+        elif rng.random() < 0.4:
+            cells.append(int(rng.integers(-50, 50)))
+        else:
+            cells.append(float(np.round(rng.normal(10.0, 30.0), int(rng.integers(0, 4)))))
+    return cells
+
+
+def random_case(rng):
+    """A fit table and a transform table with one schema, as lists of columns."""
+    schema = [ColumnSchema(f"x{j}", "numeric") for j in range(int(rng.integers(1, 4)))]
+    schema += [ColumnSchema(f"c{j}", "categorical") for j in range(int(rng.integers(1, 3)))]
+    schema += [ColumnSchema(f"p{j}", "passthrough") for j in range(int(rng.integers(0, 2)))]
+    fit_pool = [1, "1", 2, "2", "a", "b", "c", 10]
+    new_pool = fit_pool + ["zz", 7, "7"]  # unknown at transform time
+    tables = []
+    for pool in (fit_pool, new_pool):
+        n = 1 if rng.random() < 0.15 else int(rng.integers(2, 40))
+        missing = float(rng.choice([0.0, 0.2, 0.6]))
+        columns = {
+            s.name: random_cells(rng, s.role, n, 0.1 * missing if s.role == "passthrough" else missing, pool)
+            for s in schema
+        }
+        tables.append(RawTable(list(schema), columns))
+    return tables
+
+
+def as_dataset(table):
+    """The same cells through build_dataset: array numeric and passthrough columns."""
+    views = ColumnSchema("views", "target")
+    full = table.with_column(views, [1.0] * table.n_rows)
+    features, _ = build_dataset(full, full.schemas)
+    return features
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DataError:
+        return DataError
+
+
+def test_column_fit_and_transform_match_the_per_cell_reference():
+    rng = np.random.default_rng(2024)
+    strategies = [(num, cat) for num in ("median", "mean") for cat in ("mode", "sentinel")]
+    compared = 0
+    for case in range(50):
+        fit_table, new_table = random_case(rng)
+        num, cat = strategies[case % len(strategies)]
+        want = outcome(reference_fit, fit_table, num, cat)
+        want_x = {
+            name: DataError if want is DataError else outcome(reference_transform, want, table)
+            for name, table in (("fit", fit_table), ("new", new_table))
+        }
+        for tables in ((fit_table, new_table), (as_dataset(fit_table), as_dataset(new_table))):
+            got = outcome(fit_preprocessor, tables[0], num, cat)
+            if want is DataError:
+                assert got is DataError
+                continue
+            assert state_key(got) == state_key(want)
+            for name, table in zip(("fit", "new"), tables):
+                got_x = outcome(transform, got, table)
+                if want_x[name] is DataError:
+                    assert got_x is DataError
+                else:
+                    assert got_x.values.tobytes() == want_x[name].tobytes()
+                    assert got_x.feature_names == got.feature_names
+                    compared += 1
+    assert compared >= 100  # most cases fit and transform
+
+
+@pytest.mark.parametrize("role", ["numeric", "passthrough"])
+def test_nan_cell_in_a_list_column_is_a_data_error(role):
+    fitted = fit_preprocessor(make_table([("v", role, [1.0, 2.0])]))
+    table = make_table([("v", role, [1.0, float("nan")])])
+    with pytest.raises(DataError):
+        transform(fitted, table)
+    if role == "numeric":
+        with pytest.raises(DataError):
+            fit_preprocessor(table)
+    full = table.with_column(ColumnSchema("views", "target"), [1.0, 2.0])
+    with pytest.raises(DataError):
+        build_dataset(full, full.schemas)
+
+
+def test_build_dataset_encodes_numeric_and_passthrough_columns_as_arrays():
+    table = make_table(
+        [
+            ("x", "numeric", [1, None, 2.5]),
+            ("c", "categorical", ["a", None, "b"]),
+            ("p", "passthrough", [0.0, 1.0, 2.0]),
+            ("views", "target", [1.0, 2.0, 3.0]),
+        ]
+    )
+    features, _ = build_dataset(table, table.schemas)
+    x = features.column("x")
+    assert isinstance(x, np.ndarray) and x.dtype == np.float64
+    assert x[0] == 1.0 and np.isnan(x[1]) and x[2] == 2.5
+    assert isinstance(features.column("p"), np.ndarray)
+    assert features.column("c") == ["a", None, "b"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["numeric"][0].update(std="x"),
+        lambda d: d["numeric"][0].update(mean=None),
+        lambda d: d["numeric"][0].update(impute_value=True),
+        lambda d: d["numeric"][0].update(mean=float("nan")),
+        lambda d: d["categorical"][0].update(categories="abc"),
+        lambda d: d["categorical"][0].update(categories=["a", 1]),
+        lambda d: d["categorical"][0].update(impute_category=None),
+        lambda d: d.update(passthrough=[3]),
+        lambda d: d["schema"].__setitem__(0, ["x", "bogus"]),
+        lambda d: d["schema"].__setitem__(0, ["x"]),
+        lambda d: d.update(strategy_numeric="mode"),
+        lambda d: d.update(strategy_categorical="median"),
+    ],
+)
+def test_preprocessor_from_dict_rejects_ill_typed_values(edit):
+    table = make_table(
+        [("x", "numeric", [1.0, 2.0]), ("c", "categorical", ["a", "b"]), ("p", "passthrough", [0.0, 1.0])]
+    )
+    d = preprocessor_to_dict(fit_preprocessor(table))
+    edit(d)
+    with pytest.raises(DataError):
+        preprocessor_from_dict(d)
