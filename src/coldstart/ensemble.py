@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .errors import DataError
 from .families import FittedModel
 from .preprocess import preprocessor_from_dict, preprocessor_to_dict
+from .util import finite_number
 
 SCHEMES = ("inverse_error", "equal")
 
@@ -38,7 +39,7 @@ class EnsembleBundle:
         if not self.members:
             raise DataError("ensemble needs at least one member")
         total = sum(m.weight for m in self.members)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # written so that a NaN total fails
             raise DataError(f"member weights sum to {total!r}, expected 1")
         mapes = [m.validation_mape for m in self.members]
         if any(b < a for a, b in zip(mapes, mapes[1:])):
@@ -126,10 +127,10 @@ def bundle_from_dict(d):
         members = [
             EnsembleMember(
                 model=FittedModel.from_dict(m),
-                validation_mape=m["validation_mape"],
-                weight=m["weight"],
+                validation_mape=finite_number(m["validation_mape"], f"bundle member {i} validation_mape"),
+                weight=finite_number(m["weight"], f"bundle member {i} weight"),
             )
-            for m in d["members"]
+            for i, m in enumerate(d["members"])
         ]
         prep = None if d.get("preprocessor") is None else preprocessor_from_dict(d["preprocessor"])
         return EnsembleBundle(

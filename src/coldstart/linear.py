@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DataError
 from .trees import as_matrix
+from .util import finite_number
 
 
 @dataclass
@@ -193,11 +194,15 @@ def linear_to_dict(model):
 
 
 def linear_from_dict(d):
+    """Decode a linear model; a non-finite coefficient or scalar is a DataError."""
+    coefficients = np.asarray(d["coefficients"], dtype=float)
+    if not np.isfinite(coefficients).all():
+        raise DataError("linear coefficients must be finite numbers")
     return LinearModel(
-        coefficients=np.asarray(d["coefficients"], dtype=float),
-        intercept=d["intercept"],
-        alpha=d["alpha"],
-        l1_ratio=d["l1_ratio"],
+        coefficients=coefficients,
+        intercept=finite_number(d["intercept"], "linear intercept"),
+        alpha=finite_number(d["alpha"], "linear alpha"),
+        l1_ratio=finite_number(d["l1_ratio"], "linear l1_ratio"),
         converged=d["converged"],
         n_iterations=d["n_iterations"],
     )

@@ -12,7 +12,6 @@ categorical column is a list; each distinct cell is keyed once by its str()
 form, so cells equal as Python values (1 and 1.0) count as one cell.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .data import ROLES, FeatureMatrix, RawTable, float_column
 from .errors import DataError, SchemaError
+from .util import finite_number
 
 SENTINEL = "__missing__"
 NUMERIC_STRATEGIES = ("mean", "median")
@@ -212,12 +212,6 @@ def preprocessor_to_dict(p):
     }
 
 
-def _number(value, what):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise DataError(f"preprocessor {what} must be a finite number, got {value!r}")
-    return value
-
-
 def _string(value, what):
     if not isinstance(value, str):
         raise DataError(f"preprocessor {what} must be a string, got {value!r}")
@@ -255,9 +249,9 @@ def preprocessor_from_dict(d):
         numeric=[
             NumericColumnState(
                 name=_string(c["name"], f"numeric[{i}].name"),
-                impute_value=_number(c["impute_value"], f"numeric[{i}].impute_value"),
-                mean=_number(c["mean"], f"numeric[{i}].mean"),
-                std=_number(c["std"], f"numeric[{i}].std"),
+                impute_value=finite_number(c["impute_value"], f"preprocessor numeric[{i}].impute_value"),
+                mean=finite_number(c["mean"], f"preprocessor numeric[{i}].mean"),
+                std=finite_number(c["std"], f"preprocessor numeric[{i}].std"),
             )
             for i, c in enumerate(d["numeric"])
         ],

@@ -22,16 +22,27 @@ split (0 at a leaf).
 Split search works on rank codes, not on the float values. Each fit codes
 every column of X once, by ``rank_code``: a value's code is the number of
 distinct smaller values in its column, so codes compare exactly as the
-values do and equal values (0.0 and -0.0 among them) share a code. Every
-tree of a forest and every boosting round reuses those codes. At a node,
-``best_split`` gathers the codes of the drawn columns for the node's rows
-and takes a stable argsort of those small unsigned ints (a radix sort in
-numpy), so tied rows stay in row order and the prefix sums add in the same
-order as a stable sort of the floats would. A boundary is a candidate
-where the code changes; its threshold is the midpoint of the two float
-values read from X at the rows on either side, and ``x <= threshold``
-holds exactly for the rows whose code is at most the left row's code.
-Inputs holding NaN or inf are rejected: NaN has no place in that order.
+values do and equal values (0.0 and -0.0 among them) share a code. The
+code is stored shifted left, as a packed key whose low bits are free.
+Every tree of a forest and every boosting round reuses those keys. At a
+node, ``best_split`` gathers the keys of the drawn columns for the node's
+rows and ORs in each row's position in the node. The keys are then unique,
+so one plain sort per column (numpy's AVX-512 quicksort for int32 and
+int64; Bramas 2017, IJACSA 8(10)) puts them in the order of a stable
+argsort of the codes: tied rows stay in row order, and the prefix sums add
+in the same order as a stable sort of the floats would. The low bits of
+the sorted keys are that order.
+A boundary is a candidate where the code changes; its threshold is the
+midpoint of the two float values read from X at the rows on either side,
+and ``x <= threshold`` holds exactly for the rows whose code is at most the
+left row's code. Inputs holding NaN or inf are rejected: NaN has no place
+in that order.
+
+The grower computes each node's target mean once; it is the node's value
+and the centre of its split search. Boosting takes each round's training
+predictions from the grower, which writes every leaf's value to the leaf's
+rows: those rows reached the leaf by the same ``x <= threshold`` test that
+prediction applies, so the floats are those of ``predict_tree``.
 
 Prediction routes every row down at once through a slot table built from
 the arrays on each call (the vectorized predication of Asadi, Lin & de
@@ -47,12 +58,13 @@ prediction is the same float.
 
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import FeatureMatrix
 from .errors import DataError
-from .util import mix_seed
+from .util import finite_number, mix_seed
 
 MAX_FEATURES_MODES = ("all", "third", "sqrt")
 
@@ -121,22 +133,35 @@ def _align(X, y):
 
 
 def rank_code(X):
-    """Per-column dense ranks of a finite matrix X, as a p x n array of the
-    smallest unsigned int dtype that holds them."""
-    codes = np.empty(X.shape[::-1], dtype=np.min_scalar_type(max(X.shape[0] - 1, 0)))
+    """Packed rank keys of a finite n x p matrix X, as a p x n array.
+
+    Entry (j, i) is the dense rank of X[i, j] within column j (the number of
+    distinct smaller values) shifted left by ``_key_shift(n)`` bits, which
+    leaves the low bits free for a row's position in a node. The dtype is
+    int32 while both fields fit in 31 bits (n <= 32768), else int64."""
+    n = X.shape[0]
+    shift = _key_shift(n)
+    keys = np.empty(X.shape[::-1], dtype=np.int32 if 2 * shift <= 31 else np.int64)
     for j, column in enumerate(X.T):
-        codes[j] = np.unique(column, return_inverse=True)[1]
-    return codes
+        keys[j] = np.unique(column, return_inverse=True)[1]
+    keys <<= shift
+    return keys
 
 
-@dataclass(frozen=True)
-class RankedRows:
-    """One tree node's sample: the rows ``rows`` of a finite float matrix
-    ``X``, with ``codes = rank_code(X)``."""
+def _key_shift(n):
+    """Bits that hold a position 0..n-1 in the low end of a rank key."""
+    return max((n - 1).bit_length(), 1)
 
-    X: np.ndarray
-    codes: np.ndarray
+
+class RankedRows(NamedTuple):
+    """One tree node's sample: the rows ``rows`` of a finite float matrix X,
+    given as ``columns = X.T`` (C-contiguous) and ``keys = rank_code(X)``,
+    with ``mean`` the mean of the node's targets."""
+
+    columns: np.ndarray
+    keys: np.ndarray
     rows: np.ndarray
+    mean: float
 
 
 def best_split(X, y, feature_subset=None):
@@ -146,49 +171,55 @@ def best_split(X, y, feature_subset=None):
     each candidate feature and returns the split with the largest variance
     reduction, or None when no split strictly reduces variance. ``X`` is a
     float matrix aligned with ``y``, or a ``RankedRows`` whose rows ``y``
-    follows (the grower's form, which reuses the fit's rank codes).
+    follows (the grower's form, which reuses the fit's rank keys).
     """
-    if isinstance(X, RankedRows):
-        node = X
-    else:
+    node = X if isinstance(X, RankedRows) else None
+    if node is None:
         X, y = _align(X, y)
-        node = RankedRows(X, rank_code(X), np.arange(len(y)))
     n = len(y)
     if n < 2 or float(y.max()) == float(y.min()):
         return None
+    if node is None:
+        node = RankedRows(np.ascontiguousarray(X.T), rank_code(X), np.arange(n), y.mean())
     if feature_subset is None:
-        cols = np.arange(node.codes.shape[0])
+        cols = np.arange(node.keys.shape[0])
     else:
         cols = np.sort(np.asarray(feature_subset, dtype=int))
     if len(cols) == 0:
         return None
 
-    codes = node.codes[cols].take(node.rows, axis=1)
-    order = np.argsort(codes, axis=1, kind="stable")
-    # one flat gather: entry (c, i) of order is flat index c * n + order[c, i]
-    codes_sorted = codes.ravel().take(order + np.arange(0, codes.size, n)[:, None])
-    yc = y - y.mean()  # shift-invariant delta; centering tames the squares
-    prefix = np.cumsum(yc[order], axis=1)
+    # a row's key is its rank code over its position in the node: keys are
+    # unique, so sorting them orders each column as a stable argsort of the
+    # codes would, and the low bits hold that order
+    keys = node.keys.take(cols, axis=0).take(node.rows, axis=1)
+    keys |= np.arange(n, dtype=keys.dtype)
+    keys.sort(axis=1)
+    mask = (1 << _key_shift(node.keys.shape[1])) - 1
+    order = keys & mask
+    yc = y - node.mean  # shift-invariant delta; centering tames the squares
+    prefix = np.add.accumulate(yc.take(order), axis=1)  # np.cumsum's sums, without its wrapper
 
-    # a boundary is a candidate only where the feature value changes; nonzero
+    # a boundary is a candidate only where the code changes; flatnonzero
     # lists them feature-major, so the first argmax is the lowest feature,
     # then the lowest threshold
-    ci, pos = np.nonzero(codes_sorted[:, 1:] != codes_sorted[:, :-1])
-    if ci.size == 0:
+    flat = np.flatnonzero((keys[:, 1:] ^ keys[:, :-1]) > mask)
+    if flat.size == 0:
         return None
-    left = prefix[ci, pos]
+    ci = flat // (n - 1)
+    pos = flat - ci * (n - 1)
+    left = prefix.ravel().take(flat + ci)  # prefix[ci, pos] as one 1-D gather
     n_left = pos + 1.0
     n_right = n - n_left
     mean_left = left / n_left
-    mean_right = (prefix[ci, -1] - left) / n_right
+    mean_right = (prefix[:, -1].take(ci) - left) / n_right
     delta = (n_left * n_right) / float(n * n) * (mean_left - mean_right) ** 2
-    best = int(np.argmax(delta))
+    best = int(delta.argmax())
     best_delta = float(delta[best])
     if best_delta <= 0.0:
         return None
     ci, pos = int(ci[best]), int(pos[best])
     feature = int(cols[ci])
-    lo, hi = (float(v) for v in node.X[node.rows[order[ci, pos : pos + 2]], feature])
+    lo, hi = node.columns[feature].take(node.rows.take(order[ci, pos : pos + 2])).tolist()
     threshold = (lo + hi) / 2.0
     if not threshold < hi:  # adjacent floats: keep the right side non-empty
         threshold = lo
@@ -205,11 +236,15 @@ def _feature_subset(p, mode, rng):
     return rng.choice(p, size=m, replace=False)
 
 
-def _grow(X, codes, y, params, rng, rows):
-    """Grow one tree on ``X[rows], y[rows]`` depth first, left subtree before
-    right, so that nodes come out in preorder and the per-node feature-subset
-    draws happen in that order. ``codes`` is ``rank_code(X)``. Each node's
-    rows keep their relative order."""
+def _grow(columns, keys, y, params, rng, rows, fitted=None):
+    """Grow one tree on rows ``rows`` of X and y depth first, left subtree
+    before right, so that nodes come out in preorder and the per-node
+    feature-subset draws happen in that order. ``columns`` is X.T
+    (C-contiguous) and ``keys`` is ``rank_code(X)``; ``rows`` holds at most
+    as many rows as X. Each node's rows keep their relative order. When
+    ``fitted`` is given, each leaf's value is written to ``fitted[rows]``
+    for the leaf's rows: the tree's prediction on those training rows, as
+    they go down by the same ``x <= threshold`` test that prediction uses."""
     nodes = {name: [] for name in TREE_ARRAYS}
     stack = [(rows, 0, -1)]  # rows, depth, parent of a right child
     while stack:
@@ -218,17 +253,20 @@ def _grow(X, codes, y, params, rng, rows):
         if parent >= 0:
             nodes["right"][parent] = node
         yn = y[rows]
+        mean = float(yn.sum() / len(rows))  # the same float as yn.mean()
         found = None
         if (params.max_depth is None or depth < params.max_depth) and len(rows) >= params.min_samples_split:
-            subset = _feature_subset(X.shape[1], params.max_features, rng)
-            found = best_split(RankedRows(X, codes, rows), yn, subset)
+            subset = _feature_subset(columns.shape[0], params.max_features, rng)
+            found = best_split(RankedRows(columns, keys, rows, mean), yn, subset)
         fi, threshold, decrease = found or (-1, 0.0, 0.0)
         left = -1 if found is None else node + 1
-        for name, v in zip(TREE_ARRAYS, (fi, threshold, left, -1, float(yn.mean()), len(rows), decrease)):
+        for name, v in zip(TREE_ARRAYS, (fi, threshold, left, -1, mean, len(rows), decrease)):
             nodes[name].append(v)
         if found is not None:
-            mask = X[rows, fi] <= threshold
+            mask = columns[fi].take(rows) <= threshold
             stack += [(rows[~mask], depth + 1, node), (rows[mask], depth + 1, -1)]
+        elif fitted is not None:
+            fitted[rows] = mean
     return Tree(**{name: np.array(v, dtype=int if name in INT_ARRAYS else float) for name, v in nodes.items()})
 
 
@@ -238,7 +276,8 @@ def fit_decision_tree(X, y, params):
     X, y = _align(X, y)
     if len(y) == 0:
         raise DataError("cannot fit a tree on zero rows")
-    return _grow(X, rank_code(X), y, params, np.random.default_rng(params.seed), np.arange(len(y)))
+    rng = np.random.default_rng(params.seed)
+    return _grow(np.ascontiguousarray(X.T), rank_code(X), y, params, rng, np.arange(len(y)))
 
 
 def fit_random_forest(X, y, params, n_estimators, bootstrap=True):
@@ -253,19 +292,21 @@ def fit_random_forest(X, y, params, n_estimators, bootstrap=True):
     if n_estimators < 1:
         raise DataError("n_estimators must be >= 1")
     n = len(y)
-    codes = rank_code(X)
+    columns, keys = np.ascontiguousarray(X.T), rank_code(X)
     trees = []
     for t in range(n_estimators):
         rng = np.random.default_rng(mix_seed(params.seed, t))
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_grow(X, codes, y, params, rng, rows))
+        trees.append(_grow(columns, keys, y, params, rng, rows))
     return ForestModel(trees=trees, params=params, n_estimators=n_estimators, n_features=X.shape[1])
 
 
 def fit_gbt(X, y, rounds, learning_rate, tree_params):
     """Squared-error gradient boosting: base mean plus shrunken residual trees.
 
-    rounds=0 is valid and yields the base-only model.
+    rounds=0 is valid and yields the base-only model. Each round's training
+    predictions come from the grower's leaves, which hold the same floats as
+    ``predict_tree(stage, X)``.
     """
     X, y = _align(X, y)
     if len(y) == 0:
@@ -276,14 +317,14 @@ def fit_gbt(X, y, rounds, learning_rate, tree_params):
         raise DataError("rounds must be >= 0")
     base = float(y.mean())
     preds = np.full(len(y), base)
-    codes = rank_code(X)
+    columns, keys = np.ascontiguousarray(X.T), rank_code(X)
+    fitted = np.empty(len(y))
     stages = []
     for r in range(rounds):
         residual = y - preds
         rng = np.random.default_rng(mix_seed(tree_params.seed, r))
-        stage = _grow(X, codes, residual, tree_params, rng, np.arange(len(y)))
-        preds = preds + learning_rate * predict_tree(stage, X)
-        stages.append(stage)
+        stages.append(_grow(columns, keys, residual, tree_params, rng, np.arange(len(y)), fitted))
+        preds = preds + learning_rate * fitted
     return GbtModel(
         base_prediction=base,
         stages=stages,
@@ -365,13 +406,16 @@ def tree_to_dict(tree):
 
 def tree_from_dict(d):
     """Decode a tree, rejecting arrays that predict_tree could not walk to a
-    leaf: unequal lengths, non-integer ids, or a child that does not come
-    after its parent."""
+    leaf (unequal lengths, non-integer ids, or a child that does not come
+    after its parent) and non-finite numbers."""
     arrays = {}
     for name in TREE_ARRAYS:
         a = np.array(d[name])
-        if a.dtype.kind not in ("iu" if name in INT_ARRAYS else "iuf"):
-            raise DataError(f"tree array {name!r} must hold {'integers' if name in INT_ARRAYS else 'numbers'}")
+        if name in INT_ARRAYS:
+            if a.dtype.kind not in "iu":
+                raise DataError(f"tree array {name!r} must hold integers")
+        elif a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+            raise DataError(f"tree array {name!r} must hold finite numbers")
         arrays[name] = a if name in INT_ARRAYS else a.astype(float)
     n = arrays["feature"].size
     if n == 0 or any(a.shape != (n,) for a in arrays.values()):
@@ -415,8 +459,8 @@ def gbt_to_dict(model):
 
 def gbt_from_dict(d):
     return GbtModel(
-        base_prediction=d["base_prediction"],
+        base_prediction=finite_number(d["base_prediction"], "gbt base_prediction"),
         stages=[tree_from_dict(t) for t in d["stages"]],
-        learning_rate=d["learning_rate"],
+        learning_rate=finite_number(d["learning_rate"], "gbt learning_rate"),
         n_features=d["n_features"],
     )

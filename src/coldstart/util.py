@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 
 from .errors import DataError
@@ -53,12 +54,24 @@ def dump_json(obj, path, compact=False):
 
 
 def load_json(path):
-    """Parse a UTF-8 JSON file; undecodable or malformed content is a DataError."""
+    """Parse a UTF-8 JSON file; undecodable or malformed content, including
+    the non-standard NaN and Infinity literals, is a DataError."""
+
+    def reject(literal):
+        raise DataError(f"{path}: not valid JSON (non-finite number {literal})")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def finite_number(value, what):
+    """``value`` if it is a finite int or float (not a bool), else a DataError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DataError(f"{what} must be a finite number, got {value!r}")
+    return value
 
 
 def config_digest(obj):

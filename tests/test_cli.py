@@ -479,14 +479,31 @@ def _edited(kind, edit):
     return content
 
 
+def _member(doc, family):
+    """The first member of ``family`` in a bundle document."""
+    return next(m for m in doc["members"] if m["family"] == family)
+
+
 def _gbt_stage(edit):
     """Content maker: the tiny run's bundle after ``edit(first gbt tree)``."""
 
     def edit_bundle(doc):
-        member = next(m for m in doc["members"] if m["family"] == "gbt")
-        edit(member["model"]["stages"][0])
+        edit(_member(doc, "gbt")["model"]["stages"][0])
 
     return _edited("bundle", edit_bundle)
+
+
+def _bundle_number(place, literal):
+    """Content maker: the tiny run's bundle with the number that ``place(doc)``
+    returns as (container, key) written as the raw JSON text ``literal``."""
+
+    def content(tiny_run):
+        doc = load_json(tiny_run.result["bundle"])
+        container, key = place(doc)
+        container[key] = "@number@"
+        return json.dumps(doc).replace('"@number@"', literal).encode("utf-8")
+
+    return content
 
 
 def _csv_source(tiny_run, name):
@@ -573,6 +590,13 @@ BAD_INPUTS = {
         "bundle", _edited("bundle", lambda d: d["preprocessor"]["categorical"][0].update(categories="abc"))
     ),
     "bundle_schema_version_1": ("bundle", _edited("bundle", lambda d: d.update(schema_version=1))),
+    "bundle_member_weight_nan": ("bundle", _bundle_number(lambda d: (d["members"][0], "weight"), "NaN")),
+    "bundle_tree_value_overflow": (
+        "bundle", _bundle_number(lambda d: (_member(d, "gbt")["model"]["stages"][0]["value"], 0), "1e999")
+    ),
+    "bundle_linear_coefficient_infinity": (
+        "bundle", _bundle_number(lambda d: (_member(d, "lasso")["model"]["coefficients"], 0), "-1e999")
+    ),
     "tree_arrays_of_unequal_length": ("bundle", _gbt_stage(lambda t: t["threshold"].pop())),
     "tree_feature_not_integer": (
         "bundle", _gbt_stage(lambda t: t.update(feature=[float(f) for f in t["feature"]]))
@@ -639,5 +663,7 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
         path = TAMPERED_REPORTS[case][0].format(member=tiny_run.report["selected"][0])
         assert code == 4, err
         assert f"MISMATCH {path}: " in err
+    elif kind == "bundle":
+        assert code == 3, err  # a bad bundle is bad data, never a usage error
     else:
         assert code in (2, 3), err

@@ -186,6 +186,31 @@ def test_bundle_serialization_round_trip():
     assert [m.weight for m in clone.members] == [m.weight for m in bundle.members]
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.update(weight=float("nan")),
+        lambda m: m.update(weight="1.0"),
+        lambda m: m.update(weight=True),
+        lambda m: m.update(validation_mape=float("inf")),
+        lambda m: m.update(validation_mape=None),
+        lambda m: m["model"]["coefficients"].__setitem__(0, -float("inf")),
+        lambda m: m["model"]["coefficients"].__setitem__(0, None),
+        lambda m: m["model"].update(intercept=float("nan")),
+    ],
+)
+def test_bundle_rejects_non_finite_member_numbers(edit):
+    payload = bundle_to_dict(build_bundle([(constant_model(1.0), 2.0)]))
+    edit(payload["members"][0])
+    with pytest.raises(DataError):
+        bundle_from_dict(payload)
+
+
+def test_nan_weight_fails_the_weight_sum():
+    with pytest.raises(DataError, match="sum"):
+        EnsembleBundle([EnsembleMember(constant_model(1.0), 5.0, float("nan"))], None, "inverse_error")
+
+
 def test_bundle_rejects_unknown_schema_version():
     bundle = build_bundle([(constant_model(1.0), 2.0)])
     payload = bundle_to_dict(bundle)

@@ -86,9 +86,11 @@ def float_split(X, y, feature_subset):
     return int(cols[ci]), threshold, float(flat[best])
 
 
-def float_grow(X, codes, y, params, rng, rows):
+def float_grow(columns, keys, y, params, rng, rows, fitted=None):
     """Reference grower with ``_grow``'s signature that ignores the rank
-    codes and searches each node's float rows with ``float_split``."""
+    keys, searches each node's float rows with ``float_split`` and fills
+    ``fitted`` by walking the finished tree with ``predict_tree``."""
+    X, sample = columns.T, rows
     nodes = {name: [] for name in TREE_ARRAYS}
     stack = [(rows, 0, -1)]
     while stack:
@@ -107,7 +109,22 @@ def float_grow(X, codes, y, params, rng, rows):
         if found is not None:
             mask = Xn[:, fi] <= threshold
             stack += [(rows[~mask], depth + 1, node), (rows[mask], depth + 1, -1)]
-    return trees.Tree(**{k: np.array(v, dtype=int if k in trees.INT_ARRAYS else float) for k, v in nodes.items()})
+    tree = trees.Tree(**{k: np.array(v, dtype=int if k in trees.INT_ARRAYS else float) for k, v in nodes.items()})
+    if fitted is not None:
+        fitted[sample] = predict_tree(tree, X[sample])
+    return tree
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32768, 32769])
+def test_best_split_matches_float_split_at_every_key_width(n):
+    # 32768 rows is the most that int32 keys hold; at 32769 the keys are
+    # int64 and the all-distinct column's top rank needs bit 31
+    rng = np.random.default_rng(n)
+    X = np.column_stack([rng.permutation(n) - n // 2.0, rng.choice([-0.0, 0.0, 1.0, -2.5], size=n)])
+    y = np.round(rng.normal(size=n) + (X[:, 0] > 0) + X[:, 1], 1)
+    assert trees.rank_code(X).dtype == (np.int32 if n <= 32768 else np.int64)
+    for subset in (None, [0], [1]):
+        assert best_split(X, y, subset) == float_split(X, y, subset)
 
 
 def tied_matrix(rng, n, p):
@@ -498,6 +515,20 @@ def test_serialization_round_trips():
     gbt = fit_gbt(X, y, rounds=5, learning_rate=0.5, tree_params=TreeParams(max_depth=2))
     gclone = gbt_from_dict(gbt_to_dict(gbt))
     assert np.array_equal(predict_gbt(gbt, X), predict_gbt(gclone, X))
+
+
+@pytest.mark.parametrize("name", ["threshold", "value", "impurity_decrease"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tree_from_dict_rejects_non_finite_numbers(name, bad):
+    tree = fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_depth=1))
+    d = tree_to_dict(tree)
+    d[name][0] = bad
+    with pytest.raises(DataError, match="finite"):
+        tree_from_dict(d)
+    g = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=1, learning_rate=0.5, tree_params=TreeParams()))
+    for key in ("base_prediction", "learning_rate"):
+        with pytest.raises(DataError, match="finite"):
+            gbt_from_dict({**g, key: bad})
 
 
 def test_params_validation():

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from coldstart import util
-from coldstart.util import dump_json
+from coldstart.errors import DataError
+from coldstart.util import dump_json, load_json
 
 
 def test_dump_json_refuses_non_finite_values(tmp_path):
@@ -12,6 +13,14 @@ def test_dump_json_refuses_non_finite_values(tmp_path):
         with pytest.raises(ValueError):
             dump_json({"mape": value}, path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_json_rejects_non_finite_literals(tmp_path, literal):
+    path = tmp_path / "bundle.json"
+    path.write_text(f'{{"weight": {literal}}}')
+    with pytest.raises(DataError, match="non-finite"):
+        load_json(path)
 
 
 def test_failed_dump_json_keeps_existing_file(tmp_path, monkeypatch):
