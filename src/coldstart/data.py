@@ -73,12 +73,6 @@ class RawTable:
     def column_names(self):
         return [s.name for s in self.schemas]
 
-    def schema_for(self, name):
-        for s in self.schemas:
-            if s.name == name:
-                return s
-        raise SchemaError(f"no column named {name!r}")
-
     def column(self, name):
         if name not in self.columns:
             raise SchemaError(f"no column named {name!r}")

@@ -1,10 +1,11 @@
 """End-to-end runs behind the CLI: train, predict, evaluate, verify.
 
 run_train wires the full path — ingest, consolidation, holdout split,
-leak-free randomized search per family, top-3 selection, inverse-error
-weighting — and emits bundle.json, training_report.json, the holdout
-episodes CSV, and the SVG plots. Everything derives from the run seed, so
-two runs with the same config produce byte-identical artifacts.
+one leak-free fold plan, randomized search per family on it, top-3
+selection, inverse-error weighting — and emits bundle.json,
+training_report.json, the holdout episodes CSV, and the SVG plots.
+Everything derives from the run seed, so two runs with the same config
+produce byte-identical artifacts.
 
 score_bundle computes a report's scoring section (selection, weights,
 member and ensemble metrics, clamp counts, error buckets, per-series
@@ -45,7 +46,7 @@ from .metrics import (
     permutation_importance,
 )
 from .preprocess import fit_preprocessor, transform
-from .tuning import randomized_search
+from .tuning import fold_matrices, kfold_indices, randomized_search
 from .util import config_digest, dump_json, load_json, mix_seed
 
 REPORT_SCHEMA_VERSION = 1
@@ -136,12 +137,19 @@ def member_views(fitted, X, mode):
 
 
 def _fold_views(members, member_results):
-    """Weighted sum of member views, in member order, and the union of their clamp masks."""
+    """Weighted sum of member views, in member order, and the union of their clamp masks.
+
+    Views that overflow to inf or NaN (from finite but huge bundle numbers)
+    are a DataError.
+    """
     total = None
     clamped = None
     for m, (views, neg) in zip(members, member_results):
         total = m.weight * views if total is None else total + m.weight * views
         clamped = neg if clamped is None else clamped | neg
+    bad = np.flatnonzero(~np.isfinite(total))
+    if len(bad):
+        raise DataError(f"ensemble views are not finite for {len(bad)} of {len(total)} rows (first at row {bad[0]})")
     return total, clamped
 
 
@@ -291,6 +299,9 @@ def run_train(config):
     )
     X_train = transform(prep, train_table)
     X_hold = transform(prep, hold_table)
+    # one fold plan for every family's search, so families compete on the same folds
+    plan = kfold_indices(len(y_fit), config.cv_folds, mix_seed(config.seed, 2000))
+    folds = fold_matrices(train_table, y_fit, plan, config.numeric_strategy, config.categorical_strategy)
 
     cv_results = {}
     validation = {}
@@ -300,17 +311,7 @@ def run_train(config):
     for fi, family in enumerate(config.families):
         grid = config.grids.get(family) or DEFAULT_GRIDS[family]
         try:
-            search = randomized_search(
-                family,
-                grid,
-                config.n_iter,
-                train_table,
-                y_fit,
-                k=config.cv_folds,
-                seed=mix_seed(config.seed, fi),
-                numeric_strategy=config.numeric_strategy,
-                categorical_strategy=config.categorical_strategy,
-            )
+            search = randomized_search(family, grid, config.n_iter, folds, seed=mix_seed(config.seed, fi))
             model = fit_family(
                 family, search.best_params, X_train.values, y_fit, seed=mix_seed(config.seed, 1000 + fi)
             )

@@ -49,7 +49,6 @@ class Preprocessor:
     schema: list = field(default_factory=list)  # fit-time (name, role) pairs
     strategy_numeric: str = "median"
     strategy_categorical: str = "mode"
-    fitted: bool = True
 
     @property
     def feature_names(self):
@@ -147,8 +146,6 @@ def transform(preprocessor, features):
     Column order: scaled numerics in schema order, then one-hot blocks in
     schema order, then passthroughs.
     """
-    if not preprocessor.fitted:
-        raise DataError("preprocessor is not fitted")
     if not isinstance(features, RawTable):
         raise SchemaError("transform expects a RawTable")
     got = [(s.name, s.role) for s in features.schemas]

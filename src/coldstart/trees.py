@@ -458,9 +458,12 @@ def gbt_to_dict(model):
 
 
 def gbt_from_dict(d):
+    learning_rate = finite_number(d["learning_rate"], "gbt learning_rate")
+    if not 0.0 < learning_rate <= 1.0:
+        raise DataError(f"gbt learning_rate must be in (0, 1], got {learning_rate!r}")
     return GbtModel(
         base_prediction=finite_number(d["base_prediction"], "gbt base_prediction"),
         stages=[tree_from_dict(t) for t in d["stages"]],
-        learning_rate=finite_number(d["learning_rate"], "gbt learning_rate"),
+        learning_rate=learning_rate,
         n_features=d["n_features"],
     )

@@ -3,10 +3,10 @@
 Search candidates are drawn without replacement from the grid's cartesian
 product; every evaluation seed derives deterministically from the search
 seed, so identical inputs always reproduce the same candidate sequence,
-fold scores, and winner. The search takes a RawTable: fold_matrices fits
-the preprocessor inside each fold's training complement, so no statistics
-leak across folds, and builds each fold's matrices once per search, so
-every candidate is scored on the same matrices.
+fold scores, and winner. The search takes the matrices of fold_matrices,
+which fits the preprocessor inside each fold's training complement, so no
+statistics leak across folds. run_train builds them once per train, so
+every candidate of every family is scored on the same folds.
 """
 
 import itertools
@@ -24,7 +24,6 @@ from .util import mix_seed
 class FoldPlan:
     k: int
     assignments: np.ndarray  # row index -> fold id
-    seed: int
 
     def test_indices(self, fold):
         return np.flatnonzero(self.assignments == fold)
@@ -43,10 +42,6 @@ class SearchResult:
     @property
     def best_params(self):
         return self.candidates[self.best_index]["params"]
-
-    @property
-    def best_score(self):
-        return self.candidates[self.best_index]["mean_score"]
 
     def to_dict(self):
         return {
@@ -78,7 +73,7 @@ def kfold_indices(n, k, seed):
         size = base + (1 if fold < extra else 0)
         assignments[order[start : start + size]] = fold
         start += size
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def score_predictions(scoring, y, yhat):
@@ -159,22 +154,12 @@ def enumerate_grid(grid):
     return combos
 
 
-def randomized_search(
-    family,
-    grid,
-    n_iter,
-    table,
-    y,
-    k,
-    seed,
-    scoring=None,
-    numeric_strategy="median",
-    categorical_strategy="mode",
-):
+def randomized_search(family, grid, n_iter, folds, seed, scoring=None):
     """Sample up to n_iter distinct grid assignments and rank them by CV score.
 
-    The fold matrices are built once and shared by every candidate. Ties in
-    mean score go to the earliest sampled candidate.
+    ``folds`` are the matrices of fold_matrices, built once per train and
+    shared by every candidate. ``seed`` drives the candidate draw and the
+    fit seeds. Ties in mean score go to the earliest sampled candidate.
     """
     if n_iter < 1:
         raise DataError("n_iter must be >= 1")
@@ -185,9 +170,6 @@ def randomized_search(
     combos = enumerate_grid(grid)
     m = min(n_iter, len(combos))
     order = np.random.default_rng(seed).permutation(len(combos))[:m]
-
-    plan = kfold_indices(table.n_rows, k, seed)
-    folds = fold_matrices(table, y, plan, numeric_strategy, categorical_strategy)
 
     candidates = []
     for i, combo_idx in enumerate(order):

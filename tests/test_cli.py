@@ -571,6 +571,8 @@ BAD_INPUTS = {
     "config_grid_values_not_a_list": ("config", _config(grids={"lasso": {"alpha": 0.1}})),
     "config_reference_date_not_a_date": ("config", _config(reference_date="2016-13-45")),
     "flag_reference_date_not_a_date": ("config", _config(), "--reference-date", "2016-13-45"),
+    "config_cv_folds_one": ("config", _config(cv_folds=1)),
+    "config_cv_folds_exceeds_rows": ("config", _config(cv_folds=10000)),
     "bundle_not_json": ("bundle", lambda run: b"this is not json"),
     "bundle_without_members": ("bundle", _edited("bundle", lambda d: d.pop("members"))),
     "bundle_without_reference_date": (
@@ -594,6 +596,11 @@ BAD_INPUTS = {
     "bundle_tree_value_overflow": (
         "bundle", _bundle_number(lambda d: (_member(d, "gbt")["model"]["stages"][0]["value"], 0), "1e999")
     ),
+    "bundle_gbt_learning_rate_1e308": (
+        "bundle", _edited("bundle", lambda d: _member(d, "gbt")["model"].update(learning_rate=1e308))
+    ),
+    # finite, but expm1 of the log1p-scale prediction overflows to inf
+    "bundle_tree_value_1e300": ("bundle", _gbt_stage(lambda t: t.update(value=[1e300] * len(t["value"])))),
     "bundle_linear_coefficient_infinity": (
         "bundle", _bundle_number(lambda d: (_member(d, "lasso")["model"]["coefficients"], 0), "-1e999")
     ),
@@ -663,7 +670,7 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
         path = TAMPERED_REPORTS[case][0].format(member=tiny_run.report["selected"][0])
         assert code == 4, err
         assert f"MISMATCH {path}: " in err
-    elif kind == "bundle":
-        assert code == 3, err  # a bad bundle is bad data, never a usage error
+    elif kind in ("bundle", "config"):
+        assert code == 3, err  # a bad bundle or config is bad data, never a usage error
     else:
         assert code in (2, 3), err

@@ -69,9 +69,10 @@ def test_traced_tree_fits_record_one_best_split_span_per_searched_node():
 
 def test_traced_train_records_every_preprocess_call(tmp_path):
     # the benchmark's preprocess.fit_calls, transform_calls and transform_rows
-    # sum these spans: per family, one fit and two transforms for each of the
-    # k folds, whose transforms cover every training row k times; then one
-    # fit and two transforms (training rows and holdout) for the final model
+    # sum these spans: one fit and two transforms (training rows and
+    # holdout) for the final model; then, once per train and whatever the
+    # number of families, one fit and two transforms for each of the k folds
+    # of the shared plan, whose transforms cover every training row k times
     tracer_mod = load_tracer()
     for layer in tracer_mod.TARGETS:
         importlib.import_module(f"coldstart.{layer}")
@@ -100,7 +101,6 @@ def test_traced_train_records_every_preprocess_call(tmp_path):
     )
     fits = [s for s in tracer.spans if s.name == "preprocess.fit_preprocessor"]
     transforms = [s for s in tracer.spans if s.name == "preprocess.transform"]
-    F = len(families)
-    assert len(fits) == k * F + 1
-    assert len(transforms) == 2 * k * F + 2
-    assert sum(s.attrs["rows"] for s in transforms) == (k * F + 1) * n_train + n_holdout
+    assert len(fits) == k + 1
+    assert len(transforms) == 2 * k + 2
+    assert sum(s.attrs["rows"] for s in transforms) == (k + 1) * n_train + n_holdout

@@ -23,6 +23,11 @@ def numeric_table(X):
     )
 
 
+def cv_folds(X, y, k, seed):
+    """fold_matrices over a numeric table of X on a seeded k-fold plan."""
+    return fold_matrices(numeric_table(X), y, kfold_indices(len(y), k, seed), "median", "mode")
+
+
 def test_kfold_exact_division():
     plan = kfold_indices(10, 5, seed=0)
     sizes = [len(plan.test_indices(f)) for f in range(5)]
@@ -118,9 +123,7 @@ def test_search_single_assignment_wins():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
-    result = randomized_search(
-        "decision_tree", {"max_depth": [2]}, n_iter=5, table=numeric_table(X), y=y, k=3, seed=0
-    )
+    result = randomized_search("decision_tree", {"max_depth": [2]}, n_iter=5, folds=cv_folds(X, y, 3, 0), seed=0)
     assert len(result.candidates) == 1
     assert result.best_params == {"max_depth": 2}
 
@@ -130,7 +133,7 @@ def test_search_exhausts_grid_without_replacement():
     X = rng.normal(size=(30, 2))
     y = X[:, 0] * 2 + rng.normal(scale=0.1, size=30)
     grid = {"alpha": [0.001, 0.1, 10.0]}
-    result = randomized_search("ridge", grid, n_iter=50, table=numeric_table(X), y=y, k=3, seed=9)
+    result = randomized_search("ridge", grid, n_iter=50, folds=cv_folds(X, y, 3, 9), seed=9)
     tried = sorted(c["params"]["alpha"] for c in result.candidates)
     assert tried == [0.001, 0.1, 10.0]
 
@@ -140,9 +143,9 @@ def test_search_determinism_and_winner_is_max():
     X = rng.normal(size=(40, 3))
     y = X @ np.array([1.0, 0.0, -1.0]) + rng.normal(scale=0.2, size=40)
     grid = {"alpha": [0.001, 0.01, 0.1, 1.0, 10.0]}
-    table = numeric_table(X)
-    a = randomized_search("lasso", grid, n_iter=3, table=table, y=y, k=5, seed=42, scoring="r2")
-    b = randomized_search("lasso", grid, n_iter=3, table=table, y=y, k=5, seed=42, scoring="r2")
+    folds = cv_folds(X, y, 5, 42)
+    a = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42, scoring="r2")
+    b = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42, scoring="r2")
     assert a.to_dict() == b.to_dict()
     assert len(a.candidates) == 3
     best_mean = a.candidates[a.best_index]["mean_score"]
@@ -154,9 +157,7 @@ def test_search_tie_goes_to_earliest_sampled():
     y = np.array([1.0, 1.0, 1.0, 1.0])
     # constant target: every candidate scores identically under neg_mape
     grid = {"max_depth": [2, 3, 4]}
-    result = randomized_search(
-        "decision_tree", grid, n_iter=3, table=numeric_table(X), y=y, k=2, seed=1, scoring="neg_mape"
-    )
+    result = randomized_search("decision_tree", grid, n_iter=3, folds=cv_folds(X, y, 2, 1), seed=1, scoring="neg_mape")
     assert result.best_index == 0
 
 
@@ -166,26 +167,25 @@ def test_search_on_raw_table_runs_pipeline_mode():
     values = rng.normal(size=n)
     table = RawTable([ColumnSchema("x", "numeric")], {"x": [float(v) for v in values]})
     y = values * 3.0 + 5.0 + rng.normal(scale=0.1, size=n)
-    result = randomized_search(
-        "ridge", {"alpha": [0.001, 1.0]}, n_iter=4, table=table, y=y, k=5, seed=42, scoring="r2"
-    )
+    folds = fold_matrices(table, y, kfold_indices(n, 5, 42), "median", "mode")
+    result = randomized_search("ridge", {"alpha": [0.001, 1.0]}, n_iter=4, folds=folds, seed=42, scoring="r2")
     assert len(result.candidates) == 2
     assert result.best_params["alpha"] == 0.001
-    assert result.best_score > 0.9
+    assert result.candidates[result.best_index]["mean_score"] > 0.9
 
 
 def test_search_input_validation():
-    table = numeric_table(np.zeros((10, 1)))
-    y = np.zeros(10)
+    X, y = np.zeros((10, 1)), np.zeros(10)
+    folds = cv_folds(X, y, 2, 0)
     with pytest.raises(DataError):
-        randomized_search("ridge", {"alpha": [1.0]}, n_iter=0, table=table, y=y, k=2, seed=0)
+        randomized_search("ridge", {"alpha": [1.0]}, n_iter=0, folds=folds, seed=0)
     with pytest.raises(DataError):
-        randomized_search("mystery", {"alpha": [1.0]}, n_iter=1, table=table, y=y, k=2, seed=0)
+        randomized_search("mystery", {"alpha": [1.0]}, n_iter=1, folds=folds, seed=0)
     with pytest.raises(DataError):
-        randomized_search("ridge", {"alpha": [1.0]}, n_iter=1, table=table, y=y[:9], k=2, seed=0)
+        fold_matrices(numeric_table(X), y[:9], kfold_indices(10, 2, 0), "median", "mode")
 
 
-def test_search_fits_preprocessor_once_per_fold(monkeypatch):
+def _count_preprocessor_fits(monkeypatch):
     calls = []
     original = tuning.fit_preprocessor
 
@@ -194,11 +194,24 @@ def test_search_fits_preprocessor_once_per_fold(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(tuning, "fit_preprocessor", counting)
+    return calls
+
+
+def test_fold_matrices_fit_preprocessor_once_per_fold(monkeypatch):
+    calls = _count_preprocessor_fits(monkeypatch)
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(40, 2))
+    folds = cv_folds(X, X[:, 0], 4, 3)
+    assert len(folds) == 4
+    assert len(calls) == 4
+
+
+def test_search_fits_no_preprocessor(monkeypatch):
     rng = np.random.default_rng(11)
     X = rng.normal(size=(40, 2))
     y = X[:, 0] + rng.normal(scale=0.1, size=40)
-    result = randomized_search(
-        "ridge", {"alpha": [0.01, 0.1, 1.0]}, n_iter=3, table=numeric_table(X), y=y, k=4, seed=3
-    )
+    folds = cv_folds(X, y, 4, 3)
+    calls = _count_preprocessor_fits(monkeypatch)
+    result = randomized_search("ridge", {"alpha": [0.01, 0.1, 1.0]}, n_iter=3, folds=folds, seed=3)
     assert len(result.candidates) == 3
-    assert len(calls) == 4  # one fit per fold, shared by all three candidates
+    assert len(calls) == 0  # every candidate is scored on the given fold matrices
