@@ -9,8 +9,9 @@ produce byte-identical artifacts.
 
 score_bundle computes a report's scoring section (selection, weights,
 member and ensemble metrics, clamp counts, error buckets, per-series
-accuracy) from a bundle and rows with known views. All three scoring
-commands use it: train writes it into the training report, evaluate writes
+accuracy) from a bundle and rows with known views, and returns the
+ensemble's views with it for the scatter plot. All three scoring commands
+use it: train writes it into the training report, evaluate writes
 it as the evaluation report, and verify recomputes it from the holdout
 episodes and compares it with the training report exactly.
 """
@@ -213,20 +214,22 @@ def per_series_table(series_ids, y, yhat):
 
 
 def score_bundle(bundle, X, y, series_ids):
-    """A report's scoring section for the bundle on rows X with known views y.
+    """A report's scoring section for the bundle on rows X with known views
+    y, and the ensemble's views.
 
-    Plain JSON: the members (``selected``, ``weights``), each member's
-    metrics and clamp count, the ensemble's, the error buckets of the best
-    member (before) and of the ensemble (after), and per-series accuracy.
-    Each member predicts once and the ensemble is folded from those views
-    as predict_views folds them, so every float equals a prediction there.
+    The section is plain JSON: the members (``selected``, ``weights``), each
+    member's metrics and clamp count, the ensemble's, the error buckets of
+    the best member (before) and of the ensemble (after), and per-series
+    accuracy. Each member predicts once and the ensemble is folded from
+    those views as predict_views folds them, so every float equals a
+    prediction there.
     """
     mode = bundle.meta.get("target_transform", "none")
     results = [member_views(m.model, X, mode) for m in bundle.members]
     ensemble, ensemble_clamped = _fold_views(bundle.members, results)
     families = [m.model.family for m in bundle.members]
     before = error_buckets(y, results[0][0])
-    return {
+    section = {
         "selected": families,
         "weights": {m.model.family: m.weight for m in bundle.members},
         "validation": {f: metric_report(y, views).to_dict() for f, (views, _) in zip(families, results)},
@@ -240,10 +243,12 @@ def score_bundle(bundle, X, y, series_ids):
         },
         "per_series": per_series_table(series_ids, y, ensemble),
     }
+    return section, ensemble
 
 
-def _emit_plots(out_dir, bundle, X, y, section, importance):
-    """Write the scatter, correlation, importance (when given) and error-bucket SVGs."""
+def _emit_plots(out_dir, bundle, X, y, views, section, importance):
+    """Write the scatter of y against the ensemble's ``views``, and the
+    correlation, importance (when given) and error-bucket SVGs."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -253,7 +258,7 @@ def _emit_plots(out_dir, bundle, X, y, section, importance):
             fh.write(text)
         written.append(path)
 
-    _put("actual_vs_predicted.svg", plots.scatter_svg(y, predict_views(bundle, X.values)[0]))
+    _put("actual_vs_predicted.svg", plots.scatter_svg(y, views))
     numeric_named = [
         (c.name, X.values[:, X.feature_names.index(c.name)]) for c in bundle.preprocessor.numeric
     ] + [("views", y)]
@@ -349,7 +354,7 @@ def run_train(config):
     )
 
     series_ids = table.column("series_id")
-    section = score_bundle(bundle, X_hold.values, y_hold, [series_ids[i] for i in hold_idx.tolist()])
+    section, hold_views = score_bundle(bundle, X_hold.values, y_hold, [series_ids[i] for i in hold_idx.tolist()])
     perm = permutation_importance(
         lambda values: predict_views(bundle, values)[0],
         X_hold,
@@ -396,7 +401,7 @@ def run_train(config):
     dump_json(report, report_path)
     _write_holdout_episodes(holdout_path, episodes, hold_idx.tolist())
 
-    plot_paths = _emit_plots(os.path.join(config.out_dir, "plots"), bundle, X_hold, y_hold, section, perm)
+    plot_paths = _emit_plots(os.path.join(config.out_dir, "plots"), bundle, X_hold, y_hold, hold_views, section, perm)
 
     return {
         "bundle": bundle_path,
@@ -476,12 +481,12 @@ def run_evaluate(bundle_path, episodes_path, credits_path, genres_path, platform
         bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
     y = _require_views(episodes)
-    section = score_bundle(bundle, X.values, y, table.column("series_id"))
+    section, views = score_bundle(bundle, X.values, y, table.column("series_id"))
 
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "evaluation_report.json")
     dump_json({"schema_version": REPORT_SCHEMA_VERSION, **section}, report_path)
-    plot_paths = _emit_plots(os.path.join(out_dir, "plots"), bundle, X, y, section, None)
+    plot_paths = _emit_plots(os.path.join(out_dir, "plots"), bundle, X, y, views, section, None)
     return {"report": report_path, "plots": plot_paths, "metrics": section["ensemble_validation"]}
 
 
@@ -510,7 +515,7 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
     report = load_json(report_path)
     if not isinstance(report, dict):
         raise DataError(f"{report_path}: training report must be a JSON object")
-    section = score_bundle(bundle, X.values, _require_views(episodes), table.column("series_id"))
+    section, _ = score_bundle(bundle, X.values, _require_views(episodes), table.column("series_id"))
 
     stored = {key: report[key] for key in section if key in report}
     for key in ("validation", "validation_clamped"):

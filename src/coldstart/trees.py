@@ -13,11 +13,18 @@ threshold.
 A fitted tree is a ``Tree``: parallel arrays indexed by node id, as in
 scikit-learn's ``Tree``. Node 0 is the root and nodes are numbered in
 preorder (a node, its whole left subtree, then its right subtree), so
-every child has a larger index than its parent. ``feature`` is -1 at a
-leaf; an internal node sends rows with ``x[feature] <= threshold`` to
-``left`` and the rest to ``right``. ``value`` is the node's target mean,
-``n_samples`` its row count and ``impurity_decrease`` the delta of its
-split (0 at a leaf).
+every child has a larger index than its parent and an internal node's left
+child is the next node. ``feature`` is -1 at a leaf; an internal node i
+sends rows with ``x[feature] <= threshold`` to node i + 1 and the rest to
+``right``. ``value`` is the node's target mean, ``n_samples`` its row
+count and ``impurity_decrease`` the delta of its split (0 at a leaf).
+
+A bundle stores only what prediction reads: ``feature``, ``threshold``,
+``right`` and ``value``, one JSON list each. The entries prediction never
+reads, ``value`` at an internal node and ``threshold`` and ``right`` at a
+leaf, are written as the integer 0. ``n_samples`` and
+``impurity_decrease`` feed impurity importance only, which runs on the
+fitted trees in memory; a decoded tree holds None for them.
 
 Split search works on rank codes, not on the float values. Each fit codes
 every column of X once, by ``rank_code``: a value's code is the number of
@@ -47,10 +54,10 @@ prediction applies, so the floats are those of ``predict_tree``.
 Prediction routes every row down at once through a slot table built from
 the arrays on each call (the vectorized predication of Asadi, Lin & de
 Vries 2014). Slot ``2*i + b`` is node i's branch b, with b = 1 where
-``x <= threshold`` (left) and 0 otherwise (right), so a NaN cell goes
-right; ``feature``, ``threshold`` and ``value`` are repeated per slot and
-``child`` holds the even slot of each branch's child, a leaf's slots
-pointing back at the leaf. A row holds its node's even slot, and one level
+``x <= threshold`` (left, node i + 1) and 0 otherwise (right), so a NaN
+cell goes right; ``feature``, ``threshold`` and ``value`` are repeated per
+slot and ``child`` holds the even slot of each branch's child, a leaf's
+slots pointing back at the leaf. A row holds its node's even slot, and one level
 is the branch-free step ``slot = child[slot + (x[feature[slot]] <=
 threshold[slot])]``: the same comparison as a node-by-node walk, so every
 prediction is the same float.
@@ -89,15 +96,16 @@ class TreeParams:
 class Tree:
     feature: np.ndarray  # int; -1 at a leaf
     threshold: np.ndarray
-    left: np.ndarray  # int child ids; -1 at a leaf
-    right: np.ndarray
+    right: np.ndarray  # int id of the right child; the left child is the next node
     value: np.ndarray
-    n_samples: np.ndarray  # int
-    impurity_decrease: np.ndarray
+    # split statistics for impurity importance; None in a decoded tree
+    n_samples: np.ndarray | None = None  # int
+    impurity_decrease: np.ndarray | None = None
 
 
 TREE_ARRAYS = tuple(f.name for f in fields(Tree))
-INT_ARRAYS = ("feature", "left", "right", "n_samples")
+STORED_ARRAYS = ("feature", "threshold", "right", "value")
+INT_ARRAYS = ("feature", "right", "n_samples")
 
 
 @dataclass
@@ -259,8 +267,7 @@ def _grow(columns, keys, y, params, rng, rows, fitted=None):
             subset = _feature_subset(columns.shape[0], params.max_features, rng)
             found = best_split(RankedRows(columns, keys, rows, mean), yn, subset)
         fi, threshold, decrease = found or (-1, 0.0, 0.0)
-        left = -1 if found is None else node + 1
-        for name, v in zip(TREE_ARRAYS, (fi, threshold, left, -1, mean, len(rows), decrease)):
+        for name, v in zip(TREE_ARRAYS, (fi, threshold, -1, mean, len(rows), decrease)):
             nodes[name].append(v)
         if found is not None:
             mask = columns[fi].take(rows) <= threshold
@@ -351,7 +358,7 @@ def predict_tree(tree, X):
     feature = np.repeat(np.where(leaf, 0, tree.feature), 2)
     threshold = np.repeat(tree.threshold, 2)
     value = np.repeat(tree.value, 2)
-    child = 2 * np.stack([np.where(leaf, ids, tree.right), np.where(leaf, ids, tree.left)], axis=1).ravel()
+    child = 2 * np.stack([np.where(leaf, ids, tree.right), np.where(leaf, ids, ids + 1)], axis=1).ravel()
     leaf = np.repeat(leaf, 2)
     # X[i, f] as flat[i * width + f]: one 1-D gather, cheaper than X[rows, f]
     flat = X.ravel()
@@ -390,8 +397,8 @@ def predict_gbt(model, X):
 
 
 def impurity_by_feature(trees, n_features):
-    """Sum n_samples * impurity_decrease per split feature over ``trees``,
-    adding in tree order, then node order."""
+    """Sum n_samples * impurity_decrease per split feature over fitted
+    ``trees``, adding in tree order, then node order."""
     feature = np.concatenate([np.empty(0, dtype=int)] + [t.feature for t in trees])
     gain = np.concatenate([np.empty(0)] + [t.n_samples * t.impurity_decrease for t in trees])
     internal = feature >= 0
@@ -401,15 +408,28 @@ def impurity_by_feature(trees, n_features):
 # --- JSON-friendly serialization -------------------------------------------
 
 def tree_to_dict(tree):
-    return {name: getattr(tree, name).tolist() for name in TREE_ARRAYS}
+    """The arrays prediction reads, with its unread entries written as 0."""
+    leaf = tree.feature < 0
+    # object arrays hold Python floats next to the int 0, which JSON writes as 0
+    threshold = tree.threshold.astype(object)
+    threshold[leaf] = 0
+    value = tree.value.astype(object)
+    value[~leaf] = 0
+    return {
+        "feature": tree.feature.tolist(),
+        "threshold": threshold.tolist(),
+        "right": np.where(leaf, 0, tree.right).tolist(),
+        "value": value.tolist(),
+    }
 
 
 def tree_from_dict(d):
     """Decode a tree, rejecting arrays that predict_tree could not walk to a
-    leaf (unequal lengths, non-integer ids, or a child that does not come
-    after its parent) and non-finite numbers."""
+    leaf (unequal lengths, non-integer ids, an internal last node, or a right
+    child that does not come after its left sibling) and non-finite numbers.
+    The bundle holds no split statistics, so the tree's are None."""
     arrays = {}
-    for name in TREE_ARRAYS:
+    for name in STORED_ARRAYS:
         a = np.array(d[name])
         if name in INT_ARRAYS:
             if a.dtype.kind not in "iu":
@@ -421,10 +441,11 @@ def tree_from_dict(d):
     if n == 0 or any(a.shape != (n,) for a in arrays.values()):
         raise DataError("tree arrays must be non-empty lists of one length")
     parent = np.flatnonzero(arrays["feature"] >= 0)
-    for side in ("left", "right"):
-        child = arrays[side][parent]
-        if np.any((child <= parent) | (child >= n)):
-            raise DataError(f"tree has a {side} child outside (parent, {n})")
+    if parent.size and parent[-1] == n - 1:
+        raise DataError(f"tree node {n - 1} is internal but has no next node for its left child")
+    right = arrays["right"][parent]
+    if np.any((right <= parent + 1) | (right >= n)):
+        raise DataError(f"tree has a right child outside (left child, {n})")
     return Tree(**arrays)
 
 

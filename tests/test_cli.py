@@ -592,6 +592,7 @@ BAD_INPUTS = {
         "bundle", _edited("bundle", lambda d: d["preprocessor"]["categorical"][0].update(categories="abc"))
     ),
     "bundle_schema_version_1": ("bundle", _edited("bundle", lambda d: d.update(schema_version=1))),
+    "bundle_schema_version_2": ("bundle", _edited("bundle", lambda d: d.update(schema_version=2))),
     "bundle_member_weight_nan": ("bundle", _bundle_number(lambda d: (d["members"][0], "weight"), "NaN")),
     "bundle_tree_value_overflow": (
         "bundle", _bundle_number(lambda d: (_member(d, "gbt")["model"]["stages"][0]["value"], 0), "1e999")
@@ -608,7 +609,9 @@ BAD_INPUTS = {
     "tree_feature_not_integer": (
         "bundle", _gbt_stage(lambda t: t.update(feature=[float(f) for f in t["feature"]]))
     ),
-    "tree_child_refers_to_itself": ("bundle", _gbt_stage(lambda t: t["left"].__setitem__(0, 0))),
+    "tree_child_refers_to_itself": ("bundle", _gbt_stage(lambda t: t["right"].__setitem__(0, 0))),
+    "tree_right_child_is_left_child": ("bundle", _gbt_stage(lambda t: t["right"].__setitem__(0, 1))),
+    "tree_last_node_internal": ("bundle", _gbt_stage(lambda t: t["feature"].__setitem__(-1, 0))),
     "tree_child_past_last_node": (
         "bundle", _gbt_stage(lambda t: t["right"].__setitem__(0, len(t["right"])))
     ),
@@ -672,5 +675,7 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
         assert f"MISMATCH {path}: " in err
     elif kind in ("bundle", "config"):
         assert code == 3, err  # a bad bundle or config is bad data, never a usage error
+        if case.startswith("bundle_schema_version"):
+            assert "retrain" in err
     else:
         assert code in (2, 3), err

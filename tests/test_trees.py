@@ -1,4 +1,5 @@
 import inspect
+import json
 import sys
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from coldstart import trees
 from coldstart.errors import DataError
 from coldstart.trees import (
+    STORED_ARRAYS,
     TREE_ARRAYS,
     GbtModel,
     TreeParams,
@@ -103,8 +105,7 @@ def float_grow(columns, keys, y, params, rng, rows, fitted=None):
         if (params.max_depth is None or depth < params.max_depth) and len(rows) >= params.min_samples_split:
             found = float_split(Xn, yn, trees._feature_subset(X.shape[1], params.max_features, rng))
         fi, threshold, decrease = found or (-1, 0.0, 0.0)
-        left = -1 if found is None else node + 1
-        for name, v in zip(TREE_ARRAYS, (fi, threshold, left, -1, float(yn.mean()), len(rows), decrease)):
+        for name, v in zip(TREE_ARRAYS, (fi, threshold, -1, float(yn.mean()), len(rows), decrease)):
             nodes[name].append(v)
         if found is not None:
             mask = Xn[:, fi] <= threshold
@@ -256,7 +257,7 @@ def test_fit_interpolates_distinct_feature():
 def test_stump_from_fixture():
     tree = fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_depth=1))
     assert tree.feature.tolist() == [0, -1, -1]
-    assert tree.left[0] == 1 and tree.right[0] == 2
+    assert tree.right[0] == 2  # the left child is the next node, 1
     assert tree.value[1] == 0.0 and tree.value[2] == 10.0
 
 
@@ -302,7 +303,7 @@ def _leaf_of(tree, x):
     """Scalar reference walk: the id of the leaf that row ``x`` reaches."""
     node = 0
     while tree.feature[node] >= 0:
-        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+        node = node + 1 if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
     return int(node)
 
 
@@ -333,7 +334,7 @@ def levelwise_predict_tree(tree, X):
     leaf = tree.feature < 0
     ids = np.arange(leaf.size)
     feature = np.where(leaf, 0, tree.feature)
-    left = np.where(leaf, ids, tree.left)
+    left = np.where(leaf, ids, ids + 1)
     right = np.where(leaf, ids, tree.right)
     flat = X.ravel()
     out = np.empty(X.shape[0])
@@ -517,7 +518,36 @@ def test_serialization_round_trips():
     assert np.array_equal(predict_gbt(gbt, X), predict_gbt(gclone, X))
 
 
-@pytest.mark.parametrize("name", ["threshold", "value", "impurity_decrease"])
+def test_codec_stores_only_what_prediction_reads():
+    rng = np.random.default_rng(31)
+    X = tied_matrix(rng, 90, 6)
+    y = np.round(rng.normal(size=90), 1)
+    y[::4] = -0.0
+    params = TreeParams(max_depth=6, min_samples_split=3, max_features="third", seed=4)
+    models = [fit_decision_tree(X, y, TreeParams())]
+    models += fit_random_forest(X, y, params, 4).trees
+    models += fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3, seed=2)).stages
+    models.append(fit_decision_tree(X, np.full(90, 2.5), TreeParams()))  # a single leaf
+    # a stump that splits at -0.0 into leaves of -0.0 and 1.0
+    models.append(trees.Tree(np.array([3, -1, -1]), np.array([-0.0, 0.0, 0.0]), np.array([2, -1, -1]), np.array([0.5, -0.0, 1.0])))
+    for tree in models:
+        d = tree_to_dict(tree)
+        assert sorted(d) == sorted(STORED_ARRAYS) == ["feature", "right", "threshold", "value"]
+        leaf = tree.feature < 0
+        for name, unread in (("threshold", leaf), ("right", leaf), ("value", ~leaf)):
+            # the integer 0, so the JSON text is 0 rather than 0.0
+            assert all(type(d[name][i]) is int and d[name][i] == 0 for i in np.flatnonzero(unread)), name
+        clone = tree_from_dict(json.loads(json.dumps(d)))
+        assert tree_to_dict(clone) == d
+        assert clone.n_samples is None and clone.impurity_decrease is None
+        with pytest.raises(TypeError):  # importance needs the fitted tree's statistics
+            trees.impurity_by_feature([clone], X.shape[1])
+        # _edge_rows holds rows exactly at each threshold, and signed zeros
+        X_new = _edge_rows(tree, X, rng)
+        assert predict_tree(clone, X_new).tobytes() == predict_tree(tree, X_new).tobytes()
+
+
+@pytest.mark.parametrize("name", ["threshold", "value"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_tree_from_dict_rejects_non_finite_numbers(name, bad):
     tree = fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_depth=1))
