@@ -50,8 +50,8 @@ FAMILY_TABLE = {
     "decision_tree": Family(
         fit=lambda p, X, y, seed: trees.fit_decision_tree(X, y, _tree_params(p, seed, "all")),
         predict=lambda model, X: trees.predict_tree(model, X),
-        to_dict=lambda model: {"kind": "tree", "root": trees.tree_to_dict(model)},
-        from_dict=lambda d: trees.tree_from_dict(d["root"]),
+        to_dict=trees.decision_tree_to_dict,
+        from_dict=trees.decision_tree_from_dict,
         trees=lambda model: [model],
     ),
     "random_forest": Family(

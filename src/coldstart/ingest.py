@@ -11,15 +11,20 @@ per episode, and date-derived features (age, day of week, month, quarter).
 
 import csv
 import datetime
+import itertools
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .data import ColumnSchema, RawTable
 from .errors import DataError, SchemaError
 
 ROLES_CREW = ("actor", "director", "writer")
+ROLE_INDEX = {role: r for r, role in enumerate(ROLES_CREW)}
 
 PLATFORM_METRICS = ("exposures", "minutes_viewed", "revenue", "audience_estimate", "impressions")
 
@@ -269,73 +274,112 @@ def consolidate_metadata(episodes, credits, genres, platform):
     (series_id, episode_id); two platform rows for one episode are an
     error, as are two episode rows. Input series referenced by credit/genre/
     platform rows but absent from episodes produce warnings, not errors.
+
+    The work goes a column at a time: the crew aggregates are bincounts
+    over one (series, role) slot per credit, and every per-episode column
+    is gathered by index from a per-series or per-platform-row list.
     """
     series = episodes.column("series_id")
     keys = list(zip(series, episodes.column("episode_id")))
-    seen = set()
-    for key in keys:
-        if key in seen:
-            raise DataError(f"duplicate episode {key}")
-        seen.add(key)
+    if len(set(keys)) < len(keys):
+        raise DataError(f"duplicate episode {_first_repeat(keys)}")
     distinct = list(dict.fromkeys(series))  # each series once, first-seen order
-    known_series = set(distinct)
     position = {sid: i for i, sid in enumerate(distinct)}
-    series_index = list(map(position.__getitem__, series))  # episode -> its series' position
+    series_index = _positions(position, series)  # episode -> its series' position
 
-    best, awards, count = {}, {}, {}  # (series, role) -> aggregate
-    credit_rows = zip(*(credits.column(s.name) for s in CREDIT_COLUMNS))
-    for sid, _, role, rating, award in dict.fromkeys(credit_rows):  # exact duplicates removed, order kept
-        if sid not in known_series:
-            warnings.warn(f"credit for unknown series {sid!r}")
-            continue
-        slot = (sid, role)
-        count[slot] = count.get(slot, 0) + 1
-        if rating is not None and (best.get(slot) is None or rating > best[slot]):
-            best[slot] = rating
-        if award is not None:
-            awards[slot] = awards.get(slot, 0) + award
+    # one slot per (series, role); a role outside ROLES_CREW goes to the last
+    # column, which no feature reads
+    width = len(ROLES_CREW) + 1
+    n_slots = len(distinct) * width
+    # exact duplicate credits removed, first occurrence kept
+    credit_rows = list(dict.fromkeys(zip(*(credits.column(s.name) for s in CREDIT_COLUMNS))))
+    sids, _, roles, ratings, awards = _known_rows(
+        list(zip(*credit_rows)) or [()] * len(CREDIT_COLUMNS), position, "credit"
+    )
+    role_index = map(ROLE_INDEX.get, roles, itertools.repeat(len(ROLES_CREW)))
+    slots = _positions(position, sids) * width + np.fromiter(role_index, dtype=np.intp, count=len(roles))
+    count = np.bincount(slots, minlength=n_slots).reshape(-1, width)
+    awards, no_award = _float_cells(awards)
+    awards[no_award] = 0.0
+    # bincount adds each slot's awards in credit order, as a running sum
+    # does; with no credits it returns ints
+    total_awards = np.bincount(slots, weights=awards, minlength=n_slots).astype(float).reshape(-1, width)
+    ratings, unrated = _float_cells(ratings)
+    # each slot's best is its first credit among those with the highest
+    # rating, as a strict > scan keeps it (so 0.0 then -0.0 gives 0.0)
+    rated = np.flatnonzero(~unrated)
+    order = rated[np.lexsort((rated, -ratings[rated], slots[rated]))]
+    first = order[np.flatnonzero(np.diff(slots[order], prepend=-1))]
+    best = np.full(n_slots, None, dtype=object)
+    best[slots[first]] = ratings[first].tolist()
+    best = best.reshape(-1, width)
 
-    genre_sets = {}
-    for sid, genre in zip(genres.column("series_id"), genres.column("genre")):
-        if sid not in known_series:
-            warnings.warn(f"genre for unknown series {sid!r}")
-            continue
-        genre_sets.setdefault(sid, set()).add(genre)
+    genre_sids, genre_names = _known_rows([genres.column("series_id"), genres.column("genre")], position, "genre")
+    genre_pairs = set(zip(genre_sids, genre_names))
+    genre_count = np.bincount(_positions(position, [sid for sid, _ in genre_pairs]), minlength=len(distinct))
 
-    platform_row = {}  # (series, episode) -> row index in platform
-    for j, key in enumerate(zip(platform.column("series_id"), platform.column("episode_id"))):
-        if key[0] not in known_series:
-            warnings.warn(f"platform row for unknown series {key[0]!r}")
-            continue
-        if key in platform_row:
-            raise DataError(f"duplicate platform row {key}")
-        platform_row[key] = j
-    rows = [platform_row.get(key) for key in keys]
-
-    # crew and genre values depend on the series only: one per distinct
-    # series, expanded to the episodes through series_index
-    per_series = {}
-    for role in ROLES_CREW:
-        slots = [(sid, role) for sid in distinct]
-        per_series[f"best_{role}_rating"] = [best.get(slot) for slot in slots]
-        per_series[f"{role}_total_awards"] = [float(awards.get(slot, 0)) for slot in slots]
-        per_series[f"{role}_crew_count"] = [float(count.get(slot, 0)) for slot in slots]
-    per_series["genre_count"] = [float(len(genre_sets.get(sid, ()))) for sid in distinct]
+    platform_sids, platform_eids, *metrics = _known_rows(
+        [platform.column(s.name) for s in PLATFORM_COLUMNS], position, "platform row"
+    )
+    platform_row = dict(zip(zip(platform_sids, platform_eids), itertools.count()))
+    if len(platform_row) < len(platform_sids):
+        raise DataError(f"duplicate platform row {_first_repeat(list(zip(platform_sids, platform_eids)))}")
+    # episode -> its platform row, or one past the last row where it has none
+    rows = list(map(platform_row.get, keys, itertools.repeat(len(platform_sids))))
 
     schemas = [s for s in EPISODE_COLUMNS if s.name != "release_date"]
     columns = {s.name: list(episodes.column(s.name)) for s in schemas}
+    per_series = {}
+    for r, role in enumerate(ROLES_CREW):
+        per_series[f"best_{role}_rating"] = best[:, r]
+        per_series[f"{role}_total_awards"] = total_awards[:, r]
+        per_series[f"{role}_crew_count"] = count[:, r].astype(float)
+    per_series["genre_count"] = genre_count.astype(float)
+    # gathering from object arrays shares one float per series among its
+    # episodes, instead of making one per episode
     for name, values in per_series.items():
         schemas.append(ColumnSchema(name, "numeric"))
-        columns[name] = list(map(values.__getitem__, series_index))
-    for metric in PLATFORM_METRICS:
+        columns[name] = values.astype(object)[series_index].tolist()
+    for metric, values in zip(PLATFORM_METRICS, metrics):
         schemas.append(ColumnSchema(metric, "numeric"))
-        values = platform.column(metric)
-        columns[metric] = [None if j is None else values[j] for j in rows]
+        columns[metric] = list(map([*values, None].__getitem__, rows))
     views = episodes.columns.get(VIEWS_COLUMN.name)
     if views is not None and any(v is not None for v in views):
         schemas.append(VIEWS_COLUMN)
         columns[VIEWS_COLUMN.name] = list(views)
     return RawTable(schemas, columns)
+
+
+def _first_repeat(keys):
+    """The first key in ``keys`` equal to an earlier one."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
+
+
+def _positions(position, sids):
+    """position[sid] for each of ``sids``, as an index array."""
+    return np.fromiter(map(position.__getitem__, sids), dtype=np.intp, count=len(sids))
+
+
+def _float_cells(cells):
+    """The cells as a float array, and the mask of the None cells."""
+    values = np.array(cells, dtype=float)  # None reads as NaN
+    return values, np.fromiter(map(operator.is_, cells, itertools.repeat(None)), dtype=bool, count=len(cells))
+
+
+def _known_rows(columns, position, what):
+    """``columns`` (series ids first) without the rows whose series is not
+    in ``position``, with a warning for each such row, in row order."""
+    known = list(map(position.__contains__, columns[0]))
+    if all(known):
+        return columns
+    for sid in itertools.compress(columns[0], map(operator.not_, known)):
+        warnings.warn(f"{what} for unknown series {sid!r}")
+    return [list(itertools.compress(column, known)) for column in columns]
 
 
 def build_model_table(episodes, credits, genres, platform, reference_date=None):

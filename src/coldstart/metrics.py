@@ -192,13 +192,15 @@ def _ranked(names, scores, degenerate=False):
     return ImportanceReport(features=feats, degenerate=degenerate)
 
 
-def permutation_importance(predict, X, y, metric="mape", repeats=5, seed=0):
+def permutation_importance(predict, X, y, metric="mape", repeats=5, seed=0, baseline=None):
     """Score each feature by the metric degradation when it is shuffled.
 
     ``predict`` maps a value matrix to predictions, row by row: the shuffled
     copies are stacked and predicted together, up to IMPORTANCE_CHUNK_ROWS
-    rows per call. Scores are oriented so that larger means more important
-    regardless of whether the metric is an error (mape) or a score (r2).
+    rows per call. ``baseline`` is ``predict``'s output on X itself when the
+    caller already has it; otherwise it is predicted here. Scores are
+    oriented so that larger means more important regardless of whether the
+    metric is an error (mape) or a score (r2).
     """
     if not 1 <= repeats <= IMPORTANCE_MAX_REPEATS:
         raise DataError(f"repeats must be in 1..{IMPORTANCE_MAX_REPEATS}, got {repeats}")
@@ -220,7 +222,7 @@ def permutation_importance(predict, X, y, metric="mape", repeats=5, seed=0):
     else:
         raise DataError(f"unsupported importance metric {metric!r}")
 
-    baseline = score(y, predict(values))
+    base_score = score(y, predict(values) if baseline is None else baseline)
     n, p = values.shape
     # one shuffle per (feature, repeat), each from its own seeded generator
     draws = [(j, rep) for j in range(p) for rep in range(repeats)]
@@ -235,7 +237,7 @@ def permutation_importance(predict, X, y, metric="mape", repeats=5, seed=0):
             copy[:, j] = rng.permutation(values[:, j])
         preds = predict(stacked.reshape(-1, p)).reshape(len(chunk), n)
         for i, pred in enumerate(preds):
-            deltas[start + i] = sign * (score(y, pred) - baseline)
+            deltas[start + i] = sign * (score(y, pred) - base_score)
     scores = [float(np.mean(d)) for d in deltas.reshape(p, repeats)]
     return _ranked(names, scores)
 

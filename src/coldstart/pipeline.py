@@ -9,11 +9,12 @@ produce byte-identical artifacts.
 
 score_bundle computes a report's scoring section (selection, weights,
 member and ensemble metrics, clamp counts, error buckets, per-series
-accuracy) from a bundle and rows with known views, and returns the
-ensemble's views with it for the scatter plot. All three scoring commands
-use it: train writes it into the training report, evaluate writes
-it as the evaluation report, and verify recomputes it from the holdout
-episodes and compares it with the training report exactly.
+accuracy) from a bundle's member views on rows with known views, and
+returns the ensemble's views with it for the scatter plot. All three
+scoring commands use it: train writes it into the training report, from
+the holdout views its family loop already computed, evaluate writes it as
+the evaluation report, and verify recomputes it from the holdout episodes
+and compares it with the training report exactly.
 """
 
 import csv
@@ -154,10 +155,15 @@ def _fold_views(members, member_results):
     return total, clamped
 
 
+def bundle_member_views(bundle, X):
+    """member_views of each bundle member on X, in member order."""
+    mode = bundle.meta.get("target_transform", "none")
+    return [member_views(m.model, X, mode) for m in bundle.members]
+
+
 def predict_views(bundle, X):
     """Ensemble view predictions: weighted average of clamped member views."""
-    mode = bundle.meta.get("target_transform", "none")
-    return _fold_views(bundle.members, [member_views(m.model, X, mode) for m in bundle.members])
+    return _fold_views(bundle.members, bundle_member_views(bundle, X))
 
 
 def load_inputs(episodes_path, credits_path, genres_path, platform_path, alias_path=None):
@@ -213,19 +219,18 @@ def per_series_table(series_ids, y, yhat):
     return rows
 
 
-def score_bundle(bundle, X, y, series_ids):
-    """A report's scoring section for the bundle on rows X with known views
+def score_bundle(bundle, results, y, series_ids):
+    """A report's scoring section for the bundle on rows with known views
     y, and the ensemble's views.
 
-    The section is plain JSON: the members (``selected``, ``weights``), each
-    member's metrics and clamp count, the ensemble's, the error buckets of
-    the best member (before) and of the ensemble (after), and per-series
-    accuracy. Each member predicts once and the ensemble is folded from
-    those views as predict_views folds them, so every float equals a
-    prediction there.
+    ``results`` holds each member's (views, clamped) pair on those rows, in
+    member order, as bundle_member_views returns them. The section is plain
+    JSON: the members (``selected``, ``weights``), each member's metrics and
+    clamp count, the ensemble's, the error buckets of the best member
+    (before) and of the ensemble (after), and per-series accuracy. The
+    ensemble is folded from the members' views as predict_views folds them,
+    so every float equals a prediction there.
     """
-    mode = bundle.meta.get("target_transform", "none")
-    results = [member_views(m.model, X, mode) for m in bundle.members]
     ensemble, ensemble_clamped = _fold_views(bundle.members, results)
     families = [m.model.family for m in bundle.members]
     before = error_buckets(y, results[0][0])
@@ -312,6 +317,7 @@ def run_train(config):
     validation = {}
     candidates = []
     clamp_counts = {}
+    hold_results = {}  # family -> (views, clamped) on the holdout
     failed = {}
     for fi, family in enumerate(config.families):
         grid = config.grids.get(family) or DEFAULT_GRIDS[family]
@@ -328,7 +334,7 @@ def run_train(config):
             continue
         cv_results[family] = search.to_dict()
         fitted = FittedModel(family=family, params=search.best_params, model=model)
-        views, clamped = member_views(fitted, X_hold.values, config.target_transform)
+        views, clamped = hold_results[family] = member_views(fitted, X_hold.values, config.target_transform)
         report = metric_report(y_hold, views)
         validation[family] = report.to_dict()
         clamp_counts[family] = int(clamped.sum())
@@ -354,7 +360,13 @@ def run_train(config):
     )
 
     series_ids = table.column("series_id")
-    section, hold_views = score_bundle(bundle, X_hold.values, y_hold, [series_ids[i] for i in hold_idx.tolist()])
+    # the members predicted the holdout in the family loop; reuse those views
+    section, hold_views = score_bundle(
+        bundle,
+        [hold_results[m.model.family] for m in bundle.members],
+        y_hold,
+        [series_ids[i] for i in hold_idx.tolist()],
+    )
     perm = permutation_importance(
         lambda values: predict_views(bundle, values)[0],
         X_hold,
@@ -362,6 +374,7 @@ def run_train(config):
         metric="mape",
         repeats=config.importance_repeats,
         seed=mix_seed(config.seed, 777),
+        baseline=hold_views,
     )
     impurity = None
     for member in bundle.members:
@@ -481,7 +494,7 @@ def run_evaluate(bundle_path, episodes_path, credits_path, genres_path, platform
         bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
     y = _require_views(episodes)
-    section, views = score_bundle(bundle, X.values, y, table.column("series_id"))
+    section, views = score_bundle(bundle, bundle_member_views(bundle, X.values), y, table.column("series_id"))
 
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "evaluation_report.json")
@@ -515,7 +528,9 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
     report = load_json(report_path)
     if not isinstance(report, dict):
         raise DataError(f"{report_path}: training report must be a JSON object")
-    section, _ = score_bundle(bundle, X.values, _require_views(episodes), table.column("series_id"))
+    section, _ = score_bundle(
+        bundle, bundle_member_views(bundle, X.values), _require_views(episodes), table.column("series_id")
+    )
 
     stored = {key: report[key] for key in section if key in report}
     for key in ("validation", "validation_clamped"):

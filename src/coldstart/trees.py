@@ -19,12 +19,15 @@ sends rows with ``x[feature] <= threshold`` to node i + 1 and the rest to
 ``right``. ``value`` is the node's target mean, ``n_samples`` its row
 count and ``impurity_decrease`` the delta of its split (0 at a leaf).
 
-A bundle stores only what prediction reads: ``feature``, ``threshold``,
-``right`` and ``value``, one JSON list each. The entries prediction never
-reads, ``value`` at an internal node and ``threshold`` and ``right`` at a
-leaf, are written as the integer 0. ``n_samples`` and
-``impurity_decrease`` feed impurity importance only, which runs on the
-fitted trees in memory; a decoded tree holds None for them.
+A bundle stores each model's trees as one packed block: the node count of
+each tree, and four base64 strings of fixed little-endian arrays over the
+nodes in preorder, trees in model order. They hold only what prediction
+reads: ``feature`` for every node, ``right`` and ``threshold`` for each
+internal node, and ``value`` for each leaf. The block decodes with one
+base64 decode and one ``np.frombuffer`` per array, and its checks run on
+whole arrays. ``n_samples`` and ``impurity_decrease`` feed impurity
+importance only, which runs on the fitted trees in memory; a decoded tree
+holds None for them.
 
 Split search works on rank codes, not on the float values. Each fit codes
 every column of X once, by ``rank_code``: a value's code is the number of
@@ -63,6 +66,7 @@ threshold[slot])]``: the same comparison as a node-by-node walk, so every
 prediction is the same float.
 """
 
+import base64
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -104,7 +108,6 @@ class Tree:
 
 
 TREE_ARRAYS = tuple(f.name for f in fields(Tree))
-STORED_ARRAYS = ("feature", "threshold", "right", "value")
 INT_ARRAYS = ("feature", "right", "n_samples")
 
 
@@ -405,48 +408,97 @@ def impurity_by_feature(trees, n_features):
     return np.bincount(feature[internal], weights=gain[internal], minlength=n_features)
 
 
-# --- JSON-friendly serialization -------------------------------------------
+# --- bundle codec: one packed block per model ---------------------------------
 
-def tree_to_dict(tree):
-    """The arrays prediction reads, with its unread entries written as 0."""
-    leaf = tree.feature < 0
-    # object arrays hold Python floats next to the int 0, which JSON writes as 0
-    threshold = tree.threshold.astype(object)
-    threshold[leaf] = 0
-    value = tree.value.astype(object)
-    value[~leaf] = 0
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": threshold.tolist(),
-        "right": np.where(leaf, 0, tree.right).tolist(),
-        "value": value.tolist(),
-    }
+# a block's arrays: its key, the little-endian dtype it is packed as, and the
+# nodes it holds an entry for (internal nodes or leaves; None for every node)
+BLOCK_ARRAYS = (
+    ("feature", "<i4", None),
+    ("right", "<i4", True),
+    ("threshold", "<f8", True),
+    ("value", "<f8", False),
+)
 
 
-def tree_from_dict(d):
-    """Decode a tree, rejecting arrays that predict_tree could not walk to a
-    leaf (unequal lengths, non-integer ids, an internal last node, or a right
-    child that does not come after its left sibling) and non-finite numbers.
-    The bundle holds no split statistics, so the tree's are None."""
-    arrays = {}
-    for name in STORED_ARRAYS:
-        a = np.array(d[name])
-        if name in INT_ARRAYS:
-            if a.dtype.kind not in "iu":
-                raise DataError(f"tree array {name!r} must hold integers")
-        elif a.dtype.kind not in "iuf" or not np.isfinite(a).all():
-            raise DataError(f"tree array {name!r} must hold finite numbers")
-        arrays[name] = a if name in INT_ARRAYS else a.astype(float)
-    n = arrays["feature"].size
-    if n == 0 or any(a.shape != (n,) for a in arrays.values()):
-        raise DataError("tree arrays must be non-empty lists of one length")
-    parent = np.flatnonzero(arrays["feature"] >= 0)
-    if parent.size and parent[-1] == n - 1:
-        raise DataError(f"tree node {n - 1} is internal but has no next node for its left child")
-    right = arrays["right"][parent]
-    if np.any((right <= parent + 1) | (right >= n)):
-        raise DataError(f"tree has a right child outside (left child, {n})")
-    return Tree(**arrays)
+def _pack(a, dtype):
+    return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _unpack(text, dtype, name):
+    """The array packed in base64 ``text``; DataError for anything else."""
+    if not isinstance(text, str):
+        raise DataError(f"tree block {name!r} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise DataError(f"tree block {name!r} is not valid base64 ({exc})") from None
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) % itemsize:
+        raise DataError(f"tree block {name!r} holds {len(raw)} bytes, not a multiple of {itemsize}")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def trees_to_block(trees):
+    """The trees as one packed block: ``sizes`` (each tree's node count) and
+    four base64 arrays of the nodes in preorder, trees in order, holding
+    what prediction reads: ``feature`` per node (-1 at a leaf), ``right``
+    (tree-local id) and ``threshold`` per internal node, ``value`` per leaf."""
+    internal = np.concatenate([np.empty(0, dtype=bool)] + [t.feature >= 0 for t in trees])
+    block = {"sizes": [int(t.feature.size) for t in trees]}
+    for name, dtype, at_internal in BLOCK_ARRAYS:
+        nodes = np.concatenate([np.empty(0, dtype=dtype)] + [getattr(t, name) for t in trees])
+        block[name] = _pack(nodes if at_internal is None else nodes[internal == at_internal], dtype)
+    return block
+
+
+def trees_from_block(block):
+    """Decode a packed block into its trees, each a view into the block's
+    arrays, rejecting what predict_tree could not walk to a leaf: counts
+    that do not match ``sizes``, an internal last node, a right child that
+    does not come after its left sibling, and non-finite numbers. Entries
+    the block does not hold (``right`` and ``threshold`` at a leaf,
+    ``value`` at an internal node) are 0; the split statistics are None."""
+    sizes = block["sizes"]
+    if not isinstance(sizes, list) or not all(type(s) is int and s >= 1 for s in sizes):
+        raise DataError("tree block 'sizes' must be a list of positive integers")
+    packed = {name: _unpack(block[name], dtype, name) for name, dtype, _ in BLOCK_ARRAYS}
+    n = packed["feature"].size
+    if sum(sizes) != n:
+        raise DataError(f"tree block 'sizes' sum to {sum(sizes)} but the block holds {n} nodes")
+    feature = packed["feature"].astype(np.int64)
+    internal = feature >= 0
+    parent = np.flatnonzero(internal)
+    for name, _, at_internal in BLOCK_ARRAYS[1:]:
+        want = parent.size if at_internal else n - parent.size
+        if packed[name].size != want:
+            kind = "internal nodes" if at_internal else "leaves"
+            raise DataError(f"tree block {name!r} holds {packed[name].size} entries for {want} {kind}")
+    for name in ("threshold", "value"):
+        if not np.isfinite(packed[name]).all():
+            raise DataError(f"tree block {name!r} must hold finite numbers")
+
+    # sizes sum to n, so each fits in int64
+    sizes = np.array(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    tree_of = np.searchsorted(ends, parent, side="right")  # each internal node's tree
+    end = ends[tree_of]
+    last = parent + 1 >= end
+    if last.any():
+        t = int(tree_of[last.argmax()])
+        raise DataError(f"tree {t} node {sizes[t] - 1} is internal but has no next node for its left child")
+    right = packed["right"].astype(np.int64)
+    child = right + starts[tree_of]
+    outside = (child <= parent + 1) | (child >= end)
+    if outside.any():
+        t = int(tree_of[outside.argmax()])
+        raise DataError(f"tree {t} has a right child outside (left child, {sizes[t]})")
+
+    arrays = {"feature": feature, "right": np.zeros(n, dtype=np.int64), "threshold": np.zeros(n), "value": np.zeros(n)}
+    arrays["right"][parent] = right
+    arrays["threshold"][parent] = packed["threshold"]
+    arrays["value"][~internal] = packed["value"]
+    return [Tree(**{name: a[s:e] for name, a in arrays.items()}) for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def forest_to_dict(model):
@@ -455,13 +507,16 @@ def forest_to_dict(model):
         "n_estimators": model.n_estimators,
         "n_features": model.n_features,
         "params": asdict(model.params),
-        "trees": [tree_to_dict(t) for t in model.trees],
+        "trees": trees_to_block(model.trees),
     }
 
 
 def forest_from_dict(d):
+    forest = trees_from_block(d["trees"])
+    if not forest:
+        raise DataError("a forest needs at least one tree")
     return ForestModel(
-        trees=[tree_from_dict(t) for t in d["trees"]],
+        trees=forest,
         params=TreeParams(**d["params"]),
         n_estimators=d["n_estimators"],
         n_features=d["n_features"],
@@ -474,7 +529,7 @@ def gbt_to_dict(model):
         "base_prediction": model.base_prediction,
         "learning_rate": model.learning_rate,
         "n_features": model.n_features,
-        "stages": [tree_to_dict(t) for t in model.stages],
+        "trees": trees_to_block(model.stages),
     }
 
 
@@ -484,7 +539,18 @@ def gbt_from_dict(d):
         raise DataError(f"gbt learning_rate must be in (0, 1], got {learning_rate!r}")
     return GbtModel(
         base_prediction=finite_number(d["base_prediction"], "gbt base_prediction"),
-        stages=[tree_from_dict(t) for t in d["stages"]],
+        stages=trees_from_block(d["trees"]),
         learning_rate=learning_rate,
         n_features=d["n_features"],
     )
+
+
+def decision_tree_to_dict(tree):
+    return {"kind": "tree", "trees": trees_to_block([tree])}
+
+
+def decision_tree_from_dict(d):
+    decoded = trees_from_block(d["trees"])
+    if len(decoded) != 1:
+        raise DataError(f"a decision tree block must hold one tree, not {len(decoded)}")
+    return decoded[0]

@@ -1,3 +1,4 @@
+import base64
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import pytest
 from coldstart.cli import main
 from coldstart.ensemble import bundle_from_dict, bundle_to_dict
 from coldstart.pipeline import _json_kind, load_bundle, run_evaluate, run_predict, run_verify
+from coldstart.trees import trees_from_block
 from coldstart.util import load_json
 
 
@@ -484,13 +486,50 @@ def _member(doc, family):
     return next(m for m in doc["members"] if m["family"] == family)
 
 
-def _gbt_stage(edit):
-    """Content maker: the tiny run's bundle after ``edit(first gbt tree)``."""
+BLOCK_DTYPES = {"feature": "<i4", "right": "<i4", "threshold": "<f8", "value": "<f8"}
+
+
+def _gbt_block(edit):
+    """Content maker: the tiny run's bundle after ``edit(sizes, arrays)`` on
+    the gbt member's packed tree block. ``arrays`` holds the block's arrays
+    decoded (feature per node, right and threshold per internal node, value
+    per leaf), and each is packed back with its own dtype and bytes (or as
+    given, when the edit puts raw bytes in its place)."""
 
     def edit_bundle(doc):
-        edit(_member(doc, "gbt")["model"]["stages"][0])
+        model = _member(doc, "gbt")["model"]
+        block = model["trees"]
+        sizes = block["sizes"]
+        arrays = {k: np.frombuffer(base64.b64decode(block[k]), dtype=t).copy() for k, t in BLOCK_DTYPES.items()}
+        edit(sizes, arrays)
+        packed = {k: a if isinstance(a, bytes) else a.tobytes() for k, a in arrays.items()}
+        model["trees"] = {"sizes": sizes, **{k: base64.b64encode(raw).decode("ascii") for k, raw in packed.items()}}
 
     return _edited("bundle", edit_bundle)
+
+
+def _last_node_internal(sizes, arrays):
+    """Make the block's last node (a leaf) internal, keeping every count
+    consistent: one more right and threshold, one value fewer."""
+    arrays["feature"][-1] = 0
+    arrays["right"] = np.append(arrays["right"], np.int32(0))
+    arrays["threshold"] = np.append(arrays["threshold"], 0.0)
+    arrays["value"] = arrays["value"][:-1]
+
+
+def _as_v3(doc):
+    """A bundle in the version-3 layout: one dict of four per-node lists per
+    tree, 0 at the entries prediction does not read."""
+    doc["schema_version"] = 3
+    for member in doc["members"]:
+        model = member["model"]
+        if model["kind"] in ("tree", "forest", "gbt"):
+            decoded = [
+                {k: getattr(t, k).tolist() for k in ("feature", "threshold", "right", "value")}
+                for t in trees_from_block(model.pop("trees"))
+            ]
+            key = {"tree": "root", "forest": "trees", "gbt": "stages"}[model["kind"]]
+            model[key] = decoded[0] if key == "root" else decoded
 
 
 def _bundle_number(place, literal):
@@ -593,28 +632,35 @@ BAD_INPUTS = {
     ),
     "bundle_schema_version_1": ("bundle", _edited("bundle", lambda d: d.update(schema_version=1))),
     "bundle_schema_version_2": ("bundle", _edited("bundle", lambda d: d.update(schema_version=2))),
+    "bundle_schema_version_3": ("bundle", _edited("bundle", _as_v3)),
     "bundle_member_weight_nan": ("bundle", _bundle_number(lambda d: (d["members"][0], "weight"), "NaN")),
-    "bundle_tree_value_overflow": (
-        "bundle", _bundle_number(lambda d: (_member(d, "gbt")["model"]["stages"][0]["value"], 0), "1e999")
-    ),
+    # a float that overflowed on its way into the block
+    "bundle_tree_value_overflow": ("bundle", _gbt_block(lambda s, a: a["value"].__setitem__(0, np.inf))),
     "bundle_gbt_learning_rate_1e308": (
         "bundle", _edited("bundle", lambda d: _member(d, "gbt")["model"].update(learning_rate=1e308))
     ),
     # finite, but expm1 of the log1p-scale prediction overflows to inf
-    "bundle_tree_value_1e300": ("bundle", _gbt_stage(lambda t: t.update(value=[1e300] * len(t["value"])))),
+    "bundle_tree_value_1e300": ("bundle", _gbt_block(lambda s, a: a["value"].fill(1e300))),
     "bundle_linear_coefficient_infinity": (
         "bundle", _bundle_number(lambda d: (_member(d, "lasso")["model"]["coefficients"], 0), "-1e999")
     ),
-    "tree_arrays_of_unequal_length": ("bundle", _gbt_stage(lambda t: t["threshold"].pop())),
-    "tree_feature_not_integer": (
-        "bundle", _gbt_stage(lambda t: t.update(feature=[float(f) for f in t["feature"]]))
+    "tree_arrays_of_unequal_length": ("bundle", _gbt_block(lambda s, a: a.update(threshold=a["threshold"][:-1]))),
+    "tree_feature_not_integer": ("bundle", _gbt_block(lambda s, a: a.update(feature=a["feature"].astype("<f8")))),
+    "tree_child_refers_to_itself": ("bundle", _gbt_block(lambda s, a: a["right"].__setitem__(0, 0))),
+    "tree_right_child_is_left_child": ("bundle", _gbt_block(lambda s, a: a["right"].__setitem__(0, 1))),
+    "tree_last_node_internal": ("bundle", _gbt_block(_last_node_internal)),
+    "tree_child_past_last_node": ("bundle", _gbt_block(lambda s, a: a["right"].__setitem__(0, s[0]))),
+    "tree_threshold_nan": ("bundle", _gbt_block(lambda s, a: a["threshold"].__setitem__(0, np.nan))),
+    "tree_threshold_minus_inf": ("bundle", _gbt_block(lambda s, a: a["threshold"].__setitem__(0, -np.inf))),
+    "tree_value_nan": ("bundle", _gbt_block(lambda s, a: a["value"].__setitem__(0, np.nan))),
+    "tree_block_bad_base64": (
+        "bundle", _edited("bundle", lambda d: _member(d, "gbt")["model"]["trees"].update(feature="AAAA!AAA"))
     ),
-    "tree_child_refers_to_itself": ("bundle", _gbt_stage(lambda t: t["right"].__setitem__(0, 0))),
-    "tree_right_child_is_left_child": ("bundle", _gbt_stage(lambda t: t["right"].__setitem__(0, 1))),
-    "tree_last_node_internal": ("bundle", _gbt_stage(lambda t: t["feature"].__setitem__(-1, 0))),
-    "tree_child_past_last_node": (
-        "bundle", _gbt_stage(lambda t: t["right"].__setitem__(0, len(t["right"])))
+    "tree_block_byte_count_off": (
+        "bundle", _gbt_block(lambda s, a: a.update(threshold=a["threshold"].tobytes() + b"\0"))
     ),
+    "tree_block_sizes_mismatch": ("bundle", _gbt_block(lambda s, a: s.__setitem__(0, s[0] + 1))),
+    "tree_block_sizes_not_integer": ("bundle", _gbt_block(lambda s, a: s.__setitem__(0, float(s[0])))),
     "episodes_not_utf8": ("episodes", lambda run: b"series_id,episode_id\n\xff\xfe\x00\x81\n"),
     "episodes_empty": ("episodes", lambda run: b""),
     "episodes_truncated": ("episodes", _truncated_episodes),

@@ -2,6 +2,7 @@ import csv
 import datetime
 import math
 import random
+import warnings
 
 import pytest
 
@@ -13,6 +14,7 @@ from coldstart.ingest import (
     GENRE_COLUMNS,
     PLATFORM_COLUMNS,
     PLATFORM_METRICS,
+    ROLES_CREW,
     VIEWS_COLUMN,
     apply_genre_aliases,
     consolidate_metadata,
@@ -407,3 +409,126 @@ def test_genre_aliases():
     # unmapped genres pass through verbatim
     same = apply_genre_aliases(genres, {})
     assert same.column("genre") == ["Sci-Fi", "scifi"]
+
+
+def reference_consolidate(episodes, credits, genres, platform):
+    """Row-at-a-time consolidation, the reference for consolidate_metadata."""
+    series = episodes.column("series_id")
+    keys = list(zip(series, episodes.column("episode_id")))
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise DataError(f"duplicate episode {key}")
+        seen.add(key)
+    known = set(series)
+    best, awards, count = {}, {}, {}
+    for sid, _, role, rating, award in dict.fromkeys(zip(*(credits.column(s.name) for s in CREDIT_COLUMNS))):
+        if sid not in known:
+            warnings.warn(f"credit for unknown series {sid!r}")
+            continue
+        slot = (sid, role)
+        count[slot] = count.get(slot, 0) + 1
+        if rating is not None and (best.get(slot) is None or rating > best[slot]):
+            best[slot] = rating
+        if award is not None:
+            awards[slot] = awards.get(slot, 0) + award
+    genre_sets = {}
+    for sid, genre in zip(genres.column("series_id"), genres.column("genre")):
+        if sid not in known:
+            warnings.warn(f"genre for unknown series {sid!r}")
+            continue
+        genre_sets.setdefault(sid, set()).add(genre)
+    platform_row = {}
+    for j, key in enumerate(zip(platform.column("series_id"), platform.column("episode_id"))):
+        if key[0] not in known:
+            warnings.warn(f"platform row for unknown series {key[0]!r}")
+            continue
+        if key in platform_row:
+            raise DataError(f"duplicate platform row {key}")
+        platform_row[key] = j
+
+    schemas = [s for s in EPISODE_COLUMNS if s.name != "release_date"]
+    columns = {s.name: list(episodes.column(s.name)) for s in schemas}
+    for role in ROLES_CREW:
+        for name, cell in (
+            (f"best_{role}_rating", lambda sid: best.get((sid, role))),
+            (f"{role}_total_awards", lambda sid: float(awards.get((sid, role), 0))),
+            (f"{role}_crew_count", lambda sid: float(count.get((sid, role), 0))),
+        ):
+            schemas.append(ColumnSchema(name, "numeric"))
+            columns[name] = [cell(sid) for sid in series]
+    schemas.append(ColumnSchema("genre_count", "numeric"))
+    columns["genre_count"] = [float(len(genre_sets.get(sid, ()))) for sid in series]
+    for metric in PLATFORM_METRICS:
+        schemas.append(ColumnSchema(metric, "numeric"))
+        values = platform.column(metric)
+        columns[metric] = [None if platform_row.get(k) is None else values[platform_row[k]] for k in keys]
+    views = episodes.column("views")
+    if any(v is not None for v in views):
+        schemas.append(VIEWS_COLUMN)
+        columns["views"] = list(views)
+    return RawTable(schemas, columns)
+
+
+def _cells(table):
+    """Every cell with its type and sign, so 0.0 and -0.0 (or 1 and 1.0) differ."""
+    return {name: [(type(v), repr(v)) for v in table.column(name)] for name in table.column_names}
+
+
+def _random_metadata(rng, n_series):
+    """Row tuples for episodes, credits, genres and platform with duplicate
+    credits, unknown series, missing ratings and awards, tied and signed-zero
+    ratings, and episodes without a platform row."""
+    sids = [f"S{i}" for i in range(n_series)]
+    episodes = [ep(s, f"E{e}", views=rng.choice([None, 10.0, 0.0])) for s in sids for e in range(rng.randint(1, 4))]
+    pool = sids + ["X1", "X2"]  # X*: series with no episodes
+    credits = []
+    for _ in range(6 * n_series):
+        rating = rng.choice([None, 0.0, -0.0, 5.5, 7.0, 7.0, 9.25])
+        award = rng.choice([None, 0.0, 1.0, 3.0])
+        credits.append((rng.choice(pool), f"p{rng.randint(0, 4)}", rng.choice(ROLES_CREW), rating, award))
+    credits += rng.sample(credits, len(credits) // 4)  # exact duplicates
+    rng.shuffle(credits)
+    genres = [(rng.choice(pool), rng.choice(["drama", "crime", "comedy"]), "src") for _ in range(3 * n_series)]
+    platform = [
+        platform_row(sid, eid, **{m: rng.choice([None, float(rng.randint(0, 99))]) for m in PLATFORM_METRICS})
+        for sid, eid, *_ in episodes
+        if rng.random() < 0.7
+    ] + [platform_row("X2", "E0", exposures=1.0)]
+    rng.shuffle(platform)
+    return episodes, credits, genres, platform
+
+
+def test_consolidate_matches_row_reference():
+    rng = random.Random(3)
+    for n_series in (1, 2, 5, 40):
+        for _ in range(5):
+            rows = _random_metadata(rng, n_series)
+            schemas = (EPISODE_COLUMNS + (VIEWS_COLUMN,), CREDIT_COLUMNS, GENRE_COLUMNS, PLATFORM_COLUMNS)
+            tables = [RawTable.from_rows(schema, r) for schema, r in zip(schemas, rows)]
+            with warnings.catch_warnings(record=True) as want_warnings:
+                warnings.simplefilter("always")
+                want = reference_consolidate(*tables)
+            with warnings.catch_warnings(record=True) as got_warnings:
+                warnings.simplefilter("always")
+                got = consolidate_metadata(*tables)
+            assert got.schemas == want.schemas
+            assert _cells(got) == _cells(want)
+            assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+
+
+def test_consolidate_keeps_the_first_of_equal_best_ratings():
+    credits = [("S1", "a", "actor", -0.0, None), ("S1", "b", "actor", 0.0, None), ("S1", "c", "writer", 0.0, None)]
+    credits.append(("S1", "d", "writer", -0.0, None))
+    table = consolidate([ep("S1", "E1")], credits)
+    assert repr(table.column("best_actor_rating")) == "[-0.0]"
+    assert repr(table.column("best_writer_rating")) == "[0.0]"
+
+
+def test_consolidate_duplicate_errors_match_reference():
+    episodes = [ep("S1", "E1"), ep("S1", "E2"), ep("S2", "E1"), ep("S1", "E2"), ep("S2", "E1")]
+    with pytest.raises(DataError, match=r"duplicate episode \('S1', 'E2'\)"):
+        consolidate(episodes)
+    platform = [platform_row("S9", "E1"), platform_row("S9", "E1"), platform_row("S1", "E1"), platform_row("S1", "E1")]
+    with pytest.warns(UserWarning), pytest.raises(DataError, match=r"duplicate platform row \('S1', 'E1'\)"):
+        consolidate([ep("S1", "E1")], platform=platform)

@@ -1,5 +1,7 @@
+import base64
 import inspect
 import json
+import re
 import sys
 
 import numpy as np
@@ -8,11 +10,12 @@ import pytest
 from coldstart import trees
 from coldstart.errors import DataError
 from coldstart.trees import (
-    STORED_ARRAYS,
     TREE_ARRAYS,
     GbtModel,
     TreeParams,
     best_split,
+    decision_tree_from_dict,
+    decision_tree_to_dict,
     fit_decision_tree,
     fit_gbt,
     fit_random_forest,
@@ -23,8 +26,8 @@ from coldstart.trees import (
     predict_forest,
     predict_gbt,
     predict_tree,
-    tree_from_dict,
-    tree_to_dict,
+    trees_from_block,
+    trees_to_block,
 )
 from coldstart.util import dump_json, load_json
 
@@ -394,11 +397,11 @@ def test_deep_chain_tree_needs_no_recursion(tmp_path):
         tree = fit_decision_tree(x, y, TreeParams(max_depth=None, min_samples_split=2))
         assert len(tree.feature) == 599
         assert np.array_equal(predict_tree(tree, x), y)
-        dump_json(tree_to_dict(tree), tmp_path / "tree.json")
-        clone = tree_from_dict(load_json(tmp_path / "tree.json"))
+        dump_json(decision_tree_to_dict(tree), tmp_path / "tree.json")
+        clone = decision_tree_from_dict(load_json(tmp_path / "tree.json"))
     finally:
         sys.setrecursionlimit(limit)
-    assert tree_to_dict(clone) == tree_to_dict(tree)
+    assert decision_tree_to_dict(clone) == decision_tree_to_dict(tree)
     assert np.array_equal(predict_tree(clone, x), y)
 
 
@@ -412,7 +415,7 @@ def test_forest_deterministic_and_distinct_trees():
     assert np.array_equal(predict_forest(f1, X), predict_forest(f2, X))
     assert forest_to_dict(f1) == forest_to_dict(f2)
     # bootstrap + feature subsets should differentiate the trees
-    assert tree_to_dict(f1.trees[0]) != tree_to_dict(f1.trees[1])
+    assert trees_to_block(f1.trees[:1]) != trees_to_block(f1.trees[1:2])
 
 
 def test_forest_single_tree_identity_sample_equals_tree():
@@ -506,7 +509,7 @@ def test_serialization_round_trips():
     y = rng.normal(size=50)
 
     tree = fit_decision_tree(X, y, TreeParams(max_depth=4, seed=2))
-    clone = tree_from_dict(tree_to_dict(tree))
+    clone = decision_tree_from_dict(decision_tree_to_dict(tree))
     assert np.array_equal(predict_tree(tree, X), predict_tree(clone, X))
 
     forest = fit_random_forest(X, y, TreeParams(max_depth=3, seed=2), n_estimators=5)
@@ -518,43 +521,180 @@ def test_serialization_round_trips():
     assert np.array_equal(predict_gbt(gbt, X), predict_gbt(gclone, X))
 
 
-def test_codec_stores_only_what_prediction_reads():
+def unpack_block(block):
+    """A block's arrays, decoded without the codec: base64, then fixed
+    little-endian dtypes."""
+    dtypes = {"feature": "<i4", "right": "<i4", "threshold": "<f8", "value": "<f8"}
+    return {name: np.frombuffer(base64.b64decode(block[name]), dtype=dtype) for name, dtype in dtypes.items()}
+
+
+def pack_block(sizes, arrays):
+    """A block holding ``arrays`` as given: each array's own dtype and bytes."""
+    block = {name: base64.b64encode(np.asarray(a).tobytes()).decode("ascii") for name, a in arrays.items()}
+    return {"sizes": sizes, **block}
+
+
+def codec_models():
+    """Fitted tree models with tied values, -0.0 thresholds and leaves, and
+    one-node trees, as (to_dict, from_dict, model, trees_of) where
+    ``trees_of(model)`` lists a model's trees."""
     rng = np.random.default_rng(31)
     X = tied_matrix(rng, 90, 6)
     y = np.round(rng.normal(size=90), 1)
     y[::4] = -0.0
     params = TreeParams(max_depth=6, min_samples_split=3, max_features="third", seed=4)
-    models = [fit_decision_tree(X, y, TreeParams())]
-    models += fit_random_forest(X, y, params, 4).trees
-    models += fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3, seed=2)).stages
-    models.append(fit_decision_tree(X, np.full(90, 2.5), TreeParams()))  # a single leaf
     # a stump that splits at -0.0 into leaves of -0.0 and 1.0
-    models.append(trees.Tree(np.array([3, -1, -1]), np.array([-0.0, 0.0, 0.0]), np.array([2, -1, -1]), np.array([0.5, -0.0, 1.0])))
-    for tree in models:
-        d = tree_to_dict(tree)
-        assert sorted(d) == sorted(STORED_ARRAYS) == ["feature", "right", "threshold", "value"]
-        leaf = tree.feature < 0
-        for name, unread in (("threshold", leaf), ("right", leaf), ("value", ~leaf)):
-            # the integer 0, so the JSON text is 0 rather than 0.0
-            assert all(type(d[name][i]) is int and d[name][i] == 0 for i in np.flatnonzero(unread)), name
-        clone = tree_from_dict(json.loads(json.dumps(d)))
-        assert tree_to_dict(clone) == d
-        assert clone.n_samples is None and clone.impurity_decrease is None
-        with pytest.raises(TypeError):  # importance needs the fitted tree's statistics
-            trees.impurity_by_feature([clone], X.shape[1])
-        # _edge_rows holds rows exactly at each threshold, and signed zeros
-        X_new = _edge_rows(tree, X, rng)
-        assert predict_tree(clone, X_new).tobytes() == predict_tree(tree, X_new).tobytes()
+    stump = trees.Tree(
+        np.array([3, -1, -1]), np.array([-0.0, 0.0, 0.0]), np.array([2, -1, -1]), np.array([0.5, -0.0, 1.0])
+    )
+    single_leaf = fit_decision_tree(X, np.full(90, 2.5), TreeParams())
+    forest = fit_random_forest(X, y, params, 4)
+    forest.trees += [stump, single_leaf]
+    gbt = fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3, seed=2))
+    tree = (decision_tree_to_dict, decision_tree_from_dict)
+    return X, rng, [
+        (*tree, fit_decision_tree(X, y, TreeParams()), lambda m: [m]),
+        (*tree, single_leaf, lambda m: [m]),
+        (*tree, stump, lambda m: [m]),
+        (forest_to_dict, forest_from_dict, forest, lambda m: m.trees),
+        (gbt_to_dict, gbt_from_dict, gbt, lambda m: m.stages),
+        (gbt_to_dict, gbt_from_dict, fit_gbt(X, y, 0, 0.5, TreeParams()), lambda m: m.stages),
+    ]
+
+
+def test_codec_stores_only_what_prediction_reads():
+    X, rng, models = codec_models()
+    for to_dict, from_dict, model, trees_of in models:
+        fitted = trees_of(model)
+        d = to_dict(model)
+        block = d["trees"]
+        assert sorted(block) == ["feature", "right", "sizes", "threshold", "value"]
+        assert block["sizes"] == [t.feature.size for t in fitted]
+        # the block holds what prediction reads and nothing else, in preorder
+        packed = unpack_block(block)
+        feature = np.concatenate([np.empty(0, dtype=int)] + [t.feature for t in fitted])
+        internal = feature >= 0
+        cat = {name: np.concatenate([np.empty(0)] + [getattr(t, name) for t in fitted]) for name in TREE_ARRAYS[:4]}
+        assert np.array_equal(packed["feature"], feature)
+        assert np.array_equal(packed["right"], cat["right"][internal])
+        assert packed["threshold"].tobytes() == cat["threshold"][internal].astype("<f8").tobytes()
+        assert packed["value"].tobytes() == cat["value"][~internal].astype("<f8").tobytes()
+
+        clone = from_dict(json.loads(json.dumps(d)))
+        assert to_dict(clone) == d
+        decoded = trees_of(clone)
+        assert len(decoded) == len(fitted)
+        for tree, got in zip(fitted, decoded):
+            leaf = tree.feature < 0
+            # unread entries decode as 0, read ones bit for bit
+            want = {
+                "feature": tree.feature,
+                "right": np.where(leaf, 0, tree.right),
+                "threshold": np.where(leaf, 0.0, tree.threshold),
+                "value": np.where(leaf, tree.value, 0.0),
+            }
+            for name, a in want.items():
+                b = getattr(got, name)
+                assert b.dtype == a.dtype and b.tobytes() == a.tobytes(), name
+            assert got.n_samples is None and got.impurity_decrease is None
+            with pytest.raises(TypeError):  # importance needs the fitted tree's statistics
+                trees.impurity_by_feature([got], X.shape[1])
+            # _edge_rows holds rows exactly at each threshold, and signed zeros
+            X_new = _edge_rows(tree, X, rng)
+            assert predict_tree(got, X_new).tobytes() == predict_tree(tree, X_new).tobytes()
+
+
+def test_empty_block_is_a_zero_round_gbt():
+    model = fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams())
+    d = gbt_to_dict(model)
+    assert d["trees"] == {"sizes": [], "feature": "", "right": "", "threshold": "", "value": ""}
+    clone = gbt_from_dict(d)
+    assert clone.stages == [] and np.array_equal(predict_gbt(clone, FIXTURE_X), predict_gbt(model, FIXTURE_X))
+
+
+def _stump_block():
+    """Two trees: a stump (nodes 0-2) and a three-split tree (nodes 0-6), as
+    per-kind arrays (feature per node, right and threshold per internal
+    node, value per leaf)."""
+    return [3, 7], {
+        "feature": np.array([0, -1, -1, 1, 0, -1, -1, 2, -1, -1], dtype="<i4"),
+        "right": np.array([2, 4, 3, 6], dtype="<i4"),
+        "threshold": np.array([0.5, 1.0, -0.0, 2.0]),
+        "value": np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    }
+
+
+def _edit(edit):
+    sizes, arrays = _stump_block()
+    arrays = {k: v.copy() for k, v in arrays.items()}
+    return edit(sizes, arrays) or pack_block(sizes, arrays)
+
+
+MALFORMED_BLOCKS = {
+    "arrays of unequal length": (
+        lambda s, a: a.update(threshold=a["threshold"][:-1]), "'threshold' holds 3 entries for 4"
+    ),
+    "a feature that is not an integer": (lambda s, a: a.update(feature=a["feature"].astype("<f8")), "sum to 10 but"),
+    "sizes not integers": (lambda s, a: s.__setitem__(0, 3.0), "positive integers"),
+    "a zero size": (lambda s, a: s.insert(0, 0), "positive integers"),
+    "sizes not a list": (lambda s, a: pack_block(7, a), "positive integers"),
+    "sizes that do not sum to the node count": (lambda s, a: s.__setitem__(1, 8), "sum to 11 but the block holds 10"),
+    "a right child that is its node": (lambda s, a: a["right"].__setitem__(1, 0), "tree 1 has a right child outside"),
+    "a right child that is the left child": (
+        lambda s, a: a["right"].__setitem__(1, 1), "tree 1 has a right child outside"
+    ),
+    "a right child past the last node": (lambda s, a: a["right"].__setitem__(0, 3), "tree 0 has a right child outside"),
+    "a right child in the next tree": (lambda s, a: a["right"].__setitem__(0, 4), "tree 0 has a right child outside"),
+    "a last node that is internal": (
+        lambda s, a: a.update(
+            feature=np.array([0, -1, 0, 1, 0, -1, -1, 2, -1, -1], dtype="<i4"),
+            right=np.array([2, 0, 4, 3, 6], dtype="<i4"),
+            threshold=np.array([0.5, 0.5, 1.0, -0.0, 2.0]),
+            value=a["value"][1:],
+        ),
+        "tree 0 node 2 is internal but has no next node",
+    ),
+    "bad base64": (lambda s, a: {**pack_block(s, a), "right": "AAAA!AAA"}, "'right' is not valid base64"),
+    "base64 without padding": (lambda s, a: {**pack_block(s, a), "right": "AAAAAA"}, "'right' is not valid base64"),
+    "a non-ASCII string": (lambda s, a: {**pack_block(s, a), "value": "é"}, "'value' is not valid base64"),
+    "a number in place of base64": (lambda s, a: {**pack_block(s, a), "value": 1.0}, "'value' must be a base64 string"),
+    "a byte count off the item size": (
+        lambda s, a: {**pack_block(s, a), "threshold": base64.b64encode(a["threshold"].tobytes() + b"\0").decode()},
+        "'threshold' holds 33 bytes, not a multiple of 8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+def test_block_rejects_malformed(case):
+    edit, message = MALFORMED_BLOCKS[case]
+    assert len(trees_from_block(pack_block(*_stump_block()))) == 2
+    with pytest.raises(DataError, match=re.escape(message)):
+        trees_from_block(_edit(edit))
+
+
+def test_tree_models_check_their_tree_count():
+    sizes, arrays = _stump_block()
+    with pytest.raises(DataError, match="one tree, not 2"):
+        decision_tree_from_dict({"kind": "tree", "trees": pack_block(sizes, arrays)})
+    empty = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams()))["trees"]
+    with pytest.raises(DataError, match="one tree, not 0"):
+        decision_tree_from_dict({"kind": "tree", "trees": empty})
+    forest = forest_to_dict(fit_random_forest(FIXTURE_X, FIXTURE_Y, TreeParams(), n_estimators=2))
+    with pytest.raises(DataError, match="at least one tree"):
+        forest_from_dict({**forest, "trees": empty})
 
 
 @pytest.mark.parametrize("name", ["threshold", "value"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_tree_from_dict_rejects_non_finite_numbers(name, bad):
     tree = fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_depth=1))
-    d = tree_to_dict(tree)
-    d[name][0] = bad
-    with pytest.raises(DataError, match="finite"):
-        tree_from_dict(d)
+    d = decision_tree_to_dict(tree)
+    arrays = unpack_block(d["trees"])
+    arrays[name] = arrays[name].copy()
+    arrays[name][0] = bad
+    with pytest.raises(DataError, match=f"{name!r} must hold finite numbers"):
+        decision_tree_from_dict({**d, "trees": pack_block(d["trees"]["sizes"], arrays)})
     g = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=1, learning_rate=0.5, tree_params=TreeParams()))
     for key in ("base_prediction", "learning_rate"):
         with pytest.raises(DataError, match="finite"):
