@@ -1,12 +1,11 @@
 """Core table types shared by every stage of the pipeline.
 
 A RawTable is a small column store: each column carries a ColumnSchema
-(name + role) and its cells. A column is a list, where missing cells are
-plain ``None`` — no in-band magic numbers — or, in the feature tables that
-build_dataset returns, a float64 array for each numeric and passthrough
-column, where NaN marks a missing cell and is never a value. A
-FeatureMatrix is the fully numeric, fully observed matrix that models
-consume.
+(name + role) and its cells. A numeric, passthrough or target column is a
+1-D float64 array, where NaN marks a missing cell and is never a value;
+every other column is a list, where a missing cell is ``None``. No in-band
+magic numbers. A FeatureMatrix is the fully numeric, fully observed matrix
+that models consume.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +16,7 @@ from .errors import DataError, SchemaError
 from .util import round_half_up
 
 ROLES = ("numeric", "categorical", "date", "passthrough", "target", "id")
+NUMERIC_ROLES = ("numeric", "passthrough", "target")  # the roles of float64 array columns
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,12 @@ class ColumnSchema:
 class RawTable:
     """Immutable-by-convention column store.
 
-    A column is a list of cells, missing cells None, or a float64 array
-    (see float_column), missing cells NaN.
+    A column whose role is in NUMERIC_ROLES is a 1-D float64 array, missing
+    cells NaN; any other column is a list of cells, missing cells None.
     """
 
     schemas: list
-    columns: dict = field(repr=False)  # name -> list of cells or float64 array
+    columns: dict = field(repr=False)  # name -> float64 array or list of cells
 
     def __post_init__(self):
         names = [s.name for s in self.schemas]
@@ -46,19 +46,36 @@ class RawTable:
             raise SchemaError("duplicate column names in table")
         if set(names) != set(self.columns):
             raise SchemaError("schema names do not match column names")
+        for s in self.schemas:
+            column = self.columns[s.name]
+            # checked, never converted: this runs for every take_rows and drop_columns
+            if s.role in NUMERIC_ROLES and not (
+                isinstance(column, np.ndarray) and column.dtype == np.float64 and column.ndim == 1
+            ):
+                raise SchemaError(f"{s.role} column {s.name!r} must be a 1-D float64 array")
         lengths = {len(self.columns[n]) for n in names}
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
 
     @classmethod
     def from_rows(cls, schemas, rows):
-        """Table from row tuples whose cells follow ``schemas``; no rows gives empty columns."""
+        """Table from row tuples whose cells follow ``schemas``; no rows gives empty columns.
+
+        Cells are Python values with None for a missing cell. A numeric,
+        passthrough or target column becomes a float64 array, None to NaN; a
+        cell that is itself NaN would then read as missing, so it is a
+        DataError.
+        """
         schemas = list(schemas)
         rows = list(rows)
         if any(len(row) != len(schemas) for row in rows):
             raise SchemaError(f"every row needs {len(schemas)} cells")
         cells = zip(*rows) if rows else [()] * len(schemas)
-        return cls(schemas, {s.name: list(col) for s, col in zip(schemas, cells)})
+        columns = {
+            s.name: _float_array(col, s.name) if s.role in NUMERIC_ROLES else list(col)
+            for s, col in zip(schemas, cells)
+        }
+        return cls(schemas, columns)
 
     @property
     def n_rows(self):
@@ -92,14 +109,14 @@ class RawTable:
         keep = [s for s in self.schemas if s.name not in set(names)]
         return RawTable(keep, {s.name: self.columns[s.name] for s in keep})
 
-    def with_column(self, schema, values):
-        """New table with one extra column appended."""
-        if len(values) != self.n_rows and self.schemas:
-            raise SchemaError(f"column {schema.name!r} has wrong length")
-        schemas = list(self.schemas) + [schema]
-        cols = dict(self.columns)
-        cols[schema.name] = list(values)
-        return RawTable(schemas, cols)
+
+def _float_array(cells, name):
+    """Python number cells as a float64 array, None to NaN; a NaN cell is a DataError."""
+    values = np.array(cells, dtype=float)
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        if cells[i] is not None:
+            raise DataError(f"column {name!r} has a NaN cell (row {i}); a missing cell is None")
+    return values
 
 
 @dataclass
@@ -137,62 +154,23 @@ def validate_target(values):
     return y
 
 
-def float_column(cells, name):
-    """A numeric or passthrough column as a float64 array, NaN where a cell is missing.
-
-    An array is returned as it is. A list is converted, None to NaN; a list
-    cell that is itself NaN would then read as missing, so it is a DataError.
-    """
-    if isinstance(cells, np.ndarray):
-        return cells
-    values = np.array(cells, dtype=float)
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        if cells[i] is not None:
-            raise DataError(f"column {name!r} has a NaN cell (row {i}); a missing cell is None")
-    return values
-
-
-def build_dataset(table, schema):
+def build_dataset(table):
     """Split a raw table into (features-only table, target vector).
 
-    The schema list assigns a role to every column of ``table``; exactly one
-    column must have role ``target``. Id and target columns are excluded
-    from the returned feature table; row order is preserved so target[i]
-    pairs with feature row i. Numeric and passthrough columns are encoded
-    once here as float64 arrays (see float_column); the other columns stay
-    lists.
+    Exactly one column must have role ``target``. Id and target columns are
+    excluded from the returned feature table, which shares the other
+    columns; row order is preserved so target[i] pairs with feature row i.
     """
-    by_name = {}
-    for s in schema:
-        if s.name in by_name:
-            raise SchemaError(f"duplicate schema entry for {s.name!r}")
-        by_name[s.name] = s
-    table_names = set(table.column_names)
-    if set(by_name) != table_names:
-        missing = sorted(table_names - set(by_name))
-        extra = sorted(set(by_name) - table_names)
-        raise SchemaError(f"schema/column mismatch: missing={missing} extra={extra}")
-
-    targets = [s for s in schema if s.role == "target"]
+    targets = [s for s in table.schemas if s.role == "target"]
     if len(targets) != 1:
         raise SchemaError(f"expected exactly one target column, got {len(targets)}")
     target_name = targets[0].name
 
     raw_target = table.column(target_name)
-    if any(v is None for v in raw_target):
+    if np.isnan(raw_target).any():
         raise DataError(f"target column {target_name!r} contains missing values")
     y = validate_target(raw_target)
-
-    keep = [by_name[n] for n in table.column_names if by_name[n].role not in ("id", "target")]
-    features = RawTable(
-        keep,
-        {
-            s.name: float_column(table.column(s.name), s.name)
-            if s.role in ("numeric", "passthrough")
-            else list(table.column(s.name))
-            for s in keep
-        },
-    )
+    features = table.drop_columns([s.name for s in table.schemas if s.role in ("id", "target")])
     return features, y
 
 

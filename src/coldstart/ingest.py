@@ -1,8 +1,10 @@
 """CSV loading and metadata feature engineering.
 
-Each input stays one RawTable from file to model. The read_* functions load
-an episode/credit/genre/platform CSV against its column constant, check it
-row by row (errors name the file and row) and return the table;
+Each input stays one RawTable from file to model: numbers are float64
+arrays with NaN for a missing cell from the first parse on, and the other
+cells lists. The read_* functions load an episode/credit/genre/platform CSV
+against its column constant, check it (errors name the file and row) and
+return the table;
 build_model_table takes the four tables and returns one model-ready table:
 show length normalized to minutes, per-role crew aggregates (best rating,
 total awards, crew count), distinct-genre counts, platform metrics joined
@@ -13,14 +15,13 @@ import csv
 import datetime
 import itertools
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ColumnSchema, RawTable
+from .data import NUMERIC_ROLES, ColumnSchema, RawTable
 from .errors import DataError, SchemaError
 
 ROLES_CREW = ("actor", "director", "writer")
@@ -63,29 +64,24 @@ class DateFeatures:
     quarter: int
 
 
-NUMERIC_ROLES = ("numeric", "passthrough", "target")
-
-
 def _parse_numeric(cells):
-    """Floats (None for an empty cell) and the index of the first cell that
-    is not a finite float, or None."""
+    """A float64 array (NaN for an empty cell) and None, or None and the
+    index of the first cell that is not a finite float."""
     try:
-        values = [float(c) if c else None for c in cells]
-        # a NaN or inf makes the sum non-finite; so can an overflow of finite
-        # values, which the scan below then clears
-        if math.isfinite(sum(filter(None, values))):
+        values = np.array([float(c) if c else math.nan for c in cells], dtype=float)
+        # an empty cell is NaN, so a parsed "nan" or "inf" is one finite value fewer
+        if np.count_nonzero(np.isfinite(values)) == len(cells) - cells.count(""):
             return values, None
     except ValueError:
-        values = None
-    for i, cell in enumerate(cells):
-        if cell:
-            try:
-                bad = not math.isfinite(float(cell))
-            except ValueError:
-                bad = True
-            if bad:
-                return None, i
-    return values, None
+        pass
+    return None, next(i for i, cell in enumerate(cells) if cell and not _finite_float(cell))
+
+
+def _finite_float(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
 
 
 def _parse_dates(cells):
@@ -104,9 +100,10 @@ def _parse_dates(cells):
 def load_csv(path, expected_schema):
     """Read a headered CSV into a RawTable, matching columns by header name.
 
-    Empty cells become missing (None), as do the cells a short row lacks;
-    numeric, passthrough, and target cells parse as finite floats; date
-    cells parse as ISO-8601 dates. Columns in the file but not in the
+    Numeric, passthrough, and target columns parse as float64 arrays of
+    finite floats, date cells as ISO-8601 dates, and the rest stay strings.
+    Empty cells become missing (NaN in an array, None in a list), as do the
+    cells a short row lacks. Columns in the file but not in the
     schema are ignored. The rows are read once and each schema column is
     parsed in one pass; when several cells are bad, the error names the
     first in row-major order (lowest row, then schema position), as a
@@ -197,22 +194,28 @@ def read_episodes(path):
     if bad_length < n:
         raise DataError(f"{path}: {length_error} (row {bad_length + 2}, column 'length')")
     columns = {s.name: table.column(s.name) for s in EPISODE_COLUMNS[:3] + extra}
-    columns["length_minutes"] = [minutes[raw] for raw in lengths]
+    columns["length_minutes"] = np.array([minutes[raw] for raw in lengths], dtype=float)
     return RawTable(list(EPISODE_COLUMNS + extra), columns)
 
 
 def read_credits(path):
+    """Load credits.csv; the first bad row is named, and within it the first failed check."""
     table = load_csv(path, CREDIT_COLUMNS)
-    cells = zip(table.column("role"), table.column("imdb_rating"), table.column("awards"))
-    for i, (role, rating, awards) in enumerate(cells):
-        if role not in ROLES_CREW:
-            raise DataError(f"{path}: row {i + 2} has unknown crew role {role!r}")
-        if rating is not None and not 0.0 <= rating <= 10.0:
-            raise DataError(f"{path}: row {i + 2} rating {rating} outside [0, 10]")
-        if awards is not None and awards < 0:
-            raise DataError(f"{path}: row {i + 2} has negative awards")
-        if awards is not None and not awards.is_integer():
-            raise DataError(f"{path}: non-integer awards {awards!r} (row {i + 2}, column 'awards')")
+    roles, ratings, awards = (table.column(name) for name in ("role", "imdb_rating", "awards"))
+    known_role = np.fromiter(map(ROLES_CREW.__contains__, roles), dtype=bool, count=len(roles))
+    # one mask per check, in the order a row is checked; a missing cell (NaN)
+    # compares false, so it fails none
+    masks = (~known_role, (ratings < 0.0) | (ratings > 10.0), awards < 0, awards % 1 > 0)
+    bad = np.flatnonzero(np.logical_or.reduce(masks))
+    if len(bad):
+        i = int(bad[0])
+        messages = (
+            f"row {i + 2} has unknown crew role {roles[i]!r}",
+            f"row {i + 2} rating {float(ratings[i])} outside [0, 10]",
+            f"row {i + 2} has negative awards",
+            f"non-integer awards {float(awards[i])!r} (row {i + 2}, column 'awards')",
+        )
+        raise DataError(f"{path}: {next(m for mask, m in zip(masks, messages) if mask[i])}")
     return table
 
 
@@ -276,8 +279,9 @@ def consolidate_metadata(episodes, credits, genres, platform):
     platform rows but absent from episodes produce warnings, not errors.
 
     The work goes a column at a time: the crew aggregates are bincounts
-    over one (series, role) slot per credit, and every per-episode column
-    is gathered by index from a per-series or per-platform-row list.
+    over one (series, role) slot per credit, and every numeric column of
+    the result is a float64 array (NaN where missing) gathered by index
+    from a per-series or per-platform-row array.
     """
     series = episodes.column("series_id")
     keys = list(zip(series, episodes.column("episode_id")))
@@ -291,62 +295,66 @@ def consolidate_metadata(episodes, credits, genres, platform):
     # column, which no feature reads
     width = len(ROLES_CREW) + 1
     n_slots = len(distinct) * width
-    # exact duplicate credits removed, first occurrence kept
-    credit_rows = list(dict.fromkeys(zip(*(credits.column(s.name) for s in CREDIT_COLUMNS))))
-    sids, _, roles, ratings, awards = _known_rows(
-        list(zip(*credit_rows)) or [()] * len(CREDIT_COLUMNS), position, "credit"
-    )
-    role_index = map(ROLE_INDEX.get, roles, itertools.repeat(len(ROLES_CREW)))
-    slots = _positions(position, sids) * width + np.fromiter(role_index, dtype=np.intp, count=len(roles))
+    credit_sids, names, roles, ratings, awards = (credits.column(s.name) for s in CREDIT_COLUMNS)
+    # exact duplicate credits removed, first occurrence kept; a missing number
+    # keys as None, as NaN never equals NaN (and 0.0 equals -0.0, as it does
+    # in a tuple)
+    first_row = {}
+    for i, key in enumerate(zip(credit_sids, names, roles, _cell_keys(ratings), _cell_keys(awards))):
+        first_row.setdefault(key, i)
+    kept = list(first_row.values())  # ascending: keys are first seen in row order
+    kept = list(itertools.compress(kept, _known([credit_sids[i] for i in kept], position, "credit")))
+    role_index = np.array([ROLE_INDEX.get(roles[i], len(ROLES_CREW)) for i in kept], dtype=np.intp)
+    slots = _positions(position, [credit_sids[i] for i in kept]) * width + role_index
     count = np.bincount(slots, minlength=n_slots).reshape(-1, width)
-    awards, no_award = _float_cells(awards)
-    awards[no_award] = 0.0
+    awards, ratings = awards[kept], ratings[kept]
     # bincount adds each slot's awards in credit order, as a running sum
     # does; with no credits it returns ints
-    total_awards = np.bincount(slots, weights=awards, minlength=n_slots).astype(float).reshape(-1, width)
-    ratings, unrated = _float_cells(ratings)
+    total_awards = np.bincount(slots, weights=np.where(np.isnan(awards), 0.0, awards), minlength=n_slots)
+    total_awards = total_awards.astype(float).reshape(-1, width)
     # each slot's best is its first credit among those with the highest
     # rating, as a strict > scan keeps it (so 0.0 then -0.0 gives 0.0)
-    rated = np.flatnonzero(~unrated)
+    rated = np.flatnonzero(~np.isnan(ratings))
     order = rated[np.lexsort((rated, -ratings[rated], slots[rated]))]
     first = order[np.flatnonzero(np.diff(slots[order], prepend=-1))]
-    best = np.full(n_slots, None, dtype=object)
-    best[slots[first]] = ratings[first].tolist()
+    best = np.full(n_slots, np.nan)
+    best[slots[first]] = ratings[first]
     best = best.reshape(-1, width)
 
-    genre_sids, genre_names = _known_rows([genres.column("series_id"), genres.column("genre")], position, "genre")
-    genre_pairs = set(zip(genre_sids, genre_names))
+    genre_sids = genres.column("series_id")
+    known = _known(genre_sids, position, "genre")
+    genre_pairs = set(itertools.compress(zip(genre_sids, genres.column("genre")), known))
     genre_count = np.bincount(_positions(position, [sid for sid, _ in genre_pairs]), minlength=len(distinct))
 
-    platform_sids, platform_eids, *metrics = _known_rows(
-        [platform.column(s.name) for s in PLATFORM_COLUMNS], position, "platform row"
-    )
-    platform_row = dict(zip(zip(platform_sids, platform_eids), itertools.count()))
-    if len(platform_row) < len(platform_sids):
-        raise DataError(f"duplicate platform row {_first_repeat(list(zip(platform_sids, platform_eids)))}")
-    # episode -> its platform row, or one past the last row where it has none
-    rows = list(map(platform_row.get, keys, itertools.repeat(len(platform_sids))))
+    platform_sids, platform_eids = platform.column("series_id"), platform.column("episode_id")
+    platform_rows = np.flatnonzero(_known(platform_sids, position, "platform row")).tolist()
+    platform_keys = [(platform_sids[j], platform_eids[j]) for j in platform_rows]
+    platform_row = dict(zip(platform_keys, platform_rows))
+    if len(platform_row) < len(platform_keys):
+        raise DataError(f"duplicate platform row {_first_repeat(platform_keys)}")
+    # episode -> its platform row, or -1 where it has none
+    joined = np.fromiter(map(platform_row.get, keys, itertools.repeat(-1)), dtype=np.intp, count=len(keys))
+    matched = np.flatnonzero(joined >= 0)
 
     schemas = [s for s in EPISODE_COLUMNS if s.name != "release_date"]
-    columns = {s.name: list(episodes.column(s.name)) for s in schemas}
+    columns = {s.name: episodes.column(s.name) for s in schemas}
     per_series = {}
     for r, role in enumerate(ROLES_CREW):
         per_series[f"best_{role}_rating"] = best[:, r]
         per_series[f"{role}_total_awards"] = total_awards[:, r]
         per_series[f"{role}_crew_count"] = count[:, r].astype(float)
     per_series["genre_count"] = genre_count.astype(float)
-    # gathering from object arrays shares one float per series among its
-    # episodes, instead of making one per episode
     for name, values in per_series.items():
         schemas.append(ColumnSchema(name, "numeric"))
-        columns[name] = values.astype(object)[series_index].tolist()
-    for metric, values in zip(PLATFORM_METRICS, metrics):
+        columns[name] = values[series_index]
+    for metric in PLATFORM_METRICS:
         schemas.append(ColumnSchema(metric, "numeric"))
-        columns[metric] = list(map([*values, None].__getitem__, rows))
+        values = columns[metric] = np.full(len(keys), np.nan)
+        values[matched] = platform.column(metric)[joined[matched]]
     views = episodes.columns.get(VIEWS_COLUMN.name)
-    if views is not None and any(v is not None for v in views):
+    if views is not None and not np.isnan(views).all():
         schemas.append(VIEWS_COLUMN)
-        columns[VIEWS_COLUMN.name] = list(views)
+        columns[VIEWS_COLUMN.name] = views
     return RawTable(schemas, columns)
 
 
@@ -365,21 +373,21 @@ def _positions(position, sids):
     return np.fromiter(map(position.__getitem__, sids), dtype=np.intp, count=len(sids))
 
 
-def _float_cells(cells):
-    """The cells as a float array, and the mask of the None cells."""
-    values = np.array(cells, dtype=float)  # None reads as NaN
-    return values, np.fromiter(map(operator.is_, cells, itertools.repeat(None)), dtype=bool, count=len(cells))
+def _cell_keys(values):
+    """A float64 column as Python floats with None where a cell is missing."""
+    cells = values.tolist()
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = None
+    return cells
 
 
-def _known_rows(columns, position, what):
-    """``columns`` (series ids first) without the rows whose series is not
-    in ``position``, with a warning for each such row, in row order."""
-    known = list(map(position.__contains__, columns[0]))
-    if all(known):
-        return columns
-    for sid in itertools.compress(columns[0], map(operator.not_, known)):
+def _known(sids, position, what):
+    """Mask of the rows whose series is in ``position``, with a warning for
+    each other row, in row order."""
+    known = np.fromiter(map(position.__contains__, sids), dtype=bool, count=len(sids))
+    for sid in itertools.compress(sids, ~known):
         warnings.warn(f"{what} for unknown series {sid!r}")
-    return [list(itertools.compress(column, known)) for column in columns]
+    return known
 
 
 def build_model_table(episodes, credits, genres, platform, reference_date=None):
@@ -406,6 +414,5 @@ def build_model_table(episodes, credits, genres, platform, reference_date=None):
         ColumnSchema("month", "categorical"),
         ColumnSchema("quarter", "categorical"),
     )
-    for schema, values in zip(date_columns, zip(*(derived[d] for d in release_dates))):
-        table = table.with_column(schema, values)
-    return table, reference_date
+    dates = RawTable.from_rows(date_columns, map(derived.__getitem__, release_dates))
+    return RawTable(table.schemas + dates.schemas, {**table.columns, **dates.columns}), reference_date

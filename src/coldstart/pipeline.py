@@ -27,7 +27,7 @@ import numpy as np
 
 from . import plots
 from .data import build_dataset, split_indices
-from .ensemble import build_bundle, bundle_from_dict, bundle_to_dict, weights_for_errors
+from .ensemble import SCHEMES, build_bundle, bundle_from_dict, bundle_to_dict, weights_for_errors
 from .errors import DataError
 from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, FittedModel, fit_family
 from .ingest import (
@@ -102,6 +102,10 @@ class RunConfig:
             raise DataError("input paths must be distinct")
         if self.target_transform not in TARGET_TRANSFORMS:
             raise DataError(f"target_transform must be one of {TARGET_TRANSFORMS}")
+        if self.scheme not in SCHEMES:
+            raise DataError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.top_k < 1:
+            raise DataError(f"top_k must be at least 1, got {self.top_k}")
         unknown = [f for f in self.families if f not in FAMILIES]
         if unknown:
             raise DataError(f"unknown families {unknown}; choose from {FAMILIES}")
@@ -188,11 +192,13 @@ def _length_string(minutes):
 
 def _write_holdout_episodes(path, episodes, indices):
     rows = episodes.take_rows(indices)
-    names = ("series_id", "episode_id", "release_date", "length_minutes", "views")
+    ids = (rows.column(n) for n in ("series_id", "episode_id", "release_date"))
+    # tolist gives Python floats, whose repr the writer emits
+    numbers = (rows.column(n).tolist() for n in ("length_minutes", "views"))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["series_id", "episode_id", "release_date", "length", "views"])
-        for sid, eid, release, minutes, views in zip(*(rows.column(n) for n in names)):
+        for sid, eid, release, minutes, views in zip(*ids, *numbers):
             writer.writerow([sid, eid, release.isoformat(), _length_string(minutes), repr(views)])
 
 
@@ -289,7 +295,7 @@ def run_train(config):
         datetime.date.fromisoformat(config.reference_date) if config.reference_date else None
     )
     table, reference_date = build_model_table(episodes, credits, genres, platform, reference)
-    features_all, y_all = build_dataset(table, table.schemas)
+    features_all, y_all = build_dataset(table)
 
     train_idx, hold_idx = split_indices(features_all.n_rows, config.test_fraction, config.seed)
     train_table = features_all.take_rows(train_idx.tolist())
@@ -476,13 +482,13 @@ def run_predict(bundle_path, episodes_path, credits_path, genres_path, platform_
 
 
 def _require_views(episodes):
-    views = episodes.columns.get("views") or [None] * episodes.n_rows
-    missing = [i for i, v in enumerate(views) if v is None]
-    if missing:
+    views = episodes.columns.get("views", np.full(episodes.n_rows, np.nan))
+    missing = np.flatnonzero(np.isnan(views))
+    if len(missing):
         raise DataError(
             f"episodes are missing views values (first at data row {missing[0] + 2})"
         )
-    return np.asarray(views, dtype=float)
+    return views
 
 
 def run_evaluate(bundle_path, episodes_path, credits_path, genres_path, platform_path, out_dir, alias_path=None):

@@ -5,9 +5,8 @@ to any table with the same schema, producing a fully numeric FeatureMatrix.
 Unknown categories at transform time encode as the all-zero vector so new
 shows with unseen metadata keep a stable feature dimension.
 
-Both work a column at a time. A numeric or passthrough column is read as a
-float64 array with NaN for a missing cell (data.float_column), whether the
-table holds it as an array (build_dataset) or as a list with None. A
+Both work a column at a time. A numeric or passthrough column is a float64
+array with NaN for a missing cell, as every RawTable holds it. A
 categorical column is a list; each distinct cell is keyed once by its str()
 form, so cells equal as Python values (1 and 1.0) count as one cell.
 """
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ROLES, FeatureMatrix, RawTable, float_column
+from .data import ROLES, FeatureMatrix, RawTable
 from .errors import DataError, SchemaError
 from .util import finite_number
 
@@ -93,7 +92,7 @@ def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="
     passthrough = []
     for schema in features.schemas:
         if schema.role == "numeric":
-            values = float_column(features.column(schema.name), schema.name)
+            values = features.column(schema.name)
             missing = np.isnan(values)
             present = values[~missing]  # row order, as the mean and median saw it
             if len(present) == 0:
@@ -159,7 +158,7 @@ def transform(preprocessor, features):
     names = []
 
     for col in preprocessor.numeric:
-        values = float_column(features.column(col.name), col.name)
+        values = features.column(col.name)
         filled = np.where(np.isnan(values), col.impute_value, values)
         divisor = col.std if col.std > 0 else 1.0
         blocks.append(((filled - col.mean) / divisor).reshape(n, 1))
@@ -178,7 +177,7 @@ def transform(preprocessor, features):
         names.extend(f"{col.name}={cat}" for cat in col.categories)
 
     for name in preprocessor.passthrough:
-        values = float_column(features.column(name), name)
+        values = features.column(name)
         missing = np.flatnonzero(np.isnan(values))
         if len(missing):
             raise DataError(f"missing value in passthrough column {name!r} (row {missing[0]})")

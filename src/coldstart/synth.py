@@ -214,13 +214,17 @@ def generate(config, out_dir, truth=None):
         RawTable.from_rows(GENRE_COLUMNS, genres),
         RawTable.from_rows(PLATFORM_COLUMNS, platform),
     )
+    # Python floats, so that each view is a Python float, which _fmt writes by repr
+    best_rating, total_awards, genre_count = (
+        table.column(name).tolist() for name in ("best_actor_rating", "actor_total_awards", "genre_count")
+    )
     views = []
     for i, release in enumerate(release_dates):
         dates = derive_date_features(release, reference_date)
         expected = truth.expected_views(
-            best_actor_rating=table.column("best_actor_rating")[i],
-            actor_total_awards=table.column("actor_total_awards")[i],
-            genre_count=table.column("genre_count")[i],
+            best_actor_rating=best_rating[i],
+            actor_total_awards=total_awards[i],
+            genre_count=genre_count[i],
             age_days=dates.age_days,
             day_of_week=dates.day_of_week,
         )

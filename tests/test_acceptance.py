@@ -268,7 +268,7 @@ def noiseless_matrices(tmp_path_factory):
             root / "episodes.csv", root / "credits.csv", root / "genres.csv", root / "platform.csv"
         )
         table, _ = build_model_table(episodes, credits, genres, platform)
-        features, y = build_dataset(table, table.schemas)
+        features, y = build_dataset(table)
         train_idx, hold_idx = split_indices(features.n_rows, 0.2, 42)
         prep = fit_preprocessor(features.take_rows(train_idx.tolist()))
         X_train = transform(prep, features.take_rows(train_idx.tolist())).values
@@ -414,7 +414,7 @@ def test_a9_pipeline_hygiene():
     # fold-distinct numeric distributions: every fold must see different stats
     n = 40
     values = [float(1000 * (i % 4) + i) for i in range(n)]
-    table = RawTable([ColumnSchema("x", "numeric")], {"x": values})
+    table = RawTable([ColumnSchema("x", "numeric")], {"x": np.array(values)})
     y = np.arange(n, dtype=float) + 1.0
     plan = kfold_indices(n, 4, seed=3)
     _, preps = cross_validate_pipeline(
@@ -427,9 +427,9 @@ def test_a9_pipeline_hygiene():
     table2 = RawTable(
         [ColumnSchema("a", "numeric"), ColumnSchema("b", "numeric"), ColumnSchema("const", "numeric")],
         {
-            "a": [float(v) for v in rng.normal(100.0, 25.0, size=300)],
-            "b": [float(v) for v in rng.uniform(-3.0, 9.0, size=300)],
-            "const": [7.0] * 300,
+            "a": rng.normal(100.0, 25.0, size=300),
+            "b": rng.uniform(-3.0, 9.0, size=300),
+            "const": np.full(300, 7.0),
         },
     )
     prep = fit_preprocessor(table2)

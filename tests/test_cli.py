@@ -9,7 +9,8 @@ import pytest
 
 from coldstart.cli import main
 from coldstart.ensemble import bundle_from_dict, bundle_to_dict
-from coldstart.pipeline import _json_kind, load_bundle, run_evaluate, run_predict, run_verify
+from coldstart.errors import DataError
+from coldstart.pipeline import RunConfig, _json_kind, load_bundle, run_evaluate, run_predict, run_verify
 from coldstart.trees import trees_from_block
 from coldstart.util import load_json
 
@@ -134,6 +135,14 @@ def test_train_survives_partial_family_failure(tmp_path, tiny_run):
         w.simplefilter("ignore")
         with pytest.raises(DataError):
             run_train(RunConfig.from_dict(cfg))
+
+
+@pytest.mark.parametrize("field, value", [("scheme", "median"), ("top_k", 0), ("top_k", -4)])
+def test_run_config_rejects_unknown_scheme_and_top_k_below_one(field, value):
+    # rejected before any input is read or model fit
+    paths = {name: f"{name}.csv" for name in ("episodes", "credits", "genres", "platform")}
+    with pytest.raises(DataError, match=field):
+        RunConfig(**paths, out_dir="out", **{field: value})
 
 
 # --- predict -----------------------------------------------------------------
@@ -609,6 +618,8 @@ BAD_INPUTS = {
     "config_grids_not_an_object": ("config", _config(grids=["x"])),
     "config_grid_values_not_a_list": ("config", _config(grids={"lasso": {"alpha": 0.1}})),
     "config_reference_date_not_a_date": ("config", _config(reference_date="2016-13-45")),
+    "config_scheme_unknown": ("config", _config(scheme="median")),
+    "config_top_k_zero": ("config", _config(top_k=0)),
     "flag_reference_date_not_a_date": ("config", _config(), "--reference-date", "2016-13-45"),
     "config_cv_folds_one": ("config", _config(cv_folds=1)),
     "config_cv_folds_exceeds_rows": ("config", _config(cv_folds=10000)),

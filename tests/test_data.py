@@ -9,12 +9,7 @@ from coldstart.data import (
     split_indices,
 )
 from coldstart.errors import DataError, SchemaError
-
-
-def make_table(cols):
-    """cols: list of (name, role, values)."""
-    schemas = [ColumnSchema(n, r) for n, r, _ in cols]
-    return RawTable(schemas, {n: list(v) for n, _, v in cols})
+from table_cells import cells, make_table
 
 
 def test_build_dataset_role_forced_projection():
@@ -25,7 +20,7 @@ def test_build_dataset_role_forced_projection():
             ("views", "target", [100.0, 200.0, 300.0]),
         ]
     )
-    features, y = build_dataset(table, table.schemas)
+    features, y = build_dataset(table)
     assert features.column_names == ["length_min"]
     assert list(y) == [100.0, 200.0, 300.0]
 
@@ -38,7 +33,7 @@ def test_build_dataset_missing_target_cell_errors():
         ]
     )
     with pytest.raises(DataError):
-        build_dataset(table, table.schemas)
+        build_dataset(table)
 
 
 def test_build_dataset_counts():
@@ -52,7 +47,7 @@ def test_build_dataset_counts():
             ("views", "target", [float(i + 1) for i in range(n)]),
         ]
     )
-    features, y = build_dataset(table, table.schemas)
+    features, y = build_dataset(table)
     assert len(features.column_names) == 3
     assert len(y) == n
 
@@ -62,7 +57,7 @@ def test_build_dataset_preserves_row_order():
     table = make_table(
         [("x", "numeric", [v * 10 for v in values]), ("views", "target", values)]
     )
-    features, y = build_dataset(table, table.schemas)
+    features, y = build_dataset(table)
     for i in range(4):
         assert features.column("x")[i] == y[i] * 10
 
@@ -70,19 +65,13 @@ def test_build_dataset_preserves_row_order():
 def test_build_dataset_rejects_negative_target():
     table = make_table([("x", "numeric", [1.0]), ("views", "target", [-1.0])])
     with pytest.raises(DataError):
-        build_dataset(table, table.schemas)
-
-
-def test_build_dataset_schema_mismatch():
-    table = make_table([("x", "numeric", [1.0]), ("views", "target", [1.0])])
-    with pytest.raises(SchemaError):
-        build_dataset(table, [ColumnSchema("x", "numeric")])
+        build_dataset(table)
 
 
 def test_build_dataset_requires_single_target():
     table = make_table([("x", "numeric", [1.0]), ("y", "numeric", [1.0])])
     with pytest.raises(SchemaError):
-        build_dataset(table, table.schemas)
+        build_dataset(table)
 
 
 def test_split_sizes_and_determinism():
@@ -135,15 +124,15 @@ def test_feature_matrix_rejects_non_finite():
 
 
 def test_raw_table_invariants():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="duplicate"):
         RawTable(
             [ColumnSchema("a", "numeric"), ColumnSchema("a", "numeric")],
-            {"a": [1.0]},
+            {"a": np.array([1.0])},
         )
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="ragged"):
         RawTable(
             [ColumnSchema("a", "numeric"), ColumnSchema("b", "numeric")],
-            {"a": [1.0], "b": [1.0, 2.0]},
+            {"a": np.array([1.0]), "b": np.array([1.0, 2.0])},
         )
     with pytest.raises(SchemaError):
         ColumnSchema("a", "bogus_role")
@@ -152,26 +141,23 @@ def test_raw_table_invariants():
 def test_raw_table_from_rows():
     schemas = [ColumnSchema("id", "id"), ColumnSchema("x", "numeric")]
     table = RawTable.from_rows(schemas, [("a", 1.0), ("b", None)])
-    assert table.column("x") == [1.0, None]
+    assert table.column("id") == ["a", "b"]
+    assert cells(table.column("x")) == [1.0, None]
     assert len(table) == table.n_rows == 2
     empty = RawTable.from_rows(schemas, [])
-    assert empty.columns == {"id": [], "x": []}
+    assert empty.column("id") == [] and empty.column("x").dtype == np.float64
+    assert cells(empty.column("x")) == []
     assert len(empty) == 0
     with pytest.raises(SchemaError):
         RawTable.from_rows(schemas, [("a", 1.0), ("b",)])
 
 
 def test_take_rows_gathers_array_and_list_columns_alike():
-    cells = [1.0, None, 3.5, None, -2.0]
-    table = RawTable(
-        [ColumnSchema("a", "numeric"), ColumnSchema("l", "numeric"), ColumnSchema("c", "categorical")],
-        {"a": np.array(cells, dtype=float), "l": list(cells), "c": ["u", "v", None, "w", "u"]},
-    )
+    numbers = [1.0, None, 3.5, None, -0.0]
+    table = make_table([("a", "numeric", numbers), ("c", "categorical", ["u", "v", None, "w", "u"])])
     for indices in ([4, 0, 2], [1, 1, 3, 1], [], list(range(5))[::-1], np.array([2, 0, 2])):
         rows = table.take_rows(indices)
-        assert isinstance(rows.column("a"), np.ndarray) and isinstance(rows.column("l"), list)
-        want = [cells[i] for i in indices]
-        assert rows.column("l") == want
-        assert [None if np.isnan(v) else float(v) for v in rows.column("a")] == want
+        assert rows.column("a").dtype == np.float64 and isinstance(rows.column("c"), list)
+        assert repr(cells(rows.column("a"))) == repr([numbers[i] for i in indices])
         assert rows.column("c") == [table.column("c")[i] for i in indices]
         assert rows.n_rows == len(indices)

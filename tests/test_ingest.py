@@ -4,10 +4,11 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
-from coldstart.data import ColumnSchema, RawTable
-from coldstart.errors import DataError
+from coldstart.data import NUMERIC_ROLES, ColumnSchema, RawTable, build_dataset
+from coldstart.errors import DataError, SchemaError
 from coldstart.ingest import (
     CREDIT_COLUMNS,
     EPISODE_COLUMNS,
@@ -17,13 +18,18 @@ from coldstart.ingest import (
     ROLES_CREW,
     VIEWS_COLUMN,
     apply_genre_aliases,
+    build_model_table,
     consolidate_metadata,
     derive_date_features,
     load_csv,
     parse_length_to_minutes,
     read_credits,
     read_episodes,
+    read_genres,
+    read_platform,
 )
+from coldstart.synth import SynthConfig, generate
+from table_cells import cells
 
 D = datetime.date
 
@@ -53,14 +59,14 @@ def test_load_csv_basic(tmp_path):
     path.write_text("series_id,views\nS1,100\nS2,200\n")
     table = load_csv(path, [ColumnSchema("series_id", "id"), ColumnSchema("views", "target")])
     assert table.n_rows == 2
-    assert table.column("views") == [100.0, 200.0]
+    assert cells(table.column("views")) == [100.0, 200.0]
 
 
 def test_load_csv_empty_cell_is_missing_not_zero(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x\n\n3\n")
     table = load_csv(path, [ColumnSchema("x", "numeric")])
-    assert table.column("x") == [None, 3.0]
+    assert cells(table.column("x")) == [None, 3.0]
 
 
 def test_load_csv_bad_numeric_names_row_and_column(tmp_path):
@@ -102,15 +108,15 @@ def test_load_csv_short_row_reads_missing_cells_as_none(tmp_path):
     path.write_text("s,x,y,d\nS1,1,2,2016-01-01\nS2,3\nS3\n")
     table = load_csv(path, [ColumnSchema("s", "id")] + XYD)
     assert table.column("s") == ["S1", "S2", "S3"]
-    assert table.column("x") == [1.0, 3.0, None]
-    assert table.column("y") == [2.0, None, None]
+    assert cells(table.column("x")) == [1.0, 3.0, None]
+    assert cells(table.column("y")) == [2.0, None, None]
     assert table.column("d") == [D(2016, 1, 1), None, None]
 
 
 def test_load_csv_accepts_finite_values_whose_sum_overflows(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x\n1e308\n1e308\n-1e308\n")
-    assert load_csv(path, [ColumnSchema("x", "numeric")]).column("x") == [1e308, 1e308, -1e308]
+    assert cells(load_csv(path, [ColumnSchema("x", "numeric")]).column("x")) == [1e308, 1e308, -1e308]
 
 
 def rowwise_load_csv(path, expected_schema):
@@ -165,8 +171,8 @@ def test_column_parse_matches_rowwise_reference(tmp_path):
         bad_rate = rng.choice([0.0, 0.02, 0.2])
         lines = ["t,c,skip,n,d"]
         for _ in range(rng.randint(0, 12)):
-            cells = [rng.choice(cells_of[role][rng.random() < bad_rate]) for role in file_roles]
-            lines.append(",".join(cells[: rng.choice([5, 5, 5, 4, 2])]))  # some rows short
+            row = [rng.choice(cells_of[role][rng.random() < bad_rate]) for role in file_roles]
+            lines.append(",".join(row[: rng.choice([5, 5, 5, 4, 2])]))  # some rows short
         path.write_text("\n".join(lines) + "\n")
         try:
             want = rowwise_load_csv(path, schema)
@@ -176,7 +182,8 @@ def test_column_parse_matches_rowwise_reference(tmp_path):
             assert str(err.value) == str(exc)
             outcomes.add("error")
         else:
-            assert load_csv(path, schema).columns == want
+            table = load_csv(path, schema)
+            assert {name: cells(table.column(name)) for name in table.column_names} == want
             outcomes.add("table")
     assert outcomes == {"error", "table"}
 
@@ -197,7 +204,7 @@ def test_read_episodes_views_optional(tmp_path):
     path.write_text("series_id,episode_id,release_date,length\nS1,E1,2016-01-01,30m\n")
     table = read_episodes(path)
     assert "views" not in table.column_names
-    assert table.column("length_minutes") == [30.0]
+    assert cells(table.column("length_minutes")) == [30.0]
 
 
 def test_read_episodes_bad_length_names_row_and_column(tmp_path):
@@ -225,6 +232,25 @@ def test_read_episodes_names_the_first_bad_row(tmp_path, body, message):
     with pytest.raises(DataError) as err:
         read_episodes(path)
     assert str(err.value).startswith(f"{path}: ") and str(err.value).endswith(message)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # within a row the checks run role, rating, negative awards, integer awards
+        ("S1,a,actor,7,2\nS1,b,producer,11,-1\n", "row 3 has unknown crew role 'producer'"),
+        ("S1,a,actor,11,2.5\n", "row 2 rating 11.0 outside [0, 10]"),
+        ("S1,a,actor,,-1\n", "row 2 has negative awards"),
+        ("S1,a,actor,,\nS1,b,writer,-0.5,2.5\n", "row 3 rating -0.5 outside [0, 10]"),
+        ("S1,a,actor,7,2.5\nS1,b,writer,12,1\n", "non-integer awards 2.5 (row 2, column 'awards')"),
+    ],
+)
+def test_read_credits_names_the_first_bad_row(tmp_path, body, message):
+    path = tmp_path / "credits.csv"
+    path.write_text("series_id,name,role,imdb_rating,awards\n" + body)
+    with pytest.raises(DataError) as err:
+        read_credits(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_read_credits_rejects_non_integer_awards(tmp_path):
@@ -297,7 +323,7 @@ def test_best_rating_is_max():
         ("S1", "b", "actor", 8.5, 0),
     ]
     table = consolidate([ep("S1", "E1")], credits)
-    assert table.column("best_actor_rating") == [8.5]
+    assert cells(table.column("best_actor_rating")) == [8.5]
 
 
 def test_genre_distinct_count():
@@ -307,7 +333,7 @@ def test_genre_distinct_count():
         ("S1", "drama", "rotten"),
     ]
     table = consolidate([ep("S1", "E1")], genres=genres)
-    assert table.column("genre_count") == [2.0]
+    assert cells(table.column("genre_count")) == [2.0]
 
 
 def test_award_and_count_aggregation():
@@ -317,23 +343,23 @@ def test_award_and_count_aggregation():
         ("S1", "d1", "director", 8.0, 4),
     ]
     table = consolidate([ep("S1", "E1")], credits)
-    assert table.column("actor_total_awards") == [4.0]
-    assert table.column("director_total_awards") == [4.0]
-    assert table.column("actor_crew_count") == [2.0]
+    assert cells(table.column("actor_total_awards")) == [4.0]
+    assert cells(table.column("director_total_awards")) == [4.0]
+    assert cells(table.column("actor_crew_count")) == [2.0]
 
 
 def test_exact_duplicate_credits_removed():
     credit = ("S1", "a1", "actor", 6.0, 3)
     table = consolidate([ep("S1", "E1")], [credit, credit])
-    assert table.column("actor_total_awards") == [3.0]
-    assert table.column("actor_crew_count") == [1.0]
+    assert cells(table.column("actor_total_awards")) == [3.0]
+    assert cells(table.column("actor_crew_count")) == [1.0]
 
 
 def test_zero_credits_of_role():
     table = consolidate([ep("S1", "E1")])
-    assert table.column("best_writer_rating") == [None]
-    assert table.column("writer_total_awards") == [0.0]
-    assert table.column("writer_crew_count") == [0.0]
+    assert cells(table.column("best_writer_rating")) == [None]
+    assert cells(table.column("writer_total_awards")) == [0.0]
+    assert cells(table.column("writer_crew_count")) == [0.0]
 
 
 def test_missing_ratings_do_not_poison_max():
@@ -342,16 +368,16 @@ def test_missing_ratings_do_not_poison_max():
         ("S1", "a2", "actor", 5.5, 2),
     ]
     table = consolidate([ep("S1", "E1")], credits)
-    assert table.column("best_actor_rating") == [5.5]
-    assert table.column("actor_total_awards") == [2.0]
-    assert table.column("actor_crew_count") == [2.0]
+    assert cells(table.column("best_actor_rating")) == [5.5]
+    assert cells(table.column("actor_total_awards")) == [2.0]
+    assert cells(table.column("actor_crew_count")) == [2.0]
 
 
 def test_platform_join_and_missing():
     platform = [platform_row("S1", "E1", exposures=10.0)]
     table = consolidate([ep("S1", "E1"), ep("S1", "E2")], platform=platform)
-    assert table.column("exposures") == [10.0, None]
-    assert table.column("revenue") == [None, None]
+    assert cells(table.column("exposures")) == [10.0, None]
+    assert cells(table.column("revenue")) == [None, None]
 
 
 def test_duplicate_platform_rows_error():
@@ -398,21 +424,22 @@ def test_aggregation_permutation_invariant():
         rng.shuffle(platform)
         again = consolidate(episodes, credits, genres, platform)
         for name in base.column_names:
-            assert base.column(name) == again.column(name)
+            assert cells(base.column(name)) == cells(again.column(name))
 
 
 def test_genre_aliases():
     genres = RawTable.from_rows(GENRE_COLUMNS, [("S1", "Sci-Fi", "imdb"), ("S1", "scifi", "rotten")])
     mapped = apply_genre_aliases(genres, {"Sci-Fi": "scifi"})
     table = consolidate([ep("S1", "E1")], genres=mapped)
-    assert table.column("genre_count") == [1.0]
+    assert cells(table.column("genre_count")) == [1.0]
     # unmapped genres pass through verbatim
     same = apply_genre_aliases(genres, {})
     assert same.column("genre") == ["Sci-Fi", "scifi"]
 
 
 def reference_consolidate(episodes, credits, genres, platform):
-    """Row-at-a-time consolidation, the reference for consolidate_metadata."""
+    """Row-at-a-time consolidation, the reference for consolidate_metadata:
+    its schemas and its columns of Python cells (None missing)."""
     series = episodes.column("series_id")
     keys = list(zip(series, episodes.column("episode_id")))
     seen = set()
@@ -422,7 +449,7 @@ def reference_consolidate(episodes, credits, genres, platform):
         seen.add(key)
     known = set(series)
     best, awards, count = {}, {}, {}
-    for sid, _, role, rating, award in dict.fromkeys(zip(*(credits.column(s.name) for s in CREDIT_COLUMNS))):
+    for sid, _, role, rating, award in dict.fromkeys(zip(*(cells(credits.column(s.name)) for s in CREDIT_COLUMNS))):
         if sid not in known:
             warnings.warn(f"credit for unknown series {sid!r}")
             continue
@@ -448,7 +475,7 @@ def reference_consolidate(episodes, credits, genres, platform):
         platform_row[key] = j
 
     schemas = [s for s in EPISODE_COLUMNS if s.name != "release_date"]
-    columns = {s.name: list(episodes.column(s.name)) for s in schemas}
+    columns = {s.name: cells(episodes.column(s.name)) for s in schemas}
     for role in ROLES_CREW:
         for name, cell in (
             (f"best_{role}_rating", lambda sid: best.get((sid, role))),
@@ -461,18 +488,18 @@ def reference_consolidate(episodes, credits, genres, platform):
     columns["genre_count"] = [float(len(genre_sets.get(sid, ()))) for sid in series]
     for metric in PLATFORM_METRICS:
         schemas.append(ColumnSchema(metric, "numeric"))
-        values = platform.column(metric)
+        values = cells(platform.column(metric))
         columns[metric] = [None if platform_row.get(k) is None else values[platform_row[k]] for k in keys]
-    views = episodes.column("views")
+    views = cells(episodes.column("views"))
     if any(v is not None for v in views):
         schemas.append(VIEWS_COLUMN)
-        columns["views"] = list(views)
-    return RawTable(schemas, columns)
+        columns["views"] = views
+    return schemas, columns
 
 
-def _cells(table):
+def _typed(columns):
     """Every cell with its type and sign, so 0.0 and -0.0 (or 1 and 1.0) differ."""
-    return {name: [(type(v), repr(v)) for v in table.column(name)] for name in table.column_names}
+    return {name: [(type(v), repr(v)) for v in values] for name, values in columns.items()}
 
 
 def _random_metadata(rng, n_series):
@@ -508,12 +535,12 @@ def test_consolidate_matches_row_reference():
             tables = [RawTable.from_rows(schema, r) for schema, r in zip(schemas, rows)]
             with warnings.catch_warnings(record=True) as want_warnings:
                 warnings.simplefilter("always")
-                want = reference_consolidate(*tables)
+                want_schemas, want = reference_consolidate(*tables)
             with warnings.catch_warnings(record=True) as got_warnings:
                 warnings.simplefilter("always")
                 got = consolidate_metadata(*tables)
-            assert got.schemas == want.schemas
-            assert _cells(got) == _cells(want)
+            assert got.schemas == want_schemas
+            assert _typed({name: cells(got.column(name)) for name in got.column_names}) == _typed(want)
             assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
 
 
@@ -521,8 +548,8 @@ def test_consolidate_keeps_the_first_of_equal_best_ratings():
     credits = [("S1", "a", "actor", -0.0, None), ("S1", "b", "actor", 0.0, None), ("S1", "c", "writer", 0.0, None)]
     credits.append(("S1", "d", "writer", -0.0, None))
     table = consolidate([ep("S1", "E1")], credits)
-    assert repr(table.column("best_actor_rating")) == "[-0.0]"
-    assert repr(table.column("best_writer_rating")) == "[0.0]"
+    assert repr(cells(table.column("best_actor_rating"))) == "[-0.0]"
+    assert repr(cells(table.column("best_writer_rating"))) == "[0.0]"
 
 
 def test_consolidate_duplicate_errors_match_reference():
@@ -532,3 +559,71 @@ def test_consolidate_duplicate_errors_match_reference():
     platform = [platform_row("S9", "E1"), platform_row("S9", "E1"), platform_row("S1", "E1"), platform_row("S1", "E1")]
     with pytest.warns(UserWarning), pytest.raises(DataError, match=r"duplicate platform row \('S1', 'E1'\)"):
         consolidate([ep("S1", "E1")], platform=platform)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_numbers_are_float64_arrays_from_csv_to_features(tmp_path):
+    """Every numeric, passthrough and target column is a 1-D float64 array,
+    NaN exactly where its cell is missing, in every table from the CSV to
+    the features."""
+    paths = generate(SynthConfig(n_series=30, seed=11), tmp_path)
+
+    def check(table):
+        for s in table.schemas:
+            column = table.column(s.name)
+            if s.role in NUMERIC_ROLES:
+                assert isinstance(column, np.ndarray) and column.dtype == np.float64 and column.ndim == 1, s.name
+            else:
+                assert isinstance(column, list), s.name
+        return table
+
+    def missing(table, name):
+        return np.isnan(table.column(name)).tolist()
+
+    loaded = {"credits": read_credits(paths["credits"]), "platform": read_platform(paths["platform"])}
+    loaded["episodes"] = episodes = read_episodes(paths["episodes"])
+    loaded["load_csv"] = load_csv(paths["credits"], CREDIT_COLUMNS)
+    for name, table in loaded.items():
+        rows = _csv_rows(paths["credits" if name == "load_csv" else name])
+        for s in check(table).schemas:
+            if s.role in NUMERIC_ROLES and s.name in rows[0]:
+                assert missing(table, s.name) == [row[s.name] == "" for row in rows], (name, s.name)
+    assert any(missing(loaded["credits"], "imdb_rating")) and any(missing(loaded["platform"], "revenue"))
+    genres = check(read_genres(paths["genres"]))
+
+    credits, platform = loaded["credits"], loaded["platform"]
+    table = check(consolidate_metadata(episodes, credits, genres, platform))
+    series = episodes.column("series_id")
+    keys = list(zip(series, episodes.column("episode_id")))
+    rated = {(row["series_id"], row["role"]) for row in _csv_rows(paths["credits"]) if row["imdb_rating"]}
+    for role in ROLES_CREW:
+        assert missing(table, f"best_{role}_rating") == [(sid, role) not in rated for sid in series]
+        assert not any(missing(table, f"{role}_total_awards") + missing(table, f"{role}_crew_count"))
+    platform_rows = {(row["series_id"], row["episode_id"]): row for row in _csv_rows(paths["platform"])}
+    for metric in PLATFORM_METRICS:
+        assert missing(table, metric) == [key not in platform_rows or platform_rows[key][metric] == "" for key in keys]
+
+    model_table, _ = build_model_table(episodes, credits, genres, platform)
+    check(model_table)
+    assert not any(missing(model_table, "age_days"))
+    features, y = build_dataset(model_table)
+    check(features)
+    assert y.dtype == np.float64 and y.ndim == 1
+    for indices in ([3, 0, 3], []):
+        rows = check(features.take_rows(indices))
+        for s in rows.schemas:
+            if s.role in NUMERIC_ROLES:
+                assert missing(rows, s.name) == [missing(features, s.name)[i] for i in indices]
+    kept = check(features.drop_columns(["exposures", "month"]))
+    assert all(kept.column(name) is features.column(name) for name in kept.column_names)
+
+    for role in NUMERIC_ROLES:
+        for column in ([1.0, None], np.array([1, 2]), np.zeros((2, 1)), (1.0, 2.0)):
+            with pytest.raises(SchemaError, match="must be a 1-D float64 array"):
+                RawTable([ColumnSchema("x", role)], {"x": column})
+        values = np.array([1.0, np.nan])
+        assert RawTable([ColumnSchema("x", role)], {"x": values}).column("x") is values  # checked, not copied

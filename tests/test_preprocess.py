@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coldstart.data import ColumnSchema, RawTable, build_dataset
+from coldstart.data import ColumnSchema, build_dataset
 from coldstart.errors import DataError, SchemaError
 from coldstart.preprocess import (
     SENTINEL,
@@ -15,11 +15,7 @@ from coldstart.preprocess import (
     preprocessor_to_dict,
     transform,
 )
-
-
-def make_table(cols):
-    schemas = [ColumnSchema(n, r) for n, r, _ in cols]
-    return RawTable(schemas, {n: list(v) for n, _, v in cols})
+from table_cells import cells, make_table
 
 
 def test_mean_imputation_and_population_std():
@@ -195,19 +191,19 @@ def test_serialization_round_trip():
 
 
 def reference_fit(features, strategy_numeric="median", strategy_categorical="mode"):
-    """fit_preprocessor as a loop over cells, on a table of list columns."""
+    """fit_preprocessor as a loop over cells, read as Python values (None missing)."""
     numeric, categorical, passthrough = [], [], []
     for schema in features.schemas:
-        cells = features.column(schema.name)
+        values = cells(features.column(schema.name))
         if schema.role == "numeric":
-            present = np.asarray([v for v in cells if v is not None], dtype=float)
+            present = np.asarray([v for v in values if v is not None], dtype=float)
             if len(present) == 0:
                 raise DataError("entirely missing")
             impute = float(present.mean()) if strategy_numeric == "mean" else float(np.median(present))
-            filled = np.asarray([impute if v is None else float(v) for v in cells])
+            filled = np.asarray([impute if v is None else float(v) for v in values])
             numeric.append(NumericColumnState(schema.name, impute, float(filled.mean()), float(filled.std())))
         elif schema.role == "categorical":
-            present = [str(v) for v in cells if v is not None]
+            present = [str(v) for v in values if v is not None]
             categories = sorted(set(present))
             if strategy_categorical == "mode":
                 if not present:
@@ -230,23 +226,23 @@ def reference_fit(features, strategy_numeric="median", strategy_categorical="mod
 
 
 def reference_transform(prep, features):
-    """transform as a loop over cells, on a table of list columns."""
+    """transform as a loop over cells, read as Python values (None missing)."""
     n = features.n_rows
     blocks = []
     for col in prep.numeric:
-        filled = np.asarray([col.impute_value if v is None else float(v) for v in features.column(col.name)])
+        filled = np.asarray([col.impute_value if v is None else float(v) for v in cells(features.column(col.name))])
         blocks.append(((filled - col.mean) / (col.std if col.std > 0 else 1.0)).reshape(n, 1))
     for col in prep.categorical:
         block = np.zeros((n, len(col.categories)))
         index = {cat: j for j, cat in enumerate(col.categories)}
-        for i, v in enumerate(features.column(col.name)):
+        for i, v in enumerate(cells(features.column(col.name))):
             j = index.get(col.impute_category if v is None else str(v))
             if j is not None:
                 block[i, j] = 1.0
         blocks.append(block)
     for name in prep.passthrough:
         out = np.empty(n)
-        for i, v in enumerate(features.column(name)):
+        for i, v in enumerate(cells(features.column(name))):
             if v is None:
                 raise DataError("missing passthrough")
             out[i] = float(v)
@@ -285,7 +281,7 @@ def random_cells(rng, role, n, missing, pool):
 
 
 def random_case(rng):
-    """A fit table and a transform table with one schema, as lists of columns."""
+    """A fit table and a transform table with one schema."""
     schema = [ColumnSchema(f"x{j}", "numeric") for j in range(int(rng.integers(1, 4)))]
     schema += [ColumnSchema(f"c{j}", "categorical") for j in range(int(rng.integers(1, 3)))]
     schema += [ColumnSchema(f"p{j}", "passthrough") for j in range(int(rng.integers(0, 2)))]
@@ -295,20 +291,12 @@ def random_case(rng):
     for pool in (fit_pool, new_pool):
         n = 1 if rng.random() < 0.15 else int(rng.integers(2, 40))
         missing = float(rng.choice([0.0, 0.2, 0.6]))
-        columns = {
-            s.name: random_cells(rng, s.role, n, 0.1 * missing if s.role == "passthrough" else missing, pool)
+        cols = [
+            (s.name, s.role, random_cells(rng, s.role, n, 0.1 * missing if s.role == "passthrough" else missing, pool))
             for s in schema
-        }
-        tables.append(RawTable(list(schema), columns))
+        ]
+        tables.append(make_table(cols))
     return tables
-
-
-def as_dataset(table):
-    """The same cells through build_dataset: array numeric and passthrough columns."""
-    views = ColumnSchema("views", "target")
-    full = table.with_column(views, [1.0] * table.n_rows)
-    features, _ = build_dataset(full, full.schemas)
-    return features
 
 
 def outcome(fn, *args):
@@ -322,43 +310,32 @@ def test_column_fit_and_transform_match_the_per_cell_reference():
     rng = np.random.default_rng(2024)
     strategies = [(num, cat) for num in ("median", "mean") for cat in ("mode", "sentinel")]
     compared = 0
-    for case in range(50):
-        fit_table, new_table = random_case(rng)
+    for case in range(100):
+        tables = random_case(rng)
         num, cat = strategies[case % len(strategies)]
-        want = outcome(reference_fit, fit_table, num, cat)
-        want_x = {
-            name: DataError if want is DataError else outcome(reference_transform, want, table)
-            for name, table in (("fit", fit_table), ("new", new_table))
-        }
-        for tables in ((fit_table, new_table), (as_dataset(fit_table), as_dataset(new_table))):
-            got = outcome(fit_preprocessor, tables[0], num, cat)
-            if want is DataError:
-                assert got is DataError
-                continue
-            assert state_key(got) == state_key(want)
-            for name, table in zip(("fit", "new"), tables):
-                got_x = outcome(transform, got, table)
-                if want_x[name] is DataError:
-                    assert got_x is DataError
-                else:
-                    assert got_x.values.tobytes() == want_x[name].tobytes()
-                    assert got_x.feature_names == got.feature_names
-                    compared += 1
+        want = outcome(reference_fit, tables[0], num, cat)
+        got = outcome(fit_preprocessor, tables[0], num, cat)
+        if want is DataError:
+            assert got is DataError
+            continue
+        assert state_key(got) == state_key(want)
+        for table in tables:
+            want_x = outcome(reference_transform, want, table)
+            got_x = outcome(transform, got, table)
+            if want_x is DataError:
+                assert got_x is DataError
+            else:
+                assert got_x.values.tobytes() == want_x.tobytes()
+                assert got_x.feature_names == got.feature_names
+                compared += 1
     assert compared >= 100  # most cases fit and transform
 
 
-@pytest.mark.parametrize("role", ["numeric", "passthrough"])
+@pytest.mark.parametrize("role", ["numeric", "passthrough", "target"])
 def test_nan_cell_in_a_list_column_is_a_data_error(role):
-    fitted = fit_preprocessor(make_table([("v", role, [1.0, 2.0])]))
-    table = make_table([("v", role, [1.0, float("nan")])])
-    with pytest.raises(DataError):
-        transform(fitted, table)
-    if role == "numeric":
-        with pytest.raises(DataError):
-            fit_preprocessor(table)
-    full = table.with_column(ColumnSchema("views", "target"), [1.0, 2.0])
-    with pytest.raises(DataError):
-        build_dataset(full, full.schemas)
+    # None is the missing cell; a NaN cell would read as missing once in an array
+    with pytest.raises(DataError, match=r"column 'v' has a NaN cell \(row 1\)"):
+        make_table([("v", role, [1.0, float("nan")])])
 
 
 def test_build_dataset_encodes_numeric_and_passthrough_columns_as_arrays():
@@ -370,7 +347,7 @@ def test_build_dataset_encodes_numeric_and_passthrough_columns_as_arrays():
             ("views", "target", [1.0, 2.0, 3.0]),
         ]
     )
-    features, _ = build_dataset(table, table.schemas)
+    features, _ = build_dataset(table)
     x = features.column("x")
     assert isinstance(x, np.ndarray) and x.dtype == np.float64
     assert x[0] == 1.0 and np.isnan(x[1]) and x[2] == 2.5

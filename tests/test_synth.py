@@ -112,7 +112,7 @@ def test_noiseless_deep_tree_interpolates(tmp_path):
     generate(SynthConfig(n_series=20, seed=9, noise_sigma=0.0), tmp_path)
     episodes, credits, genres, platform = read_all(tmp_path)
     table, _ = build_model_table(episodes, credits, genres, platform)
-    features, y = build_dataset(table, table.schemas)
+    features, y = build_dataset(table)
     from coldstart.preprocess import fit_preprocessor, transform
 
     prep = fit_preprocessor(features)

@@ -19,7 +19,7 @@ def numeric_table(X):
     X = np.asarray(X, dtype=float)
     names = [f"x{j}" for j in range(X.shape[1])]
     return RawTable(
-        [ColumnSchema(n, "numeric") for n in names], {n: X[:, j].tolist() for j, n in enumerate(names)}
+        [ColumnSchema(n, "numeric") for n in names], {n: X[:, j] for j, n in enumerate(names)}
     )
 
 
@@ -95,7 +95,7 @@ def test_leave_one_out_equivalent():
 def _leaky_table(n=40):
     # two fold-distinguishable clusters in the numeric column
     values = [float(1000 + i) if i < n // 2 else float(i) for i in range(n)]
-    return RawTable([ColumnSchema("x", "numeric")], {"x": values})
+    return RawTable([ColumnSchema("x", "numeric")], {"x": np.array(values)})
 
 
 def test_pipeline_cv_fits_preprocessor_per_fold():
@@ -165,7 +165,7 @@ def test_search_on_raw_table_runs_pipeline_mode():
     rng = np.random.default_rng(8)
     n = 50
     values = rng.normal(size=n)
-    table = RawTable([ColumnSchema("x", "numeric")], {"x": [float(v) for v in values]})
+    table = RawTable([ColumnSchema("x", "numeric")], {"x": values})
     y = values * 3.0 + 5.0 + rng.normal(scale=0.1, size=n)
     folds = fold_matrices(table, y, kfold_indices(n, 5, 42), "median", "mode")
     result = randomized_search("ridge", {"alpha": [0.001, 1.0]}, n_iter=4, folds=folds, seed=42, scoring="r2")
