@@ -27,7 +27,6 @@ def build_parser():
     p_synth.add_argument("--episodes-min", type=int, default=4)
     p_synth.add_argument("--episodes-max", type=int, default=16)
     p_synth.add_argument("--noise-sigma", type=float, default=0.3)
-    p_synth.add_argument("--cold-start-fraction", type=float, default=0.0)
 
     p_train = sub.add_parser("train", help="train the model zoo and build the ensemble bundle")
     p_train.add_argument("--config", help="JSON config file; flags override its values")
@@ -118,7 +117,6 @@ def main(argv=None):
                 episodes_max=args.episodes_max,
                 seed=args.seed,
                 noise_sigma=args.noise_sigma,
-                cold_start_fraction=args.cold_start_fraction,
             )
             paths = generate(config, args.out, GroundTruth())
             for name, path in sorted(paths.items()):

@@ -169,9 +169,12 @@ def build_dataset(table):
     raw_target = table.column(target_name)
     if np.isnan(raw_target).any():
         raise DataError(f"target column {target_name!r} contains missing values")
-    y = validate_target(raw_target)
-    features = table.drop_columns([s.name for s in table.schemas if s.role in ("id", "target")])
-    return features, y
+    return feature_table(table), validate_target(raw_target)
+
+
+def feature_table(table):
+    """The table without its id and target columns, which no model reads."""
+    return table.drop_columns([s.name for s in table.schemas if s.role in ("id", "target")])
 
 
 def split_indices(n, test_fraction, seed):

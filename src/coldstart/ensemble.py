@@ -3,14 +3,14 @@
 The default weighting is inverse validation error, normalized to sum to 1:
 a member with half the error of another carries twice the weight. Equal
 weighting is available for ablation. A zero validation error makes the
-inverse scheme degenerate; the bundle builder then falls back to equal
-weights shared among the zero-error members.
+inverse scheme degenerate; the zero-error members then share the weight
+equally.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import DataError
-from .families import FittedModel
+from .families import check_family
 from .preprocess import preprocessor_from_dict, preprocessor_to_dict
 from .util import finite_number
 
@@ -21,7 +21,11 @@ BUNDLE_SCHEMA_VERSION = 4
 
 @dataclass
 class EnsembleMember:
-    model: FittedModel
+    """A fitted model of one family, with the parameters it was fit with."""
+
+    family: str
+    params: dict
+    model: object
     validation_mape: float
     weight: float = 0.0
 
@@ -47,19 +51,20 @@ class EnsembleBundle:
 
 
 def select_top_models(candidates, k=3):
-    """The k candidates with smallest validation error, stable under ties.
-
-    ``candidates`` is a list of (model, validation_mape) pairs; k clamps to
-    the number available.
-    """
+    """The k candidate members with smallest validation error, stable under
+    ties; k clamps to the number available."""
     if not candidates:
         raise DataError("no candidates to select from")
-    order = sorted(range(len(candidates)), key=lambda i: (candidates[i][1], i))
+    order = sorted(range(len(candidates)), key=lambda i: (candidates[i].validation_mape, i))
     return [candidates[i] for i in order[: max(1, min(k, len(candidates)))]]
 
 
 def compute_weights(validation_errors, scheme="inverse_error"):
-    """Normalized member weights from validation errors."""
+    """Normalized member weights from validation errors.
+
+    Under inverse_error, zero-error members share the weight equally, as
+    their inverse is unbounded; a negative error is a DataError.
+    """
     if scheme not in SCHEMES:
         raise DataError(f"unknown weighting scheme {scheme!r}")
     errors = [float(e) for e in validation_errors]
@@ -67,33 +72,25 @@ def compute_weights(validation_errors, scheme="inverse_error"):
         raise DataError("no errors to weight")
     if scheme == "equal":
         return [1.0 / len(errors)] * len(errors)
-    if any(e <= 0 for e in errors):
-        raise DataError("inverse_error weighting needs strictly positive errors")
-    inv = [1.0 / e for e in errors]
+    if any(e < 0 for e in errors):
+        raise DataError("inverse_error weighting needs nonnegative errors")
+    if 0 in errors:  # the inverse is unbounded; the zero-error members share the weight
+        inv = [1.0 if e == 0 else 0.0 for e in errors]
+    else:
+        inv = [1.0 / e for e in errors]
     total = sum(inv)
     return [v / total for v in inv]
 
 
-def weights_for_errors(errors, scheme="inverse_error"):
-    """compute_weights plus the degenerate-case fallback: zero-error members
-    under inverse_error share equal weight among themselves."""
-    if scheme == "inverse_error" and any(e == 0 for e in errors):
-        zero = [i for i, e in enumerate(errors) if e == 0]
-        return [1.0 / len(zero) if i in zero else 0.0 for i in range(len(errors))]
-    return compute_weights(errors, scheme)
-
-
 def build_bundle(candidates, preprocessor=None, scheme="inverse_error", k=3, meta=None):
-    """Select the top-k candidates, weight them, and assemble the bundle."""
+    """Select the top-k candidate members, weight them, and assemble the bundle."""
     selected = select_top_models(candidates, k=k)
-    errors = [e for _, e in selected]
-    weights = weights_for_errors(errors, scheme)
-    members = [
-        EnsembleMember(model=model, validation_mape=err, weight=w)
-        for (model, err), w in zip(selected, weights)
-    ]
+    weights = compute_weights([m.validation_mape for m in selected], scheme)
     return EnsembleBundle(
-        members=members, preprocessor=preprocessor, scheme=scheme, meta=dict(meta or {})
+        members=[replace(m, weight=w) for m, w in zip(selected, weights)],
+        preprocessor=preprocessor,
+        scheme=scheme,
+        meta=dict(meta or {}),
     )
 
 
@@ -107,9 +104,11 @@ def bundle_to_dict(bundle):
         ),
         "members": [
             {
+                "family": m.family,
+                "params": dict(m.params),
+                "model": check_family(m.family).to_dict(m.model),
                 "validation_mape": m.validation_mape,
                 "weight": m.weight,
-                **m.model.to_dict(),
             }
             for m in bundle.members
         ],
@@ -126,7 +125,9 @@ def bundle_from_dict(d):
     try:
         members = [
             EnsembleMember(
-                model=FittedModel.from_dict(m),
+                family=m["family"],
+                params=dict(m["params"]),
+                model=check_family(m["family"]).from_dict(m["model"]),
                 validation_mape=finite_number(m["validation_mape"], f"bundle member {i} validation_mape"),
                 weight=finite_number(m["weight"], f"bundle member {i} weight"),
             )

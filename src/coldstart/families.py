@@ -7,7 +7,6 @@ pin learning rate 0.5.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from . import linear, trees
 from .errors import DataError
@@ -18,37 +17,32 @@ from .errors import DataError
 Family = namedtuple("Family", "fit predict to_dict from_dict trees")
 
 
-def _tree_params(p, seed, max_features):
+def _tree_params(p, seed):
     return trees.TreeParams(
         max_depth=p["max_depth"],
         min_samples_split=p["min_samples_split"],
-        max_features=p.get("max_features", max_features),
+        max_features=p["max_features"],
         seed=seed,
     )
 
 
-def _linear_family(l1_ratio):
-    return Family(
-        fit=lambda p, X, y, seed: linear.fit_linear(
-            X,
-            y,
-            alpha=p["alpha"],
-            l1_ratio=p.get("l1_ratio", l1_ratio),
-            tol=p.get("tol", 1e-6),
-            max_iter=p.get("max_iter", 10000),
-        ),
-        predict=lambda model, X: linear.predict_linear(model, X),
-        to_dict=linear.linear_to_dict,
-        from_dict=linear.linear_from_dict,
-        trees=None,
-    )
-
+# lasso, ridge and elastic net share one entry and differ in their default
+# l1_ratio only
+_LINEAR = Family(
+    fit=lambda p, X, y, seed: linear.fit_linear(
+        X, y, alpha=p["alpha"], l1_ratio=p["l1_ratio"], tol=p["tol"], max_iter=p["max_iter"]
+    ),
+    predict=lambda model, X: linear.predict_linear(model, X),
+    to_dict=linear.linear_to_dict,
+    from_dict=linear.linear_from_dict,
+    trees=None,
+)
 
 # Entries look fit and predict functions up through their module at call
 # time, so a wrapper patched onto trees or linear sees every call.
 FAMILY_TABLE = {
     "decision_tree": Family(
-        fit=lambda p, X, y, seed: trees.fit_decision_tree(X, y, _tree_params(p, seed, "all")),
+        fit=lambda p, X, y, seed: trees.fit_decision_tree(X, y, _tree_params(p, seed)),
         predict=lambda model, X: trees.predict_tree(model, X),
         to_dict=trees.decision_tree_to_dict,
         from_dict=trees.decision_tree_from_dict,
@@ -56,7 +50,7 @@ FAMILY_TABLE = {
     ),
     "random_forest": Family(
         fit=lambda p, X, y, seed: trees.fit_random_forest(
-            X, y, _tree_params(p, seed, "third"), n_estimators=p["n_estimators"]
+            X, y, _tree_params(p, seed), n_estimators=p["n_estimators"]
         ),
         predict=lambda model, X: trees.predict_forest(model, X),
         to_dict=trees.forest_to_dict,
@@ -69,27 +63,29 @@ FAMILY_TABLE = {
             y,
             rounds=p["rounds"],
             learning_rate=p["learning_rate"],
-            tree_params=_tree_params(p, seed, "all"),
+            tree_params=_tree_params(p, seed),
         ),
         predict=lambda model, X: trees.predict_gbt(model, X),
         to_dict=trees.gbt_to_dict,
         from_dict=trees.gbt_from_dict,
         trees=lambda model: model.stages,
     ),
-    "lasso": _linear_family(1.0),
-    "ridge": _linear_family(0.0),
-    "elastic_net": _linear_family(0.5),
+    "lasso": _LINEAR,
+    "ridge": _LINEAR,
+    "elastic_net": _LINEAR,
 }
 
 FAMILIES = tuple(FAMILY_TABLE)
 
+# every parameter a family's fit reads, at its default; a params dict or
+# grid may name these and no others
 DEFAULT_PARAMS = {
-    "decision_tree": {"max_depth": None, "min_samples_split": 30},
-    "random_forest": {"n_estimators": 1000, "min_samples_split": 30, "max_depth": 30},
-    "gbt": {"rounds": 100, "max_depth": 3, "learning_rate": 0.5, "min_samples_split": 2},
-    "lasso": {"alpha": 1.0},
-    "ridge": {"alpha": 1.0},
-    "elastic_net": {"alpha": 1.0, "l1_ratio": 0.5},
+    "decision_tree": {"max_depth": None, "min_samples_split": 30, "max_features": "all"},
+    "random_forest": {"n_estimators": 1000, "min_samples_split": 30, "max_depth": 30, "max_features": "third"},
+    "gbt": {"rounds": 100, "max_depth": 3, "learning_rate": 0.5, "min_samples_split": 2, "max_features": "all"},
+    "lasso": {"alpha": 1.0, "l1_ratio": 1.0, "tol": 1e-6, "max_iter": 10000},
+    "ridge": {"alpha": 1.0, "l1_ratio": 0.0, "tol": 1e-6, "max_iter": 10000},
+    "elastic_net": {"alpha": 1.0, "l1_ratio": 0.5, "tol": 1e-6, "max_iter": 10000},
 }
 
 _ALPHAS = [0.001, 0.01, 0.1, 1.0, 10.0, 100.0]
@@ -127,43 +123,21 @@ def check_family(family):
 
 
 def resolve_params(family, params=None):
+    """The family's defaults overridden by ``params``; DataError for an
+    unknown family or a parameter name the family does not have."""
     check_family(family)
-    merged = dict(DEFAULT_PARAMS[family])
-    merged.update(params or {})
-    return merged
+    defaults = DEFAULT_PARAMS[family]
+    params = params or {}
+    unknown = [name for name in params if name not in defaults]
+    if unknown:
+        raise DataError(f"unknown {family} parameters {unknown}; expected some of {list(defaults)}")
+    return {**defaults, **params}
 
 
 def fit_family(family, params, X, y, seed=0):
     """Fit one model of the given family; params override family defaults."""
-    return FAMILY_TABLE[family].fit(resolve_params(family, params), X, y, seed)
+    return check_family(family).fit(resolve_params(family, params), X, y, seed)
 
 
 def predict_family(family, model, X):
     return check_family(family).predict(model, X)
-
-
-@dataclass
-class FittedModel:
-    """A fitted model plus enough context to predict and serialize it."""
-
-    family: str
-    params: dict
-    model: object
-
-    def predict(self, X):
-        return predict_family(self.family, self.model, X)
-
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "params": {k: v for k, v in self.params.items()},
-            "model": check_family(self.family).to_dict(self.model),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            family=d["family"],
-            params=dict(d["params"]),
-            model=check_family(d["family"]).from_dict(d["model"]),
-        )

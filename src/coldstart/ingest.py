@@ -4,7 +4,8 @@ Each input stays one RawTable from file to model: numbers are float64
 arrays with NaN for a missing cell from the first parse on, and the other
 cells lists. The read_* functions load an episode/credit/genre/platform CSV
 against its column constant, check it (errors name the file and row) and
-return the table;
+return the table; write_csv writes rows in the form load_csv reads, and
+format_length a length in the form parse_length_to_minutes reads.
 build_model_table takes the four tables and returns one model-ready table:
 show length normalized to minutes, per-role crew aggregates (best rating,
 total awards, crew count), distinct-genre counts, platform metrics joined
@@ -145,6 +146,27 @@ def load_csv(path, expected_schema):
     return RawTable(list(expected_schema), columns)
 
 
+def _cell_text(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_csv(path, schemas, rows):
+    """Write a headered CSV that load_csv reads back with ``schemas``.
+
+    None writes as an empty cell and a float by its repr, so every number
+    round-trips exactly.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([s.name for s in schemas])
+        for row in rows:
+            writer.writerow([_cell_text(v) for v in row])
+
+
 _LENGTH_HM = re.compile(r"^\s*(?:(\d+)\s*h)?\s*(?:(\d+)\s*m)?\s*$", re.IGNORECASE)
 _LENGTH_COLON = re.compile(r"^\s*(\d{1,3}):([0-5]\d)\s*$")
 
@@ -162,6 +184,16 @@ def parse_length_to_minutes(raw):
         minutes = int(m.group(2) or 0)
         return float(hours * 60 + minutes)
     raise DataError(f"unrecognized length format {raw!r}")
+
+
+def format_length(minutes):
+    """Whole minutes as '1h 30m', '2h' or '45m', which parse_length_to_minutes reads back."""
+    hours, mins = divmod(int(round(minutes)), 60)
+    if hours and mins:
+        return f"{hours}h {mins}m"
+    if hours:
+        return f"{hours}h"
+    return f"{mins}m"
 
 
 def read_episodes(path):

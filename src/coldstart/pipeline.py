@@ -26,18 +26,22 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import plots
-from .data import build_dataset, split_indices
-from .ensemble import SCHEMES, build_bundle, bundle_from_dict, bundle_to_dict, weights_for_errors
+from .data import build_dataset, feature_table, split_indices
+from .ensemble import SCHEMES, EnsembleMember, build_bundle, bundle_from_dict, bundle_to_dict, compute_weights
 from .errors import DataError
-from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, FittedModel, fit_family
+from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, fit_family, predict_family, resolve_params
 from .ingest import (
+    EPISODE_CSV_COLUMNS,
+    VIEWS_COLUMN,
     apply_genre_aliases,
     build_model_table,
+    format_length,
     read_credits,
     read_episodes,
     read_genre_aliases,
     read_genres,
     read_platform,
+    write_csv,
 )
 from .metrics import (
     IMPORTANCE_MAX_REPEATS,
@@ -88,6 +92,7 @@ class RunConfig:
         for family, grid in self.grids.items():
             if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
                 raise DataError(f"config grids[{family!r}] must map parameter names to lists of values")
+            resolve_params(family, grid)  # names only: an unknown family or parameter fails here
         if not 1 <= self.importance_repeats <= IMPORTANCE_MAX_REPEATS:
             raise DataError(f"importance_repeats must be in 1..{IMPORTANCE_MAX_REPEATS}, got {self.importance_repeats}")
         if self.reference_date is not None:
@@ -134,9 +139,9 @@ def invert_target(pred, mode):
     return np.expm1(pred) if mode == "log1p" else np.asarray(pred, dtype=float)
 
 
-def member_views(fitted, X, mode):
-    """One model's view-scale predictions plus its clamped-row mask."""
-    raw = np.asarray(fitted.predict(X), dtype=float)
+def member_views(member, X, mode):
+    """One member's view-scale predictions plus its clamped-row mask."""
+    raw = np.asarray(predict_family(member.family, member.model, X), dtype=float)
     views = invert_target(raw, mode)
     clamped = views < 0
     return np.where(clamped, 0.0, views), clamped
@@ -162,7 +167,7 @@ def _fold_views(members, member_results):
 def bundle_member_views(bundle, X):
     """member_views of each bundle member on X, in member order."""
     mode = bundle.meta.get("target_transform", "none")
-    return [member_views(m.model, X, mode) for m in bundle.members]
+    return [member_views(m, X, mode) for m in bundle.members]
 
 
 def predict_views(bundle, X):
@@ -180,26 +185,19 @@ def load_inputs(episodes_path, credits_path, genres_path, platform_path, alias_p
     return episodes, credits, genres, platform
 
 
-def _length_string(minutes):
-    total = int(round(minutes))  # grammar guarantees integral minutes
-    hours, mins = divmod(total, 60)
-    if hours and mins:
-        return f"{hours}h {mins}m"
-    if hours:
-        return f"{hours}h"
-    return f"{mins}m"
-
-
 def _write_holdout_episodes(path, episodes, indices):
     rows = episodes.take_rows(indices)
     ids = (rows.column(n) for n in ("series_id", "episode_id", "release_date"))
-    # tolist gives Python floats, whose repr the writer emits
+    # tolist gives Python floats, which write_csv writes by repr
     numbers = (rows.column(n).tolist() for n in ("length_minutes", "views"))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id", "episode_id", "release_date", "length", "views"])
-        for sid, eid, release, minutes, views in zip(*ids, *numbers):
-            writer.writerow([sid, eid, release.isoformat(), _length_string(minutes), repr(views)])
+    write_csv(
+        path,
+        EPISODE_CSV_COLUMNS + (VIEWS_COLUMN,),
+        (
+            (sid, eid, release.isoformat(), format_length(minutes), views)
+            for sid, eid, release, minutes, views in zip(*ids, *numbers)
+        ),
+    )
 
 
 def per_series_table(series_ids, y, yhat):
@@ -238,11 +236,11 @@ def score_bundle(bundle, results, y, series_ids):
     so every float equals a prediction there.
     """
     ensemble, ensemble_clamped = _fold_views(bundle.members, results)
-    families = [m.model.family for m in bundle.members]
+    families = [m.family for m in bundle.members]
     before = error_buckets(y, results[0][0])
     section = {
         "selected": families,
-        "weights": {m.model.family: m.weight for m in bundle.members},
+        "weights": {m.family: m.weight for m in bundle.members},
         "validation": {f: metric_report(y, views).to_dict() for f, (views, _) in zip(families, results)},
         "validation_clamped": {f: int(neg.sum()) for f, (_, neg) in zip(families, results)},
         "ensemble_validation": metric_report(y, ensemble).to_dict(),
@@ -339,12 +337,13 @@ def run_train(config):
             failed[family] = str(exc)
             continue
         cv_results[family] = search.to_dict()
-        fitted = FittedModel(family=family, params=search.best_params, model=model)
-        views, clamped = hold_results[family] = member_views(fitted, X_hold.values, config.target_transform)
+        member = EnsembleMember(family, search.best_params, model, validation_mape=None)
+        views, clamped = hold_results[family] = member_views(member, X_hold.values, config.target_transform)
         report = metric_report(y_hold, views)
         validation[family] = report.to_dict()
         clamp_counts[family] = int(clamped.sum())
-        candidates.append((fitted, report.mape))
+        member.validation_mape = report.mape
+        candidates.append(member)
 
     if not candidates:
         details = "; ".join(f"{k}: {v}" for k, v in failed.items())
@@ -369,7 +368,7 @@ def run_train(config):
     # the members predicted the holdout in the family loop; reuse those views
     section, hold_views = score_bundle(
         bundle,
-        [hold_results[m.model.family] for m in bundle.members],
+        [hold_results[m.family] for m in bundle.members],
         y_hold,
         [series_ids[i] for i in hold_idx.tolist()],
     )
@@ -384,8 +383,8 @@ def run_train(config):
     )
     impurity = None
     for member in bundle.members:
-        if FAMILY_TABLE[member.model.family].trees is not None:
-            impurity = impurity_importance(member.model.family, member.model.model, X_train.feature_names)
+        if FAMILY_TABLE[member.family].trees is not None:
+            impurity = impurity_importance(member.family, member.model, X_train.feature_names)
             break
 
     os.makedirs(config.out_dir, exist_ok=True)
@@ -457,8 +456,7 @@ def _load_for_scoring(bundle_path, episodes_path, credits_path, genres_path, pla
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*for unknown series.*")
         table, _ = build_model_table(episodes, credits, genres, platform, reference)
-    drop = [s.name for s in table.schemas if s.role in ("id", "target")]
-    X = transform(bundle.preprocessor, table.drop_columns(drop))
+    X = transform(bundle.preprocessor, feature_table(table))
     return bundle, episodes, table, X
 
 
@@ -566,11 +564,11 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
 
     compare(section, stored, "")
 
-    mapes = [section["validation"][m.model.family]["mape"] for m in bundle.members]
+    mapes = [section["validation"][m.family]["mape"] for m in bundle.members]
     # all-zero views have no MAPE (the section check names it), so no weights either
-    weights = [None] * len(mapes) if None in mapes else weights_for_errors(mapes, bundle.scheme)
+    weights = [None] * len(mapes) if None in mapes else compute_weights(mapes, bundle.scheme)
     for member, mape, weight in zip(bundle.members, mapes, weights):
-        family = member.model.family
+        family = member.family
         if mape != member.validation_mape:
             mismatches.append(f"bundle member {family} validation_mape: recomputed {mape!r} != {member.validation_mape!r}")
         if weight != member.weight:

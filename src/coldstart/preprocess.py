@@ -49,14 +49,6 @@ class Preprocessor:
     strategy_numeric: str = "median"
     strategy_categorical: str = "mode"
 
-    @property
-    def feature_names(self):
-        names = [c.name for c in self.numeric]
-        for col in self.categorical:
-            names.extend(f"{col.name}={cat}" for cat in col.categories)
-        names.extend(self.passthrough)
-        return names
-
 
 def _categorical_state(name, cells, strategy):
     """Impute category and categories (the sorted str forms of the cells).

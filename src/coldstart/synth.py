@@ -14,7 +14,6 @@ consolidation code the pipeline uses, guaranteeing the learning task is a
 deterministic function of emitted features when noise_sigma=0.
 """
 
-import csv
 import datetime
 import math
 import os
@@ -33,8 +32,10 @@ from .ingest import (
     VIEWS_COLUMN,
     consolidate_metadata,
     derive_date_features,
+    format_length,
+    write_csv,
 )
-from .util import dump_json, round_half_up
+from .util import dump_json
 
 GENRE_CATALOG = (
     "action", "comedy", "crime", "documentary", "drama", "romance", "scifi", "thriller",
@@ -51,7 +52,6 @@ class SynthConfig:
     episodes_max: int = 16
     seed: int = 42
     noise_sigma: float = 0.3
-    cold_start_fraction: float = 0.0
 
     def __post_init__(self):
         if self.n_series < 1:
@@ -60,8 +60,6 @@ class SynthConfig:
             raise DataError("need 1 <= episodes_min <= episodes_max")
         if self.noise_sigma < 0:
             raise DataError("noise_sigma must be >= 0")
-        if not 0.0 <= self.cold_start_fraction <= 1.0:
-            raise DataError("cold_start_fraction must be in [0, 1]")
 
     def to_dict(self):
         return {
@@ -70,7 +68,6 @@ class SynthConfig:
             "episodes_max": self.episodes_max,
             "seed": self.seed,
             "noise_sigma": self.noise_sigma,
-            "cold_start_fraction": self.cold_start_fraction,
         }
 
 
@@ -112,30 +109,11 @@ class GroundTruth:
 
 
 def _format_length(minutes, style):
-    hours, mins = divmod(int(minutes), 60)
+    """Style 0 writes 'HH:MM'; the others write format_length's '1h 30m'."""
     if style == 0:
+        hours, mins = divmod(minutes, 60)
         return f"{hours:02d}:{mins:02d}"
-    if hours and mins:
-        return f"{hours}h {mins}m"
-    if hours:
-        return f"{hours}h"
-    return f"{mins}m"
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path, schemas, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([s.name for s in schemas])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    return format_length(minutes)
 
 
 def generate(config, out_dir, truth=None):
@@ -214,7 +192,7 @@ def generate(config, out_dir, truth=None):
         RawTable.from_rows(GENRE_COLUMNS, genres),
         RawTable.from_rows(PLATFORM_COLUMNS, platform),
     )
-    # Python floats, so that each view is a Python float, which _fmt writes by repr
+    # Python floats, so that each view is a Python float, which write_csv writes by repr
     best_rating, total_awards, genre_count = (
         table.column(name).tolist() for name in ("best_actor_rating", "actor_total_awards", "genre_count")
     )
@@ -231,12 +209,6 @@ def generate(config, out_dir, truth=None):
         noise = math.exp(float(rng.normal(0.0, config.noise_sigma))) if config.noise_sigma > 0 else 1.0
         views.append(expected * noise)
 
-    n_holdout = min(round_half_up(config.n_series * config.cold_start_fraction), config.n_series)
-    all_ids = sorted({ep[0] for ep in episodes})
-    holdout = sorted(
-        str(x) for x in rng.choice(all_ids, size=n_holdout, replace=False)
-    ) if n_holdout else []
-
     paths = {
         "episodes": os.path.join(out_dir, "episodes.csv"),
         "credits": os.path.join(out_dir, "credits.csv"),
@@ -245,7 +217,7 @@ def generate(config, out_dir, truth=None):
         "ground_truth": os.path.join(out_dir, "ground_truth.json"),
     }
 
-    _write_csv(
+    write_csv(
         paths["episodes"],
         EPISODE_CSV_COLUMNS + (VIEWS_COLUMN,),
         [
@@ -253,15 +225,14 @@ def generate(config, out_dir, truth=None):
             for (sid, eid, release, _), length, v in zip(episodes, lengths, views)
         ],
     )
-    _write_csv(paths["credits"], CREDIT_COLUMNS, credits)
-    _write_csv(paths["genres"], GENRE_COLUMNS, genres)
-    _write_csv(paths["platform"], PLATFORM_COLUMNS, platform)
+    write_csv(paths["credits"], CREDIT_COLUMNS, credits)
+    write_csv(paths["genres"], GENRE_COLUMNS, genres)
+    write_csv(paths["platform"], PLATFORM_COLUMNS, platform)
     dump_json(
         {
             "config": config.to_dict(),
             "coefficients": truth.to_dict(),
             "reference_date": reference_date.isoformat(),
-            "holdout_series": holdout,
             "n_episodes": len(episodes),
         },
         paths["ground_truth"],

@@ -140,7 +140,7 @@ def benefit_runs(tmp_path_factory):
             y = np.asarray(episodes.column("views"))
             member_over40 = []
             for member in bundle.members:
-                views, _ = member_views(member.model, X.values, config.target_transform)
+                views, _ = member_views(member, X.values, config.target_transform)
                 member_over40.append(error_buckets(y, views).counts[4])
             runs.append(SimpleNamespace(report=report, member_over40=member_over40))
     return SimpleNamespace(runs=runs, elapsed=time.time() - start)

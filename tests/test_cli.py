@@ -38,10 +38,10 @@ def test_synth_rerun_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_synth_invalid_fraction_names_flag(tmp_path, capsys):
-    code = run_cli("synth", "--out", str(tmp_path), "--cold-start-fraction", "1.5")
+def test_synth_invalid_noise_sigma_names_flag(tmp_path, capsys):
+    code = run_cli("synth", "--out", str(tmp_path), "--noise-sigma", "-0.1")
     assert code == 3
-    assert "cold_start_fraction" in capsys.readouterr().err
+    assert "noise_sigma" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -617,6 +617,8 @@ BAD_INPUTS = {
     "config_importance_repeats_1001": ("config", _config(importance_repeats=1001)),
     "config_grids_not_an_object": ("config", _config(grids=["x"])),
     "config_grid_values_not_a_list": ("config", _config(grids={"lasso": {"alpha": 0.1}})),
+    "config_grid_unknown_family": ("config", _config(grids={"bogus": {"alpha": [1.0]}})),
+    "config_grid_unknown_parameter": ("config", _config(grids={"ridge": {"alfa": [1.0]}})),
     "config_reference_date_not_a_date": ("config", _config(reference_date="2016-13-45")),
     "config_scheme_unknown": ("config", _config(scheme="median")),
     "config_top_k_zero": ("config", _config(top_k=0)),

@@ -13,13 +13,13 @@ from coldstart.ensemble import (
     select_top_models,
 )
 from coldstart.errors import DataError
-from coldstart.families import FittedModel
 from coldstart.linear import LinearModel
 from coldstart.pipeline import member_views, predict_views
 
 
-def constant_model(value, n_features=1):
-    return FittedModel(
+def constant_member(value, validation_mape=1.0, weight=0.0, n_features=1):
+    """A ridge member that predicts ``value`` for every row."""
+    return EnsembleMember(
         family="ridge",
         params={"alpha": 0.0},
         model=LinearModel(
@@ -30,31 +30,38 @@ def constant_model(value, n_features=1):
             converged=True,
             n_iterations=1,
         ),
+        validation_mape=validation_mape,
+        weight=weight,
     )
+
+
+def named(pairs):
+    """Members with no model, labelled by family, for the selection rule."""
+    return [EnsembleMember(family, {}, None, mape) for family, mape in pairs]
 
 
 def test_select_top_three_by_documented_mapes():
     # the reported single-model errors: gbt-like 15, forest 18, lasso 20...
-    candidates = [
+    candidates = named([
         ("gbt", 15.0),
         ("random_forest", 18.0),
         ("lasso", 20.0),
         ("ridge", 22.0),
         ("elastic_net", 23.0),
         ("decision_tree", 25.0),
-    ]
+    ])
     selected = select_top_models(candidates, k=3)
-    assert [name for name, _ in selected] == ["gbt", "random_forest", "lasso"]
+    assert [m.family for m in selected] == ["gbt", "random_forest", "lasso"]
 
 
 def test_select_clamps_to_available():
-    selected = select_top_models([("a", 5.0), ("b", 3.0)], k=3)
-    assert [name for name, _ in selected] == ["b", "a"]
+    selected = select_top_models(named([("a", 5.0), ("b", 3.0)]), k=3)
+    assert [m.family for m in selected] == ["b", "a"]
 
 
 def test_select_ties_keep_submission_order():
-    selected = select_top_models([("a", 5.0), ("b", 5.0), ("c", 5.0)], k=2)
-    assert [name for name, _ in selected] == ["a", "b"]
+    selected = select_top_models(named([("a", 5.0), ("b", 5.0), ("c", 5.0)]), k=2)
+    assert [m.family for m in selected] == ["a", "b"]
 
 
 def test_inverse_error_weights():
@@ -69,10 +76,11 @@ def test_equal_error_weights():
 
 
 def test_zero_error_rejected_then_fallback():
-    with pytest.raises(DataError):
-        compute_weights([0.0, 1.0])
+    assert compute_weights([0.0, 1.0]) == [1.0, 0.0]
+    with pytest.raises(DataError, match="nonnegative"):
+        compute_weights([-1.0, 1.0])
     bundle = build_bundle(
-        [(constant_model(1.0), 0.0), (constant_model(2.0), 1.0), (constant_model(3.0), 0.0)],
+        [constant_member(1.0, 0.0), constant_member(2.0, 1.0), constant_member(3.0, 0.0)],
         scheme="inverse_error",
     )
     weights = [m.weight for m in bundle.members]
@@ -97,9 +105,9 @@ def test_weight_monotonicity():
 
 def test_ensemble_predict_hand_arithmetic():
     members = [
-        EnsembleMember(constant_model(10.0), validation_mape=1.0, weight=0.5),
-        EnsembleMember(constant_model(20.0), validation_mape=2.0, weight=0.3),
-        EnsembleMember(constant_model(30.0), validation_mape=3.0, weight=0.2),
+        constant_member(10.0, validation_mape=1.0, weight=0.5),
+        constant_member(20.0, validation_mape=2.0, weight=0.3),
+        constant_member(30.0, validation_mape=3.0, weight=0.2),
     ]
     bundle = EnsembleBundle(members=members, preprocessor=None, scheme="inverse_error")
     pred, _ = predict_views(bundle, np.zeros((1, 1)))
@@ -108,13 +116,13 @@ def test_ensemble_predict_hand_arithmetic():
 
 def test_identical_members_identity_and_degenerate_weights():
     members = [
-        EnsembleMember(constant_model(7.0), 1.0, weight=1.0),
-        EnsembleMember(constant_model(9.0), 2.0, weight=0.0),
+        constant_member(7.0, 1.0, weight=1.0),
+        constant_member(9.0, 2.0, weight=0.0),
     ]
     bundle = EnsembleBundle(members, None, "inverse_error")
     assert predict_views(bundle, np.zeros((3, 1)))[0][0] == 7.0
 
-    same = [EnsembleMember(constant_model(4.0), 1.0, 0.5), EnsembleMember(constant_model(4.0), 1.0, 0.5)]
+    same = [constant_member(4.0, 1.0, 0.5), constant_member(4.0, 1.0, 0.5)]
     bundle = EnsembleBundle(same, None, "equal")
     assert np.allclose(predict_views(bundle, np.zeros((2, 1)))[0], 4.0)
 
@@ -123,16 +131,12 @@ def test_prediction_within_member_envelope():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(20, 2))
     models = []
-    for _ in range(3):
+    for error in [5.0, 7.0, 11.0]:
         coef = rng.normal(size=2)
         models.append(
-            FittedModel(
-                "ridge",
-                {},
-                LinearModel(coef, float(rng.normal()), 0.0, 0.0, True, 1),
-            )
+            EnsembleMember("ridge", {}, LinearModel(coef, float(rng.normal()), 0.0, 0.0, True, 1), error)
         )
-    bundle = build_bundle([(m, e) for m, e in zip(models, [5.0, 7.0, 11.0])])
+    bundle = build_bundle(models)
     # members are combined after clamping negative views to zero
     preds = [member_views(m, X, "none")[0] for m in models]
     combined, _ = predict_views(bundle, X)
@@ -142,11 +146,11 @@ def test_prediction_within_member_envelope():
 
 
 def test_selection_invariant_under_submission_order():
-    models = {name: constant_model(i) for i, name in enumerate("abcd")}
     errors = {"a": 4.0, "b": 9.0, "c": 2.0, "d": 7.0}
+    models = {name: constant_member(i, errors[name]) for i, name in enumerate("abcd")}
     baseline = None
     for perm in itertools.permutations("abcd"):
-        candidates = [(models[n], errors[n]) for n in perm]
+        candidates = [models[n] for n in perm]
         bundle = build_bundle(candidates, scheme="inverse_error", k=3)
         got = [(m.validation_mape, m.weight) for m in bundle.members]
         if baseline is None:
@@ -156,26 +160,26 @@ def test_selection_invariant_under_submission_order():
 
 def test_members_sorted_ascending_enforced():
     members = [
-        EnsembleMember(constant_model(1.0), validation_mape=5.0, weight=0.5),
-        EnsembleMember(constant_model(2.0), validation_mape=3.0, weight=0.5),
+        constant_member(1.0, validation_mape=5.0, weight=0.5),
+        constant_member(2.0, validation_mape=3.0, weight=0.5),
     ]
     with pytest.raises(DataError):
         EnsembleBundle(members, None, "inverse_error")
 
 
 def test_weight_sum_enforced():
-    members = [EnsembleMember(constant_model(1.0), 5.0, 0.4)]
+    members = [constant_member(1.0, 5.0, 0.4)]
     with pytest.raises(DataError):
         EnsembleBundle(members, None, "inverse_error")
     with pytest.raises(DataError):
         EnsembleBundle([], None, "inverse_error")
     with pytest.raises(DataError):
-        EnsembleBundle([EnsembleMember(constant_model(1.0), 5.0, 1.0)], None, "median_pick")
+        EnsembleBundle([constant_member(1.0, 5.0, 1.0)], None, "median_pick")
 
 
 def test_bundle_serialization_round_trip():
     bundle = build_bundle(
-        [(constant_model(10.0), 4.0), (constant_model(12.0), 8.0)],
+        [constant_member(10.0, 4.0), constant_member(12.0, 8.0)],
         scheme="inverse_error",
         meta={"seed": 7, "target_transform": "none"},
     )
@@ -200,7 +204,7 @@ def test_bundle_serialization_round_trip():
     ],
 )
 def test_bundle_rejects_non_finite_member_numbers(edit):
-    payload = bundle_to_dict(build_bundle([(constant_model(1.0), 2.0)]))
+    payload = bundle_to_dict(build_bundle([constant_member(1.0, 2.0)]))
     edit(payload["members"][0])
     with pytest.raises(DataError):
         bundle_from_dict(payload)
@@ -208,11 +212,11 @@ def test_bundle_rejects_non_finite_member_numbers(edit):
 
 def test_nan_weight_fails_the_weight_sum():
     with pytest.raises(DataError, match="sum"):
-        EnsembleBundle([EnsembleMember(constant_model(1.0), 5.0, float("nan"))], None, "inverse_error")
+        EnsembleBundle([constant_member(1.0, 5.0, float("nan"))], None, "inverse_error")
 
 
 def test_bundle_rejects_unknown_schema_version():
-    bundle = build_bundle([(constant_model(1.0), 2.0)])
+    bundle = build_bundle([constant_member(1.0, 2.0)])
     payload = bundle_to_dict(bundle)
     payload["schema_version"] = 99
     with pytest.raises(DataError):

@@ -41,7 +41,7 @@ SYNTH_GOLDEN = {
     "credits": "a158870207781501ff9c1fee68b0515f3bee97b85f15285c32f0ee4f0e030c08",
     "episodes": "38497d3459774a108021f6184315a45649397bcbce29c07a33efd7fc67501089",
     "genres": "3cea1ab1d6b086f66c8a8db9f871fbbd8b0576d61ebf81b99a44d888fe5ad558",
-    "ground_truth": "7456ca0f88d65b6fd5f48756d0b8395543e4b69f0d8863e03535b07411162601",
+    "ground_truth": "76d70f5c7836205447a71e613fb8f01e2a7a607d70daa0199bd3b41852fc9fa2",
     "platform": "fbb22b72e9b060d406da0b65c5ba74add2fb3460e5538f2360971857834a8f0a",
 }
 
@@ -99,15 +99,6 @@ def test_generated_files_load_without_warnings(tmp_path):
     assert json.loads(open(tmp_path / "ground_truth.json").read())["n_episodes"] == len(episodes)
 
 
-def test_cold_start_fraction_counts(tmp_path):
-    paths = generate(
-        SynthConfig(n_series=50, seed=7, cold_start_fraction=0.2), tmp_path
-    )
-    doc = json.loads(open(paths["ground_truth"]).read())
-    assert len(doc["holdout_series"]) == 10
-    assert len(set(doc["holdout_series"])) == 10
-
-
 def test_noiseless_deep_tree_interpolates(tmp_path):
     generate(SynthConfig(n_series=20, seed=9, noise_sigma=0.0), tmp_path)
     episodes, credits, genres, platform = read_all(tmp_path)
@@ -138,5 +129,3 @@ def test_config_validation():
         SynthConfig(episodes_min=5, episodes_max=2)
     with pytest.raises(DataError):
         SynthConfig(noise_sigma=-0.1)
-    with pytest.raises(DataError):
-        SynthConfig(cold_start_fraction=1.5)

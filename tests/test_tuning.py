@@ -4,6 +4,7 @@ import pytest
 from coldstart import tuning
 from coldstart.data import ColumnSchema, RawTable
 from coldstart.errors import DataError
+from coldstart.families import DEFAULT_PARAMS, FAMILIES, fit_family, predict_family
 from coldstart.tuning import (
     cross_validate,
     cross_validate_pipeline,
@@ -215,3 +216,26 @@ def test_search_fits_no_preprocessor(monkeypatch):
     result = randomized_search("ridge", {"alpha": [0.01, 0.1, 1.0]}, n_iter=3, folds=folds, seed=3)
     assert len(result.candidates) == 3
     assert len(calls) == 0  # every candidate is scored on the given fold matrices
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_fits_from_its_defaults_alone(family):
+    # a fit reads every parameter without a fallback, so a parameter missing
+    # from DEFAULT_PARAMS fails here
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 3))
+    y = X @ [1.0, -2.0, 0.5] + 10.0
+    model = fit_family(family, {}, X, y)
+    assert np.all(np.isfinite(predict_family(family, model, X)))
+    if "l1_ratio" in DEFAULT_PARAMS[family]:
+        assert model.l1_ratio == DEFAULT_PARAMS[family]["l1_ratio"]
+
+
+def test_unknown_family_or_parameter_name_is_named():
+    X, y = np.zeros((4, 1)), np.arange(4.0)
+    with pytest.raises(DataError, match="'alfa'"):
+        fit_family("ridge", {"alfa": 1.0}, X, y)
+    with pytest.raises(DataError, match="'max_features'"):
+        fit_family("lasso", {"max_features": "all"}, X, y)
+    with pytest.raises(DataError, match="'bogus'"):
+        fit_family("bogus", {}, X, y)
