@@ -146,25 +146,17 @@ def load_csv(path, expected_schema):
     return RawTable(list(expected_schema), columns)
 
 
-def _cell_text(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, schemas, rows):
     """Write a headered CSV that load_csv reads back with ``schemas``.
 
-    None writes as an empty cell and a float by its repr, so every number
-    round-trips exactly.
+    ``csv.writer`` writes None as an empty cell and any other value by ``str``,
+    a Python float's repr, so every number round-trips exactly. Pass Python
+    numbers (``tolist()``), not numpy scalars.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([s.name for s in schemas])
-        for row in rows:
-            writer.writerow([_cell_text(v) for v in row])
+        writer.writerows(rows)
 
 
 _LENGTH_HM = re.compile(r"^\s*(?:(\d+)\s*h)?\s*(?:(\d+)\s*m)?\s*$", re.IGNORECASE)

@@ -83,6 +83,8 @@ def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000, sweep_callback=N
         raise DataError(f"misaligned shapes X={X.shape} y={y.shape}")
     if len(y) < 1:
         raise DataError("need at least one row")
+    for value, name in ((alpha, "alpha"), (l1_ratio, "l1_ratio"), (tol, "tol")):
+        finite_number(value, name)
     if tol <= 0:
         raise DataError("tol must be > 0")
     if alpha < 0:
@@ -92,12 +94,14 @@ def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000, sweep_callback=N
 
     n, p = X.shape
     gram = X.T @ X / n
-    col_sq = np.diag(gram)
     x_mean = X.mean(axis=0)
+    # per-coordinate scalars as Python floats: the same doubles, without numpy's cost per scalar call
+    col_sq, means = gram.diagonal().tolist(), x_mean.tolist()
+    signal = [j for j in range(p) if col_sq[j] != 0.0]  # a constant-zero column carries none
     l1 = alpha * l1_ratio
     l2 = alpha * (1.0 - l1_ratio)
 
-    beta = np.zeros(p)
+    beta = [0.0] * p
     intercept = 0.0
     # X^T r / n and mean(r) for r = y - intercept - X @ beta, kept incrementally
     xr = X.T @ y / n
@@ -112,21 +116,19 @@ def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000, sweep_callback=N
         r_mean = 0.0
         max_change = abs(shift)
 
-        for j in range(p):
-            if col_sq[j] == 0.0:  # constant-zero column carries no signal
-                continue
+        for j in signal:
             old = beta[j]
-            new = soft_threshold(xr[j] + col_sq[j] * old, l1) / (col_sq[j] + l2)
+            new = soft_threshold(xr.item(j) + col_sq[j] * old, l1) / (col_sq[j] + l2)
             if new != old:
                 delta = new - old
                 xr -= gram[j] * delta
-                r_mean -= x_mean[j] * delta
+                r_mean -= means[j] * delta
                 beta[j] = new
                 max_change = max(max_change, abs(delta))
 
         if sweep_callback is not None:
-            sweep_callback(beta.copy(), intercept)
-        if max_change <= tol * max(abs(intercept), float(np.max(np.abs(beta), initial=0.0))):
+            sweep_callback(np.array(beta), intercept)
+        if max_change <= tol * max(abs(intercept), max(map(abs, beta), default=0.0)):
             converged = True
             break
 
@@ -137,7 +139,7 @@ def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000, sweep_callback=N
         )
 
     return LinearModel(
-        coefficients=beta,
+        coefficients=np.array(beta),
         intercept=intercept,
         alpha=float(alpha),
         l1_ratio=float(l1_ratio),
@@ -171,14 +173,10 @@ def kkt_residuals(model, X, y):
     g = -(X.T @ r) / n + model.alpha * (1.0 - model.l1_ratio) * model.coefficients
     l1 = model.alpha * model.l1_ratio
 
-    zero_excess = 0.0
-    active_residual = 0.0
-    for j, bj in enumerate(model.coefficients):
-        if bj == 0.0:
-            zero_excess = max(zero_excess, abs(g[j]) - l1)
-        else:
-            active_residual = max(active_residual, abs(g[j] + l1 * np.sign(bj)))
-    return max(zero_excess, 0.0), active_residual
+    zero = model.coefficients == 0.0
+    zero_excess = np.max(np.abs(g[zero]) - l1, initial=0.0)
+    active_residual = np.max(np.abs(g[~zero] + l1 * np.sign(model.coefficients[~zero])), initial=0.0)
+    return float(zero_excess), float(active_residual)
 
 
 def linear_to_dict(model):

@@ -120,7 +120,9 @@ def generate(config, out_dir, truth=None):
     """Write episodes/credits/genres/platform CSVs and ground_truth.json.
 
     Same config (and truth) always produces byte-identical files. Returns
-    the paths of the five written files.
+    the paths of the five written files. Draws are scalar calls on the
+    seeded generator in a fixed order; the arithmetic on them (clipping,
+    rounding to cents) is on Python floats, cheaper than numpy scalar calls.
     """
     truth = truth or GroundTruth()
     rng = np.random.default_rng(config.seed)
@@ -142,7 +144,7 @@ def generate(config, out_dir, truth=None):
         n_writers = int(rng.integers(1, 4))
         for role, count in (("actor", n_actors), ("director", n_directors), ("writer", n_writers)):
             for i in range(count):
-                rating = float(np.clip(rng.normal(star_quality, 0.7), 0.0, 10.0))
+                rating = min(max(rng.normal(star_quality, 0.7), 0.0), 10.0)
                 awards = int(rng.poisson(3.0))
                 # first actor always carries a rating so best_actor_rating
                 # is never missing; other fields drop out occasionally
@@ -178,7 +180,8 @@ def generate(config, out_dir, truth=None):
             # independent of the view formula
             metrics = []
             for mu in (10.5, 8.0, 7.0, 9.0, 11.0):  # per PLATFORM_METRICS entry
-                value = float(np.round(rng.lognormal(mu, 0.6), 2))
+                # np.round(x, 2)'s float: it too scales by 100, rounds half to even, divides
+                value = round(rng.lognormal(mu, 0.6) * 100.0) / 100.0
                 metrics.append(None if rng.random() < 0.15 else value)
             platform.append((sid, eid, *metrics))
 

@@ -167,12 +167,15 @@ def _key_shift(n):
 class RankedRows(NamedTuple):
     """One tree node's sample: the rows ``rows`` of a finite float matrix X,
     given as ``columns = X.T`` (C-contiguous) and ``keys = rank_code(X)``,
-    with ``mean`` the mean of the node's targets."""
+    with ``mean`` the mean of the node's targets; the grower makes ``positions`` (an
+    arange over its root's rows, in the keys' dtype) and ``mask`` (a key's position bits) once."""
 
     columns: np.ndarray
     keys: np.ndarray
     rows: np.ndarray
     mean: float
+    positions: np.ndarray
+    mask: int
 
 
 def best_split(X, y, feature_subset=None):
@@ -188,14 +191,16 @@ def best_split(X, y, feature_subset=None):
     if node is None:
         X, y = _align(X, y)
     n = len(y)
-    if n < 2 or float(y.max()) == float(y.min()):
+    if n < 2 or np.maximum.reduce(y) == np.minimum.reduce(y):  # y.max() == y.min(), unwrapped
         return None
     if node is None:
-        node = RankedRows(np.ascontiguousarray(X.T), rank_code(X), np.arange(n), y.mean())
+        keys, mask = rank_code(X), (1 << _key_shift(n)) - 1
+        node = RankedRows(np.ascontiguousarray(X.T), keys, np.arange(n), y.mean(), np.arange(n, dtype=keys.dtype), mask)
     if feature_subset is None:
         cols = np.arange(node.keys.shape[0])
     else:
-        cols = np.sort(np.asarray(feature_subset, dtype=int))
+        cols = np.array(feature_subset, dtype=int)
+        cols.sort()
     if len(cols) == 0:
         return None
 
@@ -203,33 +208,31 @@ def best_split(X, y, feature_subset=None):
     # unique, so sorting them orders each column as a stable argsort of the
     # codes would, and the low bits hold that order
     keys = node.keys.take(cols, axis=0).take(node.rows, axis=1)
-    keys |= np.arange(n, dtype=keys.dtype)
+    keys |= node.positions[:n]
     keys.sort(axis=1)
-    mask = (1 << _key_shift(node.keys.shape[1])) - 1
-    order = keys & mask
+    order = keys & node.mask
     yc = y - node.mean  # shift-invariant delta; centering tames the squares
     prefix = np.add.accumulate(yc.take(order), axis=1)  # np.cumsum's sums, without its wrapper
 
-    # a boundary is a candidate only where the code changes; flatnonzero
-    # lists them feature-major, so the first argmax is the lowest feature,
-    # then the lowest threshold
-    flat = np.flatnonzero((keys[:, 1:] ^ keys[:, :-1]) > mask)
-    if flat.size == 0:
+    # a boundary is a candidate only where the code changes; nonzero lists
+    # them feature-major, so the first argmax is the lowest feature, then the
+    # lowest threshold
+    flat = ((keys[:, 1:] ^ keys[:, :-1]) > node.mask).ravel().nonzero()[0]
+    if not flat.size:
         return None
-    ci = flat // (n - 1)
-    pos = flat - ci * (n - 1)
+    ci, pos = np.divmod(flat, n - 1)
     left = prefix.ravel().take(flat + ci)  # prefix[ci, pos] as one 1-D gather
     n_left = pos + 1.0
     n_right = n - n_left
     mean_left = left / n_left
     mean_right = (prefix[:, -1].take(ci) - left) / n_right
     delta = (n_left * n_right) / float(n * n) * (mean_left - mean_right) ** 2
-    best = int(delta.argmax())
-    best_delta = float(delta[best])
+    best = delta.argmax()
+    best_delta = delta.item(best)
     if best_delta <= 0.0:
         return None
-    ci, pos = int(ci[best]), int(pos[best])
-    feature = int(cols[ci])
+    ci, pos = ci.item(best), pos.item(best)
+    feature = cols.item(ci)
     lo, hi = node.columns[feature].take(node.rows.take(order[ci, pos : pos + 2])).tolist()
     threshold = (lo + hi) / 2.0
     if not threshold < hi:  # adjacent floats: keep the right side non-empty
@@ -240,10 +243,7 @@ def best_split(X, y, feature_subset=None):
 def _feature_subset(p, mode, rng):
     if mode == "all":
         return None
-    if mode == "third":
-        m = max(1, p // 3)
-    else:  # sqrt
-        m = max(1, int(math.sqrt(p)))
+    m = max(1, p // 3 if mode == "third" else int(math.sqrt(p)))
     return rng.choice(p, size=m, replace=False)
 
 
@@ -256,28 +256,35 @@ def _grow(columns, keys, y, params, rng, rows, fitted=None):
     ``fitted`` is given, each leaf's value is written to ``fitted[rows]``
     for the leaf's rows: the tree's prediction on those training rows, as
     they go down by the same ``x <= threshold`` test that prediction uses."""
-    nodes = {name: [] for name in TREE_ARRAYS}
+    arrays = feature, threshold, right, value, n_samples, decrease = tuple([] for _ in TREE_ARRAYS)
+    mask = (1 << _key_shift(keys.shape[1])) - 1
+    positions = np.arange(len(rows), dtype=keys.dtype)
     stack = [(rows, 0, -1)]  # rows, depth, parent of a right child
     while stack:
         rows, depth, parent = stack.pop()
-        node = len(nodes["value"])
+        node = len(value)
         if parent >= 0:
-            nodes["right"][parent] = node
-        yn = y[rows]
-        mean = float(yn.sum() / len(rows))  # the same float as yn.mean()
+            right[parent] = node
+        n = len(rows)
+        yn = y.take(rows)
+        mean = float(np.add.reduce(yn)) / n  # the same float as yn.mean()
         found = None
-        if (params.max_depth is None or depth < params.max_depth) and len(rows) >= params.min_samples_split:
+        if (params.max_depth is None or depth < params.max_depth) and n >= params.min_samples_split:
             subset = _feature_subset(columns.shape[0], params.max_features, rng)
-            found = best_split(RankedRows(columns, keys, rows, mean), yn, subset)
-        fi, threshold, decrease = found or (-1, 0.0, 0.0)
-        for name, v in zip(TREE_ARRAYS, (fi, threshold, -1, mean, len(rows), decrease)):
-            nodes[name].append(v)
+            found = best_split(RankedRows(columns, keys, rows, mean, positions, mask), yn, subset)
+        fi, split, gain = found or (-1, 0.0, 0.0)
+        feature.append(fi)
+        threshold.append(split)
+        right.append(-1)
+        value.append(mean)
+        n_samples.append(n)
+        decrease.append(gain)
         if found is not None:
-            mask = columns[fi].take(rows) <= threshold
-            stack += [(rows[~mask], depth + 1, node), (rows[mask], depth + 1, -1)]
+            goes_left = columns[fi].take(rows) <= split
+            stack += [(rows[~goes_left], depth + 1, node), (rows[goes_left], depth + 1, -1)]
         elif fitted is not None:
             fitted[rows] = mean
-    return Tree(**{name: np.array(v, dtype=int if name in INT_ARRAYS else float) for name, v in nodes.items()})
+    return Tree(*(np.array(v, dtype=int if name in INT_ARRAYS else float) for name, v in zip(TREE_ARRAYS, arrays)))
 
 
 def fit_decision_tree(X, y, params):

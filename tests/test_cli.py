@@ -137,6 +137,20 @@ def test_train_survives_partial_family_failure(tmp_path, tiny_run):
             run_train(RunConfig.from_dict(cfg))
 
 
+def test_train_cli_drops_a_family_whose_grid_value_is_not_a_number(tmp_path, tiny_run):
+    # a string alpha is a DataError in the fit, like a negative one, not exit 4
+    cfg = dict(tiny_run.config.to_dict())
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["families"] = ["ridge", "lasso"]
+    cfg["grids"] = {"ridge": {"alpha": ["x"]}}
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg))
+    assert run_cli("train", "--config", str(config_path)) == 0
+    report = load_json(tmp_path / "out" / "training_report.json")
+    assert report["selected"] == ["lasso"]
+    assert "alpha must be a finite number, got 'x'" in report["failed_families"]["ridge"]
+
+
 @pytest.mark.parametrize("field, value", [("scheme", "median"), ("top_k", 0), ("top_k", -4)])
 def test_run_config_rejects_unknown_scheme_and_top_k_below_one(field, value):
     # rejected before any input is read or model fit

@@ -27,6 +27,7 @@ from coldstart.ingest import (
     read_episodes,
     read_genres,
     read_platform,
+    write_csv,
 )
 from coldstart.synth import SynthConfig, generate
 from table_cells import cells
@@ -186,6 +187,56 @@ def test_column_parse_matches_rowwise_reference(tmp_path):
             assert {name: cells(table.column(name)) for name in table.column_names} == want
             outcomes.add("table")
     assert outcomes == {"error", "table"}
+
+
+def per_cell_write_csv(path, schemas, rows):
+    """The per-cell writer that write_csv replaced, kept as its byte reference."""
+
+    def cell_text(value):
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([s.name for s in schemas])
+        for row in rows:
+            writer.writerow([cell_text(v) for v in row])
+
+
+@pytest.mark.parametrize(
+    "schemas, rows",
+    [
+        (
+            [ColumnSchema("name", "categorical"), ColumnSchema("x", "numeric"), ColumnSchema("n", "target")],
+            [
+                ("plain", 0.1 + 0.2, 3),
+                ("a, comma", -0.0, -7),
+                ('a "quote"', 1e-300, 0),
+                ('both, "', 1e22, 2**40),
+                (None, None, None),
+            ],
+        ),
+        ([ColumnSchema("x", "numeric")], [(None,), (2.5,), (None,)]),  # a lone empty cell is quoted
+    ],
+)
+def test_write_csv_matches_per_cell_writer_and_round_trips(tmp_path, schemas, rows):
+    write_csv(tmp_path / "new.csv", schemas, rows)
+    per_cell_write_csv(tmp_path / "old.csv", schemas, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    table = load_csv(tmp_path / "new.csv", schemas)
+    for j, schema in enumerate(schemas):
+        want = [row[j] for row in rows]
+        got = table.column(schema.name)
+        if schema.role in NUMERIC_ROLES:
+            missing = np.array([v is None for v in want])
+            assert np.array_equal(np.isnan(got), missing)
+            # tobytes tells -0.0 from 0.0
+            assert got[~missing].tobytes() == np.array([v for v in want if v is not None], dtype=float).tobytes()
+        else:
+            assert got == want
 
 
 def test_load_csv_missing_header_and_empty_file(tmp_path):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from coldstart.errors import DataError
+from coldstart.families import DEFAULT_GRIDS, DEFAULT_PARAMS
 from coldstart.linear import (
     fit_linear,
     kkt_residuals,
@@ -220,3 +223,101 @@ def test_serialization_round_trip():
     clone = linear_from_dict(linear_to_dict(model))
     assert np.array_equal(predict_linear(model, X), predict_linear(clone, X))
     assert clone.alpha == model.alpha and clone.l1_ratio == model.l1_ratio
+
+
+@pytest.mark.parametrize("name", ["alpha", "l1_ratio", "tol"])
+@pytest.mark.parametrize("bad", ["x", None, True, float("nan"), float("inf")])
+def test_non_numeric_parameters_are_data_errors_naming_the_parameter(name, bad):
+    # checked before any comparison, so a string is not a TypeError
+    X, y = np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 4.0])
+    params = {"alpha": 0.1, "l1_ratio": 0.5, "tol": 1e-6, name: bad}
+    with pytest.raises(DataError, match=rf"^{name} must be a finite number"):
+        fit_linear(X, y, **params)
+
+
+def reference_fit(X, y, alpha, l1_ratio, tol, max_iter):
+    """The coordinate-descent loop as it ran on numpy scalars, kept as the
+    reference that fit_linear's Python-float loop must match bit for bit."""
+    n, p = X.shape
+    gram = X.T @ X / n
+    col_sq = np.diag(gram)
+    x_mean = X.mean(axis=0)
+    l1 = alpha * l1_ratio
+    l2 = alpha * (1.0 - l1_ratio)
+    beta = np.zeros(p)
+    intercept = 0.0
+    xr = X.T @ y / n
+    r_mean = float(y.mean())
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        shift = r_mean
+        intercept += shift
+        xr -= shift * x_mean
+        r_mean = 0.0
+        max_change = abs(shift)
+        for j in range(p):
+            if col_sq[j] == 0.0:
+                continue
+            old = beta[j]
+            new = soft_threshold(xr[j] + col_sq[j] * old, l1) / (col_sq[j] + l2)
+            if new != old:
+                delta = new - old
+                xr -= gram[j] * delta
+                r_mean -= x_mean[j] * delta
+                beta[j] = new
+                max_change = max(max_change, abs(delta))
+        if max_change <= tol * max(abs(intercept), float(np.max(np.abs(beta), initial=0.0))):
+            converged = True
+            break
+    return beta, float(intercept), converged, sweeps
+
+
+def raw_scale_design(seed, n=120):
+    """Columns on the pipeline's raw scales, before standardizing: a full
+    one-hot block (which, with the intercept, makes the design singular),
+    ratings, award counts, lengths in minutes, a platform metric in the
+    tens of thousands and an all-zero column; views as the target."""
+    rng = np.random.default_rng(seed)
+    level = rng.integers(0, 3, size=n)
+    X = np.column_stack(
+        [
+            level == 0,
+            level == 1,
+            level == 2,
+            np.round(rng.uniform(2.5, 9.0, size=n), 1),
+            rng.poisson(3.0, size=n),
+            rng.integers(20, 75, size=n),
+            np.round(rng.lognormal(10.5, 0.6, size=n), 2),
+            np.zeros(n),
+        ]
+    ).astype(float)
+    y = 5e4 * np.exp(0.45 * X[:, 3] + 0.3 * X[:, 1]) * rng.lognormal(0.0, 0.3, size=n)
+    return X, y
+
+
+def assert_fit_matches_reference(model, want):
+    beta, intercept, converged, sweeps = want
+    assert model.coefficients.tobytes() == beta.tobytes()
+    assert float(model.intercept).hex() == intercept.hex()
+    assert (model.converged, model.n_iterations) == (converged, sweeps)
+
+
+@pytest.mark.parametrize("family", ["lasso", "ridge", "elastic_net"])
+def test_fit_matches_numpy_scalar_reference_over_the_default_alpha_grid(family):
+    X, y = raw_scale_design(11)
+    l1_ratio = DEFAULT_PARAMS[family]["l1_ratio"]
+    for alpha in DEFAULT_GRIDS[family]["alpha"]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # some grid points stop at the cap
+            model = fit_linear(X, y, alpha=alpha, l1_ratio=l1_ratio, tol=1e-6, max_iter=2000)
+        assert_fit_matches_reference(model, reference_fit(X, y, alpha, l1_ratio, 1e-6, 2000))
+
+
+def test_capped_fit_matches_reference_and_still_warns():
+    X, y = raw_scale_design(12)
+    with pytest.warns(UserWarning, match="did not converge in 5 sweeps"):
+        model = fit_linear(X, y, alpha=0.01, l1_ratio=1.0, tol=1e-6, max_iter=5)
+    want = reference_fit(X, y, 0.01, 1.0, 1e-6, 5)
+    assert want[2] is False
+    assert_fit_matches_reference(model, want)
