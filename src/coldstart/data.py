@@ -1,10 +1,10 @@
 """Core table types shared by every stage of the pipeline.
 
 A RawTable is a small column store: each column carries a ColumnSchema
-(name + role) and its cells. A numeric, passthrough or target column is a
-1-D float64 array, where NaN marks a missing cell and is never a value;
-every other column is a list, where a missing cell is ``None``. No in-band
-magic numbers. A FeatureMatrix is the fully numeric, fully observed matrix
+(name + role) and its cells. A numeric or target column is a 1-D float64
+array, where NaN marks a missing cell and is never a value; every other
+column is a list, where a missing cell is ``None``. No in-band magic
+numbers. A FeatureMatrix is the fully numeric, fully observed matrix
 that models consume.
 """
 
@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DataError, SchemaError
 from .util import round_half_up
 
-ROLES = ("numeric", "categorical", "date", "passthrough", "target", "id")
-NUMERIC_ROLES = ("numeric", "passthrough", "target")  # the roles of float64 array columns
+ROLES = ("numeric", "categorical", "date", "target", "id")
+NUMERIC_ROLES = ("numeric", "target")  # the roles of float64 array columns
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,9 @@ class RawTable:
     def from_rows(cls, schemas, rows):
         """Table from row tuples whose cells follow ``schemas``; no rows gives empty columns.
 
-        Cells are Python values with None for a missing cell. A numeric,
-        passthrough or target column becomes a float64 array, None to NaN; a
-        cell that is itself NaN would then read as missing, so it is a
-        DataError.
+        Cells are Python values with None for a missing cell. A numeric or
+        target column becomes a float64 array, None to NaN; a cell that is
+        itself NaN would then read as missing, so it is a DataError.
         """
         schemas = list(schemas)
         rows = list(rows)

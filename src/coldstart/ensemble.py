@@ -10,13 +10,13 @@ equally.
 from dataclasses import dataclass, field, replace
 
 from .errors import DataError
-from .families import check_family
+from .families import check_family, resolve_params
 from .preprocess import preprocessor_from_dict, preprocessor_to_dict
 from .util import finite_number
 
 SCHEMES = ("inverse_error", "equal")
 
-BUNDLE_SCHEMA_VERSION = 4
+BUNDLE_SCHEMA_VERSION = 5
 
 
 @dataclass
@@ -33,7 +33,7 @@ class EnsembleMember:
 @dataclass
 class EnsembleBundle:
     members: list
-    preprocessor: object  # fitted Preprocessor, or None for matrix-level use
+    preprocessor: object  # fitted Preprocessor
     scheme: str
     meta: dict = field(default_factory=dict)
 
@@ -82,7 +82,7 @@ def compute_weights(validation_errors, scheme="inverse_error"):
     return [v / total for v in inv]
 
 
-def build_bundle(candidates, preprocessor=None, scheme="inverse_error", k=3, meta=None):
+def build_bundle(candidates, preprocessor, scheme="inverse_error", k=3, meta=None):
     """Select the top-k candidate members, weight them, and assemble the bundle."""
     selected = select_top_models(candidates, k=k)
     weights = compute_weights([m.validation_mape for m in selected], scheme)
@@ -99,9 +99,7 @@ def bundle_to_dict(bundle):
         "schema_version": BUNDLE_SCHEMA_VERSION,
         "scheme": bundle.scheme,
         "meta": dict(bundle.meta),
-        "preprocessor": (
-            None if bundle.preprocessor is None else preprocessor_to_dict(bundle.preprocessor)
-        ),
+        "preprocessor": preprocessor_to_dict(bundle.preprocessor),
         "members": [
             {
                 "family": m.family,
@@ -115,6 +113,20 @@ def bundle_to_dict(bundle):
     }
 
 
+def _member_from_dict(i, m):
+    family, params, entry = m["family"], dict(m["params"]), check_family(m["family"])
+    # the member's params, and the parameter values its model repeats, must be in their domains
+    resolve_params(family, params)
+    resolve_params(family, entry.stored(m["model"]))
+    return EnsembleMember(
+        family=family,
+        params=params,
+        model=entry.from_dict(m["model"]),
+        validation_mape=finite_number(m["validation_mape"], f"bundle member {i} validation_mape"),
+        weight=finite_number(m["weight"], f"bundle member {i} weight"),
+    )
+
+
 def bundle_from_dict(d):
     """Decode a bundle; a missing or ill-typed key is a DataError."""
     if not isinstance(d, dict):
@@ -123,19 +135,11 @@ def bundle_from_dict(d):
     if version != BUNDLE_SCHEMA_VERSION:
         raise DataError(f"bundle schema version {version!r} is not {BUNDLE_SCHEMA_VERSION}; retrain the bundle")
     try:
-        members = [
-            EnsembleMember(
-                family=m["family"],
-                params=dict(m["params"]),
-                model=check_family(m["family"]).from_dict(m["model"]),
-                validation_mape=finite_number(m["validation_mape"], f"bundle member {i} validation_mape"),
-                weight=finite_number(m["weight"], f"bundle member {i} weight"),
-            )
-            for i, m in enumerate(d["members"])
-        ]
-        prep = None if d.get("preprocessor") is None else preprocessor_from_dict(d["preprocessor"])
         return EnsembleBundle(
-            members=members, preprocessor=prep, scheme=d["scheme"], meta=dict(d.get("meta", {}))
+            members=[_member_from_dict(i, m) for i, m in enumerate(d["members"])],
+            preprocessor=preprocessor_from_dict(d["preprocessor"]),
+            scheme=d["scheme"],
+            meta=dict(d.get("meta", {})),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"malformed bundle: {type(exc).__name__}: {exc}") from exc

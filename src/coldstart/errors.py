@@ -18,3 +18,7 @@ class DataError(ColdstartError):
 
 class SchemaError(DataError):
     """Column/schema mismatch between data and its declared layout."""
+
+
+class UndefinedMetricError(DataError):
+    """A metric undefined on its targets: MAPE on all zeros, R2 on one row or a constant."""

@@ -4,8 +4,12 @@ Families: decision_tree, random_forest, gbt (squared-error gradient
 boosting), lasso, ridge, elastic_net. Forest defaults pin the documented
 production configuration (1000 trees, min split 30, depth 30); gbt defaults
 pin learning rate 0.5.
+
+DOMAINS holds the one rule for each parameter's values; resolve_params, the
+one place that applies it, checks every fit, grid value and bundle member.
 """
 
+import sys
 from collections import namedtuple
 
 from . import linear, trees
@@ -13,17 +17,16 @@ from .errors import DataError
 
 # fit(resolved params, X, y, seed) -> model; predict(model, X) -> predictions;
 # to_dict/from_dict round-trip the model through the bundle JSON;
-# trees(model) -> the model's list of trees.Tree, None for a non-tree family
-Family = namedtuple("Family", "fit predict to_dict from_dict trees")
+# trees(model) -> the model's list of trees.Tree, None for a non-tree family;
+# stored(model dict) -> the parameter values the model's bundle dict repeats
+Family = namedtuple("Family", "fit predict to_dict from_dict trees stored")
+
+
+_TREE_PARAMS = ("max_depth", "min_samples_split", "max_features")
 
 
 def _tree_params(p, seed):
-    return trees.TreeParams(
-        max_depth=p["max_depth"],
-        min_samples_split=p["min_samples_split"],
-        max_features=p["max_features"],
-        seed=seed,
-    )
+    return trees.TreeParams(**{name: p[name] for name in _TREE_PARAMS}, seed=seed)
 
 
 # lasso, ridge and elastic net share one entry and differ in their default
@@ -36,6 +39,7 @@ _LINEAR = Family(
     to_dict=linear.linear_to_dict,
     from_dict=linear.linear_from_dict,
     trees=None,
+    stored=lambda d: {"alpha": d["alpha"], "l1_ratio": d["l1_ratio"]},
 )
 
 # Entries look fit and predict functions up through their module at call
@@ -47,6 +51,7 @@ FAMILY_TABLE = {
         to_dict=trees.decision_tree_to_dict,
         from_dict=trees.decision_tree_from_dict,
         trees=lambda model: [model],
+        stored=lambda d: {},
     ),
     "random_forest": Family(
         fit=lambda p, X, y, seed: trees.fit_random_forest(
@@ -56,6 +61,7 @@ FAMILY_TABLE = {
         to_dict=trees.forest_to_dict,
         from_dict=trees.forest_from_dict,
         trees=lambda model: model.trees,
+        stored=lambda d: {"n_estimators": d["n_estimators"], **{name: d["params"][name] for name in _TREE_PARAMS}},
     ),
     "gbt": Family(
         fit=lambda p, X, y, seed: trees.fit_gbt(
@@ -69,6 +75,7 @@ FAMILY_TABLE = {
         to_dict=trees.gbt_to_dict,
         from_dict=trees.gbt_from_dict,
         trees=lambda model: model.stages,
+        stored=lambda d: {"learning_rate": d["learning_rate"]},
     ),
     "lasso": _LINEAR,
     "ridge": _LINEAR,
@@ -76,6 +83,24 @@ FAMILY_TABLE = {
 }
 
 FAMILIES = tuple(FAMILY_TABLE)
+
+# the values each parameter may take, as (the rule in words, its test): one
+# rule per name, since a name means the same thing in every family that has
+# it. Numbers are tested by exact type, so a bool is neither an int nor a
+# float; a range test is false for NaN, and its upper bound keeps out
+# infinity and any int too large for a float.
+DOMAINS = {
+    "max_depth": ("None or an int >= 1", lambda v: v is None or type(v) is int and v >= 1),
+    "min_samples_split": ("an int >= 2", lambda v: type(v) is int and v >= 2),
+    "max_features": (f"one of {trees.MAX_FEATURES_MODES}", lambda v: v in trees.MAX_FEATURES_MODES),
+    "n_estimators": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+    "rounds": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "learning_rate": ("a finite number in (0, 1]", lambda v: type(v) in (int, float) and 0 < v <= 1),
+    "alpha": ("a finite number >= 0", lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max),
+    "l1_ratio": ("a finite number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1),
+    "tol": ("a finite number > 0", lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max),
+    "max_iter": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+}
 
 # every parameter a family's fit reads, at its default; a params dict or
 # grid may name these and no others
@@ -124,14 +149,30 @@ def check_family(family):
 
 def resolve_params(family, params=None):
     """The family's defaults overridden by ``params``; DataError for an
-    unknown family or a parameter name the family does not have."""
+    unknown family, a parameter name the family does not have, or a value
+    outside its parameter's domain."""
     check_family(family)
     defaults = DEFAULT_PARAMS[family]
     params = params or {}
     unknown = [name for name in params if name not in defaults]
     if unknown:
         raise DataError(f"unknown {family} parameters {unknown}; expected some of {list(defaults)}")
+    for name, value in params.items():
+        rule, ok = DOMAINS[name]
+        if not ok(value):
+            raise DataError(f"{family} parameter {name!r} must be {rule}, got {value!r}")
     return {**defaults, **params}
+
+
+def check_grid(family, grid):
+    """DataError unless each value list of ``grid`` is non-empty and each
+    value passes resolve_params: a parameter of the family, in its domain."""
+    check_family(family)
+    for name, values in grid.items():
+        if not values:
+            raise DataError(f"{family} parameter {name!r} has no candidate values, got {values!r}")
+        for value in values:
+            resolve_params(family, {name: value})
 
 
 def fit_family(family, params, X, y, seed=0):

@@ -101,7 +101,7 @@ def _parse_dates(cells):
 def load_csv(path, expected_schema):
     """Read a headered CSV into a RawTable, matching columns by header name.
 
-    Numeric, passthrough, and target columns parse as float64 arrays of
+    Numeric and target columns parse as float64 arrays of
     finite floats, date cells as ISO-8601 dates, and the rest stay strings.
     Empty cells become missing (NaN in an array, None in a list), as do the
     cells a short row lacks. Columns in the file but not in the

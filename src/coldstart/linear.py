@@ -76,6 +76,7 @@ def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000, sweep_callback=N
     (an all-zero fit therefore stops at once). Hitting ``max_iter`` flags
     converged=False and emits a warning instead of raising.
     ``sweep_callback(beta, intercept)`` runs after every sweep (test hook).
+    The parameters are taken as given: families.resolve_params checks them.
     """
     X = as_matrix(X)
     y = np.asarray(y, dtype=float)
@@ -83,14 +84,6 @@ def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000, sweep_callback=N
         raise DataError(f"misaligned shapes X={X.shape} y={y.shape}")
     if len(y) < 1:
         raise DataError("need at least one row")
-    for value, name in ((alpha, "alpha"), (l1_ratio, "l1_ratio"), (tol, "tol")):
-        finite_number(value, name)
-    if tol <= 0:
-        raise DataError("tol must be > 0")
-    if alpha < 0:
-        raise DataError("alpha must be >= 0")
-    if not 0.0 <= l1_ratio <= 1.0:
-        raise DataError("l1_ratio must be in [0, 1]")
 
     n, p = X.shape
     gram = X.T @ X / n
@@ -192,15 +185,16 @@ def linear_to_dict(model):
 
 
 def linear_from_dict(d):
-    """Decode a linear model; a non-finite coefficient or scalar is a DataError."""
+    """Decode a linear model; a non-finite coefficient or intercept is a
+    DataError (the families decoder checks alpha and l1_ratio)."""
     coefficients = np.asarray(d["coefficients"], dtype=float)
     if not np.isfinite(coefficients).all():
         raise DataError("linear coefficients must be finite numbers")
     return LinearModel(
         coefficients=coefficients,
         intercept=finite_number(d["intercept"], "linear intercept"),
-        alpha=finite_number(d["alpha"], "linear alpha"),
-        l1_ratio=finite_number(d["l1_ratio"], "linear l1_ratio"),
+        alpha=d["alpha"],
+        l1_ratio=d["l1_ratio"],
         converged=d["converged"],
         n_iterations=d["n_iterations"],
     )

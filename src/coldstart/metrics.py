@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import FeatureMatrix
-from .errors import DataError
+from .errors import DataError, UndefinedMetricError
 from .families import check_family
 from .trees import impurity_by_feature
 from .util import mix_seed
@@ -82,7 +82,7 @@ def mape(y, yhat):
     y, yhat = _aligned(y, yhat)
     mask = y != 0
     if not np.any(mask):
-        raise DataError("MAPE undefined: all targets are zero")
+        raise UndefinedMetricError("MAPE undefined: all targets are zero")
     return 100.0 * float(np.mean(np.abs(y[mask] - yhat[mask]) / np.abs(y[mask])))
 
 
@@ -105,10 +105,10 @@ def r2(y, yhat):
     """Coefficient of determination, 1 - SS_res / SS_tot."""
     y, yhat = _aligned(y, yhat)
     if len(y) < 2:
-        raise DataError("r2 needs at least 2 rows")
+        raise UndefinedMetricError("r2 needs at least 2 rows")
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     if ss_tot == 0:
-        raise DataError("r2 undefined for constant targets")
+        raise UndefinedMetricError("r2 undefined for constant targets")
     ss_res = float(np.sum((y - yhat) ** 2))
     return 1.0 - ss_res / ss_tot
 

@@ -28,8 +28,8 @@ import numpy as np
 from . import plots
 from .data import build_dataset, feature_table, split_indices
 from .ensemble import SCHEMES, EnsembleMember, build_bundle, bundle_from_dict, bundle_to_dict, compute_weights
-from .errors import DataError
-from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, fit_family, predict_family, resolve_params
+from .errors import DataError, UndefinedMetricError
+from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, check_grid, fit_family, predict_family
 from .ingest import (
     EPISODE_CSV_COLUMNS,
     VIEWS_COLUMN,
@@ -92,7 +92,7 @@ class RunConfig:
         for family, grid in self.grids.items():
             if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
                 raise DataError(f"config grids[{family!r}] must map parameter names to lists of values")
-            resolve_params(family, grid)  # names only: an unknown family or parameter fails here
+            check_grid(family, grid)  # an unknown name, an empty list or a value outside its domain fails here
         if not 1 <= self.importance_repeats <= IMPORTANCE_MAX_REPEATS:
             raise DataError(f"importance_repeats must be in 1..{IMPORTANCE_MAX_REPEATS}, got {self.importance_repeats}")
         if self.reference_date is not None:
@@ -322,20 +322,17 @@ def run_train(config):
     candidates = []
     clamp_counts = {}
     hold_results = {}  # family -> (views, clamped) on the holdout
-    failed = {}
     for fi, family in enumerate(config.families):
         grid = config.grids.get(family) or DEFAULT_GRIDS[family]
         try:
             search = randomized_search(family, grid, config.n_iter, folds, seed=mix_seed(config.seed, fi))
-            model = fit_family(
-                family, search.best_params, X_train.values, y_fit, seed=mix_seed(config.seed, 1000 + fi)
-            )
-        except DataError as exc:
-            # one family failing is survivable; the run errors only when
-            # nothing fits
-            warnings.warn(f"{family}: fit failed ({exc})")
-            failed[family] = str(exc)
+        except UndefinedMetricError as exc:
+            # a CV score depends on the fold targets and the family's scoring
+            # alone: r2 is undefined on a fold of one row or of constant
+            # targets where MAPE is not, so the families it scores drop out
+            warnings.warn(f"{family}: dropped, its CV score is undefined ({exc})")
             continue
+        model = fit_family(family, search.best_params, X_train.values, y_fit, seed=mix_seed(config.seed, 1000 + fi))
         cv_results[family] = search.to_dict()
         member = EnsembleMember(family, search.best_params, model, validation_mape=None)
         views, clamped = hold_results[family] = member_views(member, X_hold.values, config.target_transform)
@@ -344,10 +341,6 @@ def run_train(config):
         clamp_counts[family] = int(clamped.sum())
         member.validation_mape = report.mape
         candidates.append(member)
-
-    if not candidates:
-        details = "; ".join(f"{k}: {v}" for k, v in failed.items())
-        raise DataError(f"no model family fit successfully ({details})")
 
     digest = config_digest(config.to_dict())
     bundle = build_bundle(
@@ -403,7 +396,6 @@ def run_train(config):
         "n_holdout": len(hold_idx),
         "feature_names": X_train.feature_names,
         "cv_results": cv_results,
-        "failed_families": failed,
         "scheme": config.scheme,
         **section,
         # every fitted candidate, where the section has the members only
@@ -446,8 +438,6 @@ def _load_for_scoring(bundle_path, episodes_path, credits_path, genres_path, pla
         reference = datetime.date.fromisoformat(bundle.meta["reference_date"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{bundle_path}: bundle meta needs an ISO reference_date ({exc!r})") from exc
-    if bundle.preprocessor is None:
-        raise DataError(f"{bundle_path}: bundle has no preprocessor")
     episodes, credits, genres, platform = load_inputs(
         episodes_path, credits_path, genres_path, platform_path, alias_path
     )

@@ -5,10 +5,10 @@ to any table with the same schema, producing a fully numeric FeatureMatrix.
 Unknown categories at transform time encode as the all-zero vector so new
 shows with unseen metadata keep a stable feature dimension.
 
-Both work a column at a time. A numeric or passthrough column is a float64
-array with NaN for a missing cell, as every RawTable holds it. A
-categorical column is a list; each distinct cell is keyed once by its str()
-form, so cells equal as Python values (1 and 1.0) count as one cell.
+Both work a column at a time. A numeric column is a float64 array with NaN
+for a missing cell, as every RawTable holds it. A categorical column is a
+list; each distinct cell is keyed once by its str() form, so cells equal as
+Python values (1 and 1.0) count as one cell.
 """
 
 from collections import Counter
@@ -44,7 +44,6 @@ class CategoricalColumnState:
 class Preprocessor:
     numeric: list
     categorical: list
-    passthrough: list  # column names copied verbatim
     schema: list = field(default_factory=list)  # fit-time (name, role) pairs
     strategy_numeric: str = "median"
     strategy_categorical: str = "mode"
@@ -81,7 +80,6 @@ def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="
 
     numeric = []
     categorical = []
-    passthrough = []
     for schema in features.schemas:
         if schema.role == "numeric":
             values = features.column(schema.name)
@@ -111,8 +109,6 @@ def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="
                     name=schema.name, impute_category=impute, categories=categories
                 )
             )
-        elif schema.role == "passthrough":
-            passthrough.append(schema.name)
         elif schema.role == "date":
             raise SchemaError(
                 f"date column {schema.name!r}: derive date features before preprocessing"
@@ -124,7 +120,6 @@ def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="
     return Preprocessor(
         numeric=numeric,
         categorical=categorical,
-        passthrough=passthrough,
         schema=[(s.name, s.role) for s in features.schemas],
         strategy_numeric=strategy_numeric,
         strategy_categorical=strategy_categorical,
@@ -135,7 +130,7 @@ def transform(preprocessor, features):
     """Apply a fitted preprocessor; returns a FeatureMatrix.
 
     Column order: scaled numerics in schema order, then one-hot blocks in
-    schema order, then passthroughs.
+    schema order.
     """
     if not isinstance(features, RawTable):
         raise SchemaError("transform expects a RawTable")
@@ -168,14 +163,6 @@ def transform(preprocessor, features):
         blocks.append(block)
         names.extend(f"{col.name}={cat}" for cat in col.categories)
 
-    for name in preprocessor.passthrough:
-        values = features.column(name)
-        missing = np.flatnonzero(np.isnan(values))
-        if len(missing):
-            raise DataError(f"missing value in passthrough column {name!r} (row {missing[0]})")
-        blocks.append(values.reshape(n, 1))
-        names.append(name)
-
     if blocks:
         values = np.hstack(blocks)
     else:
@@ -193,7 +180,6 @@ def preprocessor_to_dict(p):
             {"name": c.name, "impute_category": c.impute_category, "categories": list(c.categories)}
             for c in p.categorical
         ],
-        "passthrough": list(p.passthrough),
         "schema": [[n, r] for n, r in p.schema],
         "strategy_numeric": p.strategy_numeric,
         "strategy_categorical": p.strategy_categorical,
@@ -251,7 +237,6 @@ def preprocessor_from_dict(d):
             )
             for i, c in enumerate(d["categorical"])
         ],
-        passthrough=_strings(d["passthrough"], "passthrough"),
         schema=[_role_pair(pair, f"schema[{i}]") for i, pair in enumerate(d["schema"])],
         strategy_numeric=d["strategy_numeric"],
         strategy_categorical=d["strategy_categorical"],

@@ -82,18 +82,12 @@ MAX_FEATURES_MODES = ("all", "third", "sqrt")
 
 @dataclass
 class TreeParams:
+    """A tree fit's parameters, taken as given: families.resolve_params checks them."""
+
     max_depth: int | None = None
     min_samples_split: int = 2
     max_features: str = "all"
     seed: int = 0
-
-    def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 1:
-            raise DataError("max_depth must be None or >= 1")
-        if self.min_samples_split < 2:
-            raise DataError("min_samples_split must be >= 2")
-        if self.max_features not in MAX_FEATURES_MODES:
-            raise DataError(f"max_features must be one of {MAX_FEATURES_MODES}")
 
 
 @dataclass
@@ -306,8 +300,6 @@ def fit_random_forest(X, y, params, n_estimators, bootstrap=True):
     ``bootstrap=False`` fits every tree on the identity sample (test hook).
     """
     X, y = _align(X, y)
-    if n_estimators < 1:
-        raise DataError("n_estimators must be >= 1")
     n = len(y)
     columns, keys = np.ascontiguousarray(X.T), rank_code(X)
     trees = []
@@ -328,10 +320,6 @@ def fit_gbt(X, y, rounds, learning_rate, tree_params):
     X, y = _align(X, y)
     if len(y) == 0:
         raise DataError("cannot fit on zero rows")
-    if not 0.0 < learning_rate <= 1.0:
-        raise DataError("learning rate must be in (0, 1]")
-    if rounds < 0:
-        raise DataError("rounds must be >= 0")
     base = float(y.mean())
     preds = np.full(len(y), base)
     columns, keys = np.ascontiguousarray(X.T), rank_code(X)
@@ -541,13 +529,10 @@ def gbt_to_dict(model):
 
 
 def gbt_from_dict(d):
-    learning_rate = finite_number(d["learning_rate"], "gbt learning_rate")
-    if not 0.0 < learning_rate <= 1.0:
-        raise DataError(f"gbt learning_rate must be in (0, 1], got {learning_rate!r}")
     return GbtModel(
         base_prediction=finite_number(d["base_prediction"], "gbt base_prediction"),
         stages=trees_from_block(d["trees"]),
-        learning_rate=learning_rate,
+        learning_rate=d["learning_rate"],
         n_features=d["n_features"],
     )
 

@@ -145,9 +145,6 @@ def enumerate_grid(grid):
     if not grid:
         raise DataError("empty parameter grid")
     names = sorted(grid)
-    for name in names:
-        if not grid[name]:
-            raise DataError(f"grid entry {name!r} has no candidate values")
     combos = []
     for values in itertools.product(*(grid[name] for name in names)):
         combos.append(dict(zip(names, values)))
@@ -163,7 +160,7 @@ def randomized_search(family, grid, n_iter, folds, seed, scoring=None):
     """
     if n_iter < 1:
         raise DataError("n_iter must be >= 1")
-    families.check_family(family)
+    families.check_grid(family, grid)
     if scoring is None:
         scoring = families.DEFAULT_SCORING[family]
 

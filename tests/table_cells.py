@@ -7,8 +7,8 @@ from coldstart.data import ColumnSchema, RawTable
 
 def make_table(cols):
     """A RawTable from (name, role, cells) triples, built as production
-    builds one from Python cells: through RawTable.from_rows, so a numeric,
-    passthrough or target column becomes a float64 array, None to NaN."""
+    builds one from Python cells: through RawTable.from_rows, so a numeric
+    or target column becomes a float64 array, None to NaN."""
     schemas = [ColumnSchema(name, role) for name, role, _ in cols]
     return RawTable.from_rows(schemas, zip(*(values for _, _, values in cols), strict=True))
 

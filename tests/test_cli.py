@@ -10,7 +10,8 @@ import pytest
 from coldstart.cli import main
 from coldstart.ensemble import bundle_from_dict, bundle_to_dict
 from coldstart.errors import DataError
-from coldstart.pipeline import RunConfig, _json_kind, load_bundle, run_evaluate, run_predict, run_verify
+from coldstart.pipeline import RunConfig, _json_kind, load_bundle, run_evaluate, run_predict, run_train, run_verify
+from coldstart.synth import SynthConfig, generate
 from coldstart.trees import trees_from_block
 from coldstart.util import load_json
 
@@ -109,46 +110,18 @@ def test_train_cli_flags_override_config(tmp_path, tiny_run):
     assert not (tmp_path / "out_a").exists()
 
 
-def test_train_survives_partial_family_failure(tmp_path, tiny_run):
-    import warnings as w
-
-    from coldstart.pipeline import RunConfig, run_train
-
-    cfg = dict(tiny_run.config.to_dict())
-    cfg["out_dir"] = str(tmp_path / "out")
-    cfg["families"] = ["lasso", "ridge"]
-    # a negative alpha makes every lasso candidate fail to fit
-    cfg["grids"] = {"lasso": {"alpha": [-1.0]}, "ridge": {"alpha": [0.1]}}
-    with w.catch_warnings():
-        w.simplefilter("ignore")
-        result = run_train(RunConfig.from_dict(cfg))
-    report = json.loads(open(result["report"]).read())
-    assert report["selected"] == ["ridge"]
-    assert "lasso" in report["failed_families"]
-
-    from coldstart.errors import DataError
-
-    cfg["families"] = ["lasso"]
-    cfg["grids"] = {"lasso": {"alpha": [-1.0]}}
-    cfg["out_dir"] = str(tmp_path / "out2")
-    with w.catch_warnings():
-        w.simplefilter("ignore")
-        with pytest.raises(DataError):
-            run_train(RunConfig.from_dict(cfg))
-
-
-def test_train_cli_drops_a_family_whose_grid_value_is_not_a_number(tmp_path, tiny_run):
-    # a string alpha is a DataError in the fit, like a negative one, not exit 4
-    cfg = dict(tiny_run.config.to_dict())
-    cfg["out_dir"] = str(tmp_path / "out")
-    cfg["families"] = ["ridge", "lasso"]
-    cfg["grids"] = {"ridge": {"alpha": ["x"]}}
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps(cfg))
-    assert run_cli("train", "--config", str(config_path)) == 0
-    report = load_json(tmp_path / "out" / "training_report.json")
-    assert report["selected"] == ["lasso"]
-    assert "alpha must be a finite number, got 'x'" in report["failed_families"]["ridge"]
+def test_train_drops_the_families_whose_cv_score_is_undefined(tmp_path):
+    # the linear families are scored by r2, undefined on a fold of one row
+    # where the MAPE that scores gbt is not: 7 training rows in 5 folds
+    data = tmp_path / "data"
+    generate(SynthConfig(n_series=3, episodes_min=2, episodes_max=3, seed=1), data)
+    paths = {name: str(data / f"{name}.csv") for name in ("episodes", "credits", "genres", "platform")}
+    config = RunConfig(**paths, out_dir=str(tmp_path / "out"), families=["gbt", "lasso"], n_iter=1, cv_folds=5)
+    with pytest.warns(UserWarning, match=r"lasso: dropped, its CV score is undefined \(r2 needs at least 2 rows\)"):
+        result = run_train(config)
+    report = load_json(result["report"])
+    assert report["n_train"] == 7
+    assert report["selected"] == ["gbt"] and list(report["cv_results"]) == ["gbt"]
 
 
 @pytest.mark.parametrize("field, value", [("scheme", "median"), ("top_k", 0), ("top_k", -4)])
@@ -540,6 +513,13 @@ def _last_node_internal(sizes, arrays):
     arrays["value"] = arrays["value"][:-1]
 
 
+def _as_v4(doc):
+    """A bundle in the version-4 layout: the preprocessor also lists its
+    passthrough columns."""
+    doc["schema_version"] = 4
+    doc["preprocessor"]["passthrough"] = []
+
+
 def _as_v3(doc):
     """A bundle in the version-3 layout: one dict of four per-node lists per
     tree, 0 at the entries prediction does not read."""
@@ -619,6 +599,43 @@ TAMPERED_REPORTS = {
     ),
 }
 
+# grid lists outside their parameter's domain: case -> (family, parameter,
+# grid list); each config also selects lasso, which the grid leaves valid
+BAD_GRID_LISTS = {
+    "config_grid_ridge_max_iter_string": ("ridge", "max_iter", ["x"]),
+    "config_grid_ridge_max_iter_float": ("ridge", "max_iter", [2.5]),
+    "config_grid_ridge_max_iter_zero": ("ridge", "max_iter", [0]),
+    "config_grid_ridge_alpha_string": ("ridge", "alpha", ["x"]),
+    "config_grid_ridge_alpha_negative": ("ridge", "alpha", [-1]),
+    "config_grid_ridge_alpha_empty": ("ridge", "alpha", []),
+    "config_grid_gbt_rounds_float": ("gbt", "rounds", [1.5]),
+    "config_grid_gbt_rounds_negative": ("gbt", "rounds", [-1]),
+    "config_grid_gbt_learning_rate_string": ("gbt", "learning_rate", ["x"]),
+    "config_grid_gbt_max_features_half": ("gbt", "max_features", ["half"]),
+    "config_grid_random_forest_n_estimators_string": ("random_forest", "n_estimators", ["x"]),
+    "config_grid_decision_tree_max_depth_string": ("decision_tree", "max_depth", ["x"]),
+    "config_grid_decision_tree_max_depth_float": ("decision_tree", "max_depth", [2.5]),
+    "config_grid_decision_tree_min_samples_split_bool": ("decision_tree", "min_samples_split", [True]),
+}
+
+
+def _bad_grid_config(family, name, values):
+    return _config(families=[family, "lasso"], grids={family: {name: values}})
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRID_LISTS))
+def test_bad_grid_value_exits_3_before_any_input_is_read(case, tmp_path, capsys):
+    # the inputs do not exist, so a check after reading them would name a missing file
+    family, name, values = BAD_GRID_LISTS[case]
+    config = tmp_path / "cfg.json"
+    config.write_bytes(_bad_grid_config(family, name, values)(None))
+    inputs = [arg for n in ("episodes", "credits", "genres", "platform") for arg in (f"--{n}", str(tmp_path / n))]
+    assert run_cli("train", "--config", str(config), *inputs, "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "No such file" not in err
+    assert family in err and repr(name) in err and repr(values[0] if values else values) in err
+
+
 # case -> (input it replaces, bytes written in its place, *extra train flags);
 # "holdout" is the holdout episodes file with views, which evaluate scores
 BAD_INPUTS = {
@@ -633,6 +650,7 @@ BAD_INPUTS = {
     "config_grid_values_not_a_list": ("config", _config(grids={"lasso": {"alpha": 0.1}})),
     "config_grid_unknown_family": ("config", _config(grids={"bogus": {"alpha": [1.0]}})),
     "config_grid_unknown_parameter": ("config", _config(grids={"ridge": {"alfa": [1.0]}})),
+    **{case: ("config", _bad_grid_config(*spec)) for case, spec in BAD_GRID_LISTS.items()},
     "config_reference_date_not_a_date": ("config", _config(reference_date="2016-13-45")),
     "config_scheme_unknown": ("config", _config(scheme="median")),
     "config_top_k_zero": ("config", _config(top_k=0)),
@@ -660,6 +678,17 @@ BAD_INPUTS = {
     "bundle_schema_version_1": ("bundle", _edited("bundle", lambda d: d.update(schema_version=1))),
     "bundle_schema_version_2": ("bundle", _edited("bundle", lambda d: d.update(schema_version=2))),
     "bundle_schema_version_3": ("bundle", _edited("bundle", _as_v3)),
+    "bundle_schema_version_4": ("bundle", _edited("bundle", _as_v4)),
+    "bundle_member_params_unknown_name": ("bundle", _edited("bundle", lambda d: d["members"][0]["params"].update(bogus=1))),
+    "bundle_member_params_out_of_domain": (
+        "bundle", _edited("bundle", lambda d: _member(d, "gbt")["params"].update(learning_rate=1.5))
+    ),
+    "bundle_member_params_alpha_string_and_unknown_name": (
+        "bundle", _edited("bundle", lambda d: [m.update(params={"alpha": "x", "bogus": 1}) for m in d["members"]])
+    ),
+    "bundle_linear_model_alpha_negative": (
+        "bundle", _edited("bundle", lambda d: _member(d, "lasso")["model"].update(alpha=-1.0))
+    ),
     "bundle_member_weight_nan": ("bundle", _bundle_number(lambda d: (d["members"][0], "weight"), "NaN")),
     # a float that overflowed on its way into the block
     "bundle_tree_value_overflow": ("bundle", _gbt_block(lambda s, a: a["value"].__setitem__(0, np.inf))),

@@ -15,6 +15,11 @@ from coldstart.ensemble import (
 from coldstart.errors import DataError
 from coldstart.linear import LinearModel
 from coldstart.pipeline import member_views, predict_views
+from coldstart.preprocess import fit_preprocessor
+from table_cells import make_table
+
+# every bundle carries a fitted preprocessor; the members here read one column
+PREP = fit_preprocessor(make_table([("x", "numeric", [0.0, 1.0])]))
 
 
 def constant_member(value, validation_mape=1.0, weight=0.0, n_features=1):
@@ -81,6 +86,7 @@ def test_zero_error_rejected_then_fallback():
         compute_weights([-1.0, 1.0])
     bundle = build_bundle(
         [constant_member(1.0, 0.0), constant_member(2.0, 1.0), constant_member(3.0, 0.0)],
+        PREP,
         scheme="inverse_error",
     )
     weights = [m.weight for m in bundle.members]
@@ -109,7 +115,7 @@ def test_ensemble_predict_hand_arithmetic():
         constant_member(20.0, validation_mape=2.0, weight=0.3),
         constant_member(30.0, validation_mape=3.0, weight=0.2),
     ]
-    bundle = EnsembleBundle(members=members, preprocessor=None, scheme="inverse_error")
+    bundle = EnsembleBundle(members=members, preprocessor=PREP, scheme="inverse_error")
     pred, _ = predict_views(bundle, np.zeros((1, 1)))
     assert abs(pred[0] - 17.0) < 1e-12
 
@@ -119,11 +125,11 @@ def test_identical_members_identity_and_degenerate_weights():
         constant_member(7.0, 1.0, weight=1.0),
         constant_member(9.0, 2.0, weight=0.0),
     ]
-    bundle = EnsembleBundle(members, None, "inverse_error")
+    bundle = EnsembleBundle(members, PREP, "inverse_error")
     assert predict_views(bundle, np.zeros((3, 1)))[0][0] == 7.0
 
     same = [constant_member(4.0, 1.0, 0.5), constant_member(4.0, 1.0, 0.5)]
-    bundle = EnsembleBundle(same, None, "equal")
+    bundle = EnsembleBundle(same, PREP, "equal")
     assert np.allclose(predict_views(bundle, np.zeros((2, 1)))[0], 4.0)
 
 
@@ -136,7 +142,7 @@ def test_prediction_within_member_envelope():
         models.append(
             EnsembleMember("ridge", {}, LinearModel(coef, float(rng.normal()), 0.0, 0.0, True, 1), error)
         )
-    bundle = build_bundle(models)
+    bundle = build_bundle(models, PREP)
     # members are combined after clamping negative views to zero
     preds = [member_views(m, X, "none")[0] for m in models]
     combined, _ = predict_views(bundle, X)
@@ -151,7 +157,7 @@ def test_selection_invariant_under_submission_order():
     baseline = None
     for perm in itertools.permutations("abcd"):
         candidates = [models[n] for n in perm]
-        bundle = build_bundle(candidates, scheme="inverse_error", k=3)
+        bundle = build_bundle(candidates, PREP, scheme="inverse_error", k=3)
         got = [(m.validation_mape, m.weight) for m in bundle.members]
         if baseline is None:
             baseline = got
@@ -164,22 +170,23 @@ def test_members_sorted_ascending_enforced():
         constant_member(2.0, validation_mape=3.0, weight=0.5),
     ]
     with pytest.raises(DataError):
-        EnsembleBundle(members, None, "inverse_error")
+        EnsembleBundle(members, PREP, "inverse_error")
 
 
 def test_weight_sum_enforced():
     members = [constant_member(1.0, 5.0, 0.4)]
     with pytest.raises(DataError):
-        EnsembleBundle(members, None, "inverse_error")
+        EnsembleBundle(members, PREP, "inverse_error")
     with pytest.raises(DataError):
-        EnsembleBundle([], None, "inverse_error")
+        EnsembleBundle([], PREP, "inverse_error")
     with pytest.raises(DataError):
-        EnsembleBundle([constant_member(1.0, 5.0, 1.0)], None, "median_pick")
+        EnsembleBundle([constant_member(1.0, 5.0, 1.0)], PREP, "median_pick")
 
 
 def test_bundle_serialization_round_trip():
     bundle = build_bundle(
         [constant_member(10.0, 4.0), constant_member(12.0, 8.0)],
+        PREP,
         scheme="inverse_error",
         meta={"seed": 7, "target_transform": "none"},
     )
@@ -204,7 +211,7 @@ def test_bundle_serialization_round_trip():
     ],
 )
 def test_bundle_rejects_non_finite_member_numbers(edit):
-    payload = bundle_to_dict(build_bundle([constant_member(1.0, 2.0)]))
+    payload = bundle_to_dict(build_bundle([constant_member(1.0, 2.0)], PREP))
     edit(payload["members"][0])
     with pytest.raises(DataError):
         bundle_from_dict(payload)
@@ -212,11 +219,11 @@ def test_bundle_rejects_non_finite_member_numbers(edit):
 
 def test_nan_weight_fails_the_weight_sum():
     with pytest.raises(DataError, match="sum"):
-        EnsembleBundle([constant_member(1.0, 5.0, float("nan"))], None, "inverse_error")
+        EnsembleBundle([constant_member(1.0, 5.0, float("nan"))], PREP, "inverse_error")
 
 
 def test_bundle_rejects_unknown_schema_version():
-    bundle = build_bundle([constant_member(1.0, 2.0)])
+    bundle = build_bundle([constant_member(1.0, 2.0)], PREP)
     payload = bundle_to_dict(bundle)
     payload["schema_version"] = 99
     with pytest.raises(DataError):

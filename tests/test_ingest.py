@@ -133,7 +133,7 @@ def rowwise_load_csv(path, expected_schema):
                 cell = row[pos].strip() if pos < len(row) else ""
                 if cell == "":
                     value = None
-                elif schema.role in ("numeric", "passthrough", "target"):
+                elif schema.role in ("numeric", "target"):
                     try:
                         value = float(cell)
                     except ValueError:
@@ -618,7 +618,7 @@ def _csv_rows(path):
 
 
 def test_numbers_are_float64_arrays_from_csv_to_features(tmp_path):
-    """Every numeric, passthrough and target column is a 1-D float64 array,
+    """Every numeric and target column is a 1-D float64 array,
     NaN exactly where its cell is missing, in every table from the CSV to
     the features."""
     paths = generate(SynthConfig(n_series=30, seed=11), tmp_path)

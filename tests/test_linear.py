@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coldstart.errors import DataError
-from coldstart.families import DEFAULT_GRIDS, DEFAULT_PARAMS
+from coldstart.families import DEFAULT_GRIDS, DEFAULT_PARAMS, fit_family
 from coldstart.linear import (
     fit_linear,
     kkt_residuals,
@@ -207,12 +207,14 @@ def test_validation_errors():
     X = np.ones((3, 1))
     with pytest.raises(DataError):
         fit_linear(X, np.ones(2), alpha=0.0, l1_ratio=0.0)
-    with pytest.raises(DataError):
-        fit_linear(X, np.ones(3), alpha=0.0, l1_ratio=0.0, tol=0.0)
-    with pytest.raises(DataError):
-        fit_linear(X, np.ones(3), alpha=-1.0, l1_ratio=0.0)
-    with pytest.raises(DataError):
-        fit_linear(X, np.ones(3), alpha=1.0, l1_ratio=1.5)
+    # parameter values are checked by families.resolve_params, which every
+    # fit_family call runs before the solver
+    with pytest.raises(DataError, match="parameter 'tol' must be a finite number > 0, got 0.0"):
+        fit_family("ridge", {"alpha": 0.0, "l1_ratio": 0.0, "tol": 0.0}, X, np.ones(3))
+    with pytest.raises(DataError, match="parameter 'alpha' must be a finite number >= 0, got -1.0"):
+        fit_family("ridge", {"alpha": -1.0, "l1_ratio": 0.0}, X, np.ones(3))
+    with pytest.raises(DataError, match=r"parameter 'l1_ratio' must be a finite number in \[0, 1\], got 1.5"):
+        fit_family("ridge", {"alpha": 1.0, "l1_ratio": 1.5}, X, np.ones(3))
 
 
 def test_serialization_round_trip():
@@ -228,11 +230,11 @@ def test_serialization_round_trip():
 @pytest.mark.parametrize("name", ["alpha", "l1_ratio", "tol"])
 @pytest.mark.parametrize("bad", ["x", None, True, float("nan"), float("inf")])
 def test_non_numeric_parameters_are_data_errors_naming_the_parameter(name, bad):
-    # checked before any comparison, so a string is not a TypeError
+    # resolve_params checks the type before any comparison, so a string is not a TypeError
     X, y = np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 4.0])
     params = {"alpha": 0.1, "l1_ratio": 0.5, "tol": 1e-6, name: bad}
-    with pytest.raises(DataError, match=rf"^{name} must be a finite number"):
-        fit_linear(X, y, **params)
+    with pytest.raises(DataError, match=rf"^elastic_net parameter '{name}' must be a finite number .*, got {bad!r}$"):
+        fit_family("elastic_net", params, X, y)
 
 
 def reference_fit(X, y, alpha, l1_ratio, tol, max_iter):

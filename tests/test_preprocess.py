@@ -136,24 +136,16 @@ def test_fit_transform_never_emits_missing():
     assert np.all(np.isfinite(out.values))
 
 
-def test_column_order_numeric_onehot_passthrough():
+def test_column_order_numeric_then_onehot():
     table = make_table(
         [
-            ("p", "passthrough", [1.0, 2.0]),
-            ("x", "numeric", [1.0, 2.0]),
             ("c", "categorical", ["a", "b"]),
+            ("x", "numeric", [1.0, 2.0]),
         ]
     )
     prep = fit_preprocessor(table)
     out = transform(prep, table)
-    assert out.feature_names == ["x", "c=a", "c=b", "p"]
-
-
-def test_passthrough_missing_errors():
-    table = make_table([("p", "passthrough", [1.0, None])])
-    prep = fit_preprocessor(make_table([("p", "passthrough", [1.0, 2.0])]))
-    with pytest.raises(DataError):
-        transform(prep, table)
+    assert out.feature_names == ["x", "c=a", "c=b"]
 
 
 def test_schema_mismatch():
@@ -176,7 +168,6 @@ def test_serialization_round_trip():
         [
             ("x", "numeric", [1.0, None, 3.5]),
             ("c", "categorical", ["a", "b", None]),
-            ("p", "passthrough", [0.0, 1.0, 2.0]),
         ]
     )
     prep = fit_preprocessor(table)
@@ -192,7 +183,7 @@ def test_serialization_round_trip():
 
 def reference_fit(features, strategy_numeric="median", strategy_categorical="mode"):
     """fit_preprocessor as a loop over cells, read as Python values (None missing)."""
-    numeric, categorical, passthrough = [], [], []
+    numeric, categorical = [], []
     for schema in features.schemas:
         values = cells(features.column(schema.name))
         if schema.role == "numeric":
@@ -217,10 +208,8 @@ def reference_fit(features, strategy_numeric="median", strategy_categorical="mod
                 impute = SENTINEL
                 categories = sorted(set(categories) | {SENTINEL})
             categorical.append(CategoricalColumnState(schema.name, impute, categories))
-        else:
-            passthrough.append(schema.name)
     return Preprocessor(
-        numeric, categorical, passthrough, [(s.name, s.role) for s in features.schemas],
+        numeric, categorical, [(s.name, s.role) for s in features.schemas],
         strategy_numeric, strategy_categorical,
     )
 
@@ -240,13 +229,6 @@ def reference_transform(prep, features):
             if j is not None:
                 block[i, j] = 1.0
         blocks.append(block)
-    for name in prep.passthrough:
-        out = np.empty(n)
-        for i, v in enumerate(cells(features.column(name))):
-            if v is None:
-                raise DataError("missing passthrough")
-            out[i] = float(v)
-        blocks.append(out.reshape(n, 1))
     return np.hstack(blocks)
 
 
@@ -255,7 +237,6 @@ def reference_names(prep):
     return (
         [c.name for c in prep.numeric]
         + [f"{c.name}={cat}" for c in prep.categorical for cat in c.categories]
-        + list(prep.passthrough)
     )
 
 
@@ -268,7 +249,6 @@ def state_key(prep):
     return (
         [(c.name, bits(c.impute_value), bits(c.mean), bits(c.std)) for c in prep.numeric],
         [(c.name, c.impute_category, list(c.categories)) for c in prep.categorical],
-        list(prep.passthrough),
         list(prep.schema),
         prep.strategy_numeric,
         prep.strategy_categorical,
@@ -293,17 +273,13 @@ def random_case(rng):
     """A fit table and a transform table with one schema."""
     schema = [ColumnSchema(f"x{j}", "numeric") for j in range(int(rng.integers(1, 4)))]
     schema += [ColumnSchema(f"c{j}", "categorical") for j in range(int(rng.integers(1, 3)))]
-    schema += [ColumnSchema(f"p{j}", "passthrough") for j in range(int(rng.integers(0, 2)))]
     fit_pool = [1, "1", 2, "2", "a", "b", "c", 10]
     new_pool = fit_pool + ["zz", 7, "7"]  # unknown at transform time
     tables = []
     for pool in (fit_pool, new_pool):
         n = 1 if rng.random() < 0.15 else int(rng.integers(2, 40))
         missing = float(rng.choice([0.0, 0.2, 0.6]))
-        cols = [
-            (s.name, s.role, random_cells(rng, s.role, n, 0.1 * missing if s.role == "passthrough" else missing, pool))
-            for s in schema
-        ]
+        cols = [(s.name, s.role, random_cells(rng, s.role, n, missing, pool)) for s in schema]
         tables.append(make_table(cols))
     return tables
 
@@ -340,19 +316,18 @@ def test_column_fit_and_transform_match_the_per_cell_reference():
     assert compared >= 100  # most cases fit and transform
 
 
-@pytest.mark.parametrize("role", ["numeric", "passthrough", "target"])
+@pytest.mark.parametrize("role", ["numeric", "target"])
 def test_nan_cell_in_a_list_column_is_a_data_error(role):
     # None is the missing cell; a NaN cell would read as missing once in an array
     with pytest.raises(DataError, match=r"column 'v' has a NaN cell \(row 1\)"):
         make_table([("v", role, [1.0, float("nan")])])
 
 
-def test_build_dataset_encodes_numeric_and_passthrough_columns_as_arrays():
+def test_build_dataset_encodes_numeric_columns_as_arrays():
     table = make_table(
         [
             ("x", "numeric", [1, None, 2.5]),
             ("c", "categorical", ["a", None, "b"]),
-            ("p", "passthrough", [0.0, 1.0, 2.0]),
             ("views", "target", [1.0, 2.0, 3.0]),
         ]
     )
@@ -360,7 +335,6 @@ def test_build_dataset_encodes_numeric_and_passthrough_columns_as_arrays():
     x = features.column("x")
     assert isinstance(x, np.ndarray) and x.dtype == np.float64
     assert x[0] == 1.0 and np.isnan(x[1]) and x[2] == 2.5
-    assert isinstance(features.column("p"), np.ndarray)
     assert features.column("c") == ["a", None, "b"]
 
 
@@ -374,7 +348,7 @@ def test_build_dataset_encodes_numeric_and_passthrough_columns_as_arrays():
         lambda d: d["categorical"][0].update(categories="abc"),
         lambda d: d["categorical"][0].update(categories=["a", 1]),
         lambda d: d["categorical"][0].update(impute_category=None),
-        lambda d: d.update(passthrough=[3]),
+        lambda d: d["numeric"][0].update(name=3),
         lambda d: d["schema"].__setitem__(0, ["x", "bogus"]),
         lambda d: d["schema"].__setitem__(0, ["x"]),
         lambda d: d.update(strategy_numeric="mode"),
@@ -383,7 +357,7 @@ def test_build_dataset_encodes_numeric_and_passthrough_columns_as_arrays():
 )
 def test_preprocessor_from_dict_rejects_ill_typed_values(edit):
     table = make_table(
-        [("x", "numeric", [1.0, 2.0]), ("c", "categorical", ["a", "b"]), ("p", "passthrough", [0.0, 1.0])]
+        [("x", "numeric", [1.0, 2.0]), ("c", "categorical", ["a", "b"])]
     )
     d = preprocessor_to_dict(fit_preprocessor(table))
     edit(d)

@@ -9,6 +9,7 @@ import pytest
 
 from coldstart import trees
 from coldstart.errors import DataError
+from coldstart.families import FAMILY_TABLE, fit_family, resolve_params
 from coldstart.trees import (
     TREE_ARRAYS,
     GbtModel,
@@ -438,8 +439,8 @@ def test_forest_prediction_is_mean_of_trees():
 
 
 def test_forest_rejects_zero_estimators():
-    with pytest.raises(DataError):
-        fit_random_forest(FIXTURE_X, FIXTURE_Y, TreeParams(), n_estimators=0)
+    with pytest.raises(DataError, match="random_forest parameter 'n_estimators' must be an int >= 1, got 0"):
+        fit_family("random_forest", {"n_estimators": 0}, FIXTURE_X, FIXTURE_Y)
 
 
 def test_gbt_zero_rounds_predicts_mean():
@@ -696,17 +697,20 @@ def test_tree_from_dict_rejects_non_finite_numbers(name, bad):
     with pytest.raises(DataError, match=f"{name!r} must hold finite numbers"):
         decision_tree_from_dict({**d, "trees": pack_block(d["trees"]["sizes"], arrays)})
     g = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=1, learning_rate=0.5, tree_params=TreeParams()))
-    for key in ("base_prediction", "learning_rate"):
-        with pytest.raises(DataError, match="finite"):
-            gbt_from_dict({**g, key: bad})
+    with pytest.raises(DataError, match="finite"):
+        gbt_from_dict({**g, "base_prediction": bad})
+    # the bundle decoder reads a model's learning_rate through resolve_params
+    with pytest.raises(DataError, match="finite"):
+        resolve_params("gbt", FAMILY_TABLE["gbt"].stored({**g, "learning_rate": bad}))
 
 
 def test_params_validation():
-    with pytest.raises(DataError):
-        TreeParams(min_samples_split=1)
-    with pytest.raises(DataError):
-        TreeParams(max_depth=0)
-    with pytest.raises(DataError):
-        TreeParams(max_features="half")
-    with pytest.raises(DataError):
-        fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=1, learning_rate=1.5, tree_params=TreeParams())
+    # tree parameters are checked by families.resolve_params, not by TreeParams or the fits
+    with pytest.raises(DataError, match="'min_samples_split' must be an int >= 2, got 1"):
+        resolve_params("decision_tree", {"min_samples_split": 1})
+    with pytest.raises(DataError, match="'max_depth' must be None or an int >= 1, got 0"):
+        resolve_params("decision_tree", {"max_depth": 0})
+    with pytest.raises(DataError, match="'max_features' must be one of .*, got 'half'"):
+        resolve_params("decision_tree", {"max_features": "half"})
+    with pytest.raises(DataError, match=r"'learning_rate' must be a finite number in \(0, 1\], got 1.5"):
+        fit_family("gbt", {"rounds": 1, "learning_rate": 1.5}, FIXTURE_X, FIXTURE_Y)

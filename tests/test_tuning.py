@@ -1,10 +1,25 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from conftest import TINY_GRIDS
+from test_acceptance import REDUCED_GRIDS
 
 from coldstart import tuning
 from coldstart.data import ColumnSchema, RawTable
 from coldstart.errors import DataError
-from coldstart.families import DEFAULT_PARAMS, FAMILIES, fit_family, predict_family
+from coldstart.families import (
+    DEFAULT_GRIDS,
+    DEFAULT_PARAMS,
+    DOMAINS,
+    FAMILIES,
+    check_grid,
+    fit_family,
+    predict_family,
+    resolve_params,
+)
 from coldstart.tuning import (
     cross_validate,
     cross_validate_pipeline,
@@ -116,8 +131,11 @@ def test_enumerate_grid_and_errors():
     assert combos == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
     with pytest.raises(DataError):
         enumerate_grid({})
-    with pytest.raises(DataError):
-        enumerate_grid({"a": []})
+    # an empty value list is checked by check_grid, which randomized_search runs first
+    with pytest.raises(DataError, match="'alpha' has no candidate values"):
+        check_grid("ridge", {"alpha": []})
+    with pytest.raises(DataError, match="'alpha' has no candidate values"):
+        randomized_search("ridge", {"alpha": []}, n_iter=1, folds=[], seed=0)
 
 
 def test_search_single_assignment_wins():
@@ -239,3 +257,61 @@ def test_unknown_family_or_parameter_name_is_named():
         fit_family("lasso", {"max_features": "all"}, X, y)
     with pytest.raises(DataError, match="'bogus'"):
         fit_family("bogus", {}, X, y)
+
+
+# parameter -> (values inside its domain, values outside it)
+DOMAIN_CASES = {
+    "max_depth": ([None, 1, 30], [0, -1, 2.5, 3.0, True, "x"]),
+    "min_samples_split": ([2, 30], [1, 2.5, True, None, "2"]),
+    "max_features": (["all", "third", "sqrt"], ["half", None, 1, ["all"]]),
+    "n_estimators": ([1, 1000], [0, 1.5, True, "x"]),
+    "rounds": ([0, 100], [-1, 1.5, False, "x"]),
+    "learning_rate": ([1e-9, 0.5, 1, 1.0], [0, 0.0, 1.5, float("nan"), float("inf"), 10**309, True, "x", None]),
+    "alpha": ([0, 0.0, 100.0, 10**308], [-1, -1e-12, float("inf"), float("nan"), 10**309, True, "x", None]),
+    "l1_ratio": ([0, 0.0, 0.5, 1, 1.0], [-0.1, 1.5, float("nan"), float("-inf"), True, "x"]),
+    "tol": ([1e-6, 1], [0, 0.0, -1e-6, float("inf"), float("nan"), 10**309, False, "x"]),
+    "max_iter": ([1, 10000], [0, 2.5, True, "x", None]),
+}
+
+
+def test_every_parameter_has_one_domain():
+    assert set(DOMAINS) == {name for params in DEFAULT_PARAMS.values() for name in params} == set(DOMAIN_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_CASES))
+def test_domain_accepts_and_rejects(name):
+    inside, outside = DOMAIN_CASES[name]
+    family = next(f for f in FAMILIES if name in DEFAULT_PARAMS[f])
+    for value in inside:
+        assert resolve_params(family, {name: value})[name] == value
+    for value in outside:
+        with pytest.raises(DataError, match=rf"^{family} parameter '{name}' must be .*, got "):
+            resolve_params(family, {name: value})
+    with pytest.raises(DataError, match=rf"^{family} parameter '{name}' has no candidate values, got \[\]$"):
+        check_grid(family, {name: []})
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_defaults_and_every_checked_in_grid_lie_in_their_domains():
+    # a domain drawn too tight fails here, and not as failed benchmark runs
+    # (ops_ok_ratio below 1) or failed acceptance trains
+    for family, defaults in DEFAULT_PARAMS.items():
+        assert resolve_params(family, defaults) == defaults
+    workloads = _perfbench_workloads()
+    tables = {
+        "DEFAULT_GRIDS": DEFAULT_GRIDS,
+        "REDUCED_GRIDS": REDUCED_GRIDS,
+        "TINY_GRIDS": TINY_GRIDS,
+        **{name: getattr(workloads, name) for name in ("REDUCED_TREE_GRIDS", "SCORING_GRIDS", "LINEAR_GRIDS")},
+    }
+    for table in tables.values():
+        for family, grid in table.items():
+            check_grid(family, grid)
+    assert set(tables["SCORING_GRIDS"]) == set(FAMILIES)
