@@ -93,6 +93,12 @@ class RunConfig:
             if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
                 raise DataError(f"config grids[{family!r}] must map parameter names to lists of values")
             check_grid(family, grid)  # an unknown name, an empty list or a value outside its domain fails here
+        if self.n_iter < 1:
+            raise DataError(f"n_iter must be >= 1, got {self.n_iter}")
+        if self.cv_folds < 2:  # a count above the training rows is known only once they are read
+            raise DataError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if not 0 < self.test_fraction < 1:
+            raise DataError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 1 <= self.importance_repeats <= IMPORTANCE_MAX_REPEATS:
             raise DataError(f"importance_repeats must be in 1..{IMPORTANCE_MAX_REPEATS}, got {self.importance_repeats}")
         if self.reference_date is not None:

@@ -54,16 +54,32 @@ predictions from the grower, which writes every leaf's value to the leaf's
 rows: those rows reached the leaf by the same ``x <= threshold`` test that
 prediction applies, so the floats are those of ``predict_tree``.
 
-Prediction routes every row down at once through a slot table built from
-the arrays on each call (the vectorized predication of Asadi, Lin & de
-Vries 2014). Slot ``2*i + b`` is node i's branch b, with b = 1 where
-``x <= threshold`` (left, node i + 1) and 0 otherwise (right), so a NaN
-cell goes right; ``feature``, ``threshold`` and ``value`` are repeated per
-slot and ``child`` holds the even slot of each branch's child, a leaf's
-slots pointing back at the leaf. A row holds its node's even slot, and one level
-is the branch-free step ``slot = child[slot + (x[feature[slot]] <=
-threshold[slot])]``: the same comparison as a node-by-node walk, so every
-prediction is the same float.
+Prediction routes every row down at once (the vectorized predication of
+Asadi, Lin & de Vries 2014), through one plan per call that holds all the
+trees of a model. The plan is a slot table over the model's nodes, trees in
+model order. Internal node j (counting internal nodes only) owns slots
+``2*j + b``, its branch b, with b = 1 where ``x <= threshold`` (left) and
+0 otherwise (right), so a NaN cell goes right; ``feature`` and
+``threshold`` are repeated per slot and ``child`` holds the even slot of
+each branch's child. The leaves come last: from slot ``first_leaf`` on,
+each leaf owns a slot pair whose children point back at the leaf, so a row
+has finished exactly when ``slot >= first_leaf``, and its value is
+``value[slot - first_leaf]`` in a leaf-only array. A row holds its node's
+even slot, and one level is the branch-free step ``slot =
+child[slot + (x[feature[slot]] <= threshold[slot])]``: the same comparison
+as a node-by-node walk, so every prediction is the same float. The cell
+``x[f]`` of row i is ``X.ravel()[i * width + f]``, read from the row-major
+X in place, so the plan rejects a split feature at or past X's width
+instead of reading the next row's cell.
+
+The trees are walked one after another, the rows of a tree all together.
+A breadth-first pass over all trees at once, made when the plan is built,
+gives each tree's shallowest leaf depth: no row can finish before it, so
+the walk takes that many steps before it looks for finished rows. The
+first step compares the root's column, where every row still is. After
+that, finished rows are dropped once they are half of the rows left. A
+forest adds each tree into its sum in model order and then divides by the
+tree count; boosting adds ``learning_rate * prediction`` in stage order.
 """
 
 import base64
@@ -343,45 +359,112 @@ def _check_width(X, n_features, what):
         raise DataError(f"{what} expects {n_features} features, got {X.shape[1]}")
 
 
-def predict_tree(tree, X):
-    """Route all rows down together, one predicated step per level."""
+class _Plan(NamedTuple):
+    """The slot table of all the trees of a model; see the module docstring."""
+
+    feature: np.ndarray  # per slot, 0 at a leaf's slots
+    threshold: np.ndarray  # per slot, 0 at a leaf's slots
+    child: np.ndarray  # per slot, the even slot of the branch's child
+    value: np.ndarray  # per leaf slot: slot first_leaf + i holds value[i]
+    first_leaf: int
+    roots: list  # each tree's root slot, in model order
+    shallowest: list  # each tree's shallowest leaf depth
+
+
+def _plan(trees, width):
+    """The prediction plan of ``trees`` for rows ``width`` cells wide."""
+    feature = np.concatenate([np.empty(0, dtype=int)] + [t.feature for t in trees])
+    max_fi = int(feature.max(initial=-1))
+    if max_fi >= width:
+        # a row-major gather past the width would read the next row's cell
+        raise DataError(f"tree references feature {max_fi} but input has {width}")
+    sizes = np.array([t.feature.size for t in trees], dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(sizes.size), sizes)
+    right = np.concatenate([np.empty(0, dtype=int)] + [t.right for t in trees]) + starts.take(tree_of)
+    threshold = np.concatenate([np.empty(0)] + [t.threshold for t in trees])
+    value = np.concatenate([np.empty(0)] + [t.value for t in trees])
+    # breadth first over all trees at once, each tree only down to its first
+    # leaf; a level keeps each node once, so that nodes shared by two parents
+    # (which a decoded block may hold) cannot multiply it
+    shallowest = np.full(sizes.size, -1)
+    level, depth = starts, 0
+    while level.size:
+        owner = tree_of.take(level)
+        shallowest[owner[feature.take(level) < 0]] = depth
+        level = level[shallowest.take(owner) < 0]  # internal nodes of trees still without a leaf
+        level = np.unique(np.concatenate([level + 1, right.take(level)]))
+        depth += 1
+
+    internal = np.flatnonzero(feature >= 0)
+    leaves = np.flatnonzero(feature < 0)
+    first_leaf = 2 * internal.size
+    slot_of = np.empty(feature.size, dtype=int)  # each node's even slot
+    slot_of[internal] = np.arange(0, first_leaf, 2)
+    slot_of[leaves] = np.arange(first_leaf, first_leaf + 2 * leaves.size, 2)
+    branches = np.stack([slot_of.take(right.take(internal)), slot_of.take(internal + 1)], axis=1).ravel()
+    return _Plan(
+        feature=np.concatenate([np.repeat(feature.take(internal), 2), np.zeros(2 * leaves.size, dtype=int)]),
+        threshold=np.concatenate([np.repeat(threshold.take(internal), 2), np.zeros(2 * leaves.size)]),
+        child=np.concatenate([branches, np.repeat(slot_of.take(leaves), 2)]),
+        value=np.repeat(value.take(leaves), 2),
+        first_leaf=first_leaf,
+        roots=slot_of.take(starts).tolist(),
+        shallowest=shallowest.tolist(),
+    )
+
+
+def _each_tree(trees, X):
+    """Yield each tree's predictions for the rows of X, in model order, all
+    walked through one plan."""
     X = as_matrix(X)
-    max_fi = int(tree.feature.max())
-    if max_fi >= X.shape[1]:
-        raise DataError(f"tree references feature {max_fi} but input has {X.shape[1]}")
-    # slot 2*i + b is node i's branch b, b = (x <= threshold); a row holds the
-    # even slot of its node, and leaves route to themselves
-    leaf = tree.feature < 0
-    ids = np.arange(leaf.size)
-    feature = np.repeat(np.where(leaf, 0, tree.feature), 2)
-    threshold = np.repeat(tree.threshold, 2)
-    value = np.repeat(tree.value, 2)
-    child = 2 * np.stack([np.where(leaf, ids, tree.right), np.where(leaf, ids, ids + 1)], axis=1).ravel()
-    leaf = np.repeat(leaf, 2)
+    plan = _plan(trees, X.shape[1])
+    feature, threshold, child, first_leaf = plan.feature, plan.threshold, plan.child, plan.first_leaf
     # X[i, f] as flat[i * width + f]: one 1-D gather, cheaper than X[rows, f]
     flat = X.ravel()
-    out = np.empty(X.shape[0])
-    rows = np.arange(X.shape[0])
-    start = rows * X.shape[1]
-    slot = np.zeros(X.shape[0], dtype=int)
-    while True:
-        done = leaf.take(slot)
-        # drop finished rows only once they are half of those left: dropping
-        # them at every level costs more than the steps it saves
-        if 2 * np.count_nonzero(done) >= slot.size:
-            out[rows[done]] = value.take(slot[done])
-            rows, start, slot = rows[~done], start[~done], slot[~done]
-            if not rows.size:
-                return out
-        slot = child.take(slot + (flat.take(start + feature.take(slot)) <= threshold.take(slot)))
+    all_rows = np.arange(X.shape[0])
+    all_start = all_rows * X.shape[1]
+
+    def step(slot, start):
+        return child.take(slot + (flat.take(start + feature.take(slot)) <= threshold.take(slot)))
+
+    for root, shallowest in zip(plan.roots, plan.shallowest):
+        out = np.empty(X.shape[0])
+        rows, start = all_rows, all_start
+        if shallowest:  # every row takes the root's one test: a column compare
+            slot = child.take(root + (X[:, feature.item(root)] <= threshold.item(root)))
+        else:
+            slot = np.full(X.shape[0], root)
+        # no row reaches a leaf before the tree's shallowest one
+        for _ in range(shallowest - 1):
+            slot = step(slot, start)
+        while True:
+            done = slot >= first_leaf
+            # drop finished rows only once they are half of those left: dropping
+            # them at every level costs more than the steps it saves
+            if 2 * np.count_nonzero(done) >= slot.size:
+                # positions, then takes: a boolean mask gathers far slower
+                finished, left = done.nonzero()[0], (~done).nonzero()[0]
+                out[rows.take(finished)] = plan.value.take(slot.take(finished) - first_leaf)
+                rows, start, slot = rows.take(left), start.take(left), slot.take(left)
+                if not rows.size:
+                    break
+            slot = step(slot, start)
+        yield out
+
+
+def predict_tree(tree, X):
+    """Route all rows down together, one predicated step per level."""
+    (out,) = _each_tree([tree], X)
+    return out
 
 
 def predict_forest(model, X):
     X = as_matrix(X)
     _check_width(X, model.n_features, "forest")
     acc = np.zeros(X.shape[0])
-    for tree in model.trees:
-        acc += predict_tree(tree, X)
+    for pred in _each_tree(model.trees, X):
+        acc += pred
     return acc / len(model.trees)
 
 
@@ -389,8 +472,8 @@ def predict_gbt(model, X):
     X = as_matrix(X)
     _check_width(X, model.n_features, "gbt")
     out = np.full(X.shape[0], model.base_prediction)
-    for stage in model.stages:
-        out += model.learning_rate * predict_tree(stage, X)
+    for pred in _each_tree(model.stages, X):
+        out += model.learning_rate * pred
     return out
 
 

@@ -2,8 +2,8 @@
 
 import hashlib
 import json
-import math
 import os
+import sys
 
 from .errors import DataError
 
@@ -68,8 +68,12 @@ def load_json(path):
 
 
 def finite_number(value, what):
-    """``value`` if it is a finite int or float (not a bool), else a DataError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """``value`` if it is a finite int or float (not a bool), else a DataError.
+
+    An int counts as finite while a float can hold its size; it is compared
+    with ``sys.float_info.max``, never converted, so a huge int cannot
+    overflow here (NaN fails the comparison too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise DataError(f"{what} must be a finite number, got {value!r}")
     return value
 

@@ -513,6 +513,15 @@ def _last_node_internal(sizes, arrays):
     arrays["value"] = arrays["value"][:-1]
 
 
+def _split_feature_at_width(doc):
+    """Point the gbt member's first split at column ``n_features``, one past
+    the last column of the matrix it scores."""
+    model = _member(doc, "gbt")["model"]
+    feature = np.frombuffer(base64.b64decode(model["trees"]["feature"]), dtype="<i4").copy()
+    feature[np.flatnonzero(feature >= 0)[0]] = model["n_features"]
+    model["trees"]["feature"] = base64.b64encode(feature.tobytes()).decode("ascii")
+
+
 def _as_v4(doc):
     """A bundle in the version-4 layout: the preprocessor also lists its
     passthrough columns."""
@@ -636,6 +645,32 @@ def test_bad_grid_value_exits_3_before_any_input_is_read(case, tmp_path, capsys)
     assert family in err and repr(name) in err and repr(values[0] if values else values) in err
 
 
+# run settings outside their range: case -> (config fields, what the message names)
+BAD_RUN_SETTINGS = {
+    "n_iter_zero": ({"n_iter": 0}, "n_iter must be >= 1, got 0"),
+    "n_iter_negative": ({"n_iter": -2}, "n_iter must be >= 1, got -2"),
+    "cv_folds_one": ({"cv_folds": 1}, "cv_folds must be >= 2, got 1"),
+    "cv_folds_zero": ({"cv_folds": 0}, "cv_folds must be >= 2, got 0"),
+    "test_fraction_zero": ({"test_fraction": 0.0}, "test_fraction must be in (0, 1), got 0.0"),
+    "test_fraction_one": ({"test_fraction": 1}, "test_fraction must be in (0, 1), got 1"),
+    "test_fraction_negative": ({"test_fraction": -0.2}, "test_fraction must be in (0, 1), got -0.2"),
+    "test_fraction_above_one": ({"test_fraction": 1.5}, "test_fraction must be in (0, 1), got 1.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUN_SETTINGS))
+def test_bad_run_setting_exits_3_before_any_input_is_read(case, tmp_path, capsys):
+    # the inputs do not exist, so a check after reading them would name a missing file
+    settings, message = BAD_RUN_SETTINGS[case]
+    config = tmp_path / "cfg.json"
+    config.write_bytes(_config(**settings)(None))
+    inputs = [arg for n in ("episodes", "credits", "genres", "platform") for arg in (f"--{n}", str(tmp_path / n))]
+    assert run_cli("train", "--config", str(config), *inputs, "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "No such file" not in err
+    assert message in err
+
+
 # case -> (input it replaces, bytes written in its place, *extra train flags);
 # "holdout" is the holdout episodes file with views, which evaluate scores
 BAD_INPUTS = {
@@ -690,6 +725,10 @@ BAD_INPUTS = {
         "bundle", _edited("bundle", lambda d: _member(d, "lasso")["model"].update(alpha=-1.0))
     ),
     "bundle_member_weight_nan": ("bundle", _bundle_number(lambda d: (d["members"][0], "weight"), "NaN")),
+    # an int no float can hold, which must not overflow on its way to the check
+    "bundle_member_weight_401_digits": (
+        "bundle", _bundle_number(lambda d: (d["members"][0], "weight"), "1" + "0" * 400)
+    ),
     # a float that overflowed on its way into the block
     "bundle_tree_value_overflow": ("bundle", _gbt_block(lambda s, a: a["value"].__setitem__(0, np.inf))),
     "bundle_gbt_learning_rate_1e308": (
@@ -709,6 +748,7 @@ BAD_INPUTS = {
     "tree_threshold_nan": ("bundle", _gbt_block(lambda s, a: a["threshold"].__setitem__(0, np.nan))),
     "tree_threshold_minus_inf": ("bundle", _gbt_block(lambda s, a: a["threshold"].__setitem__(0, -np.inf))),
     "tree_value_nan": ("bundle", _gbt_block(lambda s, a: a["value"].__setitem__(0, np.nan))),
+    "tree_split_feature_equal_to_width": ("bundle", _edited("bundle", _split_feature_at_width)),
     "tree_block_bad_base64": (
         "bundle", _edited("bundle", lambda d: _member(d, "gbt")["model"]["trees"].update(feature="AAAA!AAA"))
     ),

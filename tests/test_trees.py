@@ -429,13 +429,75 @@ def test_forest_single_tree_identity_sample_equals_tree():
     assert np.array_equal(predict_forest(forest, X), predict_tree(single, X))
 
 
+def forest_reference(trees, X):
+    """The in-order running sum of each tree's level-wise walk, divided by the tree count."""
+    acc = np.zeros(len(X))
+    for tree in trees:
+        acc += levelwise_predict_tree(tree, X)
+    return acc / len(trees)
+
+
+def gbt_reference(base, learning_rate, stages, X):
+    """base + sum of learning_rate * each stage's level-wise walk, in stage order."""
+    out = np.full(len(X), base)
+    for stage in stages:
+        out += learning_rate * levelwise_predict_tree(stage, X)
+    return out
+
+
 def test_forest_prediction_is_mean_of_trees():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
     forest = fit_random_forest(X, y, TreeParams(max_depth=3, seed=3), n_estimators=7)
-    stacked = np.stack([predict_tree(t, X) for t in forest.trees])
-    assert np.allclose(predict_forest(forest, X), stacked.mean(axis=0))
+    X_new = _edge_rows(forest.trees[0], X, rng)
+    assert np.array_equal(predict_forest(forest, X_new), forest_reference(forest.trees, X_new))
+
+
+def test_gbt_prediction_is_base_plus_shrunken_stages():
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(40, 3))
+    y = rng.normal(size=40)
+    model = fit_gbt(X, y, rounds=9, learning_rate=0.3, tree_params=TreeParams(max_depth=3, seed=2))
+    X_new = _edge_rows(model.stages[0], X, rng)
+    want = gbt_reference(model.base_prediction, model.learning_rate, model.stages, X_new)
+    assert np.array_equal(predict_gbt(model, X_new), want)
+
+
+def test_one_plan_walks_a_leaf_a_chain_and_forest_trees():
+    # shallowest leaf depths 0 (a lone leaf), 1 (the 299-level chain) and
+    # those of the forest's trees, in one plan
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(300, 3))
+    X[:, 0] = np.arange(300)
+    X[::5, 2] = 0.0
+    chain = fit_decision_tree(X[:, :1], 3.0 ** np.arange(300), TreeParams())
+    assert chain.feature.size == 599
+    leaf = fit_decision_tree(X, np.ones(300), TreeParams())
+    assert leaf.feature.size == 1
+    forest = fit_random_forest(X, X[:, 1] + (X[:, 2] > 0), TreeParams(max_depth=6, max_features="sqrt", seed=5), 5)
+    mixed = [leaf, chain, *forest.trees[:2], leaf, *forest.trees[2:]]
+    X_new = np.vstack([_edge_rows(tree, X, rng) for tree in mixed])
+    model = trees.ForestModel(trees=mixed, params=forest.params, n_estimators=len(mixed), n_features=3)
+    assert np.array_equal(predict_forest(model, X_new), forest_reference(mixed, X_new))
+    gbt = GbtModel(base_prediction=0.25, stages=mixed, learning_rate=0.5, n_features=3)
+    assert np.array_equal(predict_gbt(gbt, X_new), gbt_reference(0.25, 0.5, mixed, X_new))
+
+
+def test_nodes_shared_by_two_parents_predict_as_the_scalar_walk():
+    # a decoded block may hold a DAG: node i's children are i + 1 and i + 2,
+    # so the paths to a node multiply with depth while the nodes do not
+    n = 30
+    arrays = {
+        "feature": np.array([i % 2 for i in range(n - 2)] + [-1, -1], dtype="<i4"),
+        "right": np.arange(2, n, dtype="<i4"),
+        "threshold": np.linspace(-1.0, 1.0, n - 2),
+        "value": np.array([3.0, 4.0]),
+    }
+    (tree,) = trees_from_block(pack_block([n], arrays))
+    X = np.random.default_rng(18).normal(size=(200, 2))
+    expected = np.array([tree.value[_leaf_of(tree, x)] for x in X])
+    assert np.array_equal(predict_tree(tree, X), expected)
 
 
 def test_forest_rejects_zero_estimators():
@@ -445,7 +507,8 @@ def test_forest_rejects_zero_estimators():
 
 def test_gbt_zero_rounds_predicts_mean():
     model = fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams())
-    assert np.allclose(predict_gbt(model, FIXTURE_X), 5.0)
+    assert np.array_equal(predict_gbt(model, FIXTURE_X), np.full(4, 5.0))
+    assert predict_gbt(model, FIXTURE_X[:0]).shape == (0,)
 
 
 def test_gbt_one_round_full_rate_recovers_fixture():
@@ -502,6 +565,25 @@ def test_predict_dispatch_and_dimension_check():
         predict_gbt(gbt, np.zeros((2, 3)))
     with pytest.raises(DataError):
         predict_tree(single, np.zeros((2, 0)))
+
+
+@pytest.mark.parametrize("kind", ["forest", "gbt"])
+def test_decoded_split_feature_at_the_width_is_a_data_error(kind):
+    # a row-major gather at column `width` would read the next row's first cell
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(40, 3))
+    y = X[:, 0] + rng.normal(scale=0.1, size=40)
+    if kind == "forest":
+        d = forest_to_dict(fit_random_forest(X, y, TreeParams(max_depth=3), 4))
+        from_dict, predict = forest_from_dict, predict_forest
+    else:
+        d = gbt_to_dict(fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3)))
+        from_dict, predict = gbt_from_dict, predict_gbt
+    feature = np.frombuffer(base64.b64decode(d["trees"]["feature"]), dtype="<i4").copy()
+    feature[np.flatnonzero(feature >= 0)[-1]] = 3
+    d["trees"]["feature"] = base64.b64encode(feature.tobytes()).decode("ascii")
+    with pytest.raises(DataError, match="tree references feature 3 but input has 3"):
+        predict(from_dict(d), X)
 
 
 def test_serialization_round_trips():

@@ -41,3 +41,19 @@ def test_failed_dump_json_keeps_existing_file(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert json.loads(before) == {"members": [1.5, 2.0]}
     assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]
+
+
+@pytest.mark.parametrize("value", [0, -3, 1.5, 10**308, -(10**308), 1.7976931348623157e308])
+def test_finite_number_accepts_every_number_a_float_can_hold(value):
+    assert util.finite_number(value, "weight") is value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**400, -(10**400), 10**309, float("inf"), float("nan"), True, "1", None],
+    ids=["10**400", "-10**400", "10**309", "inf", "nan", "True", "'1'", "None"],
+)
+def test_finite_number_rejects_without_converting(value):
+    # an int past the largest float is compared, not converted: no OverflowError
+    with pytest.raises(DataError, match="weight must be a finite number"):
+        util.finite_number(value, "weight")
