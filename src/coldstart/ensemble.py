@@ -16,7 +16,7 @@ from .util import finite_number
 
 SCHEMES = ("inverse_error", "equal")
 
-BUNDLE_SCHEMA_VERSION = 5
+BUNDLE_SCHEMA_VERSION = 6
 
 
 @dataclass

@@ -20,14 +20,19 @@ sends rows with ``x[feature] <= threshold`` to node i + 1 and the rest to
 count and ``impurity_decrease`` the delta of its split (0 at a leaf).
 
 A bundle stores each model's trees as one packed block: the node count of
-each tree, and four base64 strings of fixed little-endian arrays over the
-nodes in preorder, trees in model order. They hold only what prediction
-reads: ``feature`` for every node, ``right`` and ``threshold`` for each
-internal node, and ``value`` for each leaf. The block decodes with one
-base64 decode and one ``np.frombuffer`` per array, and its checks run on
-whole arrays. ``n_samples`` and ``impurity_decrease`` feed impurity
-importance only, which runs on the fitted trees in memory; a decoded tree
-holds None for them.
+each tree, and four arrays over the nodes in preorder, trees in model
+order, each stored as fixed little-endian bytes, deflated by zlib at its
+default level and base64-encoded. They hold only what prediction reads:
+``feature`` for every node, ``right`` and ``threshold`` for each internal
+node, and ``value`` for each leaf. The decoder reads the node count from
+``sizes`` first and inflates ``feature`` to exactly that many entries, then
+the other arrays to the internal-node and leaf counts that ``feature``
+gives; no inflate writes more than one byte past the entries it expects,
+so a small stream that claims to hold more cannot make a large array. Each
+array is then one ``np.frombuffer``, and the checks run on whole arrays.
+``n_samples`` and ``impurity_decrease`` feed impurity importance only,
+which runs on the fitted trees in memory; a decoded tree holds None for
+them.
 
 Split search works on rank codes, not on the float values. Each fit codes
 every column of X once, by ``rank_code``: a value's code is the number of
@@ -84,6 +89,7 @@ tree count; boosting adds ``learning_rate * prediction`` in stage order.
 
 import base64
 import math
+import zlib
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -384,16 +390,14 @@ def _plan(trees, width):
     right = np.concatenate([np.empty(0, dtype=int)] + [t.right for t in trees]) + starts.take(tree_of)
     threshold = np.concatenate([np.empty(0)] + [t.threshold for t in trees])
     value = np.concatenate([np.empty(0)] + [t.value for t in trees])
-    # breadth first over all trees at once, each tree only down to its first
-    # leaf; a level keeps each node once, so that nodes shared by two parents
-    # (which a decoded block may hold) cannot multiply it
+    # breadth first over all trees at once, each tree only down to its first leaf
     shallowest = np.full(sizes.size, -1)
     level, depth = starts, 0
     while level.size:
         owner = tree_of.take(level)
         shallowest[owner[feature.take(level) < 0]] = depth
         level = level[shallowest.take(owner) < 0]  # internal nodes of trees still without a leaf
-        level = np.unique(np.concatenate([level + 1, right.take(level)]))
+        level = np.concatenate([level + 1, right.take(level)])
         depth += 1
 
     internal = np.flatnonzero(feature >= 0)
@@ -499,28 +503,44 @@ BLOCK_ARRAYS = (
 
 
 def _pack(a, dtype):
-    return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode("ascii")
+    return base64.b64encode(zlib.compress(np.ascontiguousarray(a, dtype=dtype).tobytes())).decode("ascii")
 
 
-def _unpack(text, dtype, name):
-    """The array packed in base64 ``text``; DataError for anything else."""
+def _unpack(text, name, dtype, count, held_by):
+    """The ``count`` entries that base64 ``text`` holds as one zlib stream;
+    DataError for anything else. The inflate stops one byte past the
+    entries' bytes, so a stream that holds more is caught without being
+    inflated (``held_by`` names the nodes the entries belong to)."""
     if not isinstance(text, str):
         raise DataError(f"tree block {name!r} must be a base64 string")
     try:
-        raw = base64.b64decode(text, validate=True)
+        packed = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII string
         raise DataError(f"tree block {name!r} is not valid base64 ({exc})") from None
-    itemsize = np.dtype(dtype).itemsize
-    if len(raw) % itemsize:
-        raise DataError(f"tree block {name!r} holds {len(raw)} bytes, not a multiple of {itemsize}")
+    size = count * np.dtype(dtype).itemsize
+    inflater = zlib.decompressobj()
+    try:
+        # never a max_length of 0, which zlib reads as no limit
+        raw = inflater.decompress(packed, size + 1)
+    except zlib.error as exc:
+        raise DataError(f"tree block {name!r} is not a zlib stream ({exc})") from None
+    if len(raw) > size:
+        raise DataError(f"tree block {name!r} inflates past the {size} bytes of its {count} {held_by}")
+    if not inflater.eof:
+        raise DataError(f"tree block {name!r} is a truncated zlib stream")
+    if inflater.unused_data:
+        raise DataError(f"tree block {name!r} has {len(inflater.unused_data)} bytes after its zlib stream")
+    if len(raw) < size:
+        raise DataError(f"tree block {name!r} inflates to {len(raw)} bytes, not the {size} of its {count} {held_by}")
     return np.frombuffer(raw, dtype=dtype)
 
 
 def trees_to_block(trees):
     """The trees as one packed block: ``sizes`` (each tree's node count) and
-    four base64 arrays of the nodes in preorder, trees in order, holding
-    what prediction reads: ``feature`` per node (-1 at a leaf), ``right``
-    (tree-local id) and ``threshold`` per internal node, ``value`` per leaf."""
+    four deflated base64 arrays of the nodes in preorder, trees in order,
+    holding what prediction reads: ``feature`` per node (-1 at a leaf),
+    ``right`` (tree-local id) and ``threshold`` per internal node, ``value``
+    per leaf."""
     internal = np.concatenate([np.empty(0, dtype=bool)] + [t.feature >= 0 for t in trees])
     block = {"sizes": [int(t.feature.size) for t in trees]}
     for name, dtype, at_internal in BLOCK_ARRAYS:
@@ -531,31 +551,27 @@ def trees_to_block(trees):
 
 def trees_from_block(block):
     """Decode a packed block into its trees, each a view into the block's
-    arrays, rejecting what predict_tree could not walk to a leaf: counts
-    that do not match ``sizes``, an internal last node, a right child that
-    does not come after its left sibling, and non-finite numbers. Entries
-    the block does not hold (``right`` and ``threshold`` at a leaf,
-    ``value`` at an internal node) are 0; the split statistics are None."""
+    arrays, rejecting what predict_tree could not walk to a leaf: arrays
+    that do not inflate to the counts that ``sizes`` and ``feature`` give,
+    an internal last node, a right child that does not come after its left
+    sibling, a node that is not the child of exactly one node, and
+    non-finite numbers. Entries the block does not hold (``right`` and
+    ``threshold`` at a leaf, ``value`` at an internal node) are 0; the
+    split statistics are None."""
     sizes = block["sizes"]
-    if not isinstance(sizes, list) or not all(type(s) is int and s >= 1 for s in sizes):
-        raise DataError("tree block 'sizes' must be a list of positive integers")
-    packed = {name: _unpack(block[name], dtype, name) for name, dtype, _ in BLOCK_ARRAYS}
-    n = packed["feature"].size
-    if sum(sizes) != n:
-        raise DataError(f"tree block 'sizes' sum to {sum(sizes)} but the block holds {n} nodes")
-    feature = packed["feature"].astype(np.int64)
+    # a tree-local right id is an <i4, so no tree holds 2**31 nodes
+    if not isinstance(sizes, list) or not all(type(s) is int and 1 <= s < 2**31 for s in sizes):
+        raise DataError("tree block 'sizes' must be a list of positive integers below 2**31")
+    n = sum(sizes)
+    feature = _unpack(block["feature"], "feature", "<i4", n, "nodes").astype(np.int64)
     internal = feature >= 0
     parent = np.flatnonzero(internal)
-    for name, _, at_internal in BLOCK_ARRAYS[1:]:
-        want = parent.size if at_internal else n - parent.size
-        if packed[name].size != want:
-            kind = "internal nodes" if at_internal else "leaves"
-            raise DataError(f"tree block {name!r} holds {packed[name].size} entries for {want} {kind}")
+    counts = {True: (parent.size, "internal nodes"), False: (n - parent.size, "leaves")}
+    packed = {name: _unpack(block[name], name, dtype, *counts[at]) for name, dtype, at in BLOCK_ARRAYS[1:]}
     for name in ("threshold", "value"):
         if not np.isfinite(packed[name]).all():
             raise DataError(f"tree block {name!r} must hold finite numbers")
 
-    # sizes sum to n, so each fits in int64
     sizes = np.array(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -571,6 +587,16 @@ def trees_from_block(block):
     if outside.any():
         t = int(tree_of[outside.argmax()])
         raise DataError(f"tree {t} has a right child outside (left child, {sizes[t]})")
+    # children lie after their parent in its tree, so a tree's first node is
+    # no node's child; every other node must be the child of exactly one
+    # node, or it is shared by two paths or on none
+    parents = np.bincount(np.concatenate([parent + 1, child]), minlength=n)
+    parents[starts] = 1
+    wrong = np.flatnonzero(parents != 1)
+    if wrong.size:
+        k = int(wrong[0])
+        t = int(np.searchsorted(ends, k, side="right"))
+        raise DataError(f"tree {t} node {k - starts[t]} is the child of {parents[k]} nodes, not of one")
 
     arrays = {"feature": feature, "right": np.zeros(n, dtype=np.int64), "threshold": np.zeros(n), "value": np.zeros(n)}
     arrays["right"][parent] = right

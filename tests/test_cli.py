@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -452,6 +453,13 @@ def test_bundle_file_is_compact_json(tiny_run):
     assert json.loads(raw) == bundle_to_dict(load_bundle(tiny_run.result["bundle"]))
 
 
+def test_bundle_encoding_is_deterministic(tiny_run):
+    bundle = load_bundle(tiny_run.result["bundle"])
+    first, second = bundle_to_dict(bundle), bundle_to_dict(bundle)
+    assert any("trees" in m["model"] for m in first["members"])  # a deflated tree block among them
+    assert first == second
+
+
 def test_bundle_round_trip_predicts_identically(tiny_run):
     bundle = load_bundle(tiny_run.result["bundle"])
     clone = bundle_from_dict(bundle_to_dict(bundle))
@@ -485,21 +493,30 @@ def _member(doc, family):
 BLOCK_DTYPES = {"feature": "<i4", "right": "<i4", "threshold": "<f8", "value": "<f8"}
 
 
+def _inflated(text, dtype):
+    """A packed block array decoded without the codec: base64, inflate, dtype."""
+    return np.frombuffer(zlib.decompress(base64.b64decode(text)), dtype=dtype).copy()
+
+
+def _deflated(raw):
+    return base64.b64encode(zlib.compress(raw)).decode("ascii")
+
+
 def _gbt_block(edit):
     """Content maker: the tiny run's bundle after ``edit(sizes, arrays)`` on
     the gbt member's packed tree block. ``arrays`` holds the block's arrays
     decoded (feature per node, right and threshold per internal node, value
-    per leaf), and each is packed back with its own dtype and bytes (or as
-    given, when the edit puts raw bytes in its place)."""
+    per leaf), and each is deflated back from its own dtype and bytes (or
+    from the bytes the edit puts in its place)."""
 
     def edit_bundle(doc):
         model = _member(doc, "gbt")["model"]
         block = model["trees"]
         sizes = block["sizes"]
-        arrays = {k: np.frombuffer(base64.b64decode(block[k]), dtype=t).copy() for k, t in BLOCK_DTYPES.items()}
+        arrays = {k: _inflated(block[k], t) for k, t in BLOCK_DTYPES.items()}
         edit(sizes, arrays)
         packed = {k: a if isinstance(a, bytes) else a.tobytes() for k, a in arrays.items()}
-        model["trees"] = {"sizes": sizes, **{k: base64.b64encode(raw).decode("ascii") for k, raw in packed.items()}}
+        model["trees"] = {"sizes": sizes, **{k: _deflated(raw) for k, raw in packed.items()}}
 
     return _edited("bundle", edit_bundle)
 
@@ -513,18 +530,42 @@ def _last_node_internal(sizes, arrays):
     arrays["value"] = arrays["value"][:-1]
 
 
+def _node_with_two_parents(sizes, arrays):
+    """Point the right child of the first internal node whose left child is
+    internal at that left child's left child, which then has two parents
+    (and the old right child none)."""
+    feature = arrays["feature"]
+    internal = np.flatnonzero(feature >= 0)
+    i = np.flatnonzero(feature[internal + 1] >= 0)[0]
+    ends = np.cumsum(sizes)
+    start = (ends - sizes)[np.searchsorted(ends, internal[i], side="right")]
+    arrays["right"][i] = internal[i] + 2 - start
+
+
 def _split_feature_at_width(doc):
     """Point the gbt member's first split at column ``n_features``, one past
     the last column of the matrix it scores."""
     model = _member(doc, "gbt")["model"]
-    feature = np.frombuffer(base64.b64decode(model["trees"]["feature"]), dtype="<i4").copy()
+    feature = _inflated(model["trees"]["feature"], "<i4")
     feature[np.flatnonzero(feature >= 0)[0]] = model["n_features"]
-    model["trees"]["feature"] = base64.b64encode(feature.tobytes()).decode("ascii")
+    model["trees"]["feature"] = _deflated(feature.tobytes())
+
+
+def _as_v5(doc):
+    """A bundle in the version-5 layout: each packed tree array stored raw,
+    not deflated."""
+    doc["schema_version"] = 5
+    for member in doc["members"]:
+        block = member["model"].get("trees")
+        if block is not None:
+            for k in BLOCK_DTYPES:
+                block[k] = base64.b64encode(zlib.decompress(base64.b64decode(block[k]))).decode("ascii")
 
 
 def _as_v4(doc):
-    """A bundle in the version-4 layout: the preprocessor also lists its
-    passthrough columns."""
+    """A bundle in the version-4 layout: raw tree arrays, as in version 5,
+    and a preprocessor that also lists its passthrough columns."""
+    _as_v5(doc)
     doc["schema_version"] = 4
     doc["preprocessor"]["passthrough"] = []
 
@@ -714,6 +755,7 @@ BAD_INPUTS = {
     "bundle_schema_version_2": ("bundle", _edited("bundle", lambda d: d.update(schema_version=2))),
     "bundle_schema_version_3": ("bundle", _edited("bundle", _as_v3)),
     "bundle_schema_version_4": ("bundle", _edited("bundle", _as_v4)),
+    "bundle_schema_version_5": ("bundle", _edited("bundle", _as_v5)),
     "bundle_member_params_unknown_name": ("bundle", _edited("bundle", lambda d: d["members"][0]["params"].update(bogus=1))),
     "bundle_member_params_out_of_domain": (
         "bundle", _edited("bundle", lambda d: _member(d, "gbt")["params"].update(learning_rate=1.5))
@@ -754,6 +796,15 @@ BAD_INPUTS = {
     ),
     "tree_block_byte_count_off": (
         "bundle", _gbt_block(lambda s, a: a.update(threshold=a["threshold"].tobytes() + b"\0"))
+    ),
+    "tree_node_with_two_parents": ("bundle", _gbt_block(_node_with_two_parents)),
+    # 1 MB of zeros, deflated to ~1 KB, in place of the leaf values
+    "tree_value_inflates_past_its_count": (
+        "bundle", _gbt_block(lambda s, a: a.update(value=bytes(1_000_000)))
+    ),
+    # the first four bytes of a deflated empty array: no end block, no checksum
+    "tree_block_truncated_stream": (
+        "bundle", _edited("bundle", lambda d: _member(d, "gbt")["model"]["trees"].update(right="eJwDAA=="))
     ),
     "tree_block_sizes_mismatch": ("bundle", _gbt_block(lambda s, a: s.__setitem__(0, s[0] + 1))),
     "tree_block_sizes_not_integer": ("bundle", _gbt_block(lambda s, a: s.__setitem__(0, float(s[0])))),

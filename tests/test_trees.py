@@ -3,6 +3,8 @@ import inspect
 import json
 import re
 import sys
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -484,9 +486,9 @@ def test_one_plan_walks_a_leaf_a_chain_and_forest_trees():
     assert np.array_equal(predict_gbt(gbt, X_new), gbt_reference(0.25, 0.5, mixed, X_new))
 
 
-def test_nodes_shared_by_two_parents_predict_as_the_scalar_walk():
-    # a decoded block may hold a DAG: node i's children are i + 1 and i + 2,
-    # so the paths to a node multiply with depth while the nodes do not
+def test_nodes_shared_by_two_parents_are_rejected():
+    # node i's children are i + 1 and i + 2: a DAG whose paths to a node
+    # multiply with depth while the nodes do not
     n = 30
     arrays = {
         "feature": np.array([i % 2 for i in range(n - 2)] + [-1, -1], dtype="<i4"),
@@ -494,10 +496,8 @@ def test_nodes_shared_by_two_parents_predict_as_the_scalar_walk():
         "threshold": np.linspace(-1.0, 1.0, n - 2),
         "value": np.array([3.0, 4.0]),
     }
-    (tree,) = trees_from_block(pack_block([n], arrays))
-    X = np.random.default_rng(18).normal(size=(200, 2))
-    expected = np.array([tree.value[_leaf_of(tree, x)] for x in X])
-    assert np.array_equal(predict_tree(tree, X), expected)
+    with pytest.raises(DataError, match="tree 0 node 2 is the child of 2 nodes, not of one"):
+        trees_from_block(pack_block([n], arrays))
 
 
 def test_forest_rejects_zero_estimators():
@@ -579,9 +579,9 @@ def test_decoded_split_feature_at_the_width_is_a_data_error(kind):
     else:
         d = gbt_to_dict(fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3)))
         from_dict, predict = gbt_from_dict, predict_gbt
-    feature = np.frombuffer(base64.b64decode(d["trees"]["feature"]), dtype="<i4").copy()
+    feature = unpack_block(d["trees"])["feature"].copy()
     feature[np.flatnonzero(feature >= 0)[-1]] = 3
-    d["trees"]["feature"] = base64.b64encode(feature.tobytes()).decode("ascii")
+    d["trees"]["feature"] = deflated(feature.tobytes())
     with pytest.raises(DataError, match="tree references feature 3 but input has 3"):
         predict(from_dict(d), X)
 
@@ -605,15 +605,23 @@ def test_serialization_round_trips():
 
 
 def unpack_block(block):
-    """A block's arrays, decoded without the codec: base64, then fixed
-    little-endian dtypes."""
+    """A block's arrays, decoded without the codec: base64, then inflate,
+    then fixed little-endian dtypes."""
     dtypes = {"feature": "<i4", "right": "<i4", "threshold": "<f8", "value": "<f8"}
-    return {name: np.frombuffer(base64.b64decode(block[name]), dtype=dtype) for name, dtype in dtypes.items()}
+    return {
+        name: np.frombuffer(zlib.decompress(base64.b64decode(block[name])), dtype=dtype) for name, dtype in dtypes.items()
+    }
+
+
+def deflated(raw):
+    """``raw`` bytes as a block stores them: deflated, then base64."""
+    return base64.b64encode(zlib.compress(raw)).decode("ascii")
 
 
 def pack_block(sizes, arrays):
-    """A block holding ``arrays`` as given: each array's own dtype and bytes."""
-    block = {name: base64.b64encode(np.asarray(a).tobytes()).decode("ascii") for name, a in arrays.items()}
+    """A block holding ``arrays`` as given: each array's own dtype and bytes
+    (or the bytes given in its place), deflated."""
+    block = {name: deflated(a if isinstance(a, bytes) else np.asarray(a).tobytes()) for name, a in arrays.items()}
     return {"sizes": sizes, **block}
 
 
@@ -690,7 +698,8 @@ def test_codec_stores_only_what_prediction_reads():
 def test_empty_block_is_a_zero_round_gbt():
     model = fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams())
     d = gbt_to_dict(model)
-    assert d["trees"] == {"sizes": [], "feature": "", "right": "", "threshold": "", "value": ""}
+    empty = deflated(b"")
+    assert d["trees"] == {"sizes": [], "feature": empty, "right": empty, "threshold": empty, "value": empty}
     clone = gbt_from_dict(d)
     assert clone.stages == [] and np.array_equal(predict_gbt(clone, FIXTURE_X), predict_gbt(model, FIXTURE_X))
 
@@ -713,21 +722,40 @@ def _edit(edit):
     return edit(sizes, arrays) or pack_block(sizes, arrays)
 
 
+def _stream(name, edit):
+    """A block edit: ``name`` stored as base64 of ``edit(raw)``, where ``raw``
+    is the array's bytes."""
+    return lambda s, a: {**pack_block(s, a), name: base64.b64encode(edit(a[name].tobytes())).decode("ascii")}
+
+
 MALFORMED_BLOCKS = {
     "arrays of unequal length": (
-        lambda s, a: a.update(threshold=a["threshold"][:-1]), "'threshold' holds 3 entries for 4"
+        lambda s, a: a.update(threshold=a["threshold"][:-1]),
+        "'threshold' inflates to 24 bytes, not the 32 of its 4 internal nodes",
     ),
-    "a feature that is not an integer": (lambda s, a: a.update(feature=a["feature"].astype("<f8")), "sum to 10 but"),
+    "a feature that is not an integer": (
+        lambda s, a: a.update(feature=a["feature"].astype("<f8")),
+        "'feature' inflates past the 40 bytes of its 10 nodes",
+    ),
     "sizes not integers": (lambda s, a: s.__setitem__(0, 3.0), "positive integers"),
     "a zero size": (lambda s, a: s.insert(0, 0), "positive integers"),
     "sizes not a list": (lambda s, a: pack_block(7, a), "positive integers"),
-    "sizes that do not sum to the node count": (lambda s, a: s.__setitem__(1, 8), "sum to 11 but the block holds 10"),
+    "a size no <i4 right id can reach": (lambda s, a: s.__setitem__(0, 2**31), "positive integers below 2**31"),
+    "sizes that do not sum to the node count": (
+        lambda s, a: s.__setitem__(1, 8), "'feature' inflates to 40 bytes, not the 44 of its 11 nodes"
+    ),
     "a right child that is its node": (lambda s, a: a["right"].__setitem__(1, 0), "tree 1 has a right child outside"),
     "a right child that is the left child": (
         lambda s, a: a["right"].__setitem__(1, 1), "tree 1 has a right child outside"
     ),
     "a right child past the last node": (lambda s, a: a["right"].__setitem__(0, 3), "tree 0 has a right child outside"),
     "a right child in the next tree": (lambda s, a: a["right"].__setitem__(0, 4), "tree 0 has a right child outside"),
+    "a node with two parents": (
+        lambda s, a: a["right"].__setitem__(1, 3), "tree 1 node 3 is the child of 2 nodes, not of one"
+    ),
+    "a node no node points to": (
+        lambda s, a: a["right"].__setitem__(2, 4), "tree 1 node 3 is the child of 0 nodes, not of one"
+    ),
     "a last node that is internal": (
         lambda s, a: a.update(
             feature=np.array([0, -1, 0, 1, 0, -1, -1, 2, -1, -1], dtype="<i4"),
@@ -742,8 +770,14 @@ MALFORMED_BLOCKS = {
     "a non-ASCII string": (lambda s, a: {**pack_block(s, a), "value": "é"}, "'value' is not valid base64"),
     "a number in place of base64": (lambda s, a: {**pack_block(s, a), "value": 1.0}, "'value' must be a base64 string"),
     "a byte count off the item size": (
-        lambda s, a: {**pack_block(s, a), "threshold": base64.b64encode(a["threshold"].tobytes() + b"\0").decode()},
-        "'threshold' holds 33 bytes, not a multiple of 8",
+        lambda s, a: a.update(threshold=a["threshold"].tobytes() + b"\0"),
+        "'threshold' inflates past the 32 bytes of its 4 internal nodes",
+    ),
+    "a raw array, as version 5 stored it": (_stream("right", lambda raw: raw), "'right' is not a zlib stream"),
+    "a truncated stream": (_stream("right", lambda raw: zlib.compress(raw)[:-2]), "'right' is a truncated zlib stream"),
+    "an empty string": (_stream("value", lambda raw: b""), "'value' is a truncated zlib stream"),
+    "bytes after the stream": (
+        _stream("threshold", lambda raw: zlib.compress(raw) + b"\0"), "'threshold' has 1 bytes after its zlib stream"
     ),
 }
 
@@ -754,6 +788,27 @@ def test_block_rejects_malformed(case):
     assert len(trees_from_block(pack_block(*_stump_block()))) == 2
     with pytest.raises(DataError, match=re.escape(message)):
         trees_from_block(_edit(edit))
+
+
+def test_inflate_stops_one_byte_past_the_declared_entries():
+    # 50 MB of zeros deflate to ~51 KB; a one-leaf tree holds one value and no threshold
+    bomb = base64.b64encode(zlib.compress(bytes(50_000_000))).decode("ascii")
+    block = pack_block([1], {"feature": np.array([-1], dtype="<i4"), "right": [], "threshold": [], "value": [2.5]})
+    (tree,) = trees_from_block(block)
+    assert tree.value.tolist() == [2.5]
+    for name, message in [
+        ("value", "'value' inflates past the 8 bytes of its 1 leaves"),
+        # a zero-count array still inflates at most one byte: max_length is never 0, which means no limit
+        ("threshold", "'threshold' inflates past the 0 bytes of its 0 internal nodes"),
+    ]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=re.escape(message)):
+                trees_from_block({**block, name: bomb})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (name, peak)
 
 
 def test_tree_models_check_their_tree_count():
