@@ -16,12 +16,13 @@ from .util import finite_number
 
 SCHEMES = ("inverse_error", "equal")
 
-BUNDLE_SCHEMA_VERSION = 6
+BUNDLE_SCHEMA_VERSION = 7
 
 
 @dataclass
 class EnsembleMember:
-    """A fitted model of one family, with the parameters it was fit with."""
+    """A fitted model of one family, with the parameters it was fit with:
+    every parameter the family's fit reads, defaults filled in."""
 
     family: str
     params: dict
@@ -115,13 +116,14 @@ def bundle_to_dict(bundle):
 
 def _member_from_dict(i, m):
     family, params, entry = m["family"], dict(m["params"]), check_family(m["family"])
-    # the member's params, and the parameter values its model repeats, must be in their domains
-    resolve_params(family, params)
-    resolve_params(family, entry.stored(m["model"]))
+    # resolve_params checks each name and value; the params must also name every parameter
+    missing = [name for name in resolve_params(family, params) if name not in params]
+    if missing:
+        raise DataError(f"bundle member {i} ({family}) params lack {missing}")
     return EnsembleMember(
         family=family,
         params=params,
-        model=entry.from_dict(m["model"]),
+        model=entry.from_dict(m["model"], params),
         validation_mape=finite_number(m["validation_mape"], f"bundle member {i} validation_mape"),
         weight=finite_number(m["weight"], f"bundle member {i} weight"),
     )

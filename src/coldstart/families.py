@@ -7,6 +7,10 @@ pin learning rate 0.5.
 
 DOMAINS holds the one rule for each parameter's values; resolve_params, the
 one place that applies it, checks every fit, grid value and bundle member.
+A bundle member's ``params`` are the one stored copy of its parameters: a
+model dict holds fitted state alone, and from_dict takes the values
+prediction reads (a gbt learning rate, a linear alpha and l1_ratio) from
+those params.
 """
 
 import sys
@@ -16,10 +20,10 @@ from . import linear, trees
 from .errors import DataError
 
 # fit(resolved params, X, y, seed) -> model; predict(model, X) -> predictions;
-# to_dict/from_dict round-trip the model through the bundle JSON;
-# trees(model) -> the model's list of trees.Tree, None for a non-tree family;
-# stored(model dict) -> the parameter values the model's bundle dict repeats
-Family = namedtuple("Family", "fit predict to_dict from_dict trees stored")
+# to_dict(model) -> the model's fitted state as bundle JSON, and
+# from_dict(model dict, resolved params) -> the model;
+# trees(model) -> the model's list of trees.Tree, None for a non-tree family
+Family = namedtuple("Family", "fit predict to_dict from_dict trees")
 
 
 _TREE_PARAMS = ("max_depth", "min_samples_split", "max_features")
@@ -37,9 +41,8 @@ _LINEAR = Family(
     ),
     predict=lambda model, X: linear.predict_linear(model, X),
     to_dict=linear.linear_to_dict,
-    from_dict=linear.linear_from_dict,
+    from_dict=lambda d, p: linear.linear_from_dict(d, p["alpha"], p["l1_ratio"]),
     trees=None,
-    stored=lambda d: {"alpha": d["alpha"], "l1_ratio": d["l1_ratio"]},
 )
 
 # Entries look fit and predict functions up through their module at call
@@ -49,9 +52,8 @@ FAMILY_TABLE = {
         fit=lambda p, X, y, seed: trees.fit_decision_tree(X, y, _tree_params(p, seed)),
         predict=lambda model, X: trees.predict_tree(model, X),
         to_dict=trees.decision_tree_to_dict,
-        from_dict=trees.decision_tree_from_dict,
+        from_dict=lambda d, p: trees.decision_tree_from_dict(d),
         trees=lambda model: [model],
-        stored=lambda d: {},
     ),
     "random_forest": Family(
         fit=lambda p, X, y, seed: trees.fit_random_forest(
@@ -59,9 +61,8 @@ FAMILY_TABLE = {
         ),
         predict=lambda model, X: trees.predict_forest(model, X),
         to_dict=trees.forest_to_dict,
-        from_dict=trees.forest_from_dict,
+        from_dict=lambda d, p: trees.forest_from_dict(d),
         trees=lambda model: model.trees,
-        stored=lambda d: {"n_estimators": d["n_estimators"], **{name: d["params"][name] for name in _TREE_PARAMS}},
     ),
     "gbt": Family(
         fit=lambda p, X, y, seed: trees.fit_gbt(
@@ -73,9 +74,8 @@ FAMILY_TABLE = {
         ),
         predict=lambda model, X: trees.predict_gbt(model, X),
         to_dict=trees.gbt_to_dict,
-        from_dict=trees.gbt_from_dict,
+        from_dict=lambda d, p: trees.gbt_from_dict(d, p["learning_rate"]),
         trees=lambda model: model.stages,
-        stored=lambda d: {"learning_rate": d["learning_rate"]},
     ),
     "lasso": _LINEAR,
     "ridge": _LINEAR,

@@ -63,7 +63,7 @@ def objective(X, y, beta, intercept, alpha, l1_ratio):
     )
 
 
-def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000, sweep_callback=None):
+def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000):
     """Cyclic coordinate descent fit with covariance (Gram) updates.
 
     Each sweep updates the intercept to the mean residual, then exactly
@@ -74,8 +74,8 @@ def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000, sweep_callback=N
     Converged when the largest change in a sweep, over the intercept shift
     and every coefficient, is at most ``tol * max(|intercept|, max_j |beta_j|)``
     (an all-zero fit therefore stops at once). Hitting ``max_iter`` flags
-    converged=False and emits a warning instead of raising.
-    ``sweep_callback(beta, intercept)`` runs after every sweep (test hook).
+    converged=False and emits a warning instead of raising. The fit is
+    deterministic, so ``max_iter=k`` gives the state after k sweeps.
     The parameters are taken as given: families.resolve_params checks them.
     """
     X = as_matrix(X)
@@ -119,8 +119,6 @@ def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000, sweep_callback=N
                 beta[j] = new
                 max_change = max(max_change, abs(delta))
 
-        if sweep_callback is not None:
-            sweep_callback(np.array(beta), intercept)
         if max_change <= tol * max(abs(intercept), max(map(abs, beta), default=0.0)):
             converged = True
             break
@@ -174,27 +172,25 @@ def kkt_residuals(model, X, y):
 
 def linear_to_dict(model):
     return {
-        "kind": "linear",
         "coefficients": [float(c) for c in model.coefficients],
         "intercept": model.intercept,
-        "alpha": model.alpha,
-        "l1_ratio": model.l1_ratio,
         "converged": model.converged,
         "n_iterations": model.n_iterations,
     }
 
 
-def linear_from_dict(d):
-    """Decode a linear model; a non-finite coefficient or intercept is a
-    DataError (the families decoder checks alpha and l1_ratio)."""
+def linear_from_dict(d, alpha, l1_ratio):
+    """Decode a linear model's fitted state; a non-finite coefficient or
+    intercept is a DataError. ``alpha`` and ``l1_ratio`` come from the
+    member's params, which families.resolve_params has checked."""
     coefficients = np.asarray(d["coefficients"], dtype=float)
     if not np.isfinite(coefficients).all():
         raise DataError("linear coefficients must be finite numbers")
     return LinearModel(
         coefficients=coefficients,
         intercept=finite_number(d["intercept"], "linear intercept"),
-        alpha=d["alpha"],
-        l1_ratio=d["l1_ratio"],
+        alpha=alpha,
+        l1_ratio=l1_ratio,
         converged=d["converged"],
         n_iterations=d["n_iterations"],
     )

@@ -29,7 +29,7 @@ from . import plots
 from .data import build_dataset, feature_table, split_indices
 from .ensemble import SCHEMES, EnsembleMember, build_bundle, bundle_from_dict, bundle_to_dict, compute_weights
 from .errors import DataError, UndefinedMetricError
-from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, check_grid, fit_family, predict_family
+from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, check_grid, fit_family, predict_family, resolve_params
 from .ingest import (
     EPISODE_CSV_COLUMNS,
     VIEWS_COLUMN,
@@ -79,8 +79,6 @@ class RunConfig:
     target_transform: str = "none"
     grids: dict = field(default_factory=dict)
     importance_repeats: int = 5
-    numeric_strategy: str = "median"
-    categorical_strategy: str = "mode"
 
     def __post_init__(self):
         for f in fields(self):
@@ -312,16 +310,12 @@ def run_train(config):
         )
     y_fit = transform_target(y_train, config.target_transform)
 
-    prep = fit_preprocessor(
-        train_table,
-        strategy_numeric=config.numeric_strategy,
-        strategy_categorical=config.categorical_strategy,
-    )
+    prep = fit_preprocessor(train_table)
     X_train = transform(prep, train_table)
     X_hold = transform(prep, hold_table)
     # one fold plan for every family's search, so families compete on the same folds
     plan = kfold_indices(len(y_fit), config.cv_folds, mix_seed(config.seed, 2000))
-    folds = fold_matrices(train_table, y_fit, plan, config.numeric_strategy, config.categorical_strategy)
+    folds = fold_matrices(train_table, y_fit, plan)
 
     cv_results = {}
     validation = {}
@@ -338,9 +332,10 @@ def run_train(config):
             # targets where MAPE is not, so the families it scores drop out
             warnings.warn(f"{family}: dropped, its CV score is undefined ({exc})")
             continue
-        model = fit_family(family, search.best_params, X_train.values, y_fit, seed=mix_seed(config.seed, 1000 + fi))
+        params = resolve_params(family, search.best_params)
+        model = fit_family(family, params, X_train.values, y_fit, seed=mix_seed(config.seed, 1000 + fi))
         cv_results[family] = search.to_dict()
-        member = EnsembleMember(family, search.best_params, model, validation_mape=None)
+        member = EnsembleMember(family, params, model, validation_mape=None)
         views, clamped = hold_results[family] = member_views(member, X_hold.values, config.target_transform)
         report = metric_report(y_hold, views)
         validation[family] = report.to_dict()

@@ -2,6 +2,9 @@
 
 Fit learns per-column state from a raw feature table; transform applies it
 to any table with the same schema, producing a fully numeric FeatureMatrix.
+A missing numeric cell takes its column's median and a missing categorical
+cell its column's mode (the most frequent category, ties broken
+lexicographically).
 Unknown categories at transform time encode as the all-zero vector so new
 shows with unseen metadata keep a stable feature dimension.
 
@@ -19,10 +22,6 @@ import numpy as np
 from .data import ROLES, FeatureMatrix, RawTable
 from .errors import DataError, SchemaError
 from .util import finite_number
-
-SENTINEL = "__missing__"
-NUMERIC_STRATEGIES = ("mean", "median")
-CATEGORICAL_STRATEGIES = ("mode", "sentinel")
 
 
 @dataclass
@@ -45,12 +44,10 @@ class Preprocessor:
     numeric: list
     categorical: list
     schema: list = field(default_factory=list)  # fit-time (name, role) pairs
-    strategy_numeric: str = "median"
-    strategy_categorical: str = "mode"
 
 
-def _categorical_state(name, cells, strategy):
-    """Impute category and categories (the sorted str forms of the cells).
+def _categorical_state(name, cells):
+    """Mode and categories (the sorted str forms of the cells).
 
     Cells are counted as Python values, then folded through str(), so 1 and
     "1" are one category.
@@ -60,21 +57,14 @@ def _categorical_state(name, cells, strategy):
         if value is not None:
             key = str(value)
             counts[key] = counts.get(key, 0) + n
-    categories = sorted(counts)
-    if strategy == "sentinel":
-        return SENTINEL, sorted(set(categories) | {SENTINEL})
     if not counts:
         raise DataError(f"categorical column {name!r} is entirely missing")
     best = max(counts.values())
-    return min(k for k, c in counts.items() if c == best), categories  # ties: lexicographic
+    return min(k for k, c in counts.items() if c == best), sorted(counts)  # ties: lexicographic
 
 
-def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="mode"):
+def fit_preprocessor(features):
     """Learn imputation + scaling + one-hot state from a raw feature table."""
-    if strategy_numeric not in NUMERIC_STRATEGIES:
-        raise DataError(f"unknown numeric strategy {strategy_numeric!r}")
-    if strategy_categorical not in CATEGORICAL_STRATEGIES:
-        raise DataError(f"unknown categorical strategy {strategy_categorical!r}")
     if features.n_rows == 0:
         raise DataError("cannot fit preprocessor on an empty table")
 
@@ -84,13 +74,10 @@ def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="
         if schema.role == "numeric":
             values = features.column(schema.name)
             missing = np.isnan(values)
-            present = values[~missing]  # row order, as the mean and median saw it
+            present = values[~missing]
             if len(present) == 0:
                 raise DataError(f"numeric column {schema.name!r} is entirely missing")
-            if strategy_numeric == "mean":
-                impute = float(present.mean())
-            else:
-                impute = float(np.median(present))
+            impute = float(np.median(present))
             filled = np.where(missing, impute, values)
             numeric.append(
                 NumericColumnState(
@@ -101,9 +88,7 @@ def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="
                 )
             )
         elif schema.role == "categorical":
-            impute, categories = _categorical_state(
-                schema.name, features.column(schema.name), strategy_categorical
-            )
+            impute, categories = _categorical_state(schema.name, features.column(schema.name))
             categorical.append(
                 CategoricalColumnState(
                     name=schema.name, impute_category=impute, categories=categories
@@ -121,8 +106,6 @@ def fit_preprocessor(features, strategy_numeric="median", strategy_categorical="
         numeric=numeric,
         categorical=categorical,
         schema=[(s.name, s.role) for s in features.schemas],
-        strategy_numeric=strategy_numeric,
-        strategy_categorical=strategy_categorical,
     )
 
 
@@ -181,8 +164,6 @@ def preprocessor_to_dict(p):
             for c in p.categorical
         ],
         "schema": [[n, r] for n, r in p.schema],
-        "strategy_numeric": p.strategy_numeric,
-        "strategy_categorical": p.strategy_categorical,
     }
 
 
@@ -213,12 +194,6 @@ def preprocessor_from_dict(d):
     A missing key or a section that is not a list of objects raises KeyError
     or TypeError, which bundle_from_dict reports as a malformed bundle.
     """
-    for key, known in (
-        ("strategy_numeric", NUMERIC_STRATEGIES),
-        ("strategy_categorical", CATEGORICAL_STRATEGIES),
-    ):
-        if d[key] not in known:
-            raise DataError(f"preprocessor {key} {d[key]!r} is not one of {list(known)}")
     return Preprocessor(
         numeric=[
             NumericColumnState(
@@ -238,6 +213,4 @@ def preprocessor_from_dict(d):
             for i, c in enumerate(d["categorical"])
         ],
         schema=[_role_pair(pair, f"schema[{i}]") for i, pair in enumerate(d["schema"])],
-        strategy_numeric=d["strategy_numeric"],
-        strategy_categorical=d["strategy_categorical"],
     )

@@ -27,12 +27,12 @@ default level and base64-encoded. They hold only what prediction reads:
 node, and ``value`` for each leaf. The decoder reads the node count from
 ``sizes`` first and inflates ``feature`` to exactly that many entries, then
 the other arrays to the internal-node and leaf counts that ``feature``
-gives; no inflate writes more than one byte past the entries it expects,
-so a small stream that claims to hold more cannot make a large array. Each
-array is then one ``np.frombuffer``, and the checks run on whole arrays.
-``n_samples`` and ``impurity_decrease`` feed impurity importance only,
-which runs on the fitted trees in memory; a decoded tree holds None for
-them.
+gives, before any wider copy of ``feature``; no inflate writes more than
+one byte past the entries it expects, so a small stream that claims to
+hold more cannot make a large array. Each array is then one
+``np.frombuffer``, and the checks run on whole arrays. ``n_samples`` and
+``impurity_decrease`` feed impurity importance only, which runs on the
+fitted trees in memory; a decoded tree holds None for them.
 
 Split search works on rank codes, not on the float values. Each fit codes
 every column of X once, by ``rank_code``: a value's code is the number of
@@ -90,7 +90,7 @@ tree count; boosting adds ``learning_rate * prediction`` in stage order.
 import base64
 import math
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -130,8 +130,6 @@ INT_ARRAYS = ("feature", "right", "n_samples")
 @dataclass
 class ForestModel:
     trees: list
-    params: TreeParams
-    n_estimators: int
     n_features: int
 
 
@@ -329,7 +327,7 @@ def fit_random_forest(X, y, params, n_estimators, bootstrap=True):
         rng = np.random.default_rng(mix_seed(params.seed, t))
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         trees.append(_grow(columns, keys, y, params, rng, rows))
-    return ForestModel(trees=trees, params=params, n_estimators=n_estimators, n_features=X.shape[1])
+    return ForestModel(trees=trees, n_features=X.shape[1])
 
 
 def fit_gbt(X, y, rounds, learning_rate, tree_params):
@@ -563,14 +561,19 @@ def trees_from_block(block):
     if not isinstance(sizes, list) or not all(type(s) is int and 1 <= s < 2**31 for s in sizes):
         raise DataError("tree block 'sizes' must be a list of positive integers below 2**31")
     n = sum(sizes)
-    feature = _unpack(block["feature"], "feature", "<i4", n, "nodes").astype(np.int64)
-    internal = feature >= 0
-    parent = np.flatnonzero(internal)
-    counts = {True: (parent.size, "internal nodes"), False: (n - parent.size, "leaves")}
+    feature = _unpack(block["feature"], "feature", "<i4", n, "nodes")
+    # the other arrays inflate to counts taken from the <i4 array, before any
+    # wider copy of it, so that a block whose sizes claim more nodes than its
+    # streams hold costs no more than the inflate of feature
+    n_internal = int(np.count_nonzero(feature >= 0))
+    counts = {True: (n_internal, "internal nodes"), False: (n - n_internal, "leaves")}
     packed = {name: _unpack(block[name], name, dtype, *counts[at]) for name, dtype, at in BLOCK_ARRAYS[1:]}
     for name in ("threshold", "value"):
         if not np.isfinite(packed[name]).all():
             raise DataError(f"tree block {name!r} must hold finite numbers")
+    feature = feature.astype(np.int64)
+    internal = feature >= 0
+    parent = np.flatnonzero(internal)
 
     sizes = np.array(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
@@ -605,49 +608,39 @@ def trees_from_block(block):
     return [Tree(**{name: a[s:e] for name, a in arrays.items()}) for s, e in zip(starts.tolist(), ends.tolist())]
 
 
+# a model dict holds fitted state alone: the parameters a model was fit with
+# are stored once, in its bundle member's params
 def forest_to_dict(model):
-    return {
-        "kind": "forest",
-        "n_estimators": model.n_estimators,
-        "n_features": model.n_features,
-        "params": asdict(model.params),
-        "trees": trees_to_block(model.trees),
-    }
+    return {"n_features": model.n_features, "trees": trees_to_block(model.trees)}
 
 
 def forest_from_dict(d):
     forest = trees_from_block(d["trees"])
     if not forest:
         raise DataError("a forest needs at least one tree")
-    return ForestModel(
-        trees=forest,
-        params=TreeParams(**d["params"]),
-        n_estimators=d["n_estimators"],
-        n_features=d["n_features"],
-    )
+    return ForestModel(trees=forest, n_features=d["n_features"])
 
 
 def gbt_to_dict(model):
     return {
-        "kind": "gbt",
         "base_prediction": model.base_prediction,
-        "learning_rate": model.learning_rate,
         "n_features": model.n_features,
         "trees": trees_to_block(model.stages),
     }
 
 
-def gbt_from_dict(d):
+def gbt_from_dict(d, learning_rate):
+    """Decode a gbt model; ``learning_rate`` comes from its member's params."""
     return GbtModel(
         base_prediction=finite_number(d["base_prediction"], "gbt base_prediction"),
         stages=trees_from_block(d["trees"]),
-        learning_rate=d["learning_rate"],
+        learning_rate=learning_rate,
         n_features=d["n_features"],
     )
 
 
 def decision_tree_to_dict(tree):
-    return {"kind": "tree", "trees": trees_to_block([tree])}
+    return {"trees": trees_to_block([tree])}
 
 
 def decision_tree_from_dict(d):

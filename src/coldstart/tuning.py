@@ -84,7 +84,7 @@ def score_predictions(scoring, y, yhat):
     raise DataError(f"unknown scoring {scoring!r}")
 
 
-def fold_matrices(table, y, plan, numeric_strategy, categorical_strategy):
+def fold_matrices(table, y, plan):
     """Per-fold (X_tr, y_tr, X_te, y_te, prep) for a RawTable and fold plan.
 
     Each fold's preprocessor is fit on its training complement only and
@@ -100,11 +100,7 @@ def fold_matrices(table, y, plan, numeric_strategy, categorical_strategy):
         if len(tr) == 0:
             raise DataError(f"fold {fold} has an empty training complement")
         train_rows = table.take_rows(tr.tolist())
-        prep = fit_preprocessor(
-            train_rows,
-            strategy_numeric=numeric_strategy,
-            strategy_categorical=categorical_strategy,
-        )
+        prep = fit_preprocessor(train_rows)
         X_tr = transform(prep, train_rows).values
         X_te = transform(prep, table.take_rows(te.tolist())).values
         folds.append((X_tr, y[tr], X_te, y[te], prep))
@@ -121,22 +117,12 @@ def cross_validate(family, params, folds, scoring, seed=0):
     return scores
 
 
-def cross_validate_pipeline(
-    family,
-    params,
-    table,
-    y,
-    plan,
-    scoring,
-    seed=0,
-    numeric_strategy="median",
-    categorical_strategy="mode",
-):
+def cross_validate_pipeline(family, params, table, y, plan, scoring, seed=0):
     """Scores for one candidate with preprocessing fit inside each fold.
 
     Returns (scores, fold_preprocessors).
     """
-    folds = fold_matrices(table, y, plan, numeric_strategy, categorical_strategy)
+    folds = fold_matrices(table, y, plan)
     return cross_validate(family, params, folds, scoring, seed), [f[4] for f in folds]
 
 

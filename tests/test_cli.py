@@ -551,13 +551,41 @@ def _split_feature_at_width(doc):
     model["trees"]["feature"] = _deflated(feature.tobytes())
 
 
+# each family's model "kind" up to version 6, and where version 3 kept a
+# tree model's per-tree lists
+V6_KINDS = {
+    "decision_tree": "tree", "random_forest": "forest", "gbt": "gbt",
+    "lasso": "linear", "ridge": "linear", "elastic_net": "linear",
+}
+V3_TREE_KEYS = {"decision_tree": "root", "random_forest": "trees", "gbt": "stages"}
+
+
+def _as_v6(doc):
+    """A bundle in the version-6 layout: each model dict names its kind and
+    repeats parameter values of its member's params, and the preprocessor
+    names its two imputation strategies."""
+    doc["schema_version"] = 6
+    doc["preprocessor"].update(strategy_numeric="median", strategy_categorical="mode")
+    for member in doc["members"]:
+        params, model = member["params"], member["model"]
+        kind = model["kind"] = V6_KINDS[member["family"]]
+        if kind == "forest":
+            tree_params = {name: params[name] for name in ("max_depth", "min_samples_split", "max_features")}
+            model.update(n_estimators=params["n_estimators"], params={**tree_params, "seed": 0})
+        elif kind == "gbt":
+            model["learning_rate"] = params["learning_rate"]
+        elif kind == "linear":
+            model.update(alpha=params["alpha"], l1_ratio=params["l1_ratio"])
+
+
 def _as_v5(doc):
-    """A bundle in the version-5 layout: each packed tree array stored raw,
-    not deflated."""
+    """A bundle in the version-5 layout: the version-6 one with each packed
+    tree array stored raw, not deflated."""
+    _as_v6(doc)
     doc["schema_version"] = 5
     for member in doc["members"]:
-        block = member["model"].get("trees")
-        if block is not None:
+        if member["family"] in V3_TREE_KEYS:
+            block = member["model"]["trees"]
             for k in BLOCK_DTYPES:
                 block[k] = base64.b64encode(zlib.decompress(base64.b64decode(block[k]))).decode("ascii")
 
@@ -576,12 +604,12 @@ def _as_v3(doc):
     doc["schema_version"] = 3
     for member in doc["members"]:
         model = member["model"]
-        if model["kind"] in ("tree", "forest", "gbt"):
+        key = V3_TREE_KEYS.get(member["family"])
+        if key is not None:
             decoded = [
                 {k: getattr(t, k).tolist() for k in ("feature", "threshold", "right", "value")}
                 for t in trees_from_block(model.pop("trees"))
             ]
-            key = {"tree": "root", "forest": "trees", "gbt": "stages"}[model["kind"]]
             model[key] = decoded[0] if key == "root" else decoded
 
 
@@ -730,6 +758,8 @@ BAD_INPUTS = {
     "config_reference_date_not_a_date": ("config", _config(reference_date="2016-13-45")),
     "config_scheme_unknown": ("config", _config(scheme="median")),
     "config_top_k_zero": ("config", _config(top_k=0)),
+    # median and mode imputation are fixed, so the option is an unknown key
+    "config_numeric_strategy": ("config", _config(numeric_strategy="median")),
     "flag_reference_date_not_a_date": ("config", _config(), "--reference-date", "2016-13-45"),
     "config_cv_folds_one": ("config", _config(cv_folds=1)),
     "config_cv_folds_exceeds_rows": ("config", _config(cv_folds=10000)),
@@ -756,7 +786,12 @@ BAD_INPUTS = {
     "bundle_schema_version_3": ("bundle", _edited("bundle", _as_v3)),
     "bundle_schema_version_4": ("bundle", _edited("bundle", _as_v4)),
     "bundle_schema_version_5": ("bundle", _edited("bundle", _as_v5)),
+    "bundle_schema_version_6": ("bundle", _edited("bundle", _as_v6)),
     "bundle_member_params_unknown_name": ("bundle", _edited("bundle", lambda d: d["members"][0]["params"].update(bogus=1))),
+    # a name no decoder reads, so only the completeness check catches it
+    "bundle_member_params_missing_name": (
+        "bundle", _edited("bundle", lambda d: _member(d, "gbt")["params"].pop("min_samples_split"))
+    ),
     "bundle_member_params_out_of_domain": (
         "bundle", _edited("bundle", lambda d: _member(d, "gbt")["params"].update(learning_rate=1.5))
     ),
@@ -764,7 +799,7 @@ BAD_INPUTS = {
         "bundle", _edited("bundle", lambda d: [m.update(params={"alpha": "x", "bogus": 1}) for m in d["members"]])
     ),
     "bundle_linear_model_alpha_negative": (
-        "bundle", _edited("bundle", lambda d: _member(d, "lasso")["model"].update(alpha=-1.0))
+        "bundle", _edited("bundle", lambda d: _member(d, "lasso")["params"].update(alpha=-1.0))
     ),
     "bundle_member_weight_nan": ("bundle", _bundle_number(lambda d: (d["members"][0], "weight"), "NaN")),
     # an int no float can hold, which must not overflow on its way to the check
@@ -774,7 +809,7 @@ BAD_INPUTS = {
     # a float that overflowed on its way into the block
     "bundle_tree_value_overflow": ("bundle", _gbt_block(lambda s, a: a["value"].__setitem__(0, np.inf))),
     "bundle_gbt_learning_rate_1e308": (
-        "bundle", _edited("bundle", lambda d: _member(d, "gbt")["model"].update(learning_rate=1e308))
+        "bundle", _edited("bundle", lambda d: _member(d, "gbt")["params"].update(learning_rate=1e308))
     ),
     # finite, but expm1 of the log1p-scale prediction overflows to inf
     "bundle_tree_value_1e300": ("bundle", _gbt_block(lambda s, a: a["value"].fill(1e300))),

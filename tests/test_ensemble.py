@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from coldstart.ensemble import (
     select_top_models,
 )
 from coldstart.errors import DataError
+from coldstart.families import DEFAULT_PARAMS, DOMAINS, FAMILIES, fit_family, resolve_params
 from coldstart.linear import LinearModel
 from coldstart.pipeline import member_views, predict_views
 from coldstart.preprocess import fit_preprocessor
@@ -26,7 +28,7 @@ def constant_member(value, validation_mape=1.0, weight=0.0, n_features=1):
     """A ridge member that predicts ``value`` for every row."""
     return EnsembleMember(
         family="ridge",
-        params={"alpha": 0.0},
+        params=resolve_params("ridge", {"alpha": 0.0}),
         model=LinearModel(
             coefficients=np.zeros(n_features),
             intercept=float(value),
@@ -195,6 +197,30 @@ def test_bundle_serialization_round_trip():
     assert np.array_equal(predict_views(bundle, X)[0], predict_views(clone, X)[0])
     assert clone.meta["seed"] == 7
     assert [m.weight for m in clone.members] == [m.weight for m in bundle.members]
+
+
+def test_bundle_stores_each_parameter_once_for_every_family():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(60, 3))
+    y = X[:, 0] + np.abs(X[:, 1]) + rng.normal(scale=0.1, size=60) + 5.0
+    small = {"random_forest": {"n_estimators": 5, "max_depth": 4}, "gbt": {"rounds": 5, "learning_rate": 0.3}}
+    members = []
+    for i, family in enumerate(FAMILIES):
+        params = resolve_params(family, small.get(family))
+        members.append(EnsembleMember(family, params, fit_family(family, params, X, y, seed=i), float(i + 1)))
+    bundle = build_bundle(members, PREP, k=len(members))
+    d = bundle_to_dict(bundle)
+    assert [m["family"] for m in d["members"]] == list(FAMILIES)
+    for m in d["members"]:
+        # the member's params hold every parameter, and its model none of them
+        assert sorted(m["params"]) == sorted(DEFAULT_PARAMS[m["family"]])
+        assert not set(m["model"]) & set(DOMAINS), m["family"]
+    assert not [key for key in d["preprocessor"] if key.startswith("strategy_")]
+    clone = bundle_from_dict(json.loads(json.dumps(d)))
+    X_new = rng.normal(size=(40, 3))
+    for a, b in zip(bundle.members, clone.members):
+        assert member_views(a, X_new, "none")[0].tobytes() == member_views(b, X_new, "none")[0].tobytes(), a.family
+    assert predict_views(bundle, X_new)[0].tobytes() == predict_views(clone, X_new)[0].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -103,14 +103,20 @@ def test_kkt_conditions_on_lasso_and_enet():
 
 def test_objective_non_increasing_per_sweep():
     rng = np.random.default_rng(4)
-    X = standardize(rng.normal(size=(50, 5)))
-    y = rng.normal(size=50)
+    X = rng.normal(size=(50, 5))
+    X[:, 1] = X[:, 0] + 0.1 * X[:, 1]  # two correlated columns: the solver takes many sweeps
+    X = standardize(X)
+    y = X @ np.array([1.0, 1.0, 0.5, 0.0, -0.5]) + rng.normal(size=50)
+    full = fit_linear(X, y, alpha=0.3, l1_ratio=0.7, tol=1e-10)
+    assert full.converged and full.n_iterations > 100
+    # the fit is deterministic, so a fit capped at k sweeps is the state after sweep k
     seen = []
-
-    def record(beta, intercept):
-        seen.append(objective(X, y, beta, intercept, 0.3, 0.7))
-
-    fit_linear(X, y, alpha=0.3, l1_ratio=0.7, tol=1e-10, sweep_callback=record)
+    for k in range(1, full.n_iterations + 1):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="linear fit .* did not converge")
+            model = fit_linear(X, y, alpha=0.3, l1_ratio=0.7, tol=1e-10, max_iter=k)
+        seen.append(objective(X, y, model.coefficients, model.intercept, 0.3, 0.7))
+    assert model.coefficients.tobytes() == full.coefficients.tobytes()
     for a, b in zip(seen, seen[1:]):
         assert b <= a + 1e-12
 
@@ -180,15 +186,7 @@ def test_predict_cases():
     assert np.allclose(predict_linear(model, np.array([[5.0]])), 3.0)
 
     hand = linear_from_dict(
-        {
-            "kind": "linear",
-            "coefficients": [1.0, 1.0],
-            "intercept": 0.0,
-            "alpha": 0.0,
-            "l1_ratio": 0.0,
-            "converged": True,
-            "n_iterations": 1,
-        }
+        {"coefficients": [1.0, 1.0], "intercept": 0.0, "converged": True, "n_iterations": 1}, alpha=0.0, l1_ratio=0.0
     )
     assert predict_linear(hand, np.array([[2.0, 3.0]]))[0] == 5.0
     with pytest.raises(DataError):
@@ -222,7 +220,7 @@ def test_serialization_round_trip():
     X = standardize(rng.normal(size=(20, 4)))
     y = rng.normal(size=20)
     model = fit_linear(X, y, alpha=0.1, l1_ratio=0.5)
-    clone = linear_from_dict(linear_to_dict(model))
+    clone = linear_from_dict(linear_to_dict(model), model.alpha, model.l1_ratio)
     assert np.array_equal(predict_linear(model, X), predict_linear(clone, X))
     assert clone.alpha == model.alpha and clone.l1_ratio == model.l1_ratio
 

@@ -6,7 +6,6 @@ import pytest
 from coldstart.data import ColumnSchema, build_dataset
 from coldstart.errors import DataError, SchemaError
 from coldstart.preprocess import (
-    SENTINEL,
     CategoricalColumnState,
     NumericColumnState,
     Preprocessor,
@@ -18,19 +17,15 @@ from coldstart.preprocess import (
 from table_cells import cells, make_table
 
 
-def test_mean_imputation_and_population_std():
-    table = make_table([("x", "numeric", [1.0, None, 3.0])])
-    prep = fit_preprocessor(table, strategy_numeric="mean")
-    col = prep.numeric[0]
+def test_median_imputation():
+    table = make_table([("x", "numeric", [1.0, None, 2.0, 10.0])])
+    prep = fit_preprocessor(table)
+    assert prep.numeric[0].impute_value == 2.0
+    # the std is the population std of the imputed column
+    col = fit_preprocessor(make_table([("x", "numeric", [1.0, None, 3.0])])).numeric[0]
     assert col.impute_value == 2.0
     assert col.mean == 2.0
     assert abs(col.std - math.sqrt(2.0 / 3.0)) < 1e-15
-
-
-def test_median_imputation():
-    table = make_table([("x", "numeric", [1.0, None, 2.0, 10.0])])
-    prep = fit_preprocessor(table, strategy_numeric="median")
-    assert prep.numeric[0].impute_value == 2.0
 
 
 def test_mode_imputation_and_categories():
@@ -45,14 +40,6 @@ def test_mode_tie_breaks_lexicographically():
     table = make_table([("c", "categorical", ["b", "a", "b", "a"])])
     prep = fit_preprocessor(table)
     assert prep.categorical[0].impute_category == "a"
-
-
-def test_sentinel_strategy():
-    table = make_table([("c", "categorical", ["b", None, "a"])])
-    prep = fit_preprocessor(table, strategy_categorical="sentinel")
-    col = prep.categorical[0]
-    assert col.impute_category == "__missing__"
-    assert col.categories == sorted(["a", "b", "__missing__"])
 
 
 def test_constant_column_stores_zero_std():
@@ -72,7 +59,7 @@ def test_all_missing_numeric_errors():
 
 def test_centering_identity():
     table = make_table([("x", "numeric", [1.0, 2.0, 3.0])])
-    prep = fit_preprocessor(table, strategy_numeric="mean")
+    prep = fit_preprocessor(table)
     probe = make_table([("x", "numeric", [2.0])])
     assert transform(prep, probe).values[0, 0] == 0.0
 
@@ -181,7 +168,7 @@ def test_serialization_round_trip():
 # --- the column-at-a-time fit and transform against the per-cell reference ---
 
 
-def reference_fit(features, strategy_numeric="median", strategy_categorical="mode"):
+def reference_fit(features):
     """fit_preprocessor as a loop over cells, read as Python values (None missing)."""
     numeric, categorical = [], []
     for schema in features.schemas:
@@ -190,28 +177,20 @@ def reference_fit(features, strategy_numeric="median", strategy_categorical="mod
             present = np.asarray([v for v in values if v is not None], dtype=float)
             if len(present) == 0:
                 raise DataError("entirely missing")
-            impute = float(present.mean()) if strategy_numeric == "mean" else float(np.median(present))
+            impute = float(np.median(present))
             filled = np.asarray([impute if v is None else float(v) for v in values])
             numeric.append(NumericColumnState(schema.name, impute, float(filled.mean()), float(filled.std())))
         elif schema.role == "categorical":
             present = [str(v) for v in values if v is not None]
-            categories = sorted(set(present))
-            if strategy_categorical == "mode":
-                if not present:
-                    raise DataError("entirely missing")
-                counts = {}
-                for v in present:
-                    counts[v] = counts.get(v, 0) + 1
-                best = max(counts.values())
-                impute = min(v for v, c in counts.items() if c == best)
-            else:
-                impute = SENTINEL
-                categories = sorted(set(categories) | {SENTINEL})
-            categorical.append(CategoricalColumnState(schema.name, impute, categories))
-    return Preprocessor(
-        numeric, categorical, [(s.name, s.role) for s in features.schemas],
-        strategy_numeric, strategy_categorical,
-    )
+            if not present:
+                raise DataError("entirely missing")
+            counts = {}
+            for v in present:
+                counts[v] = counts.get(v, 0) + 1
+            best = max(counts.values())
+            impute = min(v for v, c in counts.items() if c == best)
+            categorical.append(CategoricalColumnState(schema.name, impute, sorted(set(present))))
+    return Preprocessor(numeric, categorical, [(s.name, s.role) for s in features.schemas])
 
 
 def reference_transform(prep, features):
@@ -250,8 +229,6 @@ def state_key(prep):
         [(c.name, bits(c.impute_value), bits(c.mean), bits(c.std)) for c in prep.numeric],
         [(c.name, c.impute_category, list(c.categories)) for c in prep.categorical],
         list(prep.schema),
-        prep.strategy_numeric,
-        prep.strategy_categorical,
     )
 
 
@@ -293,13 +270,11 @@ def outcome(fn, *args):
 
 def test_column_fit_and_transform_match_the_per_cell_reference():
     rng = np.random.default_rng(2024)
-    strategies = [(num, cat) for num in ("median", "mean") for cat in ("mode", "sentinel")]
     compared = 0
     for case in range(100):
         tables = random_case(rng)
-        num, cat = strategies[case % len(strategies)]
-        want = outcome(reference_fit, tables[0], num, cat)
-        got = outcome(fit_preprocessor, tables[0], num, cat)
+        want = outcome(reference_fit, tables[0])
+        got = outcome(fit_preprocessor, tables[0])
         if want is DataError:
             assert got is DataError
             continue
@@ -351,8 +326,6 @@ def test_build_dataset_encodes_numeric_columns_as_arrays():
         lambda d: d["numeric"][0].update(name=3),
         lambda d: d["schema"].__setitem__(0, ["x", "bogus"]),
         lambda d: d["schema"].__setitem__(0, ["x"]),
-        lambda d: d.update(strategy_numeric="mode"),
-        lambda d: d.update(strategy_categorical="median"),
     ],
 )
 def test_preprocessor_from_dict_rejects_ill_typed_values(edit):

@@ -11,7 +11,7 @@ import pytest
 
 from coldstart import trees
 from coldstart.errors import DataError
-from coldstart.families import FAMILY_TABLE, fit_family, resolve_params
+from coldstart.families import fit_family, resolve_params
 from coldstart.trees import (
     TREE_ARRAYS,
     GbtModel,
@@ -480,7 +480,7 @@ def test_one_plan_walks_a_leaf_a_chain_and_forest_trees():
     forest = fit_random_forest(X, X[:, 1] + (X[:, 2] > 0), TreeParams(max_depth=6, max_features="sqrt", seed=5), 5)
     mixed = [leaf, chain, *forest.trees[:2], leaf, *forest.trees[2:]]
     X_new = np.vstack([_edge_rows(tree, X, rng) for tree in mixed])
-    model = trees.ForestModel(trees=mixed, params=forest.params, n_estimators=len(mixed), n_features=3)
+    model = trees.ForestModel(trees=mixed, n_features=3)
     assert np.array_equal(predict_forest(model, X_new), forest_reference(mixed, X_new))
     gbt = GbtModel(base_prediction=0.25, stages=mixed, learning_rate=0.5, n_features=3)
     assert np.array_equal(predict_gbt(gbt, X_new), gbt_reference(0.25, 0.5, mixed, X_new))
@@ -578,7 +578,7 @@ def test_decoded_split_feature_at_the_width_is_a_data_error(kind):
         from_dict, predict = forest_from_dict, predict_forest
     else:
         d = gbt_to_dict(fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3)))
-        from_dict, predict = gbt_from_dict, predict_gbt
+        from_dict, predict = (lambda d: gbt_from_dict(d, 0.5)), predict_gbt
     feature = unpack_block(d["trees"])["feature"].copy()
     feature[np.flatnonzero(feature >= 0)[-1]] = 3
     d["trees"]["feature"] = deflated(feature.tobytes())
@@ -600,7 +600,7 @@ def test_serialization_round_trips():
     assert np.array_equal(predict_forest(forest, X), predict_forest(fclone, X))
 
     gbt = fit_gbt(X, y, rounds=5, learning_rate=0.5, tree_params=TreeParams(max_depth=2))
-    gclone = gbt_from_dict(gbt_to_dict(gbt))
+    gclone = gbt_from_dict(gbt_to_dict(gbt), gbt.learning_rate)
     assert np.array_equal(predict_gbt(gbt, X), predict_gbt(gclone, X))
 
 
@@ -643,13 +643,14 @@ def codec_models():
     forest.trees += [stump, single_leaf]
     gbt = fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3, seed=2))
     tree = (decision_tree_to_dict, decision_tree_from_dict)
+    boosted = (gbt_to_dict, lambda d: gbt_from_dict(d, 0.5))
     return X, rng, [
         (*tree, fit_decision_tree(X, y, TreeParams()), lambda m: [m]),
         (*tree, single_leaf, lambda m: [m]),
         (*tree, stump, lambda m: [m]),
         (forest_to_dict, forest_from_dict, forest, lambda m: m.trees),
-        (gbt_to_dict, gbt_from_dict, gbt, lambda m: m.stages),
-        (gbt_to_dict, gbt_from_dict, fit_gbt(X, y, 0, 0.5, TreeParams()), lambda m: m.stages),
+        (*boosted, gbt, lambda m: m.stages),
+        (*boosted, fit_gbt(X, y, 0, 0.5, TreeParams()), lambda m: m.stages),
     ]
 
 
@@ -700,7 +701,7 @@ def test_empty_block_is_a_zero_round_gbt():
     d = gbt_to_dict(model)
     empty = deflated(b"")
     assert d["trees"] == {"sizes": [], "feature": empty, "right": empty, "threshold": empty, "value": empty}
-    clone = gbt_from_dict(d)
+    clone = gbt_from_dict(d, 0.5)
     assert clone.stages == [] and np.array_equal(predict_gbt(clone, FIXTURE_X), predict_gbt(model, FIXTURE_X))
 
 
@@ -811,13 +812,38 @@ def test_inflate_stops_one_byte_past_the_declared_entries():
         assert peak < 1 << 20, (name, peak)
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_node_count_the_streams_do_not_hold_costs_only_the_feature_inflate():
+    # sizes claim 2.5 million nodes and feature inflates to that many zeros,
+    # all internal, but right is empty: the block is rejected before any
+    # copy of feature wider than its <i4 entries
+    n = 2_500_000
+    feature = base64.b64encode(zlib.compress(bytes(4 * n))).decode("ascii")
+    block = {**pack_block([n], {"feature": b"", "right": b"", "threshold": b"", "value": b""}), "feature": feature}
+    inflate = _traced_peak(lambda: trees._unpack(feature, "feature", "<i4", n, "nodes"))
+
+    def decode():
+        with pytest.raises(DataError, match=re.escape("'right' inflates to 0 bytes, not the 10000000 of its 2500000")):
+            trees_from_block(block)
+
+    assert _traced_peak(decode) <= 1.1 * inflate
+
+
 def test_tree_models_check_their_tree_count():
     sizes, arrays = _stump_block()
     with pytest.raises(DataError, match="one tree, not 2"):
-        decision_tree_from_dict({"kind": "tree", "trees": pack_block(sizes, arrays)})
+        decision_tree_from_dict({"trees": pack_block(sizes, arrays)})
     empty = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams()))["trees"]
     with pytest.raises(DataError, match="one tree, not 0"):
-        decision_tree_from_dict({"kind": "tree", "trees": empty})
+        decision_tree_from_dict({"trees": empty})
     forest = forest_to_dict(fit_random_forest(FIXTURE_X, FIXTURE_Y, TreeParams(), n_estimators=2))
     with pytest.raises(DataError, match="at least one tree"):
         forest_from_dict({**forest, "trees": empty})
@@ -835,10 +861,10 @@ def test_tree_from_dict_rejects_non_finite_numbers(name, bad):
         decision_tree_from_dict({**d, "trees": pack_block(d["trees"]["sizes"], arrays)})
     g = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=1, learning_rate=0.5, tree_params=TreeParams()))
     with pytest.raises(DataError, match="finite"):
-        gbt_from_dict({**g, "base_prediction": bad})
-    # the bundle decoder reads a model's learning_rate through resolve_params
+        gbt_from_dict({**g, "base_prediction": bad}, 0.5)
+    # a gbt's learning_rate comes from its member's params, which resolve_params checks
     with pytest.raises(DataError, match="finite"):
-        resolve_params("gbt", FAMILY_TABLE["gbt"].stored({**g, "learning_rate": bad}))
+        resolve_params("gbt", {"learning_rate": bad})
 
 
 def test_params_validation():

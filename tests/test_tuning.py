@@ -41,7 +41,7 @@ def numeric_table(X):
 
 def cv_folds(X, y, k, seed):
     """fold_matrices over a numeric table of X on a seeded k-fold plan."""
-    return fold_matrices(numeric_table(X), y, kfold_indices(len(y), k, seed), "median", "mode")
+    return fold_matrices(numeric_table(X), y, kfold_indices(len(y), k, seed))
 
 
 def test_kfold_exact_division():
@@ -84,7 +84,7 @@ def test_cross_validate_mean_predictor_scores_near_zero_r2():
     y = rng.normal(size=100)  # feature-independent target
     plan = kfold_indices(100, 5, seed=0)
     # a depth-limited stump-free tree: min_samples_split too high to split
-    folds = fold_matrices(numeric_table(X), y, plan, "median", "mode")
+    folds = fold_matrices(numeric_table(X), y, plan)
     scores = cross_validate("decision_tree", {"min_samples_split": 1000}, folds, "r2")
     assert all(abs(s) < 0.25 for s in scores)  # R^2 of the train-mean predictor
 
@@ -94,7 +94,7 @@ def test_cross_validate_no_peeking_at_test_fold():
     X = rng.uniform(size=(60, 1))
     y = X[:, 0] + rng.normal(scale=0.5, size=60)  # noisy: memorizing cannot reach 1
     plan = kfold_indices(60, 5, seed=1)
-    folds = fold_matrices(numeric_table(X), y, plan, "median", "mode")
+    folds = fold_matrices(numeric_table(X), y, plan)
     scores = cross_validate("decision_tree", {"max_depth": None, "min_samples_split": 2}, folds, "r2")
     assert all(s < 0.999 for s in scores)
 
@@ -103,7 +103,7 @@ def test_leave_one_out_equivalent():
     X = np.arange(5, dtype=float).reshape(-1, 1)
     y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     plan = kfold_indices(5, 5, seed=0)
-    folds = fold_matrices(numeric_table(X), y, plan, "median", "mode")
+    folds = fold_matrices(numeric_table(X), y, plan)
     scores = cross_validate("decision_tree", {"min_samples_split": 2}, folds, "neg_mape")
     assert len(scores) == 5  # each score from a 4-row fit
 
@@ -186,7 +186,7 @@ def test_search_on_raw_table_runs_pipeline_mode():
     values = rng.normal(size=n)
     table = RawTable([ColumnSchema("x", "numeric")], {"x": values})
     y = values * 3.0 + 5.0 + rng.normal(scale=0.1, size=n)
-    folds = fold_matrices(table, y, kfold_indices(n, 5, 42), "median", "mode")
+    folds = fold_matrices(table, y, kfold_indices(n, 5, 42))
     result = randomized_search("ridge", {"alpha": [0.001, 1.0]}, n_iter=4, folds=folds, seed=42, scoring="r2")
     assert len(result.candidates) == 2
     assert result.best_params["alpha"] == 0.001
@@ -201,7 +201,7 @@ def test_search_input_validation():
     with pytest.raises(DataError):
         randomized_search("mystery", {"alpha": [1.0]}, n_iter=1, folds=folds, seed=0)
     with pytest.raises(DataError):
-        fold_matrices(numeric_table(X), y[:9], kfold_indices(10, 2, 0), "median", "mode")
+        fold_matrices(numeric_table(X), y[:9], kfold_indices(10, 2, 0))
 
 
 def _count_preprocessor_fits(monkeypatch):
