@@ -17,15 +17,21 @@ from coldstart.preprocess import (
 from table_cells import cells, make_table
 
 
+def test_mean_imputation_and_population_std():
+    # the median of [1, 3] is also its mean; the stored mean and std are
+    # those of the imputed column, and the std is the population std
+    table = make_table([("x", "numeric", [1.0, None, 3.0])])
+    prep = fit_preprocessor(table)
+    col = prep.numeric[0]
+    assert col.impute_value == 2.0
+    assert col.mean == 2.0
+    assert abs(col.std - math.sqrt(2.0 / 3.0)) < 1e-15
+
+
 def test_median_imputation():
     table = make_table([("x", "numeric", [1.0, None, 2.0, 10.0])])
     prep = fit_preprocessor(table)
     assert prep.numeric[0].impute_value == 2.0
-    # the std is the population std of the imputed column
-    col = fit_preprocessor(make_table([("x", "numeric", [1.0, None, 3.0])])).numeric[0]
-    assert col.impute_value == 2.0
-    assert col.mean == 2.0
-    assert abs(col.std - math.sqrt(2.0 / 3.0)) < 1e-15
 
 
 def test_mode_imputation_and_categories():
