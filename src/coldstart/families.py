@@ -5,6 +5,10 @@ boosting), lasso, ridge, elastic_net. Forest defaults pin the documented
 production configuration (1000 trees, min split 30, depth 30); gbt defaults
 pin learning rate 0.5.
 
+A family is searched by k-fold CV unless its entry has an ``oob``: the
+random forest is scored out of bag, one fit per group of candidates that
+differ in ``n_estimators`` alone (see tuning).
+
 DOMAINS holds the one rule for each parameter's values; resolve_params, the
 one place that applies it, checks every fit, grid value and bundle member.
 A bundle member's ``params`` are the one stored copy of its parameters: a
@@ -22,8 +26,16 @@ from .errors import DataError
 # fit(resolved params, X, y, seed) -> model; predict(model, X) -> predictions;
 # to_dict(model) -> the model's fitted state as bundle JSON, and
 # from_dict(model dict, resolved params) -> the model;
-# trees(model) -> the model's list of trees.Tree, None for a non-tree family
-Family = namedtuple("Family", "fit predict to_dict from_dict trees")
+# trees(model) -> the model's list of trees.Tree, None for a non-tree family;
+# oob: an Oob for a family searched out of bag, None for one searched by CV
+Family = namedtuple("Family", "fit predict to_dict from_dict trees oob")
+
+# size names the parameter whose smaller values are prefixes of one fit:
+# candidates that differ in it alone share the fit at their largest value.
+# prefixes(model, X, seed, sizes) -> for each of the ascending sizes, the
+# model of that size and its out-of-bag (predictions, scored-row mask) on
+# the training matrix X that the model was fit on with seed
+Oob = namedtuple("Oob", "size prefixes")
 
 
 _TREE_PARAMS = ("max_depth", "min_samples_split", "max_features")
@@ -43,6 +55,7 @@ _LINEAR = Family(
     to_dict=linear.linear_to_dict,
     from_dict=lambda d, p: linear.linear_from_dict(d, p["alpha"], p["l1_ratio"]),
     trees=None,
+    oob=None,
 )
 
 # Entries look fit and predict functions up through their module at call
@@ -54,6 +67,7 @@ FAMILY_TABLE = {
         to_dict=trees.decision_tree_to_dict,
         from_dict=lambda d, p: trees.decision_tree_from_dict(d),
         trees=lambda model: [model],
+        oob=None,
     ),
     "random_forest": Family(
         fit=lambda p, X, y, seed: trees.fit_random_forest(
@@ -63,6 +77,10 @@ FAMILY_TABLE = {
         to_dict=trees.forest_to_dict,
         from_dict=lambda d, p: trees.forest_from_dict(d),
         trees=lambda model: model.trees,
+        oob=Oob(
+            size="n_estimators",
+            prefixes=lambda model, X, seed, sizes: trees.forest_oob(model, X, seed, sizes),
+        ),
     ),
     "gbt": Family(
         fit=lambda p, X, y, seed: trees.fit_gbt(
@@ -76,6 +94,7 @@ FAMILY_TABLE = {
         to_dict=trees.gbt_to_dict,
         from_dict=lambda d, p: trees.gbt_from_dict(d, p["learning_rate"]),
         trees=lambda model: model.stages,
+        oob=None,
     ),
     "lasso": _LINEAR,
     "ridge": _LINEAR,

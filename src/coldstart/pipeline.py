@@ -1,9 +1,11 @@
 """End-to-end runs behind the CLI: train, predict, evaluate, verify.
 
 run_train wires the full path — ingest, consolidation, holdout split,
-one leak-free fold plan, randomized search per family on it, top-3
-selection, inverse-error weighting — and emits bundle.json,
-training_report.json, the holdout episodes CSV, and the SVG plots.
+one leak-free fold plan, randomized search per family on it (out of bag on
+the training matrix for the random forest, whose search returns its
+member's model), top-3 selection, inverse-error weighting — and emits
+bundle.json, training_report.json, the holdout episodes CSV, and the SVG
+plots.
 Everything derives from the run seed, so two runs with the same config
 produce byte-identical artifacts.
 
@@ -324,16 +326,20 @@ def run_train(config):
     hold_results = {}  # family -> (views, clamped) on the holdout
     for fi, family in enumerate(config.families):
         grid = config.grids.get(family) or DEFAULT_GRIDS[family]
+        fit_seed = mix_seed(config.seed, 1000 + fi)
+        train = (X_train.values, y_fit, fit_seed)
         try:
-            search = randomized_search(family, grid, config.n_iter, folds, seed=mix_seed(config.seed, fi))
+            search = randomized_search(family, grid, config.n_iter, folds, seed=mix_seed(config.seed, fi), train=train)
         except UndefinedMetricError as exc:
-            # a CV score depends on the fold targets and the family's scoring
-            # alone: r2 is undefined on a fold of one row or of constant
-            # targets where MAPE is not, so the families it scores drop out
-            warnings.warn(f"{family}: dropped, its CV score is undefined ({exc})")
+            # a search score depends on the scored targets and the family's
+            # scoring alone: r2 is undefined on a fold of one row or of
+            # constant targets where MAPE is not, so the families it scores drop out
+            warnings.warn(f"{family}: dropped, its search score is undefined ({exc})")
             continue
         params = resolve_params(family, search.best_params)
-        model = fit_family(family, params, X_train.values, y_fit, seed=mix_seed(config.seed, 1000 + fi))
+        model = search.model
+        if model is None:  # a CV search leaves the winner to be fit on the whole training matrix
+            model = fit_family(family, params, X_train.values, y_fit, seed=fit_seed)
         cv_results[family] = search.to_dict()
         member = EnsembleMember(family, params, model, validation_mape=None)
         views, clamped = hold_results[family] = member_views(member, X_hold.values, config.target_transform)

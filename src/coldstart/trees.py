@@ -60,11 +60,14 @@ rows: those rows reached the leaf by the same ``x <= threshold`` test that
 prediction applies, so the floats are those of ``predict_tree``.
 
 Prediction routes every row down at once (the vectorized predication of
-Asadi, Lin & de Vries 2014), through one plan per call that holds all the
-trees of a model. The plan is a slot table over the model's nodes, trees in
-model order. Internal node j (counting internal nodes only) owns slots
-``2*j + b``, its branch b, with b = 1 where ``x <= threshold`` (left) and
-0 otherwise (right), so a NaN cell goes right; ``feature`` and
+Asadi, Lin & de Vries 2014), through one plan per run of consecutive trees
+of a model: the trees in model order, cut into runs of at most
+``PLAN_NODES`` nodes (a larger tree is a run of its own), so that a plan's
+memory is bounded by the cap and not by the model. A plan is a slot table
+over its run's nodes, trees in model order. Internal node j (counting
+internal nodes only) owns slots ``2*j + b``, its branch b, with b = 1
+where ``x <= threshold`` (left) and 0 otherwise (right), so a NaN cell
+goes right; ``feature`` and
 ``threshold`` are repeated per slot and ``child`` holds the even slot of
 each branch's child. The leaves come last: from slot ``first_leaf`` on,
 each leaf owns a slot pair whose children point back at the leaf, so a row
@@ -78,13 +81,22 @@ X in place, so the plan rejects a split feature at or past X's width
 instead of reading the next row's cell.
 
 The trees are walked one after another, the rows of a tree all together.
-A breadth-first pass over all trees at once, made when the plan is built,
-gives each tree's shallowest leaf depth: no row can finish before it, so
+A breadth-first pass over all trees of a run at once, made when its plan
+is built, gives each tree's shallowest leaf depth: no row can finish before it, so
 the walk takes that many steps before it looks for finished rows. The
 first step compares the root's column, where every row still is. After
 that, finished rows are dropped once they are half of the rows left. A
 forest adds each tree into its sum in model order and then divides by the
 tree count; boosting adds ``learning_rate * prediction`` in stage order.
+Runs change where plans begin, not that order, so every float is the same
+as with one plan per model.
+
+Tree t of a forest fit with seed s draws its bootstrap rows and feature
+subsets from ``default_rng(mix_seed(s, t))``, which ``_bootstrap`` builds
+for both the fit and ``forest_oob``. So a forest's first T trees are the
+T-tree forest bit for bit, and a row's out-of-bag trees can be found again
+without storing the draws (Breiman 2001, "Random forests", Machine
+Learning 45).
 """
 
 import base64
@@ -100,6 +112,10 @@ from .errors import DataError
 from .util import finite_number, mix_seed
 
 MAX_FEATURES_MODES = ("all", "third", "sqrt")
+
+# the most nodes one prediction plan holds: building a plan peaks near 184
+# bytes a node, so ~12 MB at the cap
+PLAN_NODES = 1 << 16
 
 
 @dataclass
@@ -311,23 +327,54 @@ def fit_decision_tree(X, y, params):
     return _grow(np.ascontiguousarray(X.T), rank_code(X), y, params, rng, np.arange(len(y)))
 
 
-def fit_random_forest(X, y, params, n_estimators, bootstrap=True):
+def _bootstrap(seed, t, n):
+    """Tree t's generator, seeded with mix_seed(seed, t), and its bootstrap
+    rows: n draws with replacement from 0..n-1, the generator's first draw.
+    The generator then draws the tree's per-node feature subsets."""
+    rng = np.random.default_rng(mix_seed(seed, t))
+    return rng, rng.integers(0, n, size=n)
+
+
+def fit_random_forest(X, y, params, n_estimators):
     """Bagged forest: each tree fits a bootstrap resample of size n.
 
     Per-tree randomness (bootstrap draw and per-node feature subsets) comes
-    from a generator seeded with mix_seed(params.seed, tree_index), so the
-    forest is reproducible no matter how trees are scheduled.
-    ``bootstrap=False`` fits every tree on the identity sample (test hook).
+    from ``_bootstrap(params.seed, t, n)``, so the forest is reproducible no
+    matter how trees are scheduled, and its first T trees are the T-tree
+    forest of the same params.
     """
     X, y = _align(X, y)
     n = len(y)
     columns, keys = np.ascontiguousarray(X.T), rank_code(X)
-    trees = []
-    for t in range(n_estimators):
-        rng = np.random.default_rng(mix_seed(params.seed, t))
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_grow(columns, keys, y, params, rng, rows))
+    trees = [_grow(columns, keys, y, params, *_bootstrap(params.seed, t, n)) for t in range(n_estimators)]
     return ForestModel(trees=trees, n_features=X.shape[1])
+
+
+def forest_oob(model, X, seed, sizes):
+    """For each T of the ascending ``sizes``, the forest of the model's first
+    T trees, its out-of-bag predictions on the training matrix X that the
+    model was fit on with ``seed``, and the mask of the rows they score.
+
+    Row i's prediction is the sum, in model order, of the predictions of the
+    trees whose bootstrap left row i out, divided by their count: the mean
+    that predict_forest takes over all trees, over those trees alone. A row
+    that every one of the T trees drew has no prediction (0, and False in
+    the mask). The sums run once over the largest size's trees.
+    """
+    X = as_matrix(X)
+    n = X.shape[0]
+    total, count = np.zeros(n), np.zeros(n, dtype=int)
+    out = []
+    for t, pred in enumerate(_each_tree(model.trees[: sizes[-1]], X)):
+        missed = np.ones(n, dtype=bool)
+        missed[_bootstrap(seed, t, n)[1]] = False
+        total[missed] += pred[missed]
+        count += missed
+        if t + 1 in sizes:
+            scored = count > 0
+            prediction = np.divide(total, count, out=np.zeros(n), where=scored)
+            out.append((ForestModel(trees=model.trees[: t + 1], n_features=model.n_features), prediction, scored))
+    return out
 
 
 def fit_gbt(X, y, rounds, learning_rate, tree_params):
@@ -364,7 +411,7 @@ def _check_width(X, n_features, what):
 
 
 class _Plan(NamedTuple):
-    """The slot table of all the trees of a model; see the module docstring."""
+    """The slot table of a run of a model's trees; see the module docstring."""
 
     feature: np.ndarray  # per slot, 0 at a leaf's slots
     threshold: np.ndarray  # per slot, 0 at a leaf's slots
@@ -416,10 +463,31 @@ def _plan(trees, width):
     )
 
 
+def _runs(trees):
+    """The trees in model order, cut into runs of at most PLAN_NODES nodes; a
+    larger tree is a run of its own."""
+    run, nodes = [], 0
+    for tree in trees:
+        if run and nodes + tree.feature.size > PLAN_NODES:
+            yield run
+            run, nodes = [], 0
+        run.append(tree)
+        nodes += tree.feature.size
+    if run:
+        yield run
+
+
 def _each_tree(trees, X):
-    """Yield each tree's predictions for the rows of X, in model order, all
-    walked through one plan."""
+    """Yield each tree's predictions for the rows of X, in model order,
+    walked through one plan per run of consecutive trees (see _runs)."""
     X = as_matrix(X)
+    for run in _runs(trees):
+        yield from _walk(run, X)
+
+
+def _walk(trees, X):
+    """Yield each tree's predictions for the rows of the float matrix X, in
+    order, all walked through one plan."""
     plan = _plan(trees, X.shape[1])
     feature, threshold, child, first_leaf = plan.feature, plan.threshold, plan.child, plan.first_leaf
     # X[i, f] as flat[i * width + f]: one 1-D gather, cheaper than X[rows, f]

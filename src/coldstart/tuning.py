@@ -1,12 +1,29 @@
-"""k-fold cross-validation and seeded randomized hyperparameter search.
+"""k-fold cross-validation, out-of-bag scoring and seeded randomized
+hyperparameter search.
 
 Search candidates are drawn without replacement from the grid's cartesian
 product; every evaluation seed derives deterministically from the search
 seed, so identical inputs always reproduce the same candidate sequence,
-fold scores, and winner. The search takes the matrices of fold_matrices,
-which fits the preprocessor inside each fold's training complement, so no
+scores, and winner.
+
+A family searched by CV is scored on the matrices of fold_matrices, which
+fits the preprocessor inside each fold's training complement, so no
 statistics leak across folds. run_train builds them once per train, so
-every candidate of every family is scored on the same folds.
+every candidate of these families is scored on the same folds, and it
+refits the winner on the whole training matrix.
+
+A family whose table entry has an ``oob`` (the random forest) is scored
+out of bag instead (Breiman 2001, "Random forests", Machine Learning 45):
+on the whole training matrix, with the seed of the member's fit, so every
+candidate sees the same bootstrap draws. Candidates that differ only in the
+entry's size parameter share one fit at their largest size; a smaller size
+is scored from the running out-of-bag sums of that fit's first trees, which
+are its own forest bit for bit, and the winner's prefix is the member
+model, with no refit. The out-of-bag rows share the full-training
+preprocessor rather than one fitted without them. Trees read only the order
+within a column, so the one statistic that can leak into a score is the
+median that fills a missing number; acceptance check A9 covers the fold
+preprocessors, not this path.
 """
 
 import itertools
@@ -15,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, metrics
-from .errors import DataError
+from .errors import DataError, UndefinedMetricError
 from .preprocess import fit_preprocessor, transform
 from .util import mix_seed
 
@@ -34,25 +51,23 @@ class FoldPlan:
 
 @dataclass
 class SearchResult:
-    candidates: list  # dicts: params, fold_scores, mean_score
+    candidates: list  # dicts as reported: params, fold_scores (cv) or oob_rows (oob), mean_score
     best_index: int
     scoring: str
     seed: int
+    method: str = "cv"  # "cv" or "oob"
+    model: object = None  # the winner fitted on the training matrix, for an oob search
 
     @property
     def best_params(self):
         return self.candidates[self.best_index]["params"]
 
     def to_dict(self):
+        # a CV entry keeps the layout it had before out-of-bag entries existed
+        method = {} if self.method == "cv" else {"method": self.method}
         return {
-            "candidates": [
-                {
-                    "params": c["params"],
-                    "fold_scores": list(c["fold_scores"]),
-                    "mean_score": c["mean_score"],
-                }
-                for c in self.candidates
-            ],
+            **method,
+            "candidates": [dict(c) for c in self.candidates],
             "best_index": self.best_index,
             "scoring": self.scoring,
             "seed": self.seed,
@@ -137,37 +152,76 @@ def enumerate_grid(grid):
     return combos
 
 
-def randomized_search(family, grid, n_iter, folds, seed, scoring=None):
-    """Sample up to n_iter distinct grid assignments and rank them by CV score.
+def _rank(score, index):
+    """A candidate's place in the search: the highest score first, ties to
+    the earliest sampled candidate."""
+    return -score, index
 
-    ``folds`` are the matrices of fold_matrices, built once per train and
-    shared by every candidate. ``seed`` drives the candidate draw and the
-    fit seeds. Ties in mean score go to the earliest sampled candidate.
+
+def randomized_search(family, grid, n_iter, folds, seed, scoring=None, train=None):
+    """Sample up to n_iter distinct grid assignments and rank them by score.
+
+    A family whose table entry has no ``oob`` is scored by CV on ``folds``,
+    the matrices of fold_matrices, built once per train and shared by every
+    candidate. A family with one is scored out of bag on ``train``, the
+    tuple (X, y, fit_seed) of the full training matrix, its targets and the
+    seed of the member's fit, and the result holds the winner's model.
+    ``seed`` drives the candidate draw and the CV fit seeds. Ties in score
+    go to the earliest sampled candidate.
     """
     if n_iter < 1:
         raise DataError("n_iter must be >= 1")
+    oob = families.check_family(family).oob
     families.check_grid(family, grid)
     if scoring is None:
         scoring = families.DEFAULT_SCORING[family]
 
     combos = enumerate_grid(grid)
     m = min(n_iter, len(combos))
-    order = np.random.default_rng(seed).permutation(len(combos))[:m]
+    drawn = [combos[int(c)] for c in np.random.default_rng(seed).permutation(len(combos))[:m]]
+    if oob is not None:
+        if train is None:
+            raise DataError(f"{family} is searched out of bag and needs the training matrix")
+        candidates, best_index, model = _oob_search(family, oob, drawn, train, scoring)
+        return SearchResult(candidates, best_index, scoring, seed, method="oob", model=model)
 
     candidates = []
-    for i, combo_idx in enumerate(order):
-        params = combos[int(combo_idx)]
-        fold_scores = cross_validate(family, params, folds, scoring, seed=mix_seed(seed, i))
-        candidates.append(
-            {
-                "params": params,
-                "fold_scores": [float(s) for s in fold_scores],
-                "mean_score": float(np.mean(fold_scores)),
-            }
-        )
+    for i, params in enumerate(drawn):
+        fold_scores = [float(s) for s in cross_validate(family, params, folds, scoring, seed=mix_seed(seed, i))]
+        candidates.append({"params": params, "fold_scores": fold_scores, "mean_score": float(np.mean(fold_scores))})
+    best_index = min(range(m), key=lambda i: _rank(candidates[i]["mean_score"], i))
+    return SearchResult(candidates, best_index, scoring, seed)
 
-    best_index = 0
-    for i, c in enumerate(candidates):
-        if c["mean_score"] > candidates[best_index]["mean_score"]:
-            best_index = i
-    return SearchResult(candidates=candidates, best_index=best_index, scoring=scoring, seed=seed)
+
+def _oob_search(family, oob, drawn, train, scoring):
+    """Score the drawn candidates out of bag on ``train`` = (X, y, fit_seed).
+
+    Candidates that differ only in ``oob.size`` form a group, fit once with
+    fit_seed at the group's largest size; each candidate is scored on the
+    out-of-bag predictions of its size's prefix of that fit, over the rows
+    that prefix scores. Every candidate therefore sees the same bootstrap
+    draws, and the winner's prefix is the model the member would be refit
+    as. Returns (candidates, best_index, winner's model).
+    """
+    X, y, fit_seed = train
+    sizes = [families.resolve_params(family, params)[oob.size] for params in drawn]
+    groups = {}
+    for i, params in enumerate(drawn):
+        rest = tuple(sorted((name, v) for name, v in params.items() if name != oob.size))
+        groups.setdefault(rest, []).append(i)
+    candidates = [None] * len(drawn)
+    best, model = None, None
+    for rest, members in groups.items():
+        group_sizes = sorted({sizes[i] for i in members})
+        fitted = families.fit_family(family, {**dict(rest), oob.size: group_sizes[-1]}, X, y, seed=fit_seed)
+        for size, (prefix, prediction, scored) in zip(group_sizes, oob.prefixes(fitted, X, fit_seed, group_sizes)):
+            if not scored.any():
+                raise UndefinedMetricError(f"no training row is out of bag at {oob.size}={size}")
+            score = float(score_predictions(scoring, y[scored], prediction[scored]))
+            for i in members:
+                if sizes[i] == size:
+                    candidates[i] = {"params": drawn[i], "oob_rows": int(np.count_nonzero(scored)), "mean_score": score}
+                    if best is None or _rank(score, i) < best:
+                        best, model = _rank(score, i), prefix
+        del fitted, prefix  # free this group's fit before the next one; the best prefix stays in model
+    return candidates, best[1], model

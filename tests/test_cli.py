@@ -118,7 +118,7 @@ def test_train_drops_the_families_whose_cv_score_is_undefined(tmp_path):
     generate(SynthConfig(n_series=3, episodes_min=2, episodes_max=3, seed=1), data)
     paths = {name: str(data / f"{name}.csv") for name in ("episodes", "credits", "genres", "platform")}
     config = RunConfig(**paths, out_dir=str(tmp_path / "out"), families=["gbt", "lasso"], n_iter=1, cv_folds=5)
-    with pytest.warns(UserWarning, match=r"lasso: dropped, its CV score is undefined \(r2 needs at least 2 rows\)"):
+    with pytest.warns(UserWarning, match=r"lasso: dropped, its search score is undefined \(r2 needs at least 2 rows\)"):
         result = run_train(config)
     report = load_json(result["report"])
     assert report["n_train"] == 7

@@ -32,7 +32,7 @@ from coldstart.trees import (
     trees_from_block,
     trees_to_block,
 )
-from coldstart.util import dump_json, load_json
+from coldstart.util import dump_json, load_json, mix_seed
 
 FIXTURE_X = np.array([[1.0], [2.0], [3.0], [4.0]])
 FIXTURE_Y = np.array([0.0, 0.0, 10.0, 10.0])
@@ -421,14 +421,79 @@ def test_forest_deterministic_and_distinct_trees():
     assert trees_to_block(f1.trees[:1]) != trees_to_block(f1.trees[1:2])
 
 
-def test_forest_single_tree_identity_sample_equals_tree():
+def test_forest_tree_equals_grow_on_its_bootstrap_rows():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
-    params = TreeParams(max_depth=4, max_features="all", seed=1)
-    forest = fit_random_forest(X, y, params, n_estimators=1, bootstrap=False)
-    single = fit_decision_tree(X, y, params)
-    assert np.array_equal(predict_forest(forest, X), predict_tree(single, X))
+    params = TreeParams(max_depth=4, max_features="sqrt", seed=1)
+    forest = fit_random_forest(X, y, params, n_estimators=5)
+    columns, keys = np.ascontiguousarray(X.T), trees.rank_code(X)
+    for t, tree in enumerate(forest.trees):
+        tree_rng, rows = trees._bootstrap(params.seed, t, 40)
+        # tree t's rows are the first draw of its own generator
+        assert np.array_equal(rows, np.random.default_rng(mix_seed(params.seed, t)).integers(0, 40, size=40))
+        assert_same_trees([tree], [trees._grow(columns, keys, y, params, tree_rng, rows)])
+
+
+def test_forest_oob_matches_brute_force():
+    # each row's OOB prediction is the in-order sum of predict_tree over the
+    # trees whose bootstrap missed it, over their count; a row that every
+    # tree drew is not scored
+    rng = np.random.default_rng(23)
+    n, seed = 12, 4
+    X = rng.normal(size=(n, 3))
+    y = X[:, 0] + rng.normal(size=n)
+    forest = fit_random_forest(X, y, TreeParams(max_depth=3, max_features="third", seed=seed), n_estimators=9)
+    per_tree = [predict_tree(tree, X) for tree in forest.trees]
+    drawn = [set(np.random.default_rng(mix_seed(seed, t)).integers(0, n, size=n).tolist()) for t in range(9)]
+    sizes = [1, 2, 5, 9]
+    got = trees.forest_oob(forest, X, seed, sizes)
+    assert len(got) == len(sizes)
+    unscored = 0
+    for size, (prefix, prediction, scored) in zip(sizes, got):
+        assert forest_to_dict(prefix) == forest_to_dict(trees.ForestModel(forest.trees[:size], 3))
+        for i in range(n):
+            missed = [per_tree[t][i] for t in range(size) if i not in drawn[t]]
+            assert scored[i] == bool(missed)
+            assert prediction[i] == (sum(missed) / len(missed) if missed else 0.0)
+            unscored += not missed
+    assert 0 < unscored  # the 1-tree forest leaves most rows unscored
+
+
+def complete_tree(depth, width, rng):
+    """A complete binary tree of the given depth in preorder, with random
+    split features, thresholds and leaf values."""
+    feature, threshold, right, value = [], [], [], []
+
+    def build(d):
+        node = len(feature)
+        leaf = d == depth
+        feature.append(-1 if leaf else int(rng.integers(width)))
+        threshold.append(0.0 if leaf else float(rng.normal()))
+        right.append(-1)
+        value.append(float(rng.normal()) if leaf else 0.0)
+        if not leaf:
+            build(d + 1)
+            right[node] = len(feature)
+            build(d + 1)
+
+    build(0)
+    return trees.Tree(np.array(feature), np.array(threshold), np.array(right), np.array(value))
+
+
+def test_plan_memory_is_bounded_by_the_cap_not_the_forest():
+    # 400 trees of 1023 nodes: 409 200 nodes, about six times the cap. A
+    # plan's build peaks near 184 bytes a node: one plan over all of them
+    # peaked at 52 MB for 82 rows, and one per run at 12 MB
+    rng = np.random.default_rng(31)
+    pool = [complete_tree(9, 40, rng) for _ in range(8)]
+    forest = trees.ForestModel([pool[t % 8] for t in range(400)], n_features=40)
+    assert sum(t.feature.size for t in forest.trees) > 400_000
+    X = rng.normal(size=(82, 40))
+    got = []
+    peak = _traced_peak(lambda: got.append(predict_forest(forest, X)))
+    assert peak < 200 * trees.PLAN_NODES, peak
+    assert np.array_equal(got[0], forest_reference(forest.trees, X))
 
 
 def forest_reference(trees, X):
@@ -480,6 +545,30 @@ def test_one_plan_walks_a_leaf_a_chain_and_forest_trees():
     forest = fit_random_forest(X, X[:, 1] + (X[:, 2] > 0), TreeParams(max_depth=6, max_features="sqrt", seed=5), 5)
     mixed = [leaf, chain, *forest.trees[:2], leaf, *forest.trees[2:]]
     X_new = np.vstack([_edge_rows(tree, X, rng) for tree in mixed])
+    model = trees.ForestModel(trees=mixed, n_features=3)
+    assert np.array_equal(predict_forest(model, X_new), forest_reference(mixed, X_new))
+    gbt = GbtModel(base_prediction=0.25, stages=mixed, learning_rate=0.5, n_features=3)
+    assert np.array_equal(predict_gbt(gbt, X_new), gbt_reference(0.25, 0.5, mixed, X_new))
+
+
+@pytest.mark.parametrize("cap", [1, 600, 650, 1000])
+def test_plan_runs_keep_every_float(monkeypatch, cap):
+    # caps that cut the model of the test above into runs: one tree a run,
+    # runs that split before and after the 599-node chain, and runs that
+    # hold several trees
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(300, 3))
+    X[:, 0] = np.arange(300)
+    chain = fit_decision_tree(X[:, :1], 3.0 ** np.arange(300), TreeParams())
+    leaf = fit_decision_tree(X, np.ones(300), TreeParams())
+    forest = fit_random_forest(X, X[:, 1] + (X[:, 2] > 0), TreeParams(max_depth=6, max_features="sqrt", seed=5), 6)
+    mixed = [leaf, *forest.trees[:3], chain, leaf, *forest.trees[3:]]
+    X_new = np.vstack([_edge_rows(tree, X, rng) for tree in mixed])
+    monkeypatch.setattr(trees, "PLAN_NODES", cap)
+    runs = list(trees._runs(mixed))
+    assert [t for run in runs for t in run] == mixed
+    assert all(len(run) == 1 or sum(t.feature.size for t in run) <= cap for run in runs)
+    assert len(runs) > 1
     model = trees.ForestModel(trees=mixed, n_features=3)
     assert np.array_equal(predict_forest(model, X_new), forest_reference(mixed, X_new))
     gbt = GbtModel(base_prediction=0.25, stages=mixed, learning_rate=0.5, n_features=3)
@@ -554,8 +643,8 @@ def test_predict_dispatch_and_dimension_check():
     leaf_only = fit_decision_tree(FIXTURE_X, np.full(4, 2.0), TreeParams())
     assert np.allclose(predict_tree(leaf_only, FIXTURE_X), 2.0)
 
-    forest = fit_random_forest(FIXTURE_X, FIXTURE_Y, TreeParams(max_features="all", seed=0), 3, bootstrap=False)
     single = fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_features="all", seed=0))
+    forest = trees.ForestModel(trees=[single], n_features=1)
     assert np.array_equal(predict_forest(forest, FIXTURE_X), predict_tree(single, FIXTURE_X))
 
     with pytest.raises(DataError):

@@ -7,9 +7,9 @@ import pytest
 from conftest import TINY_GRIDS
 from test_acceptance import REDUCED_GRIDS
 
-from coldstart import tuning
+from coldstart import trees, tuning
 from coldstart.data import ColumnSchema, RawTable
-from coldstart.errors import DataError
+from coldstart.errors import DataError, UndefinedMetricError
 from coldstart.families import (
     DEFAULT_GRIDS,
     DEFAULT_PARAMS,
@@ -28,6 +28,9 @@ from coldstart.tuning import (
     kfold_indices,
     randomized_search,
 )
+from coldstart.pipeline import RunConfig, run_train
+from coldstart.synth import SynthConfig, generate
+from coldstart.util import load_json, mix_seed
 
 
 def numeric_table(X):
@@ -315,3 +318,77 @@ def test_defaults_and_every_checked_in_grid_lie_in_their_domains():
         for family, grid in table.items():
             check_grid(family, grid)
     assert set(tables["SCORING_GRIDS"]) == set(FAMILIES)
+
+
+def _forest_data(n=40, seed=12):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 4))
+    return X, np.exp(X[:, 0] + 0.3 * rng.normal(size=n))
+
+
+def test_forest_candidates_score_out_of_bag_on_prefixes_of_one_fit_per_group(monkeypatch):
+    X, y = _forest_data()
+    fit_seed = 77
+    grid = {"n_estimators": [3, 8, 5], "max_depth": [2, None], "min_samples_split": [4]}
+    fits = []
+    original = trees.fit_random_forest
+
+    def counting(X, y, params, n_estimators):
+        fits.append((params.max_depth, n_estimators))
+        return original(X, y, params, n_estimators)
+
+    monkeypatch.setattr(trees, "fit_random_forest", counting)
+    result = randomized_search("random_forest", grid, n_iter=6, folds=[], seed=3, train=(X, y, fit_seed))
+    # two groups (max_depth 2 and None), each fit once at its largest size
+    assert sorted(fits, key=str) == [(2, 8), (None, 8)]
+    entry = result.to_dict()
+    assert entry["method"] == "oob" and result.method == "oob"
+    assert all(set(c) == {"params", "oob_rows", "mean_score"} for c in entry["candidates"])
+    for c in result.candidates:
+        # a standalone forest of the candidate's size, fit with the fit seed
+        params = resolve_params("random_forest", c["params"])
+        standalone = fit_family("random_forest", params, X, y, seed=fit_seed)
+        ((_, prediction, scored),) = trees.forest_oob(standalone, X, fit_seed, [params["n_estimators"]])
+        assert c["oob_rows"] == int(scored.sum())
+        assert c["mean_score"] == tuning.score_predictions("neg_mape", y[scored], prediction[scored])
+        if c is result.candidates[result.best_index]:
+            assert trees.forest_to_dict(result.model) == trees.forest_to_dict(standalone)
+    scores = [c["mean_score"] for c in result.candidates]
+    assert result.best_index == scores.index(max(scores))
+
+
+def test_forest_search_without_scored_rows_is_undefined():
+    # one training row, drawn by every bootstrap: no tree leaves a row out
+    X, y = np.ones((1, 2)), np.ones(1)
+    with pytest.raises(UndefinedMetricError, match="no training row is out of bag at n_estimators=2"):
+        randomized_search("random_forest", {"n_estimators": [2]}, n_iter=1, folds=[], seed=0, train=(X, y, 0))
+    with pytest.raises(DataError, match="random_forest is searched out of bag and needs the training matrix"):
+        randomized_search("random_forest", {"n_estimators": [2]}, n_iter=1, folds=[], seed=0)
+
+
+def test_run_train_fits_each_forest_group_once_and_never_refits(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    generate(SynthConfig(n_series=8, episodes_min=4, episodes_max=6, seed=2), data)
+    paths = {name: str(data / f"{name}.csv") for name in ("episodes", "credits", "genres", "platform")}
+    grid = {"n_estimators": [4, 9], "min_samples_split": [10], "max_depth": [3, 6]}
+    fits = []
+    original = trees.fit_random_forest
+
+    def counting(X, y, params, n_estimators):
+        fits.append((params.max_depth, n_estimators, params.seed))
+        return original(X, y, params, n_estimators)
+
+    monkeypatch.setattr(trees, "fit_random_forest", counting)
+    config = RunConfig(
+        **paths, out_dir=str(tmp_path / "out"), seed=4, families=["ridge", "random_forest"], n_iter=4,
+        cv_folds=2, grids={"random_forest": grid}, target_transform="log1p", top_k=2,
+    )
+    result = run_train(config)
+    fit_seed = mix_seed(4, 1001)  # the member's fit seed: random_forest is family 1
+    assert sorted(fits) == [(3, 9, fit_seed), (6, 9, fit_seed)]
+    entry = load_json(result["report"])["cv_results"]["random_forest"]
+    assert entry["method"] == "oob" and len(entry["candidates"]) == 4
+    best = entry["candidates"][entry["best_index"]]["params"]
+    member = next(m for m in load_json(result["bundle"])["members"] if m["family"] == "random_forest")
+    assert member["params"] == resolve_params("random_forest", best)
+    assert len(member["model"]["trees"]["sizes"]) == best["n_estimators"]
