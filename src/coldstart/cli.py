@@ -6,6 +6,7 @@ Train accepts a JSON config file plus flag overrides; flags win.
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import DataError
 from .pipeline import RunConfig, run_evaluate, run_predict, run_train, run_verify
@@ -74,23 +75,9 @@ def _train_config(args):
         base = load_json(args.config)
         if not isinstance(base, dict):
             raise DataError(f"{args.config}: config must be a JSON object")
-    overrides = {
-        "episodes": args.episodes,
-        "credits": args.credits,
-        "genres": args.genres,
-        "platform": args.platform,
-        "genre_alias": args.genre_alias,
-        "out_dir": args.out_dir,
-        "seed": args.seed,
-        "test_fraction": args.test_fraction,
-        "reference_date": args.reference_date,
-        "n_iter": args.n_iter,
-        "cv_folds": args.cv_folds,
-        "scheme": args.scheme,
-        "target_transform": args.target_transform,
-    }
-    if args.families:
-        overrides["families"] = [f.strip() for f in args.families.split(",") if f.strip()]
+    # every train flag's dest is its RunConfig field; --families alone is parsed
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    overrides["families"] = [f.strip() for f in args.families.split(",") if f.strip()] if args.families else None
     base.update({k: v for k, v in overrides.items() if v is not None})
     for required in ("episodes", "credits", "genres", "platform", "out_dir"):
         if not base.get(required):

@@ -12,9 +12,9 @@ differ in ``n_estimators`` alone (see tuning).
 DOMAINS holds the one rule for each parameter's values; resolve_params, the
 one place that applies it, checks every fit, grid value and bundle member.
 A bundle member's ``params`` are the one stored copy of its parameters: a
-model dict holds fitted state alone, and from_dict takes the values
-prediction reads (a gbt learning rate, a linear alpha and l1_ratio) from
-those params.
+model dict holds fitted state alone, and from_dict takes the one value
+prediction reads from them, a gbt's learning rate. A linear model holds no
+parameter, since prediction reads none.
 """
 
 import sys
@@ -53,7 +53,7 @@ _LINEAR = Family(
     ),
     predict=lambda model, X: linear.predict_linear(model, X),
     to_dict=linear.linear_to_dict,
-    from_dict=lambda d, p: linear.linear_from_dict(d, p["alpha"], p["l1_ratio"]),
+    from_dict=lambda d, p: linear.linear_from_dict(d),
     trees=None,
     oob=None,
 )

@@ -98,9 +98,11 @@ def _parse_dates(cells):
     return [parsed[c] for c in cells], None
 
 
-def load_csv(path, expected_schema):
+def load_csv(path, expected_schema, optional=()):
     """Read a headered CSV into a RawTable, matching columns by header name.
 
+    The columns of ``optional`` follow those of ``expected_schema`` in the
+    table when the header has them, and are left out when it does not.
     Numeric and target columns parse as float64 arrays of
     finite floats, date cells as ISO-8601 dates, and the rest stay strings.
     Empty cells become missing (NaN in an array, None in a list), as do the
@@ -119,7 +121,8 @@ def load_csv(path, expected_schema):
         for schema in expected_schema:
             if schema.name not in header:
                 raise SchemaError(f"{path}: missing expected header {schema.name!r}")
-        positions = [header.index(schema.name) for schema in expected_schema]
+        schemas = list(expected_schema) + [schema for schema in optional if schema.name in header]
+        positions = [header.index(schema.name) for schema in schemas]
         rows = list(reader)
 
     width = max(positions, default=-1) + 1
@@ -127,7 +130,7 @@ def load_csv(path, expected_schema):
         rows = [row + [""] * (width - len(row)) for row in rows]
     columns = {}
     first_error = None  # (row index, message); a tie keeps the earlier column
-    for schema, pos in zip(expected_schema, positions):
+    for schema, pos in zip(schemas, positions):
         cells = [row[pos].strip() for row in rows]
         if schema.role in NUMERIC_ROLES:
             values, bad = _parse_numeric(cells)
@@ -143,7 +146,7 @@ def load_csv(path, expected_schema):
         columns[schema.name] = values
     if first_error is not None:
         raise DataError(first_error[1])
-    return RawTable(list(expected_schema), columns)
+    return RawTable(schemas, columns)
 
 
 def write_csv(path, schemas, rows):
@@ -190,13 +193,8 @@ def format_length(minutes):
 
 def read_episodes(path):
     """Load episodes.csv with its length parsed to minutes; the views column is optional."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-    extra = (VIEWS_COLUMN,) if VIEWS_COLUMN.name in header else ()
-    table = load_csv(path, EPISODE_CSV_COLUMNS + extra)
+    table = load_csv(path, EPISODE_CSV_COLUMNS, optional=(VIEWS_COLUMN,))
+    extra = (VIEWS_COLUMN,) if VIEWS_COLUMN.name in table.columns else ()
 
     cells = [table.column(s.name) for s in EPISODE_CSV_COLUMNS]
     lengths = cells[-1]  # length is the last CSV column

@@ -15,6 +15,9 @@ a coordinate step costs O(p) rather than O(n). The stopping rule is relative:
 a fit has converged once no sweep moves the intercept or any coefficient by
 more than tol times the largest of |intercept| and |beta_j|, so the same tol
 serves targets near 1 and raw view counts near 10^6.
+
+A LinearModel holds fitted state alone: the alpha and l1_ratio it was fit
+with are its bundle member's params, which prediction does not read.
 """
 
 import warnings
@@ -23,16 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .trees import as_matrix
-from .util import finite_number
+from .util import finite_number, whole_number
 
 
 @dataclass
 class LinearModel:
     coefficients: np.ndarray
     intercept: float
-    alpha: float
-    l1_ratio: float
     converged: bool
     n_iterations: int
 
@@ -52,18 +52,7 @@ def soft_threshold(z, gamma):
     return 0.0
 
 
-def objective(X, y, beta, intercept, alpha, l1_ratio):
-    """The penalized least-squares objective minimized by fit_linear."""
-    X = as_matrix(X)
-    r = y - intercept - X @ beta
-    return (
-        float(r @ r) / (2 * len(y))
-        + alpha * l1_ratio * float(np.sum(np.abs(beta)))
-        + alpha * (1.0 - l1_ratio) / 2.0 * float(beta @ beta)
-    )
-
-
-def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000):
+def fit_linear(X, y, alpha, l1_ratio, tol, max_iter):
     """Cyclic coordinate descent fit with covariance (Gram) updates.
 
     Each sweep updates the intercept to the mean residual, then exactly
@@ -76,9 +65,10 @@ def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000):
     (an all-zero fit therefore stops at once). Hitting ``max_iter`` flags
     converged=False and emits a warning instead of raising. The fit is
     deterministic, so ``max_iter=k`` gives the state after k sweeps.
-    The parameters are taken as given: families.resolve_params checks them.
+    The parameters are taken as given: families.resolve_params checks them
+    and supplies their defaults.
     """
-    X = as_matrix(X)
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != len(y):
         raise DataError(f"misaligned shapes X={X.shape} y={y.shape}")
@@ -132,42 +122,18 @@ def fit_linear(X, y, alpha, l1_ratio, tol=1e-6, max_iter=10000):
     return LinearModel(
         coefficients=np.array(beta),
         intercept=intercept,
-        alpha=float(alpha),
-        l1_ratio=float(l1_ratio),
         converged=converged,
         n_iterations=sweeps,
     )
 
 
 def predict_linear(model, X):
-    X = as_matrix(X)
+    X = np.asarray(X, dtype=float)
     if X.shape[1] != model.n_features:
         raise DataError(
             f"linear model expects {model.n_features} features, got {X.shape[1]}"
         )
     return model.intercept + X @ model.coefficients
-
-
-def kkt_residuals(model, X, y):
-    """Stationarity residuals of a fitted model.
-
-    Returns (zero_excess, active_residual):
-      zero_excess    = max over beta_j == 0 of |g_j| - alpha*l1_ratio (or 0)
-      active_residual = max over beta_j != 0 of |g_j + alpha*l1_ratio*sign(beta_j)|
-    where g_j = -X_j^T (y - yhat)/n + alpha*(1-l1_ratio)*beta_j. Both are ~0
-    at an exact optimum.
-    """
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    r = y - predict_linear(model, X)
-    g = -(X.T @ r) / n + model.alpha * (1.0 - model.l1_ratio) * model.coefficients
-    l1 = model.alpha * model.l1_ratio
-
-    zero = model.coefficients == 0.0
-    zero_excess = np.max(np.abs(g[zero]) - l1, initial=0.0)
-    active_residual = np.max(np.abs(g[~zero] + l1 * np.sign(model.coefficients[~zero])), initial=0.0)
-    return float(zero_excess), float(active_residual)
 
 
 def linear_to_dict(model):
@@ -179,18 +145,15 @@ def linear_to_dict(model):
     }
 
 
-def linear_from_dict(d, alpha, l1_ratio):
-    """Decode a linear model's fitted state; a non-finite coefficient or
-    intercept is a DataError. ``alpha`` and ``l1_ratio`` come from the
-    member's params, which families.resolve_params has checked."""
+def linear_from_dict(d):
+    """Decode a linear model's fitted state; coefficients that are not one
+    list of finite numbers, a non-finite intercept, a ``converged`` that is
+    not a bool or an ``n_iterations`` that is not an int >= 1 is a DataError."""
     coefficients = np.asarray(d["coefficients"], dtype=float)
-    if not np.isfinite(coefficients).all():
-        raise DataError("linear coefficients must be finite numbers")
-    return LinearModel(
-        coefficients=coefficients,
-        intercept=finite_number(d["intercept"], "linear intercept"),
-        alpha=alpha,
-        l1_ratio=l1_ratio,
-        converged=d["converged"],
-        n_iterations=d["n_iterations"],
-    )
+    if coefficients.ndim != 1 or not np.isfinite(coefficients).all():
+        raise DataError("linear coefficients must be a list of finite numbers")
+    intercept = finite_number(d["intercept"], "linear intercept")
+    if type(d["converged"]) is not bool:
+        raise DataError(f"linear converged must be true or false, got {d['converged']!r}")
+    n_iterations = whole_number(d["n_iterations"], "linear n_iterations", 1)
+    return LinearModel(coefficients, intercept, d["converged"], n_iterations)

@@ -19,7 +19,6 @@ the evaluation report, and verify recomputes it from the holdout episodes
 and compares it with the training report exactly.
 """
 
-import csv
 import datetime
 import os
 import warnings
@@ -28,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import plots
-from .data import build_dataset, feature_table, split_indices
+from .data import ColumnSchema, build_dataset, feature_table, split_indices
 from .ensemble import SCHEMES, EnsembleMember, build_bundle, bundle_from_dict, bundle_to_dict, compute_weights
 from .errors import DataError, UndefinedMetricError
 from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, check_grid, fit_family, predict_family, resolve_params
@@ -60,6 +59,14 @@ from .util import config_digest, dump_json, load_json, mix_seed
 REPORT_SCHEMA_VERSION = 1
 
 TARGET_TRANSFORMS = ("none", "log1p")
+
+# the columns of predictions.csv; clamped is 1 where a negative prediction became 0
+PREDICTION_COLUMNS = (
+    ColumnSchema("series_id", "id"),
+    ColumnSchema("episode_id", "id"),
+    ColumnSchema("predicted_views", "numeric"),
+    ColumnSchema("clamped", "numeric"),
+)
 
 
 @dataclass
@@ -466,13 +473,12 @@ def run_predict(bundle_path, episodes_path, credits_path, genres_path, platform_
 
     out_dir = os.path.dirname(os.path.abspath(out_path))
     os.makedirs(out_dir, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id", "episode_id", "predicted_views", "clamped"])
-        # tolist gives Python floats, whose repr the writer emits
-        writer.writerows(
-            zip(table.column("series_id"), table.column("episode_id"), views.tolist(), clamped.astype(int).tolist())
-        )
+    # tolist gives Python floats, which write_csv writes by repr
+    write_csv(
+        out_path,
+        PREDICTION_COLUMNS,
+        zip(table.column("series_id"), table.column("episode_id"), views.tolist(), clamped.astype(int).tolist()),
+    )
     return {"out": out_path, "n_rows": int(len(views)), "n_clamped": int(clamped.sum())}
 
 

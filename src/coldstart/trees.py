@@ -107,9 +107,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import FeatureMatrix
 from .errors import DataError
-from .util import finite_number, mix_seed
+from .util import finite_number, mix_seed, whole_number
 
 MAX_FEATURES_MODES = ("all", "third", "sqrt")
 
@@ -157,14 +156,8 @@ class GbtModel:
     n_features: int
 
 
-def as_matrix(X):
-    if isinstance(X, FeatureMatrix):
-        return X.values
-    return np.asarray(X, dtype=float)
-
-
 def _align(X, y):
-    X = as_matrix(X)
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise DataError(f"misaligned shapes X={X.shape} y={y.shape}")
@@ -361,7 +354,7 @@ def forest_oob(model, X, seed, sizes):
     that every one of the T trees drew has no prediction (0, and False in
     the mask). The sums run once over the largest size's trees.
     """
-    X = as_matrix(X)
+    X = np.asarray(X, dtype=float)
     n = X.shape[0]
     total, count = np.zeros(n), np.zeros(n, dtype=int)
     out = []
@@ -480,7 +473,7 @@ def _runs(trees):
 def _each_tree(trees, X):
     """Yield each tree's predictions for the rows of X, in model order,
     walked through one plan per run of consecutive trees (see _runs)."""
-    X = as_matrix(X)
+    X = np.asarray(X, dtype=float)
     for run in _runs(trees):
         yield from _walk(run, X)
 
@@ -530,7 +523,7 @@ def predict_tree(tree, X):
 
 
 def predict_forest(model, X):
-    X = as_matrix(X)
+    X = np.asarray(X, dtype=float)
     _check_width(X, model.n_features, "forest")
     acc = np.zeros(X.shape[0])
     for pred in _each_tree(model.trees, X):
@@ -539,7 +532,7 @@ def predict_forest(model, X):
 
 
 def predict_gbt(model, X):
-    X = as_matrix(X)
+    X = np.asarray(X, dtype=float)
     _check_width(X, model.n_features, "gbt")
     out = np.full(X.shape[0], model.base_prediction)
     for pred in _each_tree(model.stages, X):
@@ -686,7 +679,7 @@ def forest_from_dict(d):
     forest = trees_from_block(d["trees"])
     if not forest:
         raise DataError("a forest needs at least one tree")
-    return ForestModel(trees=forest, n_features=d["n_features"])
+    return ForestModel(trees=forest, n_features=whole_number(d["n_features"], "forest n_features", 0))
 
 
 def gbt_to_dict(model):
@@ -703,7 +696,7 @@ def gbt_from_dict(d, learning_rate):
         base_prediction=finite_number(d["base_prediction"], "gbt base_prediction"),
         stages=trees_from_block(d["trees"]),
         learning_rate=learning_rate,
-        n_features=d["n_features"],
+        n_features=whole_number(d["n_features"], "gbt n_features", 0),
     )
 
 

@@ -2,9 +2,10 @@
 hyperparameter search.
 
 Search candidates are drawn without replacement from the grid's cartesian
-product; every evaluation seed derives deterministically from the search
-seed, so identical inputs always reproduce the same candidate sequence,
-scores, and winner.
+product and scored by their family's metric in families.DEFAULT_SCORING;
+every evaluation seed derives deterministically from the search seed, so
+identical inputs always reproduce the same candidate sequence, scores, and
+winner.
 
 A family searched by CV is scored on the matrices of fold_matrices, which
 fits the preprocessor inside each fold's training complement, so no
@@ -158,7 +159,7 @@ def _rank(score, index):
     return -score, index
 
 
-def randomized_search(family, grid, n_iter, folds, seed, scoring=None, train=None):
+def randomized_search(family, grid, n_iter, folds, seed, train=None):
     """Sample up to n_iter distinct grid assignments and rank them by score.
 
     A family whose table entry has no ``oob`` is scored by CV on ``folds``,
@@ -166,15 +167,15 @@ def randomized_search(family, grid, n_iter, folds, seed, scoring=None, train=Non
     candidate. A family with one is scored out of bag on ``train``, the
     tuple (X, y, fit_seed) of the full training matrix, its targets and the
     seed of the member's fit, and the result holds the winner's model.
-    ``seed`` drives the candidate draw and the CV fit seeds. Ties in score
-    go to the earliest sampled candidate.
+    ``seed`` drives the candidate draw and the CV fit seeds. Candidates are
+    scored by the family's DEFAULT_SCORING; ties in score go to the earliest
+    sampled candidate.
     """
     if n_iter < 1:
         raise DataError("n_iter must be >= 1")
     oob = families.check_family(family).oob
     families.check_grid(family, grid)
-    if scoring is None:
-        scoring = families.DEFAULT_SCORING[family]
+    scoring = families.DEFAULT_SCORING[family]
 
     combos = enumerate_grid(grid)
     m = min(n_iter, len(combos))

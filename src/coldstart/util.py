@@ -78,6 +78,13 @@ def finite_number(value, what):
     return value
 
 
+def whole_number(value, what, minimum):
+    """``value`` if it is an int (not a bool) of at least ``minimum``, else a DataError."""
+    if type(value) is not int or value < minimum:
+        raise DataError(f"{what} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
 def config_digest(obj):
     """Stable sha256 hex digest of a JSON-serializable config."""
     canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -16,7 +16,7 @@ import pytest
 
 from coldstart.data import ColumnSchema, RawTable, build_dataset, split_indices
 from coldstart.ingest import build_model_table
-from coldstart.linear import fit_linear, kkt_residuals
+from coldstart.linear import fit_linear
 from coldstart.metrics import error_buckets, mape, pearson, permutation_importance, r2, smape
 from coldstart.pipeline import (
     RunConfig,
@@ -30,6 +30,7 @@ from coldstart.preprocess import fit_preprocessor, transform
 from coldstart.synth import SynthConfig, generate
 from coldstart.trees import TreeParams, best_split, fit_gbt, fit_random_forest, predict_forest, predict_gbt
 from coldstart.tuning import cross_validate_pipeline, kfold_indices
+from linear_oracles import kkt_residuals
 
 A2_SEEDS = (1, 2, 3, 4, 5)
 
@@ -196,7 +197,7 @@ def test_a4_lasso_kkt_and_ridge_closed_form():
         model = fit_linear(X, y, alpha=alpha, l1_ratio=l1_ratio, tol=1e-6, max_iter=50000)
         if not model.converged:
             continue
-        zero_excess, active_residual = kkt_residuals(model, X, y)
+        zero_excess, active_residual = kkt_residuals(model, X, y, alpha, l1_ratio)
         # zero coords: |g_j| <= alpha*l1_ratio + 1e-5  (excess over the bound)
         assert zero_excess <= 1e-5
         assert active_residual <= 1e-4

@@ -11,6 +11,7 @@ import pytest
 from coldstart.cli import main
 from coldstart.ensemble import bundle_from_dict, bundle_to_dict
 from coldstart.errors import DataError
+from coldstart.families import DEFAULT_PARAMS
 from coldstart.pipeline import RunConfig, _json_kind, load_bundle, run_evaluate, run_predict, run_train, run_verify
 from coldstart.synth import SynthConfig, generate
 from coldstart.trees import trees_from_block
@@ -663,6 +664,44 @@ def _truncated_episodes(tiny_run):
     return ("".join(lines[:3]) + lines[3][: lines[3].index(",") + 3]).encode("utf-8")
 
 
+def _forest_member(doc):
+    """The bundle's gbt member, turned into a random forest of the same trees."""
+    member = _member(doc, "gbt")
+    member.update(family="random_forest", params=dict(DEFAULT_PARAMS["random_forest"]))
+    member["model"].pop("base_prediction")
+    return member
+
+
+def _model_field(family, name, value):
+    """Content maker: the tiny run's bundle with field ``name`` of the first
+    ``family`` member's model set to ``value(its old value)``."""
+
+    def edit(doc):
+        member = _forest_member(doc) if family == "random_forest" else _member(doc, family)
+        member["model"][name] = value(member["model"][name])
+
+    return _edited("bundle", edit)
+
+
+# fitted state the decoders check: case -> (family, field, new value from
+# the old one); each is a DataError that names the field, so a forest row
+# does not pass on an error in the turned member itself
+BAD_MODEL_FIELDS = {
+    "bundle_forest_n_features_string": ("random_forest", "n_features", str),
+    "bundle_forest_n_features_float": ("random_forest", "n_features", float),
+    "bundle_gbt_n_features_string": ("gbt", "n_features", str),
+    "bundle_gbt_n_features_float": ("gbt", "n_features", float),
+    "bundle_gbt_n_features_negative": ("gbt", "n_features", lambda v: -1),
+    "bundle_linear_converged_int": ("lasso", "converged", int),
+    "bundle_linear_converged_string": ("lasso", "converged", lambda v: str(v).lower()),
+    "bundle_linear_n_iterations_float": ("lasso", "n_iterations", float),
+    "bundle_linear_n_iterations_zero": ("lasso", "n_iterations", lambda v: 0),
+    "bundle_linear_n_iterations_bool": ("lasso", "n_iterations", lambda v: True),
+    # a column of coefficients would predict one row of views per episode
+    "bundle_linear_coefficients_nested": ("lasso", "coefficients", lambda v: [[c] for c in v]),
+}
+
+
 # case -> (key path verify names, edit): a well-formed report that the bundle
 # does not reproduce, so verify exits 4; "{member}" is the first selected family
 TAMPERED_REPORTS = {
@@ -801,6 +840,7 @@ BAD_INPUTS = {
     "bundle_linear_model_alpha_negative": (
         "bundle", _edited("bundle", lambda d: _member(d, "lasso")["params"].update(alpha=-1.0))
     ),
+    **{case: ("bundle", _model_field(*spec)) for case, spec in BAD_MODEL_FIELDS.items()},
     "bundle_member_weight_nan": ("bundle", _bundle_number(lambda d: (d["members"][0], "weight"), "NaN")),
     # an int no float can hold, which must not overflow on its way to the check
     "bundle_member_weight_401_digits": (
@@ -903,6 +943,8 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
         assert f"MISMATCH {path}: " in err
     elif kind in ("bundle", "config"):
         assert code == 3, err  # a bad bundle or config is bad data, never a usage error
+        if case in BAD_MODEL_FIELDS:
+            assert f" {BAD_MODEL_FIELDS[case][1]} must be " in err
         if case.startswith("bundle_schema_version"):
             assert "retrain" in err
     else:

@@ -32,8 +32,6 @@ def constant_member(value, validation_mape=1.0, weight=0.0, n_features=1):
         model=LinearModel(
             coefficients=np.zeros(n_features),
             intercept=float(value),
-            alpha=0.0,
-            l1_ratio=0.0,
             converged=True,
             n_iterations=1,
         ),
@@ -142,7 +140,7 @@ def test_prediction_within_member_envelope():
     for error in [5.0, 7.0, 11.0]:
         coef = rng.normal(size=2)
         models.append(
-            EnsembleMember("ridge", {}, LinearModel(coef, float(rng.normal()), 0.0, 0.0, True, 1), error)
+            EnsembleMember("ridge", {}, LinearModel(coef, float(rng.normal()), True, 1), error)
         )
     bundle = build_bundle(models, PREP)
     # members are combined after clamping negative views to zero

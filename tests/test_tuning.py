@@ -10,6 +10,7 @@ from test_acceptance import REDUCED_GRIDS
 from coldstart import trees, tuning
 from coldstart.data import ColumnSchema, RawTable
 from coldstart.errors import DataError, UndefinedMetricError
+from coldstart.linear import fit_linear
 from coldstart.families import (
     DEFAULT_GRIDS,
     DEFAULT_PARAMS,
@@ -166,8 +167,8 @@ def test_search_determinism_and_winner_is_max():
     y = X @ np.array([1.0, 0.0, -1.0]) + rng.normal(scale=0.2, size=40)
     grid = {"alpha": [0.001, 0.01, 0.1, 1.0, 10.0]}
     folds = cv_folds(X, y, 5, 42)
-    a = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42, scoring="r2")
-    b = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42, scoring="r2")
+    a = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42)
+    b = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42)
     assert a.to_dict() == b.to_dict()
     assert len(a.candidates) == 3
     best_mean = a.candidates[a.best_index]["mean_score"]
@@ -179,7 +180,7 @@ def test_search_tie_goes_to_earliest_sampled():
     y = np.array([1.0, 1.0, 1.0, 1.0])
     # constant target: every candidate scores identically under neg_mape
     grid = {"max_depth": [2, 3, 4]}
-    result = randomized_search("decision_tree", grid, n_iter=3, folds=cv_folds(X, y, 2, 1), seed=1, scoring="neg_mape")
+    result = randomized_search("decision_tree", grid, n_iter=3, folds=cv_folds(X, y, 2, 1), seed=1)
     assert result.best_index == 0
 
 
@@ -190,7 +191,7 @@ def test_search_on_raw_table_runs_pipeline_mode():
     table = RawTable([ColumnSchema("x", "numeric")], {"x": values})
     y = values * 3.0 + 5.0 + rng.normal(scale=0.1, size=n)
     folds = fold_matrices(table, y, kfold_indices(n, 5, 42))
-    result = randomized_search("ridge", {"alpha": [0.001, 1.0]}, n_iter=4, folds=folds, seed=42, scoring="r2")
+    result = randomized_search("ridge", {"alpha": [0.001, 1.0]}, n_iter=4, folds=folds, seed=42)
     assert len(result.candidates) == 2
     assert result.best_params["alpha"] == 0.001
     assert result.candidates[result.best_index]["mean_score"] > 0.9
@@ -249,7 +250,11 @@ def test_every_family_fits_from_its_defaults_alone(family):
     model = fit_family(family, {}, X, y)
     assert np.all(np.isfinite(predict_family(family, model, X)))
     if "l1_ratio" in DEFAULT_PARAMS[family]:
-        assert model.l1_ratio == DEFAULT_PARAMS[family]["l1_ratio"]
+        # the linear fit has no defaults of its own: DEFAULT_PARAMS holds each one
+        want = fit_linear(X, y, **DEFAULT_PARAMS[family])
+        assert model.coefficients.tobytes() == want.coefficients.tobytes()
+        state = (model.intercept, model.converged, model.n_iterations)
+        assert state == (want.intercept, want.converged, want.n_iterations)
 
 
 def test_unknown_family_or_parameter_name_is_named():
