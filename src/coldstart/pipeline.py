@@ -100,6 +100,8 @@ class RunConfig:
             if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
                 raise DataError(f"config grids[{family!r}] must map parameter names to lists of values")
             check_grid(family, grid)  # an unknown name, an empty list or a value outside its domain fails here
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.n_iter < 1:
             raise DataError(f"n_iter must be >= 1, got {self.n_iter}")
         if self.cv_folds < 2:  # a count above the training rows is known only once they are read

@@ -58,8 +58,13 @@ class SynthConfig:
             raise DataError("n_series must be >= 1")
         if not 1 <= self.episodes_min <= self.episodes_max:
             raise DataError("need 1 <= episodes_min <= episodes_max")
-        if self.noise_sigma < 0:
-            raise DataError("noise_sigma must be >= 0")
+        # the latest release a series can have: premiere day 364, then weekly episodes
+        if 364 + 7 * (self.episodes_max - 1) > (datetime.date.max - FIRST_RELEASE).days:
+            raise DataError(f"episodes_max {self.episodes_max} puts release dates past {datetime.date.max}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise DataError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
 
     def to_dict(self):
         return {

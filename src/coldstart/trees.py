@@ -96,10 +96,17 @@ subsets from ``default_rng(mix_seed(s, t))``, which ``_bootstrap`` builds
 for both the fit and ``forest_oob``. So a forest's first T trees are the
 T-tree forest bit for bit, and a row's out-of-bag trees can be found again
 without storing the draws (Breiman 2001, "Random forests", Machine
-Learning 45).
+Learning 45). The bootstrap rows are the generator's first draw. Under
+"third" or "sqrt" the feature subsets follow, ``SUBSET_BLOCK`` nodes at a
+time: the first splittable node draws a block of rows of uniforms, one row
+per node, and each node in preorder takes the next row's argsort, cut to
+its first m columns and sorted; a new block is drawn once one is used up.
+So a block costs one generator call, where ``Generator.choice`` makes
+several numpy calls for each node. Under "all" nothing is drawn.
 """
 
 import base64
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, fields
@@ -115,6 +122,9 @@ MAX_FEATURES_MODES = ("all", "third", "sqrt")
 # the most nodes one prediction plan holds: building a plan peaks near 184
 # bytes a node, so ~12 MB at the cap
 PLAN_NODES = 1 << 16
+
+# feature subsets a tree draws at once, one row of uniforms each (see _subsets)
+SUBSET_BLOCK = 64
 
 
 @dataclass
@@ -263,11 +273,19 @@ def best_split(X, y, feature_subset=None):
     return feature, threshold, best_delta
 
 
-def _feature_subset(p, mode, rng):
+def _subsets(p, mode, rng):
+    """One tree's per-node feature subsets, drawn from its generator ``rng``
+    in the order its splittable nodes ask for them. Under "all" each node
+    searches every column and nothing is drawn. Otherwise a subset is the
+    first m columns (m = p // 3 for "third", int(sqrt(p)) for "sqrt", at
+    least 1) of the argsort of a row of p uniforms, sorted: a uniform
+    m-subset. Rows come ``SUBSET_BLOCK`` at a time, the first block when
+    the first node asks, the next once that one is used up."""
     if mode == "all":
-        return None
+        yield from itertools.repeat(None)
     m = max(1, p // 3 if mode == "third" else int(math.sqrt(p)))
-    return rng.choice(p, size=m, replace=False)
+    while True:
+        yield from np.sort(rng.random((SUBSET_BLOCK, p)).argsort(axis=1)[:, :m], axis=1)
 
 
 def _grow(columns, keys, y, params, rng, rows, fitted=None):
@@ -282,6 +300,7 @@ def _grow(columns, keys, y, params, rng, rows, fitted=None):
     arrays = feature, threshold, right, value, n_samples, decrease = tuple([] for _ in TREE_ARRAYS)
     mask = (1 << _key_shift(keys.shape[1])) - 1
     positions = np.arange(len(rows), dtype=keys.dtype)
+    subsets = _subsets(columns.shape[0], params.max_features, rng)
     stack = [(rows, 0, -1)]  # rows, depth, parent of a right child
     while stack:
         rows, depth, parent = stack.pop()
@@ -293,8 +312,7 @@ def _grow(columns, keys, y, params, rng, rows, fitted=None):
         mean = float(np.add.reduce(yn)) / n  # the same float as yn.mean()
         found = None
         if (params.max_depth is None or depth < params.max_depth) and n >= params.min_samples_split:
-            subset = _feature_subset(columns.shape[0], params.max_features, rng)
-            found = best_split(RankedRows(columns, keys, rows, mean, positions, mask), yn, subset)
+            found = best_split(RankedRows(columns, keys, rows, mean, positions, mask), yn, next(subsets))
         fi, split, gain = found or (-1, 0.0, 0.0)
         feature.append(fi)
         threshold.append(split)
@@ -323,7 +341,8 @@ def fit_decision_tree(X, y, params):
 def _bootstrap(seed, t, n):
     """Tree t's generator, seeded with mix_seed(seed, t), and its bootstrap
     rows: n draws with replacement from 0..n-1, the generator's first draw.
-    The generator then draws the tree's per-node feature subsets."""
+    The grower then draws the tree's per-node feature subsets from it, in
+    blocks of ``SUBSET_BLOCK`` rows of uniforms (see _subsets)."""
     rng = np.random.default_rng(mix_seed(seed, t))
     return rng, rng.integers(0, n, size=n)
 

@@ -47,6 +47,24 @@ def test_synth_invalid_noise_sigma_names_flag(tmp_path, capsys):
     assert "noise_sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--noise-sigma", "nan"], "noise_sigma must be a finite number >= 0, got nan"),
+        (["--noise-sigma", "inf"], "noise_sigma must be a finite number >= 0, got inf"),
+        # checked before any draw: generating would take ~400k episodes before the dates overflow
+        (["--episodes-max", "1000000000000"], "episodes_max 1000000000000 puts release dates past 9999-12-31"),
+    ],
+)
+def test_synth_bad_config_exits_3_before_writing(flags, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("synth", "--out", str(out), "--series", "2", *flags) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run_cli() == 2
     assert run_cli("train") == 2  # no inputs given
@@ -763,6 +781,7 @@ BAD_RUN_SETTINGS = {
     "test_fraction_one": ({"test_fraction": 1}, "test_fraction must be in (0, 1), got 1"),
     "test_fraction_negative": ({"test_fraction": -0.2}, "test_fraction must be in (0, 1), got -0.2"),
     "test_fraction_above_one": ({"test_fraction": 1.5}, "test_fraction must be in (0, 1), got 1.5"),
+    "seed_negative": ({"seed": -1}, "seed must be >= 0, got -1"),
 }
 
 
@@ -786,6 +805,7 @@ BAD_INPUTS = {
     "config_not_an_object": ("config", lambda run: b"[1, 2, 3]"),
     "config_test_fraction_string": ("config", _config(test_fraction="0.2")),
     "config_seed_float": ("config", _config(seed=1.5)),
+    "config_seed_negative": ("config", _config(seed=-1)),
     "config_importance_repeats_string": ("config", _config(importance_repeats="1")),
     "config_importance_repeats_zero": ("config", _config(importance_repeats=0)),
     "config_importance_repeats_1001": ("config", _config(importance_repeats=1001)),

@@ -1,3 +1,4 @@
+import datetime
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from coldstart.errors import DataError
 from coldstart.ingest import build_model_table, consolidate_metadata, derive_date_features
 from coldstart.metrics import mape, pearson
 from coldstart.pipeline import load_inputs
-from coldstart.synth import GroundTruth, SynthConfig, generate
+from coldstart.synth import FIRST_RELEASE, GroundTruth, SynthConfig, generate
 from coldstart.trees import TreeParams, fit_decision_tree, predict_tree
 
 
@@ -50,6 +51,18 @@ def test_synth_files_match_golden_digests(tmp_path):
     paths = generate(SynthConfig(n_series=8, seed=11), tmp_path)
     digests = {key: hashlib.sha256(open(path, "rb").read()).hexdigest() for key, path in paths.items()}
     assert digests == SYNTH_GOLDEN
+
+
+def test_episodes_max_is_capped_where_release_dates_end():
+    # series premiere on day 0..364 after FIRST_RELEASE, then one episode a week
+    last_day = (datetime.date.max - FIRST_RELEASE).days
+    cap = (last_day - 364) // 7 + 1
+    SynthConfig(episodes_max=cap)
+    assert FIRST_RELEASE + datetime.timedelta(days=364 + 7 * (cap - 1)) <= datetime.date.max
+    with pytest.raises(DataError, match=f"episodes_max {cap + 1} puts release dates past"):
+        SynthConfig(episodes_max=cap + 1)
+    with pytest.raises(OverflowError):
+        FIRST_RELEASE + datetime.timedelta(days=364 + 7 * cap)
 
 
 def test_different_seed_differs(tmp_path):

@@ -97,8 +97,11 @@ def float_split(X, y, feature_subset):
 def float_grow(columns, keys, y, params, rng, rows, fitted=None):
     """Reference grower with ``_grow``'s signature that ignores the rank
     keys, searches each node's float rows with ``float_split`` and fills
-    ``fitted`` by walking the finished tree with ``predict_tree``."""
+    ``fitted`` by walking the finished tree with ``predict_tree``. Its
+    splittable nodes take their feature subsets from the grower's own
+    stream, so both search the same columns at every node."""
     X, sample = columns.T, rows
+    subsets = trees._subsets(X.shape[1], params.max_features, rng)
     nodes = {name: [] for name in TREE_ARRAYS}
     stack = [(rows, 0, -1)]
     while stack:
@@ -109,7 +112,7 @@ def float_grow(columns, keys, y, params, rng, rows, fitted=None):
         Xn, yn = X[rows], y[rows]
         found = None
         if (params.max_depth is None or depth < params.max_depth) and len(rows) >= params.min_samples_split:
-            found = float_split(Xn, yn, trees._feature_subset(X.shape[1], params.max_features, rng))
+            found = float_split(Xn, yn, next(subsets))
         fi, threshold, decrease = found or (-1, 0.0, 0.0)
         for name, v in zip(TREE_ARRAYS, (fi, threshold, -1, float(yn.mean()), len(rows), decrease)):
             nodes[name].append(v)
@@ -182,6 +185,41 @@ def test_rank_coded_growth_matches_float_growth(monkeypatch):
     monkeypatch.setattr(trees, "_grow", float_grow)
     for fit, trees_got in zip(fits, got):
         assert_same_trees(trees_got, fit())
+
+
+@pytest.mark.parametrize("mode, m", [("third", 13), ("sqrt", 6)])
+def test_subset_stream_draws_uniform_sorted_subsets(mode, m):
+    subsets = trees._subsets(40, mode, np.random.default_rng(41))
+    drawn = np.array([next(subsets) for _ in range(64_000)])
+    assert drawn.shape == (64_000, m) and drawn.min() >= 0 and drawn.max() < 40
+    assert (np.diff(drawn, axis=1) > 0).all()  # sorted, so distinct
+    # each feature is in a subset with probability m / 40, independently per draw
+    counts = np.bincount(drawn.ravel(), minlength=40)
+    mean, sd = 64_000 * m / 40, np.sqrt(64_000 * m / 40 * (1 - m / 40))
+    assert np.abs(counts - mean).max() < 5 * sd
+
+
+def test_all_features_draw_nothing_from_the_tree_generator():
+    rng = np.random.default_rng(12)
+    X, y = rng.normal(size=(60, 5)), rng.normal(size=60)
+    grower = np.random.default_rng(3)
+    before = grower.bit_generator.state
+    tree = trees._grow(np.ascontiguousarray(X.T), trees.rank_code(X), y, TreeParams(), grower, np.arange(60))
+    assert (tree.feature >= 0).sum() > 10
+    assert grower.bit_generator.state == before
+
+
+@pytest.mark.parametrize("mode", ["third", "sqrt"])
+def test_growth_crossing_a_subset_block_matches_float_growth(mode, monkeypatch):
+    rng = np.random.default_rng(77)
+    X = tied_matrix(rng, 400, 12)
+    y = X[:, 0] + np.sin(3.0 * X[:, 2]) + rng.normal(size=400)
+    params = TreeParams(min_samples_split=2, max_features=mode, seed=5)
+    got = fit_decision_tree(X, y, params)
+    # with no depth cap, every node of at least min_samples_split rows drew a subset
+    assert (got.n_samples >= params.min_samples_split).sum() > 2 * trees.SUBSET_BLOCK
+    monkeypatch.setattr(trees, "_grow", float_grow)
+    assert_same_trees([got], [fit_decision_tree(X, y, params)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
