@@ -16,7 +16,10 @@ from .util import finite_number
 
 SCHEMES = ("inverse_error", "equal")
 
-BUNDLE_SCHEMA_VERSION = 7
+# the target scales a model may be fit on; its predictions are inverted to views
+TARGET_TRANSFORMS = ("none", "log1p")
+
+BUNDLE_SCHEMA_VERSION = 8
 
 
 @dataclass
@@ -136,12 +139,17 @@ def bundle_from_dict(d):
     version = d.get("schema_version")
     if version != BUNDLE_SCHEMA_VERSION:
         raise DataError(f"bundle schema version {version!r} is not {BUNDLE_SCHEMA_VERSION}; retrain the bundle")
+    # of meta, prediction reads target_transform, checked here, and reference_date,
+    # checked when scoring; the other fields record where the bundle came from
+    meta = d.get("meta")
+    if not isinstance(meta, dict) or meta.get("target_transform") not in TARGET_TRANSFORMS:
+        raise DataError(f"bundle meta must be an object whose target_transform is one of {TARGET_TRANSFORMS}")
     try:
         return EnsembleBundle(
             members=[_member_from_dict(i, m) for i, m in enumerate(d["members"])],
             preprocessor=preprocessor_from_dict(d["preprocessor"]),
             scheme=d["scheme"],
-            meta=dict(d.get("meta", {})),
+            meta=dict(meta),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"malformed bundle: {type(exc).__name__}: {exc}") from exc

@@ -28,7 +28,15 @@ import numpy as np
 
 from . import plots
 from .data import ColumnSchema, build_dataset, feature_table, split_indices
-from .ensemble import SCHEMES, EnsembleMember, build_bundle, bundle_from_dict, bundle_to_dict, compute_weights
+from .ensemble import (
+    SCHEMES,
+    TARGET_TRANSFORMS,
+    EnsembleMember,
+    build_bundle,
+    bundle_from_dict,
+    bundle_to_dict,
+    compute_weights,
+)
 from .errors import DataError, UndefinedMetricError
 from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, check_grid, fit_family, predict_family, resolve_params
 from .ingest import (
@@ -57,8 +65,6 @@ from .tuning import fold_matrices, kfold_indices, randomized_search
 from .util import config_digest, dump_json, load_json, mix_seed
 
 REPORT_SCHEMA_VERSION = 1
-
-TARGET_TRANSFORMS = ("none", "log1p")
 
 # the columns of predictions.csv; clamped is 1 where a negative prediction became 0
 PREDICTION_COLUMNS = (
@@ -181,8 +187,7 @@ def _fold_views(members, member_results):
 
 def bundle_member_views(bundle, X):
     """member_views of each bundle member on X, in member order."""
-    mode = bundle.meta.get("target_transform", "none")
-    return [member_views(m, X, mode) for m in bundle.members]
+    return [member_views(m, X, bundle.meta["target_transform"]) for m in bundle.members]
 
 
 def predict_views(bundle, X):

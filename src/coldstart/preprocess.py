@@ -188,6 +188,13 @@ def _role_pair(pair, what):
     return name, role
 
 
+def _std(value, what):
+    """A stored std: finite and >= 0; 0 is what a fit writes for a constant column."""
+    if finite_number(value, what) < 0:
+        raise DataError(f"{what} must be >= 0, got {value!r}")
+    return value
+
+
 def preprocessor_from_dict(d):
     """Decode a preprocessor; an ill-typed value or unknown name is a DataError.
 
@@ -200,7 +207,7 @@ def preprocessor_from_dict(d):
                 name=_string(c["name"], f"numeric[{i}].name"),
                 impute_value=finite_number(c["impute_value"], f"preprocessor numeric[{i}].impute_value"),
                 mean=finite_number(c["mean"], f"preprocessor numeric[{i}].mean"),
-                std=finite_number(c["std"], f"preprocessor numeric[{i}].std"),
+                std=_std(c["std"], f"preprocessor numeric[{i}].std"),
             )
             for i, c in enumerate(d["numeric"])
         ],

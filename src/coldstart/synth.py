@@ -44,6 +44,10 @@ GENRE_SOURCES = ("imdb", "rotten", "fandango")
 
 FIRST_RELEASE = datetime.date(2015, 10, 1)
 
+# the largest noise_sigma: exp of a normal draw overflows past 709, a draw
+# of ~70 sigma here, so neither the noise nor a view can become inf
+NOISE_SIGMA_MAX = 10.0
+
 
 @dataclass
 class SynthConfig:
@@ -65,6 +69,8 @@ class SynthConfig:
             raise DataError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise DataError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
+        if self.noise_sigma > NOISE_SIGMA_MAX:
+            raise DataError(f"noise_sigma must be at most {NOISE_SIGMA_MAX}, got {self.noise_sigma}")
 
     def to_dict(self):
         return {

@@ -20,19 +20,24 @@ sends rows with ``x[feature] <= threshold`` to node i + 1 and the rest to
 count and ``impurity_decrease`` the delta of its split (0 at a leaf).
 
 A bundle stores each model's trees as one packed block: the node count of
-each tree, and four arrays over the nodes in preorder, trees in model
+each tree, and three arrays over the nodes in preorder, trees in model
 order, each stored as fixed little-endian bytes, deflated by zlib at its
 default level and base64-encoded. They hold only what prediction reads:
-``feature`` for every node, ``right`` and ``threshold`` for each internal
-node, and ``value`` for each leaf. The decoder reads the node count from
-``sizes`` first and inflates ``feature`` to exactly that many entries, then
-the other arrays to the internal-node and leaf counts that ``feature``
-gives, before any wider copy of ``feature``; no inflate writes more than
-one byte past the entries it expects, so a small stream that claims to
-hold more cannot make a large array. Each array is then one
-``np.frombuffer``, and the checks run on whole arrays. ``n_samples`` and
-``impurity_decrease`` feed impurity importance only, which runs on the
-fitted trees in memory; a decoded tree holds None for them.
+``feature`` for every node, ``threshold`` for each internal node and
+``value`` for each leaf. No ``right`` is stored: a full binary tree in
+preorder is fixed by its leaf flags (Jacobson 1989, FOCS). With +1 for an
+internal node and -1 for a leaf, the sum before each node of a tree is at
+least 0 and the sum after its last node is -1 (the shape rule); a right
+child is the next node of its tree with its parent's sum before it. The
+decoder reads the node count from ``sizes`` first and inflates ``feature``
+to exactly that many entries, then the other arrays to the internal-node
+and leaf counts that ``feature`` gives, before any wider copy of
+``feature``; no inflate writes more than one byte past the entries it
+expects, so a small stream that claims to hold more cannot make a large
+array. Each array is then one ``np.frombuffer``, and the checks run on
+whole arrays. ``n_samples`` and ``impurity_decrease`` feed impurity
+importance only, which runs on the fitted trees in memory; a decoded tree
+holds None for them.
 
 Split search works on rank codes, not on the float values. Each fit codes
 every column of X once, by ``rank_code``: a value's code is the number of
@@ -574,7 +579,6 @@ def impurity_by_feature(trees, n_features):
 # nodes it holds an entry for (internal nodes or leaves; None for every node)
 BLOCK_ARRAYS = (
     ("feature", "<i4", None),
-    ("right", "<i4", True),
     ("threshold", "<f8", True),
     ("value", "<f8", False),
 )
@@ -615,10 +619,10 @@ def _unpack(text, name, dtype, count, held_by):
 
 def trees_to_block(trees):
     """The trees as one packed block: ``sizes`` (each tree's node count) and
-    four deflated base64 arrays of the nodes in preorder, trees in order,
-    holding what prediction reads: ``feature`` per node (-1 at a leaf),
-    ``right`` (tree-local id) and ``threshold`` per internal node, ``value``
-    per leaf."""
+    three deflated base64 arrays of the nodes in preorder, trees in order,
+    holding what prediction reads and the leaf flags cannot give:
+    ``feature`` per node (-1 at a leaf), ``threshold`` per internal node,
+    ``value`` per leaf."""
     internal = np.concatenate([np.empty(0, dtype=bool)] + [t.feature >= 0 for t in trees])
     block = {"sizes": [int(t.feature.size) for t in trees]}
     for name, dtype, at_internal in BLOCK_ARRAYS:
@@ -631,13 +635,12 @@ def trees_from_block(block):
     """Decode a packed block into its trees, each a view into the block's
     arrays, rejecting what predict_tree could not walk to a leaf: arrays
     that do not inflate to the counts that ``sizes`` and ``feature`` give,
-    an internal last node, a right child that does not come after its left
-    sibling, a node that is not the child of exactly one node, and
-    non-finite numbers. Entries the block does not hold (``right`` and
-    ``threshold`` at a leaf, ``value`` at an internal node) are 0; the
+    non-finite numbers, and leaf flags that break the shape rule, from
+    which ``right`` is rebuilt. Entries the block does not hold (``right``
+    and ``threshold`` at a leaf, ``value`` at an internal node) are 0; the
     split statistics are None."""
     sizes = block["sizes"]
-    # a tree-local right id is an <i4, so no tree holds 2**31 nodes
+    # sizes below 2**31 keep the inflate's byte counts (8 a node) within zlib's C ssize_t
     if not isinstance(sizes, list) or not all(type(s) is int and 1 <= s < 2**31 for s in sizes):
         raise DataError("tree block 'sizes' must be a list of positive integers below 2**31")
     n = sum(sizes)
@@ -653,37 +656,32 @@ def trees_from_block(block):
             raise DataError(f"tree block {name!r} must hold finite numbers")
     feature = feature.astype(np.int64)
     internal = feature >= 0
-    parent = np.flatnonzero(internal)
 
     sizes = np.array(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    tree_of = np.searchsorted(ends, parent, side="right")  # each internal node's tree
-    end = ends[tree_of]
-    last = parent + 1 >= end
-    if last.any():
-        t = int(tree_of[last.argmax()])
-        raise DataError(f"tree {t} node {sizes[t] - 1} is internal but has no next node for its left child")
-    right = packed["right"].astype(np.int64)
-    child = right + starts[tree_of]
-    outside = (child <= parent + 1) | (child >= end)
-    if outside.any():
-        t = int(tree_of[outside.argmax()])
-        raise DataError(f"tree {t} has a right child outside (left child, {sizes[t]})")
-    # children lie after their parent in its tree, so a tree's first node is
-    # no node's child; every other node must be the child of exactly one
-    # node, or it is shared by two paths or on none
-    parents = np.bincount(np.concatenate([parent + 1, child]), minlength=n)
-    parents[starts] = 1
-    wrong = np.flatnonzero(parents != 1)
-    if wrong.size:
-        k = int(wrong[0])
-        t = int(np.searchsorted(ends, k, side="right"))
-        raise DataError(f"tree {t} node {k - starts[t]} is the child of {parents[k]} nodes, not of one")
+    tree_of = np.repeat(np.arange(sizes.size), sizes)
+    # the shape rule: a tree's sum after a node first falls below 0 at its last node
+    step = np.where(internal, 1, -1)
+    after = np.cumsum(step)
+    after -= np.repeat(after[starts] - step[starts], sizes)
+    wrong = after < 0
+    wrong[ends - 1] ^= True
+    if wrong.any():
+        k = int(wrong.argmax())
+        t = int(tree_of[k])
+        shape = "leave it open at its last node" if k == ends[t] - 1 else f"close it at node {k - starts[t]}"
+        raise DataError(f"tree {t} of {sizes[t]} nodes breaks the shape rule: its leaf flags {shape}")
+    # a right child is its parent's successor in a stable sort by the sum
+    # before each node, which numpy radix-sorts once cast to 16 bits or fewer
+    before = after - step
+    order = np.argsort(before.astype(np.min_scalar_type(before.max(initial=0))), kind="stable")
+    successor = np.empty(n, dtype=np.int64)
+    successor[order[:-1]] = order[1:]
 
     arrays = {"feature": feature, "right": np.zeros(n, dtype=np.int64), "threshold": np.zeros(n), "value": np.zeros(n)}
-    arrays["right"][parent] = right
-    arrays["threshold"][parent] = packed["threshold"]
+    arrays["right"][internal] = successor[internal] - starts[tree_of[internal]]
+    arrays["threshold"][internal] = packed["threshold"]
     arrays["value"][~internal] = packed["value"]
     return [Tree(**{name: a[s:e] for name, a in arrays.items()}) for s, e in zip(starts.tolist(), ends.tolist())]
 
@@ -710,9 +708,10 @@ def gbt_to_dict(model):
 
 
 def gbt_from_dict(d, learning_rate):
-    """Decode a gbt model; ``learning_rate`` comes from its member's params."""
+    """Decode a gbt model; ``learning_rate`` comes from its member's params.
+    ``base_prediction`` is made a float, as an int would make predict_gbt's sum an int array."""
     return GbtModel(
-        base_prediction=finite_number(d["base_prediction"], "gbt base_prediction"),
+        base_prediction=float(finite_number(d["base_prediction"], "gbt base_prediction")),
         stages=trees_from_block(d["trees"]),
         learning_rate=learning_rate,
         n_features=whole_number(d["n_features"], "gbt n_features", 0),

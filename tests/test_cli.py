@@ -55,6 +55,8 @@ def test_synth_invalid_noise_sigma_names_flag(tmp_path, capsys):
         (["--noise-sigma", "inf"], "noise_sigma must be a finite number >= 0, got inf"),
         # checked before any draw: generating would take ~400k episodes before the dates overflow
         (["--episodes-max", "1000000000000"], "episodes_max 1000000000000 puts release dates past 9999-12-31"),
+        # exp of a normal draw at this sigma overflows
+        (["--noise-sigma", "1000"], "noise_sigma must be at most 10.0, got 1000.0"),
     ],
 )
 def test_synth_bad_config_exits_3_before_writing(flags, message, tmp_path, capsys):
@@ -491,6 +493,23 @@ def test_bundle_round_trip_predicts_identically(tiny_run):
     assert np.array_equal(a, b)
 
 
+def test_gbt_base_prediction_as_a_json_int_predicts_as_the_float(tiny_run, tmp_path):
+    data = tiny_run.data_dir
+    written = []
+    for literal in ("3", "3.0"):
+        bundle = tmp_path / f"bundle_{literal}.json"
+        bundle.write_bytes(_bundle_number(lambda d: (_member(d, "gbt")["model"], "base_prediction"), literal)(tiny_run))
+        out = tmp_path / f"predictions_{literal}.csv"
+        code = run_cli(
+            "predict", "--bundle", str(bundle), "--episodes", str(data / "episodes.csv"),
+            "--credits", str(data / "credits.csv"), "--genres", str(data / "genres.csv"),
+            "--platform", str(data / "platform.csv"), "--out", str(out),
+        )
+        assert code == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 # --- bad inputs ----------------------------------------------------------------
 
 def _edited(kind, edit):
@@ -509,7 +528,7 @@ def _member(doc, family):
     return next(m for m in doc["members"] if m["family"] == family)
 
 
-BLOCK_DTYPES = {"feature": "<i4", "right": "<i4", "threshold": "<f8", "value": "<f8"}
+BLOCK_DTYPES = {"feature": "<i4", "threshold": "<f8", "value": "<f8"}
 
 
 def _inflated(text, dtype):
@@ -524,9 +543,9 @@ def _deflated(raw):
 def _gbt_block(edit):
     """Content maker: the tiny run's bundle after ``edit(sizes, arrays)`` on
     the gbt member's packed tree block. ``arrays`` holds the block's arrays
-    decoded (feature per node, right and threshold per internal node, value
-    per leaf), and each is deflated back from its own dtype and bytes (or
-    from the bytes the edit puts in its place)."""
+    decoded (feature per node, threshold per internal node, value per leaf),
+    and each is deflated back from its own dtype and bytes (or from the
+    bytes the edit puts in its place)."""
 
     def edit_bundle(doc):
         model = _member(doc, "gbt")["model"]
@@ -542,23 +561,17 @@ def _gbt_block(edit):
 
 def _last_node_internal(sizes, arrays):
     """Make the block's last node (a leaf) internal, keeping every count
-    consistent: one more right and threshold, one value fewer."""
+    consistent: one more threshold, one value fewer."""
     arrays["feature"][-1] = 0
-    arrays["right"] = np.append(arrays["right"], np.int32(0))
     arrays["threshold"] = np.append(arrays["threshold"], 0.0)
     arrays["value"] = arrays["value"][:-1]
 
 
-def _node_with_two_parents(sizes, arrays):
-    """Point the right child of the first internal node whose left child is
-    internal at that left child's left child, which then has two parents
-    (and the old right child none)."""
-    feature = arrays["feature"]
-    internal = np.flatnonzero(feature >= 0)
-    i = np.flatnonzero(feature[internal + 1] >= 0)[0]
-    ends = np.cumsum(sizes)
-    start = (ends - sizes)[np.searchsorted(ends, internal[i], side="right")]
-    arrays["right"][i] = internal[i] + 2 - start
+def _first_tree_cut_short(sizes, arrays):
+    """Move the first tree's last node (a leaf) into the second tree: the
+    first tree's flags then leave a right child past its last node."""
+    sizes[0] -= 1
+    sizes[1] += 1
 
 
 def _split_feature_at_width(doc):
@@ -579,10 +592,22 @@ V6_KINDS = {
 V3_TREE_KEYS = {"decision_tree": "root", "random_forest": "trees", "gbt": "stages"}
 
 
+def _as_v7(doc):
+    """A bundle in the version-7 layout: each tree block also stores a
+    ``right`` array, the tree-local id of each internal node's right child."""
+    doc["schema_version"] = 7
+    for member in doc["members"]:
+        if member["family"] in V3_TREE_KEYS:
+            block = member["model"]["trees"]
+            right = [t.right[t.feature >= 0] for t in trees_from_block(block)]
+            block["right"] = _deflated(np.concatenate([np.empty(0, dtype="<i4"), *right]).astype("<i4").tobytes())
+
+
 def _as_v6(doc):
-    """A bundle in the version-6 layout: each model dict names its kind and
-    repeats parameter values of its member's params, and the preprocessor
-    names its two imputation strategies."""
+    """A bundle in the version-6 layout: the version-7 one, with each model
+    dict naming its kind and repeating parameter values of its member's
+    params, and the preprocessor naming its two imputation strategies."""
+    _as_v7(doc)
     doc["schema_version"] = 6
     doc["preprocessor"].update(strategy_numeric="median", strategy_categorical="mode")
     for member in doc["members"]:
@@ -605,7 +630,7 @@ def _as_v5(doc):
     for member in doc["members"]:
         if member["family"] in V3_TREE_KEYS:
             block = member["model"]["trees"]
-            for k in BLOCK_DTYPES:
+            for k in (*BLOCK_DTYPES, "right"):
                 block[k] = base64.b64encode(zlib.decompress(base64.b64decode(block[k]))).decode("ascii")
 
 
@@ -830,9 +855,16 @@ BAD_INPUTS = {
     "bundle_reference_date_not_iso": (
         "bundle", _edited("bundle", lambda d: d["meta"].update(reference_date="last spring"))
     ),
+    # a log1p bundle read on another scale would write log-scale views
+    "bundle_target_transform_unknown": ("bundle", _edited("bundle", lambda d: d["meta"].update(target_transform="x"))),
+    "bundle_target_transform_null": ("bundle", _edited("bundle", lambda d: d["meta"].update(target_transform=None))),
+    "bundle_without_meta": ("bundle", _edited("bundle", lambda d: d.pop("meta"))),
     "bundle_null_preprocessor": ("bundle", _edited("bundle", lambda d: d.update(preprocessor=None))),
     "bundle_preprocessor_std_string": (
         "bundle", _edited("bundle", lambda d: d["preprocessor"]["numeric"][0].update(std="x"))
+    ),
+    "bundle_preprocessor_std_negative": (
+        "bundle", _edited("bundle", lambda d: d["preprocessor"]["numeric"][0].update(std=-1.0))
     ),
     "bundle_preprocessor_mean_null": (
         "bundle", _edited("bundle", lambda d: d["preprocessor"]["numeric"][0].update(mean=None))
@@ -846,6 +878,7 @@ BAD_INPUTS = {
     "bundle_schema_version_4": ("bundle", _edited("bundle", _as_v4)),
     "bundle_schema_version_5": ("bundle", _edited("bundle", _as_v5)),
     "bundle_schema_version_6": ("bundle", _edited("bundle", _as_v6)),
+    "bundle_schema_version_7": ("bundle", _edited("bundle", _as_v7)),
     "bundle_member_params_unknown_name": ("bundle", _edited("bundle", lambda d: d["members"][0]["params"].update(bogus=1))),
     # a name no decoder reads, so only the completeness check catches it
     "bundle_member_params_missing_name": (
@@ -868,6 +901,10 @@ BAD_INPUTS = {
     ),
     # a float that overflowed on its way into the block
     "bundle_tree_value_overflow": ("bundle", _gbt_block(lambda s, a: a["value"].__setitem__(0, np.inf))),
+    # a float from the JSON int, but expm1 of the log1p-scale prediction overflows to inf
+    "bundle_gbt_base_prediction_2_63": (
+        "bundle", _bundle_number(lambda d: (_member(d, "gbt")["model"], "base_prediction"), str(2**63))
+    ),
     "bundle_gbt_learning_rate_1e308": (
         "bundle", _edited("bundle", lambda d: _member(d, "gbt")["params"].update(learning_rate=1e308))
     ),
@@ -878,10 +915,8 @@ BAD_INPUTS = {
     ),
     "tree_arrays_of_unequal_length": ("bundle", _gbt_block(lambda s, a: a.update(threshold=a["threshold"][:-1]))),
     "tree_feature_not_integer": ("bundle", _gbt_block(lambda s, a: a.update(feature=a["feature"].astype("<f8")))),
-    "tree_child_refers_to_itself": ("bundle", _gbt_block(lambda s, a: a["right"].__setitem__(0, 0))),
-    "tree_right_child_is_left_child": ("bundle", _gbt_block(lambda s, a: a["right"].__setitem__(0, 1))),
     "tree_last_node_internal": ("bundle", _gbt_block(_last_node_internal)),
-    "tree_child_past_last_node": ("bundle", _gbt_block(lambda s, a: a["right"].__setitem__(0, s[0]))),
+    "tree_child_past_last_node": ("bundle", _gbt_block(_first_tree_cut_short)),
     "tree_threshold_nan": ("bundle", _gbt_block(lambda s, a: a["threshold"].__setitem__(0, np.nan))),
     "tree_threshold_minus_inf": ("bundle", _gbt_block(lambda s, a: a["threshold"].__setitem__(0, -np.inf))),
     "tree_value_nan": ("bundle", _gbt_block(lambda s, a: a["value"].__setitem__(0, np.nan))),
@@ -892,14 +927,13 @@ BAD_INPUTS = {
     "tree_block_byte_count_off": (
         "bundle", _gbt_block(lambda s, a: a.update(threshold=a["threshold"].tobytes() + b"\0"))
     ),
-    "tree_node_with_two_parents": ("bundle", _gbt_block(_node_with_two_parents)),
     # 1 MB of zeros, deflated to ~1 KB, in place of the leaf values
     "tree_value_inflates_past_its_count": (
         "bundle", _gbt_block(lambda s, a: a.update(value=bytes(1_000_000)))
     ),
     # the first four bytes of a deflated empty array: no end block, no checksum
     "tree_block_truncated_stream": (
-        "bundle", _edited("bundle", lambda d: _member(d, "gbt")["model"]["trees"].update(right="eJwDAA=="))
+        "bundle", _edited("bundle", lambda d: _member(d, "gbt")["model"]["trees"].update(threshold="eJwDAA=="))
     ),
     "tree_block_sizes_mismatch": ("bundle", _gbt_block(lambda s, a: s.__setitem__(0, s[0] + 1))),
     "tree_block_sizes_not_integer": ("bundle", _gbt_block(lambda s, a: s.__setitem__(0, float(s[0])))),

@@ -22,6 +22,8 @@ from table_cells import make_table
 
 # every bundle carries a fitted preprocessor; the members here read one column
 PREP = fit_preprocessor(make_table([("x", "numeric", [0.0, 1.0])]))
+# and the target scale its members predict on, which prediction inverts
+META = {"target_transform": "none"}
 
 
 def constant_member(value, validation_mape=1.0, weight=0.0, n_features=1):
@@ -115,7 +117,7 @@ def test_ensemble_predict_hand_arithmetic():
         constant_member(20.0, validation_mape=2.0, weight=0.3),
         constant_member(30.0, validation_mape=3.0, weight=0.2),
     ]
-    bundle = EnsembleBundle(members=members, preprocessor=PREP, scheme="inverse_error")
+    bundle = EnsembleBundle(members=members, preprocessor=PREP, scheme="inverse_error", meta=META)
     pred, _ = predict_views(bundle, np.zeros((1, 1)))
     assert abs(pred[0] - 17.0) < 1e-12
 
@@ -125,11 +127,11 @@ def test_identical_members_identity_and_degenerate_weights():
         constant_member(7.0, 1.0, weight=1.0),
         constant_member(9.0, 2.0, weight=0.0),
     ]
-    bundle = EnsembleBundle(members, PREP, "inverse_error")
+    bundle = EnsembleBundle(members, PREP, "inverse_error", META)
     assert predict_views(bundle, np.zeros((3, 1)))[0][0] == 7.0
 
     same = [constant_member(4.0, 1.0, 0.5), constant_member(4.0, 1.0, 0.5)]
-    bundle = EnsembleBundle(same, PREP, "equal")
+    bundle = EnsembleBundle(same, PREP, "equal", META)
     assert np.allclose(predict_views(bundle, np.zeros((2, 1)))[0], 4.0)
 
 
@@ -142,7 +144,7 @@ def test_prediction_within_member_envelope():
         models.append(
             EnsembleMember("ridge", {}, LinearModel(coef, float(rng.normal()), True, 1), error)
         )
-    bundle = build_bundle(models, PREP)
+    bundle = build_bundle(models, PREP, meta=META)
     # members are combined after clamping negative views to zero
     preds = [member_views(m, X, "none")[0] for m in models]
     combined, _ = predict_views(bundle, X)
@@ -206,7 +208,7 @@ def test_bundle_stores_each_parameter_once_for_every_family():
     for i, family in enumerate(FAMILIES):
         params = resolve_params(family, small.get(family))
         members.append(EnsembleMember(family, params, fit_family(family, params, X, y, seed=i), float(i + 1)))
-    bundle = build_bundle(members, PREP, k=len(members))
+    bundle = build_bundle(members, PREP, k=len(members), meta=META)
     d = bundle_to_dict(bundle)
     assert [m["family"] for m in d["members"]] == list(FAMILIES)
     for m in d["members"]:
@@ -235,7 +237,7 @@ def test_bundle_stores_each_parameter_once_for_every_family():
     ],
 )
 def test_bundle_rejects_non_finite_member_numbers(edit):
-    payload = bundle_to_dict(build_bundle([constant_member(1.0, 2.0)], PREP))
+    payload = bundle_to_dict(build_bundle([constant_member(1.0, 2.0)], PREP, meta=META))
     edit(payload["members"][0])
     with pytest.raises(DataError):
         bundle_from_dict(payload)
@@ -247,7 +249,7 @@ def test_nan_weight_fails_the_weight_sum():
 
 
 def test_bundle_rejects_unknown_schema_version():
-    bundle = build_bundle([constant_member(1.0, 2.0)], PREP)
+    bundle = build_bundle([constant_member(1.0, 2.0)], PREP, meta=META)
     payload = bundle_to_dict(bundle)
     payload["schema_version"] = 99
     with pytest.raises(DataError):

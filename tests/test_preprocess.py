@@ -52,6 +52,8 @@ def test_constant_column_stores_zero_std():
     table = make_table([("x", "numeric", [5.0, 5.0, 5.0])])
     prep = fit_preprocessor(table)
     assert prep.numeric[0].std == 0.0
+    # and a bundle that stores it loads
+    assert preprocessor_from_dict(preprocessor_to_dict(prep)).numeric[0].std == 0.0
     # std=0 transforms with divisor 1
     out = transform(prep, table)
     assert np.allclose(out.values, 0.0)
@@ -332,6 +334,8 @@ def test_build_dataset_encodes_numeric_columns_as_arrays():
         lambda d: d["numeric"][0].update(name=3),
         lambda d: d["schema"].__setitem__(0, ["x", "bogus"]),
         lambda d: d["schema"].__setitem__(0, ["x"]),
+        # transform would read a negative std as 1.0; no fit writes one
+        lambda d: d["numeric"][0].update(std=-1.0),
     ],
 )
 def test_preprocessor_from_dict_rejects_ill_typed_values(edit):

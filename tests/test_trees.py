@@ -443,6 +443,9 @@ def test_deep_chain_tree_needs_no_recursion(tmp_path):
     finally:
         sys.setrecursionlimit(limit)
     assert decision_tree_to_dict(clone) == decision_tree_to_dict(tree)
+    # the sums before its nodes reach 299, so right is rebuilt by a sort on 16-bit keys
+    internal = tree.feature >= 0
+    assert np.array_equal(clone.right[internal], tree.right[internal])
     assert np.array_equal(predict_tree(clone, x), y)
 
 
@@ -613,20 +616,6 @@ def test_plan_runs_keep_every_float(monkeypatch, cap):
     assert np.array_equal(predict_gbt(gbt, X_new), gbt_reference(0.25, 0.5, mixed, X_new))
 
 
-def test_nodes_shared_by_two_parents_are_rejected():
-    # node i's children are i + 1 and i + 2: a DAG whose paths to a node
-    # multiply with depth while the nodes do not
-    n = 30
-    arrays = {
-        "feature": np.array([i % 2 for i in range(n - 2)] + [-1, -1], dtype="<i4"),
-        "right": np.arange(2, n, dtype="<i4"),
-        "threshold": np.linspace(-1.0, 1.0, n - 2),
-        "value": np.array([3.0, 4.0]),
-    }
-    with pytest.raises(DataError, match="tree 0 node 2 is the child of 2 nodes, not of one"):
-        trees_from_block(pack_block([n], arrays))
-
-
 def test_forest_rejects_zero_estimators():
     with pytest.raises(DataError, match="random_forest parameter 'n_estimators' must be an int >= 1, got 0"):
         fit_family("random_forest", {"n_estimators": 0}, FIXTURE_X, FIXTURE_Y)
@@ -734,7 +723,7 @@ def test_serialization_round_trips():
 def unpack_block(block):
     """A block's arrays, decoded without the codec: base64, then inflate,
     then fixed little-endian dtypes."""
-    dtypes = {"feature": "<i4", "right": "<i4", "threshold": "<f8", "value": "<f8"}
+    dtypes = {"feature": "<i4", "threshold": "<f8", "value": "<f8"}
     return {
         name: np.frombuffer(zlib.decompress(base64.b64decode(block[name])), dtype=dtype) for name, dtype in dtypes.items()
     }
@@ -787,7 +776,7 @@ def test_codec_stores_only_what_prediction_reads():
         fitted = trees_of(model)
         d = to_dict(model)
         block = d["trees"]
-        assert sorted(block) == ["feature", "right", "sizes", "threshold", "value"]
+        assert sorted(block) == ["feature", "sizes", "threshold", "value"]
         assert block["sizes"] == [t.feature.size for t in fitted]
         # the block holds what prediction reads and nothing else, in preorder
         packed = unpack_block(block)
@@ -795,7 +784,6 @@ def test_codec_stores_only_what_prediction_reads():
         internal = feature >= 0
         cat = {name: np.concatenate([np.empty(0)] + [getattr(t, name) for t in fitted]) for name in TREE_ARRAYS[:4]}
         assert np.array_equal(packed["feature"], feature)
-        assert np.array_equal(packed["right"], cat["right"][internal])
         assert packed["threshold"].tobytes() == cat["threshold"][internal].astype("<f8").tobytes()
         assert packed["value"].tobytes() == cat["value"][~internal].astype("<f8").tobytes()
 
@@ -805,7 +793,7 @@ def test_codec_stores_only_what_prediction_reads():
         assert len(decoded) == len(fitted)
         for tree, got in zip(fitted, decoded):
             leaf = tree.feature < 0
-            # unread entries decode as 0, read ones bit for bit
+            # unread entries decode as 0, read ones bit for bit, and right is rebuilt from the leaf flags
             want = {
                 "feature": tree.feature,
                 "right": np.where(leaf, 0, tree.right),
@@ -827,18 +815,17 @@ def test_empty_block_is_a_zero_round_gbt():
     model = fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams())
     d = gbt_to_dict(model)
     empty = deflated(b"")
-    assert d["trees"] == {"sizes": [], "feature": empty, "right": empty, "threshold": empty, "value": empty}
+    assert d["trees"] == {"sizes": [], "feature": empty, "threshold": empty, "value": empty}
     clone = gbt_from_dict(d, 0.5)
     assert clone.stages == [] and np.array_equal(predict_gbt(clone, FIXTURE_X), predict_gbt(model, FIXTURE_X))
 
 
 def _stump_block():
     """Two trees: a stump (nodes 0-2) and a three-split tree (nodes 0-6), as
-    per-kind arrays (feature per node, right and threshold per internal
-    node, value per leaf)."""
+    per-kind arrays (feature per node, threshold per internal node, value
+    per leaf)."""
     return [3, 7], {
         "feature": np.array([0, -1, -1, 1, 0, -1, -1, 2, -1, -1], dtype="<i4"),
-        "right": np.array([2, 4, 3, 6], dtype="<i4"),
         "threshold": np.array([0.5, 1.0, -0.0, 2.0]),
         "value": np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
     }
@@ -868,41 +855,58 @@ MALFORMED_BLOCKS = {
     "sizes not integers": (lambda s, a: s.__setitem__(0, 3.0), "positive integers"),
     "a zero size": (lambda s, a: s.insert(0, 0), "positive integers"),
     "sizes not a list": (lambda s, a: pack_block(7, a), "positive integers"),
-    "a size no <i4 right id can reach": (lambda s, a: s.__setitem__(0, 2**31), "positive integers below 2**31"),
+    "a size past the 2**31 bound": (lambda s, a: s.__setitem__(0, 2**31), "positive integers below 2**31"),
     "sizes that do not sum to the node count": (
         lambda s, a: s.__setitem__(1, 8), "'feature' inflates to 40 bytes, not the 44 of its 11 nodes"
     ),
-    "a right child that is its node": (lambda s, a: a["right"].__setitem__(1, 0), "tree 1 has a right child outside"),
-    "a right child that is the left child": (
-        lambda s, a: a["right"].__setitem__(1, 1), "tree 1 has a right child outside"
+    # leaf flags that break the shape rule, each a tree a walk could not finish
+    # or nodes no walk reaches; the counts stay consistent
+    "a node no node points to": (  # tree 1's node 4 made a leaf closes the tree there
+        lambda s, a: a.update(
+            feature=np.array([0, -1, -1, 1, 0, -1, -1, -1, -1, -1], dtype="<i4"),
+            threshold=a["threshold"][:-1],
+            value=np.append(a["value"], 7.0),
+        ),
+        "tree 1 of 7 nodes breaks the shape rule: its leaf flags close it at node 4",
     ),
-    "a right child past the last node": (lambda s, a: a["right"].__setitem__(0, 3), "tree 0 has a right child outside"),
-    "a right child in the next tree": (lambda s, a: a["right"].__setitem__(0, 4), "tree 0 has a right child outside"),
-    "a node with two parents": (
-        lambda s, a: a["right"].__setitem__(1, 3), "tree 1 node 3 is the child of 2 nodes, not of one"
+    "a right child past the last node": (  # node 1 made internal: its right child would be node 3
+        lambda s, a: a.update(
+            feature=np.array([0, 0, -1, 1, 0, -1, -1, 2, -1, -1], dtype="<i4"),
+            threshold=np.insert(a["threshold"], 1, 0.5),
+            value=a["value"][1:],
+        ),
+        "tree 0 of 3 nodes breaks the shape rule: its leaf flags leave it open at its last node",
     ),
-    "a node no node points to": (
-        lambda s, a: a["right"].__setitem__(2, 4), "tree 1 node 3 is the child of 0 nodes, not of one"
+    "a right child in the next tree": (
+        lambda s, a: s.__setitem__(slice(None), [2, 8]),
+        "tree 0 of 2 nodes breaks the shape rule: its leaf flags leave it open at its last node",
+    ),
+    "a tree closed before its size": (
+        lambda s, a: s.__setitem__(slice(None), [4, 6]),
+        "tree 0 of 4 nodes breaks the shape rule: its leaf flags close it at node 2",
     ),
     "a last node that is internal": (
         lambda s, a: a.update(
             feature=np.array([0, -1, 0, 1, 0, -1, -1, 2, -1, -1], dtype="<i4"),
-            right=np.array([2, 0, 4, 3, 6], dtype="<i4"),
             threshold=np.array([0.5, 0.5, 1.0, -0.0, 2.0]),
             value=a["value"][1:],
         ),
-        "tree 0 node 2 is internal but has no next node",
+        "tree 0 of 3 nodes breaks the shape rule: its leaf flags leave it open at its last node",
     ),
-    "bad base64": (lambda s, a: {**pack_block(s, a), "right": "AAAA!AAA"}, "'right' is not valid base64"),
-    "base64 without padding": (lambda s, a: {**pack_block(s, a), "right": "AAAAAA"}, "'right' is not valid base64"),
+    "bad base64": (lambda s, a: {**pack_block(s, a), "threshold": "AAAA!AAA"}, "'threshold' is not valid base64"),
+    "base64 without padding": (
+        lambda s, a: {**pack_block(s, a), "threshold": "AAAAAA"}, "'threshold' is not valid base64"
+    ),
     "a non-ASCII string": (lambda s, a: {**pack_block(s, a), "value": "é"}, "'value' is not valid base64"),
     "a number in place of base64": (lambda s, a: {**pack_block(s, a), "value": 1.0}, "'value' must be a base64 string"),
     "a byte count off the item size": (
         lambda s, a: a.update(threshold=a["threshold"].tobytes() + b"\0"),
         "'threshold' inflates past the 32 bytes of its 4 internal nodes",
     ),
-    "a raw array, as version 5 stored it": (_stream("right", lambda raw: raw), "'right' is not a zlib stream"),
-    "a truncated stream": (_stream("right", lambda raw: zlib.compress(raw)[:-2]), "'right' is a truncated zlib stream"),
+    "a raw array, as version 5 stored it": (_stream("feature", lambda raw: raw), "'feature' is not a zlib stream"),
+    "a truncated stream": (
+        _stream("threshold", lambda raw: zlib.compress(raw)[:-2]), "'threshold' is a truncated zlib stream"
+    ),
     "an empty string": (_stream("value", lambda raw: b""), "'value' is a truncated zlib stream"),
     "bytes after the stream": (
         _stream("threshold", lambda raw: zlib.compress(raw) + b"\0"), "'threshold' has 1 bytes after its zlib stream"
@@ -950,15 +954,16 @@ def _traced_peak(call):
 
 def test_a_node_count_the_streams_do_not_hold_costs_only_the_feature_inflate():
     # sizes claim 2.5 million nodes and feature inflates to that many zeros,
-    # all internal, but right is empty: the block is rejected before any
+    # all internal, but threshold is empty: the block is rejected before any
     # copy of feature wider than its <i4 entries
     n = 2_500_000
     feature = base64.b64encode(zlib.compress(bytes(4 * n))).decode("ascii")
-    block = {**pack_block([n], {"feature": b"", "right": b"", "threshold": b"", "value": b""}), "feature": feature}
+    block = {**pack_block([n], {"feature": b"", "threshold": b"", "value": b""}), "feature": feature}
     inflate = _traced_peak(lambda: trees._unpack(feature, "feature", "<i4", n, "nodes"))
 
     def decode():
-        with pytest.raises(DataError, match=re.escape("'right' inflates to 0 bytes, not the 10000000 of its 2500000")):
+        match = re.escape("'threshold' inflates to 0 bytes, not the 20000000 of its 2500000")
+        with pytest.raises(DataError, match=match):
             trees_from_block(block)
 
     assert _traced_peak(decode) <= 1.1 * inflate
