@@ -19,7 +19,7 @@ SCHEMES = ("inverse_error", "equal")
 # the target scales a model may be fit on; its predictions are inverted to views
 TARGET_TRANSFORMS = ("none", "log1p")
 
-BUNDLE_SCHEMA_VERSION = 8
+BUNDLE_SCHEMA_VERSION = 9
 
 
 @dataclass
@@ -145,7 +145,7 @@ def bundle_from_dict(d):
     if not isinstance(meta, dict) or meta.get("target_transform") not in TARGET_TRANSFORMS:
         raise DataError(f"bundle meta must be an object whose target_transform is one of {TARGET_TRANSFORMS}")
     try:
-        return EnsembleBundle(
+        bundle = EnsembleBundle(
             members=[_member_from_dict(i, m) for i, m in enumerate(d["members"])],
             preprocessor=preprocessor_from_dict(d["preprocessor"]),
             scheme=d["scheme"],
@@ -153,3 +153,8 @@ def bundle_from_dict(d):
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"malformed bundle: {type(exc).__name__}: {exc}") from exc
+    families = [m.family for m in bundle.members]
+    repeated = [f for i, f in enumerate(families) if f in families[:i]]
+    if repeated:  # a report keys weights and validation by family
+        raise DataError(f"bundle members repeat the family {repeated[0]!r}")
+    return bundle

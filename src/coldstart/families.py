@@ -107,18 +107,19 @@ FAMILIES = tuple(FAMILY_TABLE)
 # rule per name, since a name means the same thing in every family that has
 # it. Numbers are tested by exact type, so a bool is neither an int nor a
 # float; a range test is false for NaN, and its upper bound keeps out
-# infinity and any int too large for a float.
+# infinity and any int too large for a float. The sizes that set a fit's
+# work are capped well above their defaults, so no fit runs without end.
 DOMAINS = {
     "max_depth": ("None or an int >= 1", lambda v: v is None or type(v) is int and v >= 1),
     "min_samples_split": ("an int >= 2", lambda v: type(v) is int and v >= 2),
     "max_features": (f"one of {trees.MAX_FEATURES_MODES}", lambda v: v in trees.MAX_FEATURES_MODES),
-    "n_estimators": ("an int >= 1", lambda v: type(v) is int and v >= 1),
-    "rounds": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "n_estimators": ("an int in [1, 10000]", lambda v: type(v) is int and 1 <= v <= 10_000),
+    "rounds": ("an int in [0, 10000]", lambda v: type(v) is int and 0 <= v <= 10_000),
     "learning_rate": ("a finite number in (0, 1]", lambda v: type(v) in (int, float) and 0 < v <= 1),
     "alpha": ("a finite number >= 0", lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max),
     "l1_ratio": ("a finite number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1),
     "tol": ("a finite number > 0", lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max),
-    "max_iter": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+    "max_iter": ("an int in [1, 100000]", lambda v: type(v) is int and 1 <= v <= 100_000),
 }
 
 # every parameter a family's fit reads, at its default; a params dict or

@@ -373,7 +373,6 @@ def run_train(config):
             "seed": config.seed,
             "reference_date": reference_date.isoformat(),
             "target_transform": config.target_transform,
-            "feature_names": X_train.feature_names,
             "config_digest": digest,
         },
     )

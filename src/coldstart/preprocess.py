@@ -1,7 +1,8 @@
 """Fit/transform preprocessing: imputation, standardization, one-hot encoding.
 
 Fit learns per-column state from a raw feature table; transform applies it
-to any table with the same schema, producing a fully numeric FeatureMatrix.
+to any table with the same numeric and categorical columns, producing a
+fully numeric FeatureMatrix.
 A missing numeric cell takes its column's median and a missing categorical
 cell its column's mode (the most frequent category, ties broken
 lexicographically).
@@ -15,7 +16,7 @@ Python values (1 and 1.0) count as one cell.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +44,6 @@ class CategoricalColumnState:
 class Preprocessor:
     numeric: list
     categorical: list
-    schema: list = field(default_factory=list)  # fit-time (name, role) pairs
 
 
 def _categorical_state(name, cells):
@@ -102,26 +102,22 @@ def fit_preprocessor(features):
             raise SchemaError(f"column {schema.name!r} with role {schema.role!r} "
                               "does not belong in a feature table")
 
-    return Preprocessor(
-        numeric=numeric,
-        categorical=categorical,
-        schema=[(s.name, s.role) for s in features.schemas],
-    )
+    return Preprocessor(numeric=numeric, categorical=categorical)
 
 
 def transform(preprocessor, features):
     """Apply a fitted preprocessor; returns a FeatureMatrix.
 
-    Column order: scaled numerics in schema order, then one-hot blocks in
-    schema order.
+    Column order: scaled numerics, then one-hot blocks, each in fit order.
+    The table's numeric and categorical names, in order, must be the fitted
+    ones, and it may hold no column of another role.
     """
     if not isinstance(features, RawTable):
         raise SchemaError("transform expects a RawTable")
-    got = [(s.name, s.role) for s in features.schemas]
-    if got != preprocessor.schema:
-        raise SchemaError(
-            f"schema mismatch: fitted on {preprocessor.schema}, got {got}"
-        )
+    fitted = {role: [c.name for c in getattr(preprocessor, role)] for role in ("numeric", "categorical")}
+    got = {role: [s.name for s in features.schemas if s.role == role] for role in ROLES}
+    if any(got[role] != fitted.get(role, []) for role in ROLES):
+        raise SchemaError(f"schema mismatch: fitted on {fitted}, got {({r: n for r, n in got.items() if n})}")
 
     n = features.n_rows
     blocks = []
@@ -163,7 +159,6 @@ def preprocessor_to_dict(p):
             {"name": c.name, "impute_category": c.impute_category, "categories": list(c.categories)}
             for c in p.categorical
         ],
-        "schema": [[n, r] for n, r in p.schema],
     }
 
 
@@ -177,15 +172,6 @@ def _strings(values, what):
     if not isinstance(values, list):
         raise DataError(f"preprocessor {what} must be a list of strings, got {values!r}")
     return [_string(v, f"{what}[{i}]") for i, v in enumerate(values)]
-
-
-def _role_pair(pair, what):
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise DataError(f"preprocessor {what} must be a [name, role] pair, got {pair!r}")
-    name, role = _string(pair[0], f"{what} name"), _string(pair[1], f"{what} role")
-    if role not in ROLES:
-        raise DataError(f"preprocessor {what} has unknown role {role!r}")
-    return name, role
 
 
 def _std(value, what):
@@ -219,5 +205,4 @@ def preprocessor_from_dict(d):
             )
             for i, c in enumerate(d["categorical"])
         ],
-        schema=[_role_pair(pair, f"schema[{i}]") for i, pair in enumerate(d["schema"])],
     )

@@ -16,23 +16,24 @@ preorder (a node, its whole left subtree, then its right subtree), so
 every child has a larger index than its parent and an internal node's left
 child is the next node. ``feature`` is -1 at a leaf; an internal node i
 sends rows with ``x[feature] <= threshold`` to node i + 1 and the rest to
-``right``. ``value`` is the node's target mean, ``n_samples`` its row
+its right child. ``value`` is the node's target mean, ``n_samples`` its row
 count and ``impurity_decrease`` the delta of its split (0 at a leaf).
+
+No tree stores its right children: a full binary tree in preorder is fixed
+by its leaf flags (Jacobson 1989, FOCS). With +1 for an internal node and
+-1 for a leaf, the sum before each node of a tree is at least 0 and the
+sum after its last node is -1 (the shape rule); a right child is the next
+node of its tree with its parent's sum before it (see _right_children).
 
 A bundle stores each model's trees as one packed block: the node count of
 each tree, and three arrays over the nodes in preorder, trees in model
 order, each stored as fixed little-endian bytes, deflated by zlib at its
 default level and base64-encoded. They hold only what prediction reads:
 ``feature`` for every node, ``threshold`` for each internal node and
-``value`` for each leaf. No ``right`` is stored: a full binary tree in
-preorder is fixed by its leaf flags (Jacobson 1989, FOCS). With +1 for an
-internal node and -1 for a leaf, the sum before each node of a tree is at
-least 0 and the sum after its last node is -1 (the shape rule); a right
-child is the next node of its tree with its parent's sum before it. The
-decoder reads the node count from ``sizes`` first and inflates ``feature``
-to exactly that many entries, then the other arrays to the internal-node
-and leaf counts that ``feature`` gives, before any wider copy of
-``feature``; no inflate writes more than one byte past the entries it
+``value`` for each leaf. The decoder reads the node count from ``sizes``
+first and inflates ``feature`` to exactly that many entries, then the
+other arrays to the internal-node and leaf counts that ``feature`` gives,
+before any wider copy of ``feature``; no inflate writes more than one byte past the entries it
 expects, so a small stream that claims to hold more cannot make a large
 array. Each array is then one ``np.frombuffer``, and the checks run on
 whole arrays. ``n_samples`` and ``impurity_decrease`` feed impurity
@@ -146,7 +147,6 @@ class TreeParams:
 class Tree:
     feature: np.ndarray  # int; -1 at a leaf
     threshold: np.ndarray
-    right: np.ndarray  # int id of the right child; the left child is the next node
     value: np.ndarray
     # split statistics for impurity importance; None in a decoded tree
     n_samples: np.ndarray | None = None  # int
@@ -154,7 +154,7 @@ class Tree:
 
 
 TREE_ARRAYS = tuple(f.name for f in fields(Tree))
-INT_ARRAYS = ("feature", "right", "n_samples")
+INT_ARRAYS = ("feature", "n_samples")
 
 
 @dataclass
@@ -302,16 +302,13 @@ def _grow(columns, keys, y, params, rng, rows, fitted=None):
     ``fitted`` is given, each leaf's value is written to ``fitted[rows]``
     for the leaf's rows: the tree's prediction on those training rows, as
     they go down by the same ``x <= threshold`` test that prediction uses."""
-    arrays = feature, threshold, right, value, n_samples, decrease = tuple([] for _ in TREE_ARRAYS)
+    arrays = feature, threshold, value, n_samples, decrease = tuple([] for _ in TREE_ARRAYS)
     mask = (1 << _key_shift(keys.shape[1])) - 1
     positions = np.arange(len(rows), dtype=keys.dtype)
     subsets = _subsets(columns.shape[0], params.max_features, rng)
-    stack = [(rows, 0, -1)]  # rows, depth, parent of a right child
+    stack = [(rows, 0)]
     while stack:
-        rows, depth, parent = stack.pop()
-        node = len(value)
-        if parent >= 0:
-            right[parent] = node
+        rows, depth = stack.pop()
         n = len(rows)
         yn = y.take(rows)
         mean = float(np.add.reduce(yn)) / n  # the same float as yn.mean()
@@ -321,13 +318,12 @@ def _grow(columns, keys, y, params, rng, rows, fitted=None):
         fi, split, gain = found or (-1, 0.0, 0.0)
         feature.append(fi)
         threshold.append(split)
-        right.append(-1)
         value.append(mean)
         n_samples.append(n)
         decrease.append(gain)
         if found is not None:
             goes_left = columns[fi].take(rows) <= split
-            stack += [(rows[~goes_left], depth + 1, node), (rows[goes_left], depth + 1, -1)]
+            stack += [(rows[~goes_left], depth + 1), (rows[goes_left], depth + 1)]
         elif fitted is not None:
             fitted[rows] = mean
     return Tree(*(np.array(v, dtype=int if name in INT_ARRAYS else float) for name, v in zip(TREE_ARRAYS, arrays)))
@@ -439,6 +435,24 @@ class _Plan(NamedTuple):
     shallowest: list  # each tree's shallowest leaf depth
 
 
+def _right_children(feature):
+    """Each internal node's right child, as an index into ``feature``: the
+    leaf flags of trees laid end to end (a leaf's entry means nothing). A
+    tree's running sum starts 1 below the last one's start and stays at or
+    above its own before its last node, so a node's sum within its tree is
+    the running sum less its least value so far. A right child is its
+    parent's successor in a stable sort by that sum, which numpy
+    radix-sorts once cast to 16 bits or fewer."""
+    step = (feature >= 0).view(np.int8) * np.int8(2) - np.int8(1)  # narrow dtypes: every plan build pays these passes
+    before = np.cumsum(step, dtype=np.int32)
+    before -= step
+    before -= np.minimum.accumulate(before)
+    order = np.argsort(before.astype(np.min_scalar_type(before.max(initial=0))), kind="stable")
+    right = np.zeros(feature.size, dtype=np.int64)
+    right[order[:-1]] = order[1:]
+    return right
+
+
 def _plan(trees, width):
     """The prediction plan of ``trees`` for rows ``width`` cells wide."""
     feature = np.concatenate([np.empty(0, dtype=int)] + [t.feature for t in trees])
@@ -449,7 +463,7 @@ def _plan(trees, width):
     sizes = np.array([t.feature.size for t in trees], dtype=int)
     starts = np.cumsum(sizes) - sizes
     tree_of = np.repeat(np.arange(sizes.size), sizes)
-    right = np.concatenate([np.empty(0, dtype=int)] + [t.right for t in trees]) + starts.take(tree_of)
+    right = _right_children(feature)
     threshold = np.concatenate([np.empty(0)] + [t.threshold for t in trees])
     value = np.concatenate([np.empty(0)] + [t.value for t in trees])
     # breadth first over all trees at once, each tree only down to its first leaf
@@ -635,10 +649,10 @@ def trees_from_block(block):
     """Decode a packed block into its trees, each a view into the block's
     arrays, rejecting what predict_tree could not walk to a leaf: arrays
     that do not inflate to the counts that ``sizes`` and ``feature`` give,
-    non-finite numbers, and leaf flags that break the shape rule, from
-    which ``right`` is rebuilt. Entries the block does not hold (``right``
-    and ``threshold`` at a leaf, ``value`` at an internal node) are 0; the
-    split statistics are None."""
+    non-finite numbers, and leaf flags that break the shape rule, which
+    prediction reads the right children from. Entries the block does not
+    hold (``threshold`` at a leaf, ``value`` at an internal node) are 0;
+    the split statistics are None."""
     sizes = block["sizes"]
     # sizes below 2**31 keep the inflate's byte counts (8 a node) within zlib's C ssize_t
     if not isinstance(sizes, list) or not all(type(s) is int and 1 <= s < 2**31 for s in sizes):
@@ -660,7 +674,6 @@ def trees_from_block(block):
     sizes = np.array(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    tree_of = np.repeat(np.arange(sizes.size), sizes)
     # the shape rule: a tree's sum after a node first falls below 0 at its last node
     step = np.where(internal, 1, -1)
     after = np.cumsum(step)
@@ -669,18 +682,11 @@ def trees_from_block(block):
     wrong[ends - 1] ^= True
     if wrong.any():
         k = int(wrong.argmax())
-        t = int(tree_of[k])
+        t = int(np.searchsorted(ends, k, side="right"))
         shape = "leave it open at its last node" if k == ends[t] - 1 else f"close it at node {k - starts[t]}"
         raise DataError(f"tree {t} of {sizes[t]} nodes breaks the shape rule: its leaf flags {shape}")
-    # a right child is its parent's successor in a stable sort by the sum
-    # before each node, which numpy radix-sorts once cast to 16 bits or fewer
-    before = after - step
-    order = np.argsort(before.astype(np.min_scalar_type(before.max(initial=0))), kind="stable")
-    successor = np.empty(n, dtype=np.int64)
-    successor[order[:-1]] = order[1:]
 
-    arrays = {"feature": feature, "right": np.zeros(n, dtype=np.int64), "threshold": np.zeros(n), "value": np.zeros(n)}
-    arrays["right"][internal] = successor[internal] - starts[tree_of[internal]]
+    arrays = {"feature": feature, "threshold": np.zeros(n), "value": np.zeros(n)}
     arrays["threshold"][internal] = packed["threshold"]
     arrays["value"][~internal] = packed["value"]
     return [Tree(**{name: a[s:e] for name, a in arrays.items()}) for s, e in zip(starts.tolist(), ends.tolist())]

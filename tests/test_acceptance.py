@@ -342,7 +342,8 @@ def test_a7_determinism(tmp_path):
 
     bundle = load_bundle(out_dir / "bundle.json")
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(100, len(bundle.meta["feature_names"])))
+    prep = bundle.preprocessor
+    X = rng.normal(size=(100, len(prep.numeric) + sum(len(c.categories) for c in prep.categorical)))
     from coldstart.ensemble import bundle_from_dict, bundle_to_dict
 
     clone = bundle_from_dict(bundle_to_dict(bundle))

@@ -16,6 +16,7 @@ from coldstart.pipeline import RunConfig, _json_kind, load_bundle, run_evaluate,
 from coldstart.synth import SynthConfig, generate
 from coldstart.trees import trees_from_block
 from coldstart.util import load_json
+from tree_oracles import stack_right
 
 
 def run_cli(*args):
@@ -474,6 +475,13 @@ def test_bundle_file_is_compact_json(tiny_run):
     assert json.loads(raw) == bundle_to_dict(load_bundle(tiny_run.result["bundle"]))
 
 
+def test_bundle_stores_the_feature_layout_once(tiny_run):
+    # the preprocessor's column states fix the feature names, order and width
+    doc = load_json(tiny_run.result["bundle"])
+    assert sorted(doc["meta"]) == ["config_digest", "reference_date", "seed", "target_transform"]
+    assert sorted(doc["preprocessor"]) == ["categorical", "numeric"]
+
+
 def test_bundle_encoding_is_deterministic(tiny_run):
     bundle = load_bundle(tiny_run.result["bundle"])
     first, second = bundle_to_dict(bundle), bundle_to_dict(bundle)
@@ -485,7 +493,8 @@ def test_bundle_round_trip_predicts_identically(tiny_run):
     bundle = load_bundle(tiny_run.result["bundle"])
     clone = bundle_from_dict(bundle_to_dict(bundle))
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(100, len(bundle.meta["feature_names"])))
+    prep = bundle.preprocessor
+    X = rng.normal(size=(100, len(prep.numeric) + sum(len(c.categories) for c in prep.categorical)))
     from coldstart.pipeline import predict_views
 
     a, _ = predict_views(bundle, X)
@@ -592,14 +601,32 @@ V6_KINDS = {
 V3_TREE_KEYS = {"decision_tree": "root", "random_forest": "trees", "gbt": "stages"}
 
 
+def _right(tree):
+    """Each node's tree-local right child, 0 at a leaf, as versions 3 to 7 stored it."""
+    return np.where(tree.feature >= 0, stack_right(tree.feature), 0)
+
+
+def _as_v8(doc):
+    """A bundle in the version-8 layout: ``meta`` also lists the feature
+    names, and the preprocessor its fit-time [name, role] pairs."""
+    doc["schema_version"] = 8
+    prep = doc["preprocessor"]
+    doc["meta"]["feature_names"] = [c["name"] for c in prep["numeric"]] + [
+        f"{c['name']}={cat}" for c in prep["categorical"] for cat in c["categories"]
+    ]
+    prep["schema"] = [[c["name"], role] for role in ("numeric", "categorical") for c in prep[role]]
+
+
 def _as_v7(doc):
-    """A bundle in the version-7 layout: each tree block also stores a
-    ``right`` array, the tree-local id of each internal node's right child."""
+    """A bundle in the version-7 layout: the version-8 one, with each tree
+    block also storing a ``right`` array, the tree-local id of each
+    internal node's right child."""
+    _as_v8(doc)
     doc["schema_version"] = 7
     for member in doc["members"]:
         if member["family"] in V3_TREE_KEYS:
             block = member["model"]["trees"]
-            right = [t.right[t.feature >= 0] for t in trees_from_block(block)]
+            right = [_right(t)[t.feature >= 0] for t in trees_from_block(block)]
             block["right"] = _deflated(np.concatenate([np.empty(0, dtype="<i4"), *right]).astype("<i4").tobytes())
 
 
@@ -644,14 +671,17 @@ def _as_v4(doc):
 
 def _as_v3(doc):
     """A bundle in the version-3 layout: one dict of four per-node lists per
-    tree, 0 at the entries prediction does not read."""
+    tree, 0 at the entries prediction does not read, and the version-8
+    feature names and preprocessor schema."""
+    _as_v8(doc)
     doc["schema_version"] = 3
     for member in doc["members"]:
         model = member["model"]
         key = V3_TREE_KEYS.get(member["family"])
         if key is not None:
             decoded = [
-                {k: getattr(t, k).tolist() for k in ("feature", "threshold", "right", "value")}
+                {"feature": t.feature.tolist(), "threshold": t.threshold.tolist(), "right": _right(t).tolist(),
+                 "value": t.value.tolist()}
                 for t in trees_from_block(model.pop("trees"))
             ]
             model[key] = decoded[0] if key == "root" else decoded
@@ -776,6 +806,10 @@ BAD_GRID_LISTS = {
     "config_grid_decision_tree_max_depth_string": ("decision_tree", "max_depth", ["x"]),
     "config_grid_decision_tree_max_depth_float": ("decision_tree", "max_depth", [2.5]),
     "config_grid_decision_tree_min_samples_split_bool": ("decision_tree", "min_samples_split", [True]),
+    # sizes that set a fit's work: uncapped, 2**63 trees grew past 7 GB before they were stopped
+    "config_grid_random_forest_n_estimators_2_63": ("random_forest", "n_estimators", [2**63]),
+    "config_grid_gbt_rounds_2_63": ("gbt", "rounds", [2**63]),
+    "config_grid_ridge_max_iter_2_63": ("ridge", "max_iter", [2**63]),
 }
 
 
@@ -879,6 +913,9 @@ BAD_INPUTS = {
     "bundle_schema_version_5": ("bundle", _edited("bundle", _as_v5)),
     "bundle_schema_version_6": ("bundle", _edited("bundle", _as_v6)),
     "bundle_schema_version_7": ("bundle", _edited("bundle", _as_v7)),
+    "bundle_schema_version_8": ("bundle", _edited("bundle", _as_v8)),
+    # the report keys weights and validation by family, so it could not describe both members
+    "bundle_members_repeat_a_family": ("bundle", _edited("bundle", lambda d: _member(d, "ridge").update(family="lasso"))),
     "bundle_member_params_unknown_name": ("bundle", _edited("bundle", lambda d: d["members"][0]["params"].update(bogus=1))),
     # a name no decoder reads, so only the completeness check catches it
     "bundle_member_params_missing_name": (
@@ -1001,5 +1038,7 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
             assert f" {BAD_MODEL_FIELDS[case][1]} must be " in err
         if case.startswith("bundle_schema_version"):
             assert "retrain" in err
+        if case == "bundle_members_repeat_a_family":
+            assert "repeat the family 'lasso'" in err
     else:
         assert code in (2, 3), err

@@ -26,11 +26,11 @@ PREP = fit_preprocessor(make_table([("x", "numeric", [0.0, 1.0])]))
 META = {"target_transform": "none"}
 
 
-def constant_member(value, validation_mape=1.0, weight=0.0, n_features=1):
-    """A ridge member that predicts ``value`` for every row."""
+def constant_member(value, validation_mape=1.0, weight=0.0, n_features=1, family="ridge"):
+    """A linear member that predicts ``value`` for every row."""
     return EnsembleMember(
-        family="ridge",
-        params=resolve_params("ridge", {"alpha": 0.0}),
+        family=family,
+        params=resolve_params(family, {"alpha": 0.0}),
         model=LinearModel(
             coefficients=np.zeros(n_features),
             intercept=float(value),
@@ -187,7 +187,8 @@ def test_weight_sum_enforced():
 
 def test_bundle_serialization_round_trip():
     bundle = build_bundle(
-        [constant_member(10.0, 4.0), constant_member(12.0, 8.0)],
+        # a bundle holds one member per family
+        [constant_member(10.0, 4.0), constant_member(12.0, 8.0, family="lasso")],
         PREP,
         scheme="inverse_error",
         meta={"seed": 7, "target_transform": "none"},

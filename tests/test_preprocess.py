@@ -150,6 +150,33 @@ def test_schema_mismatch():
         transform(prep, other)
 
 
+def test_transform_checks_the_columns_of_each_role():
+    columns = {
+        "x": ("x", "numeric", [1.0, 2.0]),
+        "z": ("z", "numeric", [3.0, None]),
+        "c": ("c", "categorical", ["a", "b"]),
+        "d": ("d", "categorical", ["u", None]),
+    }
+    prep = fit_preprocessor(make_table([columns[k] for k in "xczd"]))
+    want = transform(prep, make_table([columns[k] for k in "xczd"]))
+    # the output reads each role's columns in order, so roles may interleave
+    for order in ("xzcd", "cdxz", "cxdz"):
+        got = transform(prep, make_table([columns[k] for k in order]))
+        assert got.values.tobytes() == want.values.tobytes() and got.feature_names == want.feature_names
+    bad = {
+        "renamed": [columns["x"], ("y", "numeric", [3.0, 4.0]), columns["c"], columns["d"]],
+        "numeric reordered": [columns[k] for k in "zxcd"],
+        "categorical reordered": [columns[k] for k in "xzdc"],
+        "missing": [columns[k] for k in "xzc"],
+        "extra numeric": [columns[k] for k in "xzcd"] + [("w", "numeric", [0.0, 1.0])],
+        "extra of another role": [columns[k] for k in "xzcd"] + [("views", "target", [1.0, 2.0])],
+        "a role changed": [columns["x"], ("z", "categorical", ["3", None]), columns["c"], columns["d"]],
+    }
+    for cols in bad.values():
+        with pytest.raises(SchemaError, match="schema mismatch"):
+            transform(prep, make_table(cols))
+
+
 def test_date_column_rejected():
     import datetime
 
@@ -198,7 +225,7 @@ def reference_fit(features):
             best = max(counts.values())
             impute = min(v for v, c in counts.items() if c == best)
             categorical.append(CategoricalColumnState(schema.name, impute, sorted(set(present))))
-    return Preprocessor(numeric, categorical, [(s.name, s.role) for s in features.schemas])
+    return Preprocessor(numeric, categorical)
 
 
 def reference_transform(prep, features):
@@ -236,7 +263,6 @@ def state_key(prep):
     return (
         [(c.name, bits(c.impute_value), bits(c.mean), bits(c.std)) for c in prep.numeric],
         [(c.name, c.impute_category, list(c.categories)) for c in prep.categorical],
-        list(prep.schema),
     )
 
 
@@ -332,8 +358,8 @@ def test_build_dataset_encodes_numeric_columns_as_arrays():
         lambda d: d["categorical"][0].update(categories=["a", 1]),
         lambda d: d["categorical"][0].update(impute_category=None),
         lambda d: d["numeric"][0].update(name=3),
-        lambda d: d["schema"].__setitem__(0, ["x", "bogus"]),
-        lambda d: d["schema"].__setitem__(0, ["x"]),
+        lambda d: d["categorical"][0].update(name=["c"]),
+        lambda d: d["numeric"][0].update(impute_value="1.5"),
         # transform would read a negative std as 1.0; no fit writes one
         lambda d: d["numeric"][0].update(std=-1.0),
     ],

@@ -33,6 +33,7 @@ from coldstart.trees import (
     trees_to_block,
 )
 from coldstart.util import dump_json, load_json, mix_seed
+from tree_oracles import stack_right
 
 FIXTURE_X = np.array([[1.0], [2.0], [3.0], [4.0]])
 FIXTURE_Y = np.array([0.0, 0.0, 10.0, 10.0])
@@ -103,22 +104,19 @@ def float_grow(columns, keys, y, params, rng, rows, fitted=None):
     X, sample = columns.T, rows
     subsets = trees._subsets(X.shape[1], params.max_features, rng)
     nodes = {name: [] for name in TREE_ARRAYS}
-    stack = [(rows, 0, -1)]
+    stack = [(rows, 0)]
     while stack:
-        rows, depth, parent = stack.pop()
-        node = len(nodes["value"])
-        if parent >= 0:
-            nodes["right"][parent] = node
+        rows, depth = stack.pop()
         Xn, yn = X[rows], y[rows]
         found = None
         if (params.max_depth is None or depth < params.max_depth) and len(rows) >= params.min_samples_split:
             found = float_split(Xn, yn, next(subsets))
         fi, threshold, decrease = found or (-1, 0.0, 0.0)
-        for name, v in zip(TREE_ARRAYS, (fi, threshold, -1, float(yn.mean()), len(rows), decrease)):
+        for name, v in zip(TREE_ARRAYS, (fi, threshold, float(yn.mean()), len(rows), decrease)):
             nodes[name].append(v)
         if found is not None:
             mask = Xn[:, fi] <= threshold
-            stack += [(rows[~mask], depth + 1, node), (rows[mask], depth + 1, -1)]
+            stack += [(rows[~mask], depth + 1), (rows[mask], depth + 1)]
     tree = trees.Tree(**{k: np.array(v, dtype=int if k in trees.INT_ARRAYS else float) for k, v in nodes.items()})
     if fitted is not None:
         fitted[sample] = predict_tree(tree, X[sample])
@@ -301,7 +299,7 @@ def test_fit_interpolates_distinct_feature():
 def test_stump_from_fixture():
     tree = fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_depth=1))
     assert tree.feature.tolist() == [0, -1, -1]
-    assert tree.right[0] == 2  # the left child is the next node, 1
+    assert stack_right(tree.feature)[0] == 2  # the left child is the next node, 1
     assert tree.value[1] == 0.0 and tree.value[2] == 10.0
 
 
@@ -345,9 +343,9 @@ def test_impurity_decrease_telescopes():
 
 def _leaf_of(tree, x):
     """Scalar reference walk: the id of the leaf that row ``x`` reaches."""
-    node = 0
+    node, right = 0, stack_right(tree.feature)
     while tree.feature[node] >= 0:
-        node = node + 1 if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+        node = node + 1 if x[tree.feature[node]] <= tree.threshold[node] else right[node]
     return int(node)
 
 
@@ -379,7 +377,7 @@ def levelwise_predict_tree(tree, X):
     ids = np.arange(leaf.size)
     feature = np.where(leaf, 0, tree.feature)
     left = np.where(leaf, ids, ids + 1)
-    right = np.where(leaf, ids, tree.right)
+    right = np.where(leaf, ids, stack_right(tree.feature))
     flat = X.ravel()
     out = np.empty(X.shape[0])
     rows = np.arange(X.shape[0])
@@ -443,10 +441,44 @@ def test_deep_chain_tree_needs_no_recursion(tmp_path):
     finally:
         sys.setrecursionlimit(limit)
     assert decision_tree_to_dict(clone) == decision_tree_to_dict(tree)
-    # the sums before its nodes reach 299, so right is rebuilt by a sort on 16-bit keys
-    internal = tree.feature >= 0
-    assert np.array_equal(clone.right[internal], tree.right[internal])
+    # the sums before its nodes reach 299, so the right children come from a sort on 16-bit keys
+    internal = clone.feature >= 0
+    assert np.array_equal(trees._right_children(clone.feature)[internal], stack_right(tree.feature)[internal])
     assert np.array_equal(predict_tree(clone, x), y)
+
+
+def test_right_children_match_a_stack_parse():
+    rng = np.random.default_rng(37)
+    X = tied_matrix(rng, 120, 5)
+    y = X[:, 0] + np.round(rng.normal(size=120), 1)
+    shapes = []
+    for seed in range(6):
+        params = TreeParams(
+            max_depth=[None, 1, 3, 8][seed % 4],
+            min_samples_split=int(rng.integers(2, 12)),
+            max_features=trees.MAX_FEATURES_MODES[seed % 3],
+            seed=seed,
+        )
+        shapes.append(fit_decision_tree(X, y, params).feature)
+        shapes += [t.feature for t in fit_random_forest(X, y, params, 4).trees]
+        shapes += [t.feature for t in fit_gbt(X, y, 4, 0.5, params).stages]
+    shapes.append(fit_decision_tree(X, np.ones(120), TreeParams()).feature)  # one leaf
+    for depth in (1, 2, 300, 70_000):  # sums before nodes past 8 and 16 bits
+        shapes.append(np.array([0] * depth + [-1] * (depth + 1)))  # left chain
+        shapes.append(np.array([0, -1] * depth + [-1]))  # right chain
+    shapes += [complete_tree(depth, 3, rng).feature for depth in (0, 1, 5)]
+    for feature in shapes:
+        internal = feature >= 0
+        assert np.array_equal(trees._right_children(feature)[internal], stack_right(feature)[internal])
+    # trees laid end to end, as a plan lays a run: every shape above; 300
+    # one-leaf stages, whose running sum falls to -300, before a deep chain;
+    # and a run of complete trees past PLAN_NODES
+    leaf, chain = np.array([-1]), np.array([0] * 300 + [-1] * 301)
+    for run in (shapes, [leaf] * 300 + [chain], [complete_tree(9, 3, rng).feature] * 70):
+        feature = np.concatenate(run)
+        internal = feature >= 0
+        assert np.array_equal(trees._right_children(feature)[internal], stack_right(feature)[internal])
+    assert feature.size > trees.PLAN_NODES
 
 
 def test_forest_deterministic_and_distinct_trees():
@@ -504,22 +536,19 @@ def test_forest_oob_matches_brute_force():
 def complete_tree(depth, width, rng):
     """A complete binary tree of the given depth in preorder, with random
     split features, thresholds and leaf values."""
-    feature, threshold, right, value = [], [], [], []
+    feature, threshold, value = [], [], []
 
     def build(d):
-        node = len(feature)
         leaf = d == depth
         feature.append(-1 if leaf else int(rng.integers(width)))
         threshold.append(0.0 if leaf else float(rng.normal()))
-        right.append(-1)
         value.append(float(rng.normal()) if leaf else 0.0)
         if not leaf:
             build(d + 1)
-            right[node] = len(feature)
             build(d + 1)
 
     build(0)
-    return trees.Tree(np.array(feature), np.array(threshold), np.array(right), np.array(value))
+    return trees.Tree(np.array(feature), np.array(threshold), np.array(value))
 
 
 def test_plan_memory_is_bounded_by_the_cap_not_the_forest():
@@ -617,7 +646,7 @@ def test_plan_runs_keep_every_float(monkeypatch, cap):
 
 
 def test_forest_rejects_zero_estimators():
-    with pytest.raises(DataError, match="random_forest parameter 'n_estimators' must be an int >= 1, got 0"):
+    with pytest.raises(DataError, match=re.escape("random_forest parameter 'n_estimators' must be an int in [1, 10000], got 0")):
         fit_family("random_forest", {"n_estimators": 0}, FIXTURE_X, FIXTURE_Y)
 
 
@@ -751,9 +780,7 @@ def codec_models():
     y[::4] = -0.0
     params = TreeParams(max_depth=6, min_samples_split=3, max_features="third", seed=4)
     # a stump that splits at -0.0 into leaves of -0.0 and 1.0
-    stump = trees.Tree(
-        np.array([3, -1, -1]), np.array([-0.0, 0.0, 0.0]), np.array([2, -1, -1]), np.array([0.5, -0.0, 1.0])
-    )
+    stump = trees.Tree(np.array([3, -1, -1]), np.array([-0.0, 0.0, 0.0]), np.array([0.5, -0.0, 1.0]))
     single_leaf = fit_decision_tree(X, np.full(90, 2.5), TreeParams())
     forest = fit_random_forest(X, y, params, 4)
     forest.trees += [stump, single_leaf]
@@ -782,7 +809,7 @@ def test_codec_stores_only_what_prediction_reads():
         packed = unpack_block(block)
         feature = np.concatenate([np.empty(0, dtype=int)] + [t.feature for t in fitted])
         internal = feature >= 0
-        cat = {name: np.concatenate([np.empty(0)] + [getattr(t, name) for t in fitted]) for name in TREE_ARRAYS[:4]}
+        cat = {name: np.concatenate([np.empty(0)] + [getattr(t, name) for t in fitted]) for name in TREE_ARRAYS[:3]}
         assert np.array_equal(packed["feature"], feature)
         assert packed["threshold"].tobytes() == cat["threshold"][internal].astype("<f8").tobytes()
         assert packed["value"].tobytes() == cat["value"][~internal].astype("<f8").tobytes()
@@ -793,10 +820,9 @@ def test_codec_stores_only_what_prediction_reads():
         assert len(decoded) == len(fitted)
         for tree, got in zip(fitted, decoded):
             leaf = tree.feature < 0
-            # unread entries decode as 0, read ones bit for bit, and right is rebuilt from the leaf flags
+            # unread entries decode as 0, read ones bit for bit
             want = {
                 "feature": tree.feature,
-                "right": np.where(leaf, 0, tree.right),
                 "threshold": np.where(leaf, 0.0, tree.threshold),
                 "value": np.where(leaf, tree.value, 0.0),
             }
@@ -925,7 +951,7 @@ def test_block_rejects_malformed(case):
 def test_inflate_stops_one_byte_past_the_declared_entries():
     # 50 MB of zeros deflate to ~51 KB; a one-leaf tree holds one value and no threshold
     bomb = base64.b64encode(zlib.compress(bytes(50_000_000))).decode("ascii")
-    block = pack_block([1], {"feature": np.array([-1], dtype="<i4"), "right": [], "threshold": [], "value": [2.5]})
+    block = pack_block([1], {"feature": np.array([-1], dtype="<i4"), "threshold": [], "value": [2.5]})
     (tree,) = trees_from_block(block)
     assert tree.value.tolist() == [2.5]
     for name, message in [
