@@ -8,6 +8,7 @@ import argparse
 import sys
 from dataclasses import fields
 
+from .ensemble import SCHEMES, TARGET_TRANSFORMS
 from .errors import DataError
 from .pipeline import RunConfig, run_evaluate, run_predict, run_train, run_verify
 from .synth import GroundTruth, SynthConfig, generate
@@ -43,8 +44,8 @@ def build_parser():
     p_train.add_argument("--families", help="comma-separated subset of the six families")
     p_train.add_argument("--n-iter", type=int)
     p_train.add_argument("--folds", type=int, dest="cv_folds")
-    p_train.add_argument("--scheme", choices=["inverse_error", "equal"])
-    p_train.add_argument("--target-transform", choices=["none", "log1p"])
+    p_train.add_argument("--scheme", choices=SCHEMES)
+    p_train.add_argument("--target-transform", choices=TARGET_TRANSFORMS)
 
     def add_io(p, with_out=True):
         p.add_argument("--bundle", required=True)

@@ -12,9 +12,11 @@ differ in ``n_estimators`` alone (see tuning).
 DOMAINS holds the one rule for each parameter's values; resolve_params, the
 one place that applies it, checks every fit, grid value and bundle member.
 A bundle member's ``params`` are the one stored copy of its parameters: a
-model dict holds fitted state alone, and from_dict takes the one value
-prediction reads from them, a gbt's learning rate. A linear model holds no
-parameter, since prediction reads none.
+model dict holds fitted state alone, and from_dict takes from them the one
+value prediction reads, a gbt's learning rate, and the tree count a tree
+model's block must hold: ``n_estimators`` for a forest, ``rounds`` for gbt
+and 1 for a decision tree, which is a forest of one. A linear model holds
+no parameter, since prediction reads none.
 """
 
 import sys
@@ -62,11 +64,13 @@ _LINEAR = Family(
 # time, so a wrapper patched onto trees or linear sees every call.
 FAMILY_TABLE = {
     "decision_tree": Family(
-        fit=lambda p, X, y, seed: trees.fit_decision_tree(X, y, _tree_params(p, seed)),
-        predict=lambda model, X: trees.predict_tree(model, X),
-        to_dict=trees.decision_tree_to_dict,
-        from_dict=lambda d, p: trees.decision_tree_from_dict(d),
-        trees=lambda model: [model],
+        fit=lambda p, X, y, seed: trees.ForestModel(
+            trees=[trees.fit_decision_tree(X, y, _tree_params(p, seed))], n_features=len(X[0])
+        ),
+        predict=lambda model, X: trees.predict_forest(model, X),
+        to_dict=trees.forest_to_dict,
+        from_dict=lambda d, p: trees.forest_from_dict(d, 1),
+        trees=lambda model: model.trees,
         oob=None,
     ),
     "random_forest": Family(
@@ -75,7 +79,7 @@ FAMILY_TABLE = {
         ),
         predict=lambda model, X: trees.predict_forest(model, X),
         to_dict=trees.forest_to_dict,
-        from_dict=lambda d, p: trees.forest_from_dict(d),
+        from_dict=lambda d, p: trees.forest_from_dict(d, p["n_estimators"]),
         trees=lambda model: model.trees,
         oob=Oob(
             size="n_estimators",
@@ -92,7 +96,7 @@ FAMILY_TABLE = {
         ),
         predict=lambda model, X: trees.predict_gbt(model, X),
         to_dict=trees.gbt_to_dict,
-        from_dict=lambda d, p: trees.gbt_from_dict(d, p["learning_rate"]),
+        from_dict=lambda d, p: trees.gbt_from_dict(d, p["learning_rate"], p["rounds"]),
         trees=lambda model: model.stages,
         oob=None,
     ),

@@ -15,7 +15,6 @@ import numpy as np
 
 from .data import FeatureMatrix
 from .errors import DataError, UndefinedMetricError
-from .families import check_family
 from .trees import impurity_by_feature
 from .util import mix_seed
 
@@ -242,17 +241,14 @@ def permutation_importance(predict, X, y, metric="mape", repeats=5, seed=0, base
     return _ranked(names, scores)
 
 
-def impurity_importance(family, model, feature_names):
+def impurity_importance(trees, feature_names):
     """Variance-reduction importance summed over every split, normalized to 1.
 
-    Regression analog of Gini importance: each internal node contributes
-    n_samples * impurity_decrease to the feature it splits on; forests and
-    boosted models sum across their trees. DataError for a non-tree family.
+    Regression analog of Gini importance: each internal node of the fitted
+    ``trees`` of one model contributes n_samples * impurity_decrease to the
+    feature it splits on; forests and boosted models sum across their trees.
     """
-    trees_of = check_family(family).trees
-    if trees_of is None:
-        raise DataError(f"impurity importance needs a tree-family model, got {family!r}")
-    scores = impurity_by_feature(trees_of(model), len(feature_names))
+    scores = impurity_by_feature(trees, len(feature_names))
     total = float(scores.sum())
     if total <= 0:
         return _ranked(list(feature_names), scores, degenerate=True)

@@ -56,6 +56,7 @@ from .metrics import (
     IMPORTANCE_MAX_REPEATS,
     error_buckets,
     impurity_importance,
+    mape,
     metric_report,
     pearson_matrix,
     permutation_importance,
@@ -225,21 +226,15 @@ def per_series_table(series_ids, y, yhat):
 
     Accuracy is null for a series whose scored targets are all zero.
     """
+    y, yhat = np.asarray(y, dtype=float), np.asarray(yhat, dtype=float)
     groups = {}
-    for sid, yy, pp in zip(series_ids, y, yhat):
-        groups.setdefault(sid, []).append((yy, pp))
+    for i, sid in enumerate(series_ids):
+        groups.setdefault(sid, []).append(i)
     rows = []
     for sid in sorted(groups):
-        pairs = groups[sid]
-        scored = [(yy, pp) for yy, pp in pairs if yy != 0]
-        if scored:
-            series_mape = 100.0 * float(
-                np.mean([abs(yy - pp) / abs(yy) for yy, pp in scored])
-            )
-            accuracy = 100.0 - series_mape
-        else:
-            accuracy = None
-        rows.append({"series_id": sid, "n_episodes": len(pairs), "accuracy": accuracy})
+        ys, ps = y.take(groups[sid]), yhat.take(groups[sid])
+        accuracy = 100.0 - mape(ys, ps) if ys.any() else None
+        rows.append({"series_id": sid, "n_episodes": len(ys), "accuracy": accuracy})
     return rows
 
 
@@ -396,8 +391,9 @@ def run_train(config):
     )
     impurity = None
     for member in bundle.members:
-        if FAMILY_TABLE[member.family].trees is not None:
-            impurity = impurity_importance(member.family, member.model, X_train.feature_names)
+        trees_of = FAMILY_TABLE[member.family].trees
+        if trees_of is not None:
+            impurity = impurity_importance(trees_of(member.model), X_train.feature_names)
             break
 
     os.makedirs(config.out_dir, exist_ok=True)
@@ -576,10 +572,10 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
     mapes = [section["validation"][m.family]["mape"] for m in bundle.members]
     # all-zero views have no MAPE (the section check names it), so no weights either
     weights = [None] * len(mapes) if None in mapes else compute_weights(mapes, bundle.scheme)
-    for member, mape, weight in zip(bundle.members, mapes, weights):
+    for member, member_mape, weight in zip(bundle.members, mapes, weights):
         family = member.family
-        if mape != member.validation_mape:
-            mismatches.append(f"bundle member {family} validation_mape: recomputed {mape!r} != {member.validation_mape!r}")
+        if member_mape != member.validation_mape:
+            mismatches.append(f"bundle member {family} validation_mape: recomputed {member_mape!r} != {member.validation_mape!r}")
         if weight != member.weight:
             mismatches.append(f"bundle member {family} weight: recomputed {weight!r} != {member.weight!r}")
     return not mismatches, mismatches

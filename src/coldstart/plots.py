@@ -63,7 +63,7 @@ def least_squares_line(x, y):
     return slope, float(y.mean()) - slope * float(x.mean())
 
 
-def scatter_svg(actual, predicted, title="Actual vs predicted views"):
+def scatter_svg(actual, predicted):
     """Scatter of (actual, predicted) with identity and least-squares lines."""
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
@@ -71,7 +71,7 @@ def scatter_svg(actual, predicted, title="Actual vs predicted views"):
     hi = float(max(actual.max(), predicted.max()))
     to_x, to_y, lo, hi = _scale(lo, hi)
 
-    body = _axes(title, "actual", "predicted")
+    body = _axes("Actual vs predicted views", "actual", "predicted")
     body.append(
         f'<line x1="{_f(to_x(lo))}" y1="{_f(to_y(lo))}" x2="{_f(to_x(hi))}" y2="{_f(to_y(hi))}" '
         'stroke="#999999" stroke-dasharray="4 3"/>'
@@ -99,13 +99,13 @@ def _corr_color(r):
     return f"#{255 - t:02x}{255 - t:02x}{255:02x}"  # white -> blue
 
 
-def heatmap_svg(names, matrix, title="Pearson correlation"):
+def heatmap_svg(names, matrix):
     """n x n correlation heatmap with labels and per-cell values."""
     matrix = np.asarray(matrix, dtype=float)
     n = len(names)
     left, top = 170, 120
     cell = min((WIDTH - left - 20) / n, (HEIGHT - top - 20) / n)
-    body = [f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>']
+    body = [f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-size="14">Pearson correlation</text>']
     for i, name in enumerate(names):
         y = top + i * cell + cell / 2
         body.append(f'<text x="{left - 6}" y="{_f(y + 4)}" text-anchor="end">{name[:22]}</text>')
@@ -130,14 +130,14 @@ def heatmap_svg(names, matrix, title="Pearson correlation"):
     return _doc(body)
 
 
-def importance_svg(labels, scores, title="Feature importance"):
+def importance_svg(labels, scores):
     """Horizontal bar chart; callers pass features already ranked descending."""
     n = len(labels)
     top = 50
     bar_h = min(24.0, (HEIGHT - top - 30) / max(n, 1))
     max_score = max((abs(s) for s in scores), default=1.0) or 1.0
     left = 220
-    body = [f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>']
+    body = [f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-size="14">Feature importance</text>']
     for i, (label, score) in enumerate(zip(labels, scores)):
         y = top + i * bar_h
         w = abs(score) / max_score * (WIDTH - left - 80)
@@ -150,14 +150,14 @@ def importance_svg(labels, scores, title="Feature importance"):
     return _doc(body)
 
 
-def buckets_svg(before_counts, after_counts, title="Error distribution"):
+def buckets_svg(before_counts, after_counts):
     """Grouped histogram of the five error buckets, before vs after ensembling."""
     labels = ["<10%", "10-20%", "20-30%", "30-40%", ">40%"]
     top, bottom, left = 50, 60, 70
     peak = max(max(before_counts), max(after_counts), 1)
     group_w = (WIDTH - left - 30) / len(labels)
     bar_w = group_w * 0.35
-    body = [f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>']
+    body = [f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-size="14">Error distribution</text>']
     scale = (HEIGHT - top - bottom) / peak
     base_y = HEIGHT - bottom
     for i, label in enumerate(labels):

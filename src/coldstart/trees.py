@@ -159,6 +159,8 @@ INT_ARRAYS = ("feature", "n_samples")
 
 @dataclass
 class ForestModel:
+    """The mean of ``trees``; a decision tree is a forest of one."""
+
     trees: list
     n_features: int
 
@@ -329,14 +331,22 @@ def _grow(columns, keys, y, params, rng, rows, fitted=None):
     return Tree(*(np.array(v, dtype=int if name in INT_ARRAYS else float) for name, v in zip(TREE_ARRAYS, arrays)))
 
 
+def _fit_inputs(X, y):
+    """A tree fit's inputs: y aligned with X, then ``X.T`` (C-contiguous) and
+    ``rank_code(X)``, which every tree of the fit reuses; DataError for
+    misaligned or non-finite inputs, or zero rows."""
+    X, y = _align(X, y)
+    if len(y) == 0:
+        raise DataError("cannot fit a tree model on zero rows")
+    return y, np.ascontiguousarray(X.T), rank_code(X)
+
+
 def fit_decision_tree(X, y, params):
     """Greedy CART fit; stops at max_depth, min_samples_split,
     or when no split reduces variance."""
-    X, y = _align(X, y)
-    if len(y) == 0:
-        raise DataError("cannot fit a tree on zero rows")
+    y, columns, keys = _fit_inputs(X, y)
     rng = np.random.default_rng(params.seed)
-    return _grow(np.ascontiguousarray(X.T), rank_code(X), y, params, rng, np.arange(len(y)))
+    return _grow(columns, keys, y, params, rng, np.arange(len(y)))
 
 
 def _bootstrap(seed, t, n):
@@ -356,11 +366,9 @@ def fit_random_forest(X, y, params, n_estimators):
     matter how trees are scheduled, and its first T trees are the T-tree
     forest of the same params.
     """
-    X, y = _align(X, y)
-    n = len(y)
-    columns, keys = np.ascontiguousarray(X.T), rank_code(X)
-    trees = [_grow(columns, keys, y, params, *_bootstrap(params.seed, t, n)) for t in range(n_estimators)]
-    return ForestModel(trees=trees, n_features=X.shape[1])
+    y, columns, keys = _fit_inputs(X, y)
+    trees = [_grow(columns, keys, y, params, *_bootstrap(params.seed, t, len(y))) for t in range(n_estimators)]
+    return ForestModel(trees=trees, n_features=columns.shape[0])
 
 
 def forest_oob(model, X, seed, sizes):
@@ -397,12 +405,9 @@ def fit_gbt(X, y, rounds, learning_rate, tree_params):
     predictions come from the grower's leaves, which hold the same floats as
     ``predict_tree(stage, X)``.
     """
-    X, y = _align(X, y)
-    if len(y) == 0:
-        raise DataError("cannot fit on zero rows")
+    y, columns, keys = _fit_inputs(X, y)
     base = float(y.mean())
     preds = np.full(len(y), base)
-    columns, keys = np.ascontiguousarray(X.T), rank_code(X)
     fitted = np.empty(len(y))
     stages = []
     for r in range(rounds):
@@ -414,7 +419,7 @@ def fit_gbt(X, y, rounds, learning_rate, tree_params):
         base_prediction=base,
         stages=stages,
         learning_rate=learning_rate,
-        n_features=X.shape[1],
+        n_features=columns.shape[0],
     )
 
 
@@ -693,16 +698,22 @@ def trees_from_block(block):
 
 
 # a model dict holds fitted state alone: the parameters a model was fit with
-# are stored once, in its bundle member's params
+# are stored once, in its bundle member's params, which give the tree count
 def forest_to_dict(model):
     return {"n_features": model.n_features, "trees": trees_to_block(model.trees)}
 
 
-def forest_from_dict(d):
-    forest = trees_from_block(d["trees"])
-    if not forest:
-        raise DataError("a forest needs at least one tree")
-    return ForestModel(trees=forest, n_features=whole_number(d["n_features"], "forest n_features", 0))
+def _block_trees(d, n_trees, what):
+    """The trees of model dict ``d``; DataError unless there are ``n_trees``."""
+    decoded = trees_from_block(d["trees"])
+    if len(decoded) != n_trees:
+        raise DataError(f"{what} block holds {len(decoded)} trees, but its params give {n_trees}")
+    return decoded
+
+
+def forest_from_dict(d, n_trees):
+    """Decode a forest of ``n_trees`` trees: its member's n_estimators, or 1 for a decision tree."""
+    return ForestModel(_block_trees(d, n_trees, "forest"), whole_number(d["n_features"], "forest n_features", 0))
 
 
 def gbt_to_dict(model):
@@ -713,23 +724,12 @@ def gbt_to_dict(model):
     }
 
 
-def gbt_from_dict(d, learning_rate):
-    """Decode a gbt model; ``learning_rate`` comes from its member's params.
+def gbt_from_dict(d, learning_rate, rounds):
+    """Decode a gbt model; ``learning_rate`` and ``rounds`` come from its member's params.
     ``base_prediction`` is made a float, as an int would make predict_gbt's sum an int array."""
     return GbtModel(
         base_prediction=float(finite_number(d["base_prediction"], "gbt base_prediction")),
-        stages=trees_from_block(d["trees"]),
+        stages=_block_trees(d, rounds, "gbt"),
         learning_rate=learning_rate,
         n_features=whole_number(d["n_features"], "gbt n_features", 0),
     )
-
-
-def decision_tree_to_dict(tree):
-    return {"trees": trees_to_block([tree])}
-
-
-def decision_tree_from_dict(d):
-    decoded = trees_from_block(d["trees"])
-    if len(decoded) != 1:
-        raise DataError(f"a decision tree block must hold one tree, not {len(decoded)}")
-    return decoded[0]

@@ -14,7 +14,7 @@ from coldstart.errors import DataError
 from coldstart.families import DEFAULT_PARAMS
 from coldstart.pipeline import RunConfig, _json_kind, load_bundle, run_evaluate, run_predict, run_train, run_verify
 from coldstart.synth import SynthConfig, generate
-from coldstart.trees import trees_from_block
+from coldstart.trees import trees_from_block, trees_to_block
 from coldstart.util import load_json
 from tree_oracles import stack_right
 
@@ -606,9 +606,20 @@ def _right(tree):
     return np.where(tree.feature >= 0, stack_right(tree.feature), 0)
 
 
+def _as_v9(doc):
+    """A bundle in the version-9 layout: a decision tree's model holds no
+    ``n_features``."""
+    doc["schema_version"] = 9
+    for member in doc["members"]:
+        if member["family"] == "decision_tree":
+            member["model"].pop("n_features")
+
+
 def _as_v8(doc):
-    """A bundle in the version-8 layout: ``meta`` also lists the feature
-    names, and the preprocessor its fit-time [name, role] pairs."""
+    """A bundle in the version-8 layout: the version-9 one, with ``meta``
+    also listing the feature names, and the preprocessor its fit-time
+    [name, role] pairs."""
+    _as_v9(doc)
     doc["schema_version"] = 8
     prep = doc["preprocessor"]
     doc["meta"]["feature_names"] = [c["name"] for c in prep["numeric"]] + [
@@ -740,9 +751,34 @@ def _truncated_episodes(tiny_run):
 def _forest_member(doc):
     """The bundle's gbt member, turned into a random forest of the same trees."""
     member = _member(doc, "gbt")
-    member.update(family="random_forest", params=dict(DEFAULT_PARAMS["random_forest"]))
+    n_trees = len(member["model"]["trees"]["sizes"])
+    member.update(family="random_forest", params={**DEFAULT_PARAMS["random_forest"], "n_estimators": n_trees})
     member["model"].pop("base_prediction")
     return member
+
+
+def _first_trees(model, n):
+    """Cut a tree model dict's block to its first ``n`` trees."""
+    model["trees"] = trees_to_block(trees_from_block(model["trees"])[:n])
+
+
+def _forest_of_5_said_3(doc):
+    """A forest member whose block holds 5 trees and whose params say 3."""
+    member = _forest_member(doc)
+    _first_trees(member["model"], 5)
+    member["params"]["n_estimators"] = 3
+
+
+def _decision_tree_one_column_wider(doc):
+    """The bundle with one member, a decision tree (the gbt's first stage),
+    and a preprocessor whose first categorical column gains a category, so
+    that the matrix it scores is one column wider than the tree's."""
+    member = _member(doc, "gbt")
+    member["model"].pop("base_prediction")
+    _first_trees(member["model"], 1)
+    member.update(family="decision_tree", params=dict(DEFAULT_PARAMS["decision_tree"]), weight=1.0)
+    doc["members"] = [member]
+    doc["preprocessor"]["categorical"][0]["categories"].append("zz-unseen")
 
 
 def _model_field(family, name, value):
@@ -914,6 +950,12 @@ BAD_INPUTS = {
     "bundle_schema_version_6": ("bundle", _edited("bundle", _as_v6)),
     "bundle_schema_version_7": ("bundle", _edited("bundle", _as_v7)),
     "bundle_schema_version_8": ("bundle", _edited("bundle", _as_v8)),
+    "bundle_schema_version_9": ("bundle", _edited("bundle", _as_v9)),
+    # a tree model's block holds the tree count its params give
+    "bundle_forest_n_estimators_disagrees": ("bundle", _edited("bundle", _forest_of_5_said_3)),
+    "bundle_gbt_rounds_disagrees": ("bundle", _edited("bundle", lambda d: _member(d, "gbt")["params"].update(rounds=2))),
+    # a decision tree checks the width of what it scores, as every other member does
+    "bundle_decision_tree_width": ("bundle", _edited("bundle", _decision_tree_one_column_wider)),
     # the report keys weights and validation by family, so it could not describe both members
     "bundle_members_repeat_a_family": ("bundle", _edited("bundle", lambda d: _member(d, "ridge").update(family="lasso"))),
     "bundle_member_params_unknown_name": ("bundle", _edited("bundle", lambda d: d["members"][0]["params"].update(bogus=1))),
@@ -996,6 +1038,14 @@ BAD_INPUTS = {
 }
 
 
+# bad bundles whose message names the fault: case -> a part of the message
+BUNDLE_MESSAGES = {
+    "bundle_members_repeat_a_family": "repeat the family 'lasso'",
+    "bundle_forest_n_estimators_disagrees": "forest block holds 5 trees, but its params give 3",
+    "bundle_gbt_rounds_disagrees": "trees, but its params give 2",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
     kind, content, *flags = BAD_INPUTS[case]
@@ -1038,7 +1088,10 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
             assert f" {BAD_MODEL_FIELDS[case][1]} must be " in err
         if case.startswith("bundle_schema_version"):
             assert "retrain" in err
-        if case == "bundle_members_repeat_a_family":
-            assert "repeat the family 'lasso'" in err
+        if case in BUNDLE_MESSAGES:
+            assert BUNDLE_MESSAGES[case] in err
+        if case == "bundle_decision_tree_width":
+            width = _member(load_json(tiny_run.result["bundle"]), "gbt")["model"]["n_features"]
+            assert f"expects {width} features, got {width + 1}" in err
     else:
         assert code in (2, 3), err

@@ -223,7 +223,7 @@ def test_impurity_importance_stump_and_normalization():
     X = np.array([[1.0, 9.0], [2.0, 9.0], [3.0, 9.0], [4.0, 9.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
     stump = fit_decision_tree(X, y, TreeParams(max_depth=1))
-    report = impurity_importance("decision_tree", stump, ["a", "b"])
+    report = impurity_importance([stump], ["a", "b"])
     scores = {n: s for n, s, _ in report.features}
     assert scores == {"a": 1.0, "b": 0.0}
     assert not report.degenerate
@@ -231,12 +231,12 @@ def test_impurity_importance_stump_and_normalization():
     rng = np.random.default_rng(6)
     Xr = rng.normal(size=(80, 4))
     yr = Xr @ np.array([2.0, 1.0, 0.0, 0.0]) + rng.normal(scale=0.1, size=80)
-    for family, model in (
-        ("decision_tree", fit_decision_tree(Xr, yr, TreeParams(max_depth=4))),
-        ("random_forest", fit_random_forest(Xr, yr, TreeParams(max_depth=4, seed=0), 5)),
-        ("gbt", fit_gbt(Xr, yr, 5, 0.5, TreeParams(max_depth=2))),
+    for model_trees in (
+        [fit_decision_tree(Xr, yr, TreeParams(max_depth=4))],
+        fit_random_forest(Xr, yr, TreeParams(max_depth=4, seed=0), 5).trees,
+        fit_gbt(Xr, yr, 5, 0.5, TreeParams(max_depth=2)).stages,
     ):
-        rep = impurity_importance(family, model, ["a", "b", "c", "d"])
+        rep = impurity_importance(model_trees, ["a", "b", "c", "d"])
         assert abs(sum(s for _, s, _ in rep.features) - 1.0) < 1e-12
 
 
@@ -244,13 +244,9 @@ def test_impurity_importance_degenerate_no_splits():
     X = np.array([[1.0], [2.0]])
     y = np.array([5.0, 5.0])
     leaf = fit_decision_tree(X, y, TreeParams())
-    report = impurity_importance("decision_tree", leaf, ["a"])
+    report = impurity_importance([leaf], ["a"])
     assert report.degenerate
     assert all(s == 0.0 for _, s, _ in report.features)
-    with pytest.raises(DataError):
-        impurity_importance("lasso", leaf, ["a"])
-    with pytest.raises(DataError):
-        impurity_importance("nope", leaf, ["a"])
 
 
 def test_importance_ranks_are_permutation():
@@ -258,7 +254,7 @@ def test_importance_ranks_are_permutation():
     X = rng.normal(size=(100, 5))
     y = X @ np.array([3.0, 2.0, 1.0, 0.5, 0.0]) + rng.normal(scale=0.05, size=100)
     model = fit_gbt(X, y, 20, 0.5, TreeParams(max_depth=3))
-    report = impurity_importance("gbt", model, list("abcde"))
+    report = impurity_importance(model.stages, list("abcde"))
     ranks = sorted(r for _, _, r in report.features)
     assert ranks == [1, 2, 3, 4, 5]
 

@@ -1,4 +1,5 @@
-"""Every public top-level name in src/coldstart has a caller.
+"""Every public top-level name in src/coldstart has a caller, and every
+parameter default of a called function is overridden by some caller.
 
 A name counts as used when code outside its own definition refers to it:
 another top-level statement of the package, or a script in perfbench/, as
@@ -60,3 +61,78 @@ def test_every_public_name_has_a_caller():
             if name not in bench and not any(name in names for j, names in enumerate(uses) if j != i):
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+# parameters whose default is set from outside the code: the console script
+# calls main() and leaves its arguments to argparse
+SET_OUTSIDE = {("cli", "main", "argv")}
+
+
+def defaulted_params(func, is_method):
+    """The parameters of a def that have a default, as (name, position):
+    position counts the arguments a call passes positionally (None for a
+    keyword-only parameter), after a method's bound first argument."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    if is_method and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list):
+        positional = positional[1:]
+    first_defaulted = len(positional) - len(args.defaults)
+    params = [(a.arg, i) for i, a in enumerate(positional) if i >= first_defaulted]
+    params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return params
+
+
+def functions(path):
+    """Each def of a module, nested ones too, with whether it is a method."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    methods = {
+        id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, id(node) in methods
+
+
+def calls_by_name(paths):
+    """Name -> the calls made to that name, as a plain name or an attribute."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call, name, position):
+    """Whether ``call`` passes the parameter ``name`` at ``position``."""
+    if any(k.arg in (name, None) for k in call.keywords):  # by name, or through **kwargs
+        return True
+    if position is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i == position:
+            return True
+    return False
+
+
+def test_every_parameter_default_is_overridden_by_some_caller():
+    # calls are matched to a def by the name they call it by, so a call of
+    # another def of the same name counts too: the check can miss a default,
+    # never flag one that a caller sets
+    sources = sorted(ROOT.glob("src/coldstart/*.py"))
+    calls = calls_by_name(sources + sorted(ROOT.glob("perfbench/*.py")))
+    never_set = []
+    for path in sources:
+        for func, is_method in functions(path):
+            reached = calls.get(func.name, [])
+            if not reached:
+                continue
+            for name, position in defaulted_params(func, is_method):
+                if (path.stem, func.name, name) in SET_OUTSIDE:
+                    continue
+                if not any(passes(call, name, position) for call in reached):
+                    never_set.append(f"{path.stem}.{func.name}({name})")
+    assert never_set == []

@@ -11,14 +11,13 @@ import pytest
 
 from coldstart import trees
 from coldstart.errors import DataError
-from coldstart.families import fit_family, resolve_params
+from coldstart.families import DEFAULT_PARAMS, FAMILY_TABLE, fit_family, resolve_params
 from coldstart.trees import (
     TREE_ARRAYS,
+    ForestModel,
     GbtModel,
     TreeParams,
     best_split,
-    decision_tree_from_dict,
-    decision_tree_to_dict,
     fit_decision_tree,
     fit_gbt,
     fit_random_forest,
@@ -236,6 +235,21 @@ def test_tree_inputs_must_be_finite(bad):
                 fit(X, y)
 
 
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda X, y: fit_decision_tree(X, y, TreeParams()),
+        lambda X, y: fit_random_forest(X, y, TreeParams(), n_estimators=2),
+        lambda X, y: fit_gbt(X, y, rounds=2, learning_rate=0.5, tree_params=TreeParams()),
+    ],
+    ids=["decision_tree", "random_forest", "gbt"],
+)
+def test_tree_fits_reject_zero_rows(fit):
+    # one message for the three fits; a node mean over zero rows would divide by zero
+    with pytest.raises(DataError, match="cannot fit a tree model on zero rows"):
+        fit(np.empty((0, 3)), np.empty(0))
+
+
 def test_best_split_fixture():
     feature, threshold, delta = best_split(FIXTURE_X, FIXTURE_Y)
     assert feature == 0
@@ -436,11 +450,11 @@ def test_deep_chain_tree_needs_no_recursion(tmp_path):
         tree = fit_decision_tree(x, y, TreeParams(max_depth=None, min_samples_split=2))
         assert len(tree.feature) == 599
         assert np.array_equal(predict_tree(tree, x), y)
-        dump_json(decision_tree_to_dict(tree), tmp_path / "tree.json")
-        clone = decision_tree_from_dict(load_json(tmp_path / "tree.json"))
+        dump_json(forest_to_dict(ForestModel([tree], 1)), tmp_path / "tree.json")
+        (clone,) = forest_from_dict(load_json(tmp_path / "tree.json"), 1).trees
     finally:
         sys.setrecursionlimit(limit)
-    assert decision_tree_to_dict(clone) == decision_tree_to_dict(tree)
+    assert forest_to_dict(ForestModel([clone], 1)) == forest_to_dict(ForestModel([tree], 1))
     # the sums before its nodes reach 299, so the right children come from a sort on 16-bit keys
     internal = clone.feature >= 0
     assert np.array_equal(trees._right_children(clone.feature)[internal], stack_right(tree.feature)[internal])
@@ -720,10 +734,10 @@ def test_decoded_split_feature_at_the_width_is_a_data_error(kind):
     y = X[:, 0] + rng.normal(scale=0.1, size=40)
     if kind == "forest":
         d = forest_to_dict(fit_random_forest(X, y, TreeParams(max_depth=3), 4))
-        from_dict, predict = forest_from_dict, predict_forest
+        from_dict, predict = (lambda d: forest_from_dict(d, 4)), predict_forest
     else:
         d = gbt_to_dict(fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3)))
-        from_dict, predict = (lambda d: gbt_from_dict(d, 0.5)), predict_gbt
+        from_dict, predict = (lambda d: gbt_from_dict(d, 0.5, 4)), predict_gbt
     feature = unpack_block(d["trees"])["feature"].copy()
     feature[np.flatnonzero(feature >= 0)[-1]] = 3
     d["trees"]["feature"] = deflated(feature.tobytes())
@@ -736,16 +750,17 @@ def test_serialization_round_trips():
     X = rng.normal(size=(50, 3))
     y = rng.normal(size=50)
 
-    tree = fit_decision_tree(X, y, TreeParams(max_depth=4, seed=2))
-    clone = decision_tree_from_dict(decision_tree_to_dict(tree))
-    assert np.array_equal(predict_tree(tree, X), predict_tree(clone, X))
+    # a decision tree is a forest of one tree
+    tree = ForestModel([fit_decision_tree(X, y, TreeParams(max_depth=4, seed=2))], 3)
+    clone = forest_from_dict(forest_to_dict(tree), 1)
+    assert np.array_equal(predict_forest(tree, X), predict_forest(clone, X))
 
     forest = fit_random_forest(X, y, TreeParams(max_depth=3, seed=2), n_estimators=5)
-    fclone = forest_from_dict(forest_to_dict(forest))
+    fclone = forest_from_dict(forest_to_dict(forest), 5)
     assert np.array_equal(predict_forest(forest, X), predict_forest(fclone, X))
 
     gbt = fit_gbt(X, y, rounds=5, learning_rate=0.5, tree_params=TreeParams(max_depth=2))
-    gclone = gbt_from_dict(gbt_to_dict(gbt), gbt.learning_rate)
+    gclone = gbt_from_dict(gbt_to_dict(gbt), gbt.learning_rate, 5)
     assert np.array_equal(predict_gbt(gbt, X), predict_gbt(gclone, X))
 
 
@@ -785,15 +800,15 @@ def codec_models():
     forest = fit_random_forest(X, y, params, 4)
     forest.trees += [stump, single_leaf]
     gbt = fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3, seed=2))
-    tree = (decision_tree_to_dict, decision_tree_from_dict)
-    boosted = (gbt_to_dict, lambda d: gbt_from_dict(d, 0.5))
+    # a decision tree is a forest of one tree
+    tree = (forest_to_dict, lambda d: forest_from_dict(d, 1))
     return X, rng, [
-        (*tree, fit_decision_tree(X, y, TreeParams()), lambda m: [m]),
-        (*tree, single_leaf, lambda m: [m]),
-        (*tree, stump, lambda m: [m]),
-        (forest_to_dict, forest_from_dict, forest, lambda m: m.trees),
-        (*boosted, gbt, lambda m: m.stages),
-        (*boosted, fit_gbt(X, y, 0, 0.5, TreeParams()), lambda m: m.stages),
+        (*tree, ForestModel([fit_decision_tree(X, y, TreeParams())], 6), lambda m: m.trees),
+        (*tree, ForestModel([single_leaf], 6), lambda m: m.trees),
+        (*tree, ForestModel([stump], 6), lambda m: m.trees),
+        (forest_to_dict, lambda d: forest_from_dict(d, 6), forest, lambda m: m.trees),
+        (gbt_to_dict, lambda d: gbt_from_dict(d, 0.5, 4), gbt, lambda m: m.stages),
+        (gbt_to_dict, lambda d: gbt_from_dict(d, 0.5, 0), fit_gbt(X, y, 0, 0.5, TreeParams()), lambda m: m.stages),
     ]
 
 
@@ -842,7 +857,7 @@ def test_empty_block_is_a_zero_round_gbt():
     d = gbt_to_dict(model)
     empty = deflated(b"")
     assert d["trees"] == {"sizes": [], "feature": empty, "threshold": empty, "value": empty}
-    clone = gbt_from_dict(d, 0.5)
+    clone = gbt_from_dict(d, 0.5, 0)
     assert clone.stages == [] and np.array_equal(predict_gbt(clone, FIXTURE_X), predict_gbt(model, FIXTURE_X))
 
 
@@ -996,30 +1011,34 @@ def test_a_node_count_the_streams_do_not_hold_costs_only_the_feature_inflate():
 
 
 def test_tree_models_check_their_tree_count():
+    # one rule: a block holds the tree count its member's params give,
+    # n_estimators for a forest, rounds for gbt and 1 for a decision tree
+    forest = forest_to_dict(fit_random_forest(FIXTURE_X, FIXTURE_Y, TreeParams(), n_estimators=5))
+    with pytest.raises(DataError, match="forest block holds 5 trees, but its params give 3"):
+        forest_from_dict(forest, 3)
+    gbt = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=7, learning_rate=0.5, tree_params=TreeParams()))
+    with pytest.raises(DataError, match="gbt block holds 7 trees, but its params give 2"):
+        gbt_from_dict(gbt, 0.5, 2)
     sizes, arrays = _stump_block()
-    with pytest.raises(DataError, match="one tree, not 2"):
-        decision_tree_from_dict({"trees": pack_block(sizes, arrays)})
     empty = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams()))["trees"]
-    with pytest.raises(DataError, match="one tree, not 0"):
-        decision_tree_from_dict({"trees": empty})
-    forest = forest_to_dict(fit_random_forest(FIXTURE_X, FIXTURE_Y, TreeParams(), n_estimators=2))
-    with pytest.raises(DataError, match="at least one tree"):
-        forest_from_dict({**forest, "trees": empty})
+    for block, count in ((pack_block(sizes, arrays), 2), (empty, 0)):
+        with pytest.raises(DataError, match=f"forest block holds {count} trees, but its params give 1"):
+            FAMILY_TABLE["decision_tree"].from_dict({"n_features": 3, "trees": block}, DEFAULT_PARAMS["decision_tree"])
 
 
 @pytest.mark.parametrize("name", ["threshold", "value"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_tree_from_dict_rejects_non_finite_numbers(name, bad):
-    tree = fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_depth=1))
-    d = decision_tree_to_dict(tree)
+    tree = ForestModel([fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_depth=1))], 1)
+    d = forest_to_dict(tree)
     arrays = unpack_block(d["trees"])
     arrays[name] = arrays[name].copy()
     arrays[name][0] = bad
     with pytest.raises(DataError, match=f"{name!r} must hold finite numbers"):
-        decision_tree_from_dict({**d, "trees": pack_block(d["trees"]["sizes"], arrays)})
+        forest_from_dict({**d, "trees": pack_block(d["trees"]["sizes"], arrays)}, 1)
     g = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=1, learning_rate=0.5, tree_params=TreeParams()))
     with pytest.raises(DataError, match="finite"):
-        gbt_from_dict({**g, "base_prediction": bad}, 0.5)
+        gbt_from_dict({**g, "base_prediction": bad}, 0.5, 1)
     # a gbt's learning_rate comes from its member's params, which resolve_params checks
     with pytest.raises(DataError, match="finite"):
         resolve_params("gbt", {"learning_rate": bad})
