@@ -118,18 +118,25 @@ def bundle_to_dict(bundle):
 
 
 def _member_from_dict(i, m):
+    """Decode member ``i``; a fault in its model or numbers names it. Its
+    weight lies in [0, 1] and its validation MAPE is >= 0, as training writes them."""
     family, params, entry = m["family"], dict(m["params"]), check_family(m["family"])
+    member = f"bundle member {i} ({family})"
     # resolve_params checks each name and value; the params must also name every parameter
     missing = [name for name in resolve_params(family, params) if name not in params]
     if missing:
-        raise DataError(f"bundle member {i} ({family}) params lack {missing}")
-    return EnsembleMember(
-        family=family,
-        params=params,
-        model=entry.from_dict(m["model"], params),
-        validation_mape=finite_number(m["validation_mape"], f"bundle member {i} validation_mape"),
-        weight=finite_number(m["weight"], f"bundle member {i} weight"),
-    )
+        raise DataError(f"{member} params lack {missing}")
+    try:
+        model = entry.from_dict(m["model"], params)
+    except DataError as exc:
+        raise DataError(f"{member}: {exc}") from None
+    validation_mape = finite_number(m["validation_mape"], f"{member} validation_mape")
+    weight = finite_number(m["weight"], f"{member} weight")
+    if validation_mape < 0:
+        raise DataError(f"{member} validation_mape must be >= 0, got {validation_mape!r}")
+    if not 0 <= weight <= 1:
+        raise DataError(f"{member} weight must be in [0, 1], got {weight!r}")
+    return EnsembleMember(family, params, model, validation_mape, weight)
 
 
 def bundle_from_dict(d):

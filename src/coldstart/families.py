@@ -16,7 +16,8 @@ model dict holds fitted state alone, and from_dict takes from them the one
 value prediction reads, a gbt's learning rate, and the tree count a tree
 model's block must hold: ``n_estimators`` for a forest, ``rounds`` for gbt
 and 1 for a decision tree, which is a forest of one. A linear model holds
-no parameter, since prediction reads none.
+no parameter, since prediction reads none. Every tree family's model is a
+trees.ForestModel, a gbt's with a learning rate.
 """
 
 import sys
@@ -60,45 +61,40 @@ _LINEAR = Family(
     oob=None,
 )
 
+# the three tree families share one entry and differ in fit and from_dict
+_TREE = Family(
+    fit=None,
+    predict=lambda model, X: trees.predict_forest(model, X),
+    to_dict=trees.forest_to_dict,
+    from_dict=None,
+    trees=lambda model: model.trees,
+    oob=None,
+)
+
 # Entries look fit and predict functions up through their module at call
 # time, so a wrapper patched onto trees or linear sees every call.
 FAMILY_TABLE = {
-    "decision_tree": Family(
+    "decision_tree": _TREE._replace(
         fit=lambda p, X, y, seed: trees.ForestModel(
             trees=[trees.fit_decision_tree(X, y, _tree_params(p, seed))], n_features=len(X[0])
         ),
-        predict=lambda model, X: trees.predict_forest(model, X),
-        to_dict=trees.forest_to_dict,
         from_dict=lambda d, p: trees.forest_from_dict(d, 1),
-        trees=lambda model: model.trees,
-        oob=None,
     ),
-    "random_forest": Family(
+    "random_forest": _TREE._replace(
         fit=lambda p, X, y, seed: trees.fit_random_forest(
             X, y, _tree_params(p, seed), n_estimators=p["n_estimators"]
         ),
-        predict=lambda model, X: trees.predict_forest(model, X),
-        to_dict=trees.forest_to_dict,
         from_dict=lambda d, p: trees.forest_from_dict(d, p["n_estimators"]),
-        trees=lambda model: model.trees,
         oob=Oob(
             size="n_estimators",
             prefixes=lambda model, X, seed, sizes: trees.forest_oob(model, X, seed, sizes),
         ),
     ),
-    "gbt": Family(
+    "gbt": _TREE._replace(
         fit=lambda p, X, y, seed: trees.fit_gbt(
-            X,
-            y,
-            rounds=p["rounds"],
-            learning_rate=p["learning_rate"],
-            tree_params=_tree_params(p, seed),
+            X, y, rounds=p["rounds"], learning_rate=p["learning_rate"], tree_params=_tree_params(p, seed)
         ),
-        predict=lambda model, X: trees.predict_gbt(model, X),
-        to_dict=trees.gbt_to_dict,
-        from_dict=lambda d, p: trees.gbt_from_dict(d, p["learning_rate"], p["rounds"]),
-        trees=lambda model: model.stages,
-        oob=None,
+        from_dict=lambda d, p: trees.forest_from_dict(d, p["rounds"], p["learning_rate"]),
     ),
     "lasso": _LINEAR,
     "ridge": _LINEAR,

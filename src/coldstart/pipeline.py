@@ -187,8 +187,15 @@ def _fold_views(members, member_results):
 
 
 def bundle_member_views(bundle, X):
-    """member_views of each bundle member on X, in member order."""
-    return [member_views(m, X, bundle.meta["target_transform"]) for m in bundle.members]
+    """member_views of each bundle member on X, in member order; a
+    DataError, such as a width fault, names its member."""
+    results = []
+    for i, m in enumerate(bundle.members):
+        try:
+            results.append(member_views(m, X, bundle.meta["target_transform"]))
+        except DataError as exc:
+            raise DataError(f"bundle member {i} ({m.family}): {exc}") from None
+    return results
 
 
 def predict_views(bundle, X):

@@ -92,10 +92,10 @@ is built, gives each tree's shallowest leaf depth: no row can finish before it, 
 the walk takes that many steps before it looks for finished rows. The
 first step compares the root's column, where every row still is. After
 that, finished rows are dropped once they are half of the rows left. A
-forest adds each tree into its sum in model order and then divides by the
-tree count; boosting adds ``learning_rate * prediction`` in stage order.
-Runs change where plans begin, not that order, so every float is the same
-as with one plan per model.
+model's sum is ``base + sum_t w * prediction_t``, added in model order (see
+ForestModel); a forest's base 0.0 and w 1.0 leave each float as a plain sum
+of its trees would. Runs change where plans begin, not that order, so
+every float is the same as with one plan per model.
 
 Tree t of a forest fit with seed s draws its bootstrap rows and feature
 subsets from ``default_rng(mix_seed(s, t))``, which ``_bootstrap`` builds
@@ -159,18 +159,16 @@ INT_ARRAYS = ("feature", "n_samples")
 
 @dataclass
 class ForestModel:
-    """The mean of ``trees``; a decision tree is a forest of one."""
+    """A tree model, predicting ``base_prediction + sum_t w * tree_t(x)`` in
+    model order. A forest (Breiman 2001, Machine Learning 45) has no
+    ``learning_rate``, base 0 and w 1, and divides by its tree count; a
+    decision tree is a forest of one. A boosted model (Friedman 2001, Annals
+    of Statistics 29) has w its learning rate and no division."""
 
     trees: list
     n_features: int
-
-
-@dataclass
-class GbtModel:
-    base_prediction: float
-    stages: list
-    learning_rate: float
-    n_features: int
+    base_prediction: float = 0.0
+    learning_rate: float | None = None
 
 
 def _align(X, y):
@@ -415,17 +413,7 @@ def fit_gbt(X, y, rounds, learning_rate, tree_params):
         rng = np.random.default_rng(mix_seed(tree_params.seed, r))
         stages.append(_grow(columns, keys, residual, tree_params, rng, np.arange(len(y)), fitted))
         preds = preds + learning_rate * fitted
-    return GbtModel(
-        base_prediction=base,
-        stages=stages,
-        learning_rate=learning_rate,
-        n_features=columns.shape[0],
-    )
-
-
-def _check_width(X, n_features, what):
-    if X.shape[1] != n_features:
-        raise DataError(f"{what} expects {n_features} features, got {X.shape[1]}")
+    return ForestModel(trees=stages, n_features=columns.shape[0], base_prediction=base, learning_rate=learning_rate)
 
 
 class _Plan(NamedTuple):
@@ -566,21 +554,22 @@ def predict_tree(tree, X):
 
 
 def predict_forest(model, X):
+    """The tree model's prediction: its base plus each tree's prediction
+    times the learning rate (1 for a forest), in model order, then divided
+    by the tree count unless the model is boosted."""
     X = np.asarray(X, dtype=float)
-    _check_width(X, model.n_features, "forest")
-    acc = np.zeros(X.shape[0])
+    if X.shape[1] != model.n_features:
+        raise DataError(f"tree model expects {model.n_features} features, got {X.shape[1]}")
+    out = np.full(X.shape[0], model.base_prediction)
     for pred in _each_tree(model.trees, X):
-        acc += pred
-    return acc / len(model.trees)
+        out += (model.learning_rate or 1.0) * pred
+    return out if model.learning_rate else out / len(model.trees)
 
 
 def predict_gbt(model, X):
-    X = np.asarray(X, dtype=float)
-    _check_width(X, model.n_features, "gbt")
-    out = np.full(X.shape[0], model.base_prediction)
-    for pred in _each_tree(model.stages, X):
-        out += model.learning_rate * pred
-    return out
+    """predict_forest under the name the benchmark tracer times boosting by;
+    the package itself calls predict_forest."""
+    return predict_forest(model, X)
 
 
 def impurity_by_feature(trees, n_features):
@@ -699,37 +688,23 @@ def trees_from_block(block):
 
 # a model dict holds fitted state alone: the parameters a model was fit with
 # are stored once, in its bundle member's params, which give the tree count
+# and a boosted model's learning rate
 def forest_to_dict(model):
-    return {"n_features": model.n_features, "trees": trees_to_block(model.trees)}
+    """The tree model's fitted state; ``base_prediction`` for a boosted model only."""
+    d = {"n_features": model.n_features, "trees": trees_to_block(model.trees)}
+    if model.learning_rate is not None:
+        d["base_prediction"] = model.base_prediction
+    return d
 
 
-def _block_trees(d, n_trees, what):
-    """The trees of model dict ``d``; DataError unless there are ``n_trees``."""
+def forest_from_dict(d, n_trees, learning_rate=None):
+    """Decode a tree model whose block must hold ``n_trees`` trees: its
+    member's n_estimators, rounds, or 1 for a decision tree. Given a
+    ``learning_rate``, the model is boosted and reads its ``base_prediction``,
+    made a float, as an int would make predict_forest's sum an int array."""
     decoded = trees_from_block(d["trees"])
     if len(decoded) != n_trees:
-        raise DataError(f"{what} block holds {len(decoded)} trees, but its params give {n_trees}")
-    return decoded
-
-
-def forest_from_dict(d, n_trees):
-    """Decode a forest of ``n_trees`` trees: its member's n_estimators, or 1 for a decision tree."""
-    return ForestModel(_block_trees(d, n_trees, "forest"), whole_number(d["n_features"], "forest n_features", 0))
-
-
-def gbt_to_dict(model):
-    return {
-        "base_prediction": model.base_prediction,
-        "n_features": model.n_features,
-        "trees": trees_to_block(model.stages),
-    }
-
-
-def gbt_from_dict(d, learning_rate, rounds):
-    """Decode a gbt model; ``learning_rate`` and ``rounds`` come from its member's params.
-    ``base_prediction`` is made a float, as an int would make predict_gbt's sum an int array."""
-    return GbtModel(
-        base_prediction=float(finite_number(d["base_prediction"], "gbt base_prediction")),
-        stages=_block_trees(d, rounds, "gbt"),
-        learning_rate=learning_rate,
-        n_features=whole_number(d["n_features"], "gbt n_features", 0),
-    )
+        raise DataError(f"tree block holds {len(decoded)} trees, but its params give {n_trees}")
+    n_features = whole_number(d["n_features"], "n_features", 0)
+    base = 0.0 if learning_rate is None else float(finite_number(d["base_prediction"], "base_prediction"))
+    return ForestModel(decoded, n_features, base, learning_rate)

@@ -769,6 +769,14 @@ def _forest_of_5_said_3(doc):
     member["params"]["n_estimators"] = 3
 
 
+def _second_weight_negative(doc):
+    """Give the first member the second's weight and 0.1 more, and the second
+    a weight of -0.1: the weights still sum to 1, in MAPE order."""
+    first, second = doc["members"][:2]
+    first["weight"] += second["weight"] + 0.1
+    second["weight"] = -0.1
+
+
 def _decision_tree_one_column_wider(doc):
     """The bundle with one member, a decision tree (the gbt's first stage),
     and a preprocessor whose first categorical column gains a category, so
@@ -973,6 +981,11 @@ BAD_INPUTS = {
         "bundle", _edited("bundle", lambda d: _member(d, "lasso")["params"].update(alpha=-1.0))
     ),
     **{case: ("bundle", _model_field(*spec)) for case, spec in BAD_MODEL_FIELDS.items()},
+    # compute_weights writes weights in [0, 1], and a MAPE is never negative
+    "bundle_member_weight_negative": ("bundle", _edited("bundle", _second_weight_negative)),
+    "bundle_member_validation_mape_negative": (
+        "bundle", _edited("bundle", lambda d: d["members"][0].update(validation_mape=-5))
+    ),
     "bundle_member_weight_nan": ("bundle", _bundle_number(lambda d: (d["members"][0], "weight"), "NaN")),
     # an int no float can hold, which must not overflow on its way to the check
     "bundle_member_weight_401_digits": (
@@ -1038,11 +1051,15 @@ BAD_INPUTS = {
 }
 
 
-# bad bundles whose message names the fault: case -> a part of the message
+# bad bundles whose message names the fault, and the member it is in: case ->
+# a part of the message. The tiny run's members are lasso, ridge and gbt.
 BUNDLE_MESSAGES = {
     "bundle_members_repeat_a_family": "repeat the family 'lasso'",
-    "bundle_forest_n_estimators_disagrees": "forest block holds 5 trees, but its params give 3",
-    "bundle_gbt_rounds_disagrees": "trees, but its params give 2",
+    "bundle_forest_n_estimators_disagrees": "bundle member 2 (random_forest): tree block holds 5 trees, but its params give 3",
+    "bundle_gbt_rounds_disagrees": "bundle member 2 (gbt): tree block holds 40 trees, but its params give 2",
+    "bundle_member_weight_negative": "bundle member 1 (ridge) weight must be in [0, 1], got -0.1",
+    "bundle_member_validation_mape_negative": "bundle member 0 (lasso) validation_mape must be >= 0, got -5",
+    "bundle_decision_tree_width": "bundle member 0 (decision_tree): tree model expects ",
 }
 
 

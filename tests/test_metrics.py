@@ -234,7 +234,7 @@ def test_impurity_importance_stump_and_normalization():
     for model_trees in (
         [fit_decision_tree(Xr, yr, TreeParams(max_depth=4))],
         fit_random_forest(Xr, yr, TreeParams(max_depth=4, seed=0), 5).trees,
-        fit_gbt(Xr, yr, 5, 0.5, TreeParams(max_depth=2)).stages,
+        fit_gbt(Xr, yr, 5, 0.5, TreeParams(max_depth=2)).trees,
     ):
         rep = impurity_importance(model_trees, ["a", "b", "c", "d"])
         assert abs(sum(s for _, s, _ in rep.features) - 1.0) < 1e-12
@@ -254,7 +254,7 @@ def test_importance_ranks_are_permutation():
     X = rng.normal(size=(100, 5))
     y = X @ np.array([3.0, 2.0, 1.0, 0.5, 0.0]) + rng.normal(scale=0.05, size=100)
     model = fit_gbt(X, y, 20, 0.5, TreeParams(max_depth=3))
-    report = impurity_importance(model.stages, list("abcde"))
+    report = impurity_importance(model.trees, list("abcde"))
     ranks = sorted(r for _, _, r in report.features)
     assert ranks == [1, 2, 3, 4, 5]
 

@@ -15,7 +15,6 @@ from coldstart.families import DEFAULT_PARAMS, FAMILY_TABLE, fit_family, resolve
 from coldstart.trees import (
     TREE_ARRAYS,
     ForestModel,
-    GbtModel,
     TreeParams,
     best_split,
     fit_decision_tree,
@@ -23,10 +22,7 @@ from coldstart.trees import (
     fit_random_forest,
     forest_from_dict,
     forest_to_dict,
-    gbt_from_dict,
-    gbt_to_dict,
     predict_forest,
-    predict_gbt,
     predict_tree,
     trees_from_block,
     trees_to_block,
@@ -176,7 +172,7 @@ def test_rank_coded_growth_matches_float_growth(monkeypatch):
         fits += [
             lambda X=X, y=y, params=params: [fit_decision_tree(X, y, params)],
             lambda X=X, y=y, params=params: fit_random_forest(X, y, params, n_estimators=4).trees,
-            lambda X=X, y=y, params=params: fit_gbt(X, y, rounds=3, learning_rate=0.3, tree_params=params).stages,
+            lambda X=X, y=y, params=params: fit_gbt(X, y, rounds=3, learning_rate=0.3, tree_params=params).trees,
         ]
     got = [fit() for fit in fits]
     monkeypatch.setattr(trees, "_grow", float_grow)
@@ -432,7 +428,7 @@ def test_slot_descent_matches_levelwise_descent():
     params = TreeParams(max_depth=6, min_samples_split=4, max_features="third", seed=3)
     models = [fit_decision_tree(X, y, TreeParams(max_depth=8))]
     models += fit_random_forest(X, y, params, 8).trees
-    models += fit_gbt(X, y, 8, 0.3, TreeParams(max_depth=3, seed=4)).stages
+    models += fit_gbt(X, y, 8, 0.3, TreeParams(max_depth=3, seed=4)).trees
     models.append(fit_decision_tree(X, np.ones(150), TreeParams()))  # a single leaf
     assert models[-1].feature.size == 1
     for tree in models:
@@ -475,7 +471,7 @@ def test_right_children_match_a_stack_parse():
         )
         shapes.append(fit_decision_tree(X, y, params).feature)
         shapes += [t.feature for t in fit_random_forest(X, y, params, 4).trees]
-        shapes += [t.feature for t in fit_gbt(X, y, 4, 0.5, params).stages]
+        shapes += [t.feature for t in fit_gbt(X, y, 4, 0.5, params).trees]
     shapes.append(fit_decision_tree(X, np.ones(120), TreeParams()).feature)  # one leaf
     for depth in (1, 2, 300, 70_000):  # sums before nodes past 8 and 16 bits
         shapes.append(np.array([0] * depth + [-1] * (depth + 1)))  # left chain
@@ -610,9 +606,9 @@ def test_gbt_prediction_is_base_plus_shrunken_stages():
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
     model = fit_gbt(X, y, rounds=9, learning_rate=0.3, tree_params=TreeParams(max_depth=3, seed=2))
-    X_new = _edge_rows(model.stages[0], X, rng)
-    want = gbt_reference(model.base_prediction, model.learning_rate, model.stages, X_new)
-    assert np.array_equal(predict_gbt(model, X_new), want)
+    X_new = _edge_rows(model.trees[0], X, rng)
+    want = gbt_reference(model.base_prediction, model.learning_rate, model.trees, X_new)
+    assert np.array_equal(predict_forest(model, X_new), want)
 
 
 def test_one_plan_walks_a_leaf_a_chain_and_forest_trees():
@@ -631,8 +627,8 @@ def test_one_plan_walks_a_leaf_a_chain_and_forest_trees():
     X_new = np.vstack([_edge_rows(tree, X, rng) for tree in mixed])
     model = trees.ForestModel(trees=mixed, n_features=3)
     assert np.array_equal(predict_forest(model, X_new), forest_reference(mixed, X_new))
-    gbt = GbtModel(base_prediction=0.25, stages=mixed, learning_rate=0.5, n_features=3)
-    assert np.array_equal(predict_gbt(gbt, X_new), gbt_reference(0.25, 0.5, mixed, X_new))
+    gbt = ForestModel(mixed, 3, base_prediction=0.25, learning_rate=0.5)
+    assert np.array_equal(predict_forest(gbt, X_new), gbt_reference(0.25, 0.5, mixed, X_new))
 
 
 @pytest.mark.parametrize("cap", [1, 600, 650, 1000])
@@ -655,8 +651,8 @@ def test_plan_runs_keep_every_float(monkeypatch, cap):
     assert len(runs) > 1
     model = trees.ForestModel(trees=mixed, n_features=3)
     assert np.array_equal(predict_forest(model, X_new), forest_reference(mixed, X_new))
-    gbt = GbtModel(base_prediction=0.25, stages=mixed, learning_rate=0.5, n_features=3)
-    assert np.array_equal(predict_gbt(gbt, X_new), gbt_reference(0.25, 0.5, mixed, X_new))
+    gbt = ForestModel(mixed, 3, base_prediction=0.25, learning_rate=0.5)
+    assert np.array_equal(predict_forest(gbt, X_new), gbt_reference(0.25, 0.5, mixed, X_new))
 
 
 def test_forest_rejects_zero_estimators():
@@ -666,8 +662,8 @@ def test_forest_rejects_zero_estimators():
 
 def test_gbt_zero_rounds_predicts_mean():
     model = fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams())
-    assert np.array_equal(predict_gbt(model, FIXTURE_X), np.full(4, 5.0))
-    assert predict_gbt(model, FIXTURE_X[:0]).shape == (0,)
+    assert np.array_equal(predict_forest(model, FIXTURE_X), np.full(4, 5.0))
+    assert predict_forest(model, FIXTURE_X[:0]).shape == (0,)
 
 
 def test_gbt_one_round_full_rate_recovers_fixture():
@@ -675,13 +671,42 @@ def test_gbt_one_round_full_rate_recovers_fixture():
         FIXTURE_X, FIXTURE_Y, rounds=1, learning_rate=1.0, tree_params=TreeParams(max_depth=1)
     )
     assert model.base_prediction == 5.0
-    assert np.allclose(predict_gbt(model, FIXTURE_X), FIXTURE_Y)
+    assert np.allclose(predict_forest(model, FIXTURE_X), FIXTURE_Y)
 
 
 def test_gbt_half_rate_hand_arithmetic():
     stump = fit_decision_tree(FIXTURE_X, FIXTURE_Y - 5.0, TreeParams(max_depth=1))
-    model = GbtModel(base_prediction=5.0, stages=[stump], learning_rate=0.5, n_features=1)
-    assert np.allclose(predict_gbt(model, FIXTURE_X), [2.5, 2.5, 7.5, 7.5])
+    model = ForestModel([stump], 1, base_prediction=5.0, learning_rate=0.5)
+    assert np.allclose(predict_forest(model, FIXTURE_X), [2.5, 2.5, 7.5, 7.5])
+
+
+def test_zero_round_boosted_record_predicts_its_base():
+    model = ForestModel([], 2, base_prediction=-1.25, learning_rate=0.3)
+    X = np.array([[0.0, 1.0], [5.0, -2.0], [1e300, -0.0]])
+    assert predict_forest(model, X).tolist() == [-1.25] * 3
+    assert predict_forest(model, X[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "family, params, keys",
+    [
+        ("decision_tree", {}, ["n_features", "trees"]),
+        ("random_forest", {"n_estimators": 3}, ["n_features", "trees"]),
+        ("gbt", {"rounds": 2}, ["base_prediction", "n_features", "trees"]),
+    ],
+)
+def test_tree_families_share_one_record_and_keep_their_dict_keys(family, params, keys):
+    # the key sets of bundle v10: a boosted model alone stores a base
+    entry = FAMILY_TABLE[family]
+    assert entry.to_dict is trees.forest_to_dict
+    model = fit_family(family, params, FIXTURE_X, FIXTURE_Y)
+    assert isinstance(model, ForestModel) and (model.learning_rate is None) == (family != "gbt")
+    d = entry.to_dict(model)
+    assert sorted(d) == keys
+    clone = entry.from_dict(json.loads(json.dumps(d)), resolve_params(family, params))
+    assert clone == ForestModel(clone.trees, model.n_features, model.base_prediction, model.learning_rate)
+    assert entry.to_dict(clone) == d
+    assert np.array_equal(entry.predict(clone, FIXTURE_X), predict_forest(model, FIXTURE_X))
 
 
 def test_gbt_training_mse_non_increasing():
@@ -693,7 +718,7 @@ def test_gbt_training_mse_non_increasing():
     # recompute the per-round training MSE from the stages
     preds = np.full(len(y), model.base_prediction)
     last = float(np.mean((y - preds) ** 2))
-    for stage in model.stages:
+    for stage in model.trees:
         preds = preds + model.learning_rate * predict_tree(stage, X)
         mse = float(np.mean((y - preds) ** 2))
         assert mse <= last + 1e-12
@@ -706,7 +731,7 @@ def test_gbt_determinism():
     y = rng.normal(size=40)
     a = fit_gbt(X, y, rounds=10, learning_rate=0.3, tree_params=TreeParams(max_depth=2, seed=5))
     b = fit_gbt(X, y, rounds=10, learning_rate=0.3, tree_params=TreeParams(max_depth=2, seed=5))
-    assert gbt_to_dict(a) == gbt_to_dict(b)
+    assert forest_to_dict(a) == forest_to_dict(b)
 
 
 def test_predict_dispatch_and_dimension_check():
@@ -721,7 +746,7 @@ def test_predict_dispatch_and_dimension_check():
         predict_forest(forest, np.zeros((2, 5)))
     gbt = fit_gbt(FIXTURE_X, FIXTURE_Y, 2, 0.5, TreeParams(max_depth=1))
     with pytest.raises(DataError):
-        predict_gbt(gbt, np.zeros((2, 3)))
+        predict_forest(gbt, np.zeros((2, 3)))
     with pytest.raises(DataError):
         predict_tree(single, np.zeros((2, 0)))
 
@@ -736,8 +761,8 @@ def test_decoded_split_feature_at_the_width_is_a_data_error(kind):
         d = forest_to_dict(fit_random_forest(X, y, TreeParams(max_depth=3), 4))
         from_dict, predict = (lambda d: forest_from_dict(d, 4)), predict_forest
     else:
-        d = gbt_to_dict(fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3)))
-        from_dict, predict = (lambda d: gbt_from_dict(d, 0.5, 4)), predict_gbt
+        d = forest_to_dict(fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3)))
+        from_dict, predict = (lambda d: forest_from_dict(d, 4, 0.5)), predict_forest
     feature = unpack_block(d["trees"])["feature"].copy()
     feature[np.flatnonzero(feature >= 0)[-1]] = 3
     d["trees"]["feature"] = deflated(feature.tobytes())
@@ -760,8 +785,9 @@ def test_serialization_round_trips():
     assert np.array_equal(predict_forest(forest, X), predict_forest(fclone, X))
 
     gbt = fit_gbt(X, y, rounds=5, learning_rate=0.5, tree_params=TreeParams(max_depth=2))
-    gclone = gbt_from_dict(gbt_to_dict(gbt), gbt.learning_rate, 5)
-    assert np.array_equal(predict_gbt(gbt, X), predict_gbt(gclone, X))
+    gclone = forest_from_dict(forest_to_dict(gbt), 5, gbt.learning_rate)
+    assert gclone == ForestModel(gclone.trees, 3, gbt.base_prediction, 0.5)
+    assert np.array_equal(predict_forest(gbt, X), predict_forest(gclone, X))
 
 
 def unpack_block(block):
@@ -807,8 +833,8 @@ def codec_models():
         (*tree, ForestModel([single_leaf], 6), lambda m: m.trees),
         (*tree, ForestModel([stump], 6), lambda m: m.trees),
         (forest_to_dict, lambda d: forest_from_dict(d, 6), forest, lambda m: m.trees),
-        (gbt_to_dict, lambda d: gbt_from_dict(d, 0.5, 4), gbt, lambda m: m.stages),
-        (gbt_to_dict, lambda d: gbt_from_dict(d, 0.5, 0), fit_gbt(X, y, 0, 0.5, TreeParams()), lambda m: m.stages),
+        (forest_to_dict, lambda d: forest_from_dict(d, 4, 0.5), gbt, lambda m: m.trees),
+        (forest_to_dict, lambda d: forest_from_dict(d, 0, 0.5), fit_gbt(X, y, 0, 0.5, TreeParams()), lambda m: m.trees),
     ]
 
 
@@ -854,11 +880,11 @@ def test_codec_stores_only_what_prediction_reads():
 
 def test_empty_block_is_a_zero_round_gbt():
     model = fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams())
-    d = gbt_to_dict(model)
+    d = forest_to_dict(model)
     empty = deflated(b"")
     assert d["trees"] == {"sizes": [], "feature": empty, "threshold": empty, "value": empty}
-    clone = gbt_from_dict(d, 0.5, 0)
-    assert clone.stages == [] and np.array_equal(predict_gbt(clone, FIXTURE_X), predict_gbt(model, FIXTURE_X))
+    clone = forest_from_dict(d, 0, 0.5)
+    assert clone.trees == [] and np.array_equal(predict_forest(clone, FIXTURE_X), predict_forest(model, FIXTURE_X))
 
 
 def _stump_block():
@@ -1014,15 +1040,15 @@ def test_tree_models_check_their_tree_count():
     # one rule: a block holds the tree count its member's params give,
     # n_estimators for a forest, rounds for gbt and 1 for a decision tree
     forest = forest_to_dict(fit_random_forest(FIXTURE_X, FIXTURE_Y, TreeParams(), n_estimators=5))
-    with pytest.raises(DataError, match="forest block holds 5 trees, but its params give 3"):
+    with pytest.raises(DataError, match="tree block holds 5 trees, but its params give 3"):
         forest_from_dict(forest, 3)
-    gbt = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=7, learning_rate=0.5, tree_params=TreeParams()))
-    with pytest.raises(DataError, match="gbt block holds 7 trees, but its params give 2"):
-        gbt_from_dict(gbt, 0.5, 2)
+    gbt = forest_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=7, learning_rate=0.5, tree_params=TreeParams()))
+    with pytest.raises(DataError, match="tree block holds 7 trees, but its params give 2"):
+        forest_from_dict(gbt, 2, 0.5)
     sizes, arrays = _stump_block()
-    empty = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams()))["trees"]
+    empty = forest_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams()))["trees"]
     for block, count in ((pack_block(sizes, arrays), 2), (empty, 0)):
-        with pytest.raises(DataError, match=f"forest block holds {count} trees, but its params give 1"):
+        with pytest.raises(DataError, match=f"tree block holds {count} trees, but its params give 1"):
             FAMILY_TABLE["decision_tree"].from_dict({"n_features": 3, "trees": block}, DEFAULT_PARAMS["decision_tree"])
 
 
@@ -1036,9 +1062,9 @@ def test_tree_from_dict_rejects_non_finite_numbers(name, bad):
     arrays[name][0] = bad
     with pytest.raises(DataError, match=f"{name!r} must hold finite numbers"):
         forest_from_dict({**d, "trees": pack_block(d["trees"]["sizes"], arrays)}, 1)
-    g = gbt_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=1, learning_rate=0.5, tree_params=TreeParams()))
-    with pytest.raises(DataError, match="finite"):
-        gbt_from_dict({**g, "base_prediction": bad}, 0.5, 1)
+    g = forest_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=1, learning_rate=0.5, tree_params=TreeParams()))
+    with pytest.raises(DataError, match="base_prediction must be a finite number"):
+        forest_from_dict({**g, "base_prediction": bad}, 1, 0.5)
     # a gbt's learning_rate comes from its member's params, which resolve_params checks
     with pytest.raises(DataError, match="finite"):
         resolve_params("gbt", {"learning_rate": bad})
