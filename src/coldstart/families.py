@@ -30,8 +30,9 @@ from .errors import DataError
 # to_dict(model) -> the model's fitted state as bundle JSON, and
 # from_dict(model dict, resolved params) -> the model;
 # trees(model) -> the model's list of trees.Tree, None for a non-tree family;
-# oob: an Oob for a family searched out of bag, None for one searched by CV
-Family = namedtuple("Family", "fit predict to_dict from_dict trees oob")
+# oob: an Oob for a family searched out of bag, None for one searched by CV;
+# scoring: the score its search ranks candidates by (tuning.score_predictions)
+Family = namedtuple("Family", "fit predict to_dict from_dict trees oob scoring")
 
 # size names the parameter whose smaller values are prefixes of one fit:
 # candidates that differ in it alone share the fit at their largest value.
@@ -49,7 +50,9 @@ def _tree_params(p, seed):
 
 
 # lasso, ridge and elastic net share one entry and differ in their default
-# l1_ratio only
+# l1_ratio only. A search scores the linear families by R-squared and the
+# tree families by MAPE, both on the scale the member is fit on: the log
+# views under target_transform log1p, the views otherwise.
 _LINEAR = Family(
     fit=lambda p, X, y, seed: linear.fit_linear(
         X, y, alpha=p["alpha"], l1_ratio=p["l1_ratio"], tol=p["tol"], max_iter=p["max_iter"]
@@ -59,6 +62,7 @@ _LINEAR = Family(
     from_dict=lambda d, p: linear.linear_from_dict(d),
     trees=None,
     oob=None,
+    scoring="r2",
 )
 
 # the three tree families share one entry and differ in fit and from_dict
@@ -69,6 +73,7 @@ _TREE = Family(
     from_dict=None,
     trees=lambda model: model.trees,
     oob=None,
+    scoring="neg_mape",
 )
 
 # Entries look fit and predict functions up through their module at call
@@ -148,18 +153,6 @@ DEFAULT_GRIDS = {
     "elastic_net": {"alpha": list(_ALPHAS)},
 }
 
-# the documented search scores the linear models by R-squared; the tree
-# families are judged by the error metric the evaluation reports
-DEFAULT_SCORING = {
-    "decision_tree": "neg_mape",
-    "random_forest": "neg_mape",
-    "gbt": "neg_mape",
-    "lasso": "r2",
-    "ridge": "r2",
-    "elastic_net": "r2",
-}
-
-
 def check_family(family):
     """The family's table entry; DataError for an unknown name."""
     if family not in FAMILY_TABLE:
@@ -185,14 +178,18 @@ def resolve_params(family, params=None):
 
 
 def check_grid(family, grid):
-    """DataError unless each value list of ``grid`` is non-empty and each
-    value passes resolve_params: a parameter of the family, in its domain."""
+    """DataError unless each value list of ``grid`` is non-empty, each value
+    passes resolve_params (a parameter of the family, in its domain) and no
+    value equals an earlier one of its list, so that every grid assignment
+    is distinct. An empty grid is one candidate, the family's defaults."""
     check_family(family)
     for name, values in grid.items():
         if not values:
             raise DataError(f"{family} parameter {name!r} has no candidate values, got {values!r}")
-        for value in values:
+        for i, value in enumerate(values):
             resolve_params(family, {name: value})
+            if value in values[:i]:
+                raise DataError(f"{family} parameter {name!r} repeats {value!r}")
 
 
 def fit_family(family, params, X, y, seed=0):

@@ -102,7 +102,8 @@ def load_csv(path, expected_schema, optional=()):
     """Read a headered CSV into a RawTable, matching columns by header name.
 
     The columns of ``optional`` follow those of ``expected_schema`` in the
-    table when the header has them, and are left out when it does not.
+    table when the header has them, and are left out when it does not. A
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
     Numeric and target columns parse as float64 arrays of
     finite floats, date cells as ISO-8601 dates, and the rest stay strings.
     Empty cells become missing (NaN in an array, None in a list), as do the
@@ -112,7 +113,7 @@ def load_csv(path, expected_schema, optional=()):
     first in row-major order (lowest row, then schema position), as a
     cell-by-cell read would.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -313,9 +314,8 @@ def consolidate_metadata(episodes, credits, genres, platform):
     position = {sid: i for i, sid in enumerate(distinct)}
     series_index = _positions(position, series)  # episode -> its series' position
 
-    # one slot per (series, role); a role outside ROLES_CREW goes to the last
-    # column, which no feature reads
-    width = len(ROLES_CREW) + 1
+    # one slot per (series, role); read_credits admits no role outside ROLES_CREW
+    width = len(ROLES_CREW)
     n_slots = len(distinct) * width
     credit_sids, names, roles, ratings, awards = (credits.column(s.name) for s in CREDIT_COLUMNS)
     # exact duplicate credits removed, first occurrence kept; a missing number
@@ -326,7 +326,7 @@ def consolidate_metadata(episodes, credits, genres, platform):
         first_row.setdefault(key, i)
     kept = list(first_row.values())  # ascending: keys are first seen in row order
     kept = list(itertools.compress(kept, _known([credit_sids[i] for i in kept], position, "credit")))
-    role_index = np.array([ROLE_INDEX.get(roles[i], len(ROLES_CREW)) for i in kept], dtype=np.intp)
+    role_index = np.array([ROLE_INDEX[roles[i]] for i in kept], dtype=np.intp)
     slots = _positions(position, [credit_sids[i] for i in kept]) * width + role_index
     count = np.bincount(slots, minlength=n_slots).reshape(-1, width)
     awards, ratings = awards[kept], ratings[kept]

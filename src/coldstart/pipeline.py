@@ -2,8 +2,8 @@
 
 run_train wires the full path — ingest, consolidation, holdout split,
 one leak-free fold plan, randomized search per family on it (out of bag on
-the training matrix for the random forest, whose search returns its
-member's model), top-3 selection, inverse-error weighting — and emits
+the training matrix for the random forest), each search returning its
+member's model, top-3 selection, inverse-error weighting — and emits
 bundle.json, training_report.json, the holdout episodes CSV, and the SVG
 plots.
 Everything derives from the run seed, so two runs with the same config
@@ -38,7 +38,7 @@ from .ensemble import (
     compute_weights,
 )
 from .errors import DataError, UndefinedMetricError
-from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, check_grid, fit_family, predict_family, resolve_params
+from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, check_grid, predict_family, resolve_params
 from .ingest import (
     EPISODE_CSV_COLUMNS,
     VIEWS_COLUMN,
@@ -341,23 +341,18 @@ def run_train(config):
     clamp_counts = {}
     hold_results = {}  # family -> (views, clamped) on the holdout
     for fi, family in enumerate(config.families):
-        grid = config.grids.get(family) or DEFAULT_GRIDS[family]
-        fit_seed = mix_seed(config.seed, 1000 + fi)
-        train = (X_train.values, y_fit, fit_seed)
+        grid = config.grids.get(family, DEFAULT_GRIDS[family])
+        train = (X_train.values, y_fit, mix_seed(config.seed, 1000 + fi))  # the member's fit seed
         try:
             search = randomized_search(family, grid, config.n_iter, folds, seed=mix_seed(config.seed, fi), train=train)
         except UndefinedMetricError as exc:
-            # a search score depends on the scored targets and the family's
-            # scoring alone: r2 is undefined on a fold of one row or of
-            # constant targets where MAPE is not, so the families it scores drop out
+            # a search score is undefined on some targets: r2 on a fold of one
+            # row or of constant targets, MAPE on a fold of zero targets, and
+            # the out-of-bag score where no training row is out of bag
             warnings.warn(f"{family}: dropped, its search score is undefined ({exc})")
             continue
-        params = resolve_params(family, search.best_params)
-        model = search.model
-        if model is None:  # a CV search leaves the winner to be fit on the whole training matrix
-            model = fit_family(family, params, X_train.values, y_fit, seed=fit_seed)
         cv_results[family] = search.to_dict()
-        member = EnsembleMember(family, params, model, validation_mape=None)
+        member = EnsembleMember(family, resolve_params(family, search.best_params), search.model, validation_mape=None)
         views, clamped = hold_results[family] = member_views(member, X_hold.values, config.target_transform)
         report = metric_report(y_hold, views)
         validation[family] = report.to_dict()

@@ -2,16 +2,18 @@
 hyperparameter search.
 
 Search candidates are drawn without replacement from the grid's cartesian
-product and scored by their family's metric in families.DEFAULT_SCORING;
-every evaluation seed derives deterministically from the search seed, so
+product and scored by the ``scoring`` of their family's table entry; every
+evaluation seed derives deterministically from the search seed, so
 identical inputs always reproduce the same candidate sequence, scores, and
-winner.
+winner. Every search returns its member's model: the winner fitted on the
+whole training matrix with the member's fit seed.
 
-A family searched by CV is scored on the matrices of fold_matrices, which
-fits the preprocessor inside each fold's training complement, so no
+A fold plan is the fold id of each training row, as kfold_indices returns
+it. A family searched by CV is scored on the matrices of fold_matrices,
+which fits the preprocessor inside each fold's training complement, so no
 statistics leak across folds. run_train builds them once per train, so
-every candidate of these families is scored on the same folds, and it
-refits the winner on the whole training matrix.
+every candidate of these families is scored on the same folds, and the
+search then fits the winner on the whole training matrix.
 
 A family whose table entry has an ``oob`` (the random forest) is scored
 out of bag instead (Breiman 2001, "Random forests", Machine Learning 45):
@@ -39,25 +41,13 @@ from .util import mix_seed
 
 
 @dataclass
-class FoldPlan:
-    k: int
-    assignments: np.ndarray  # row index -> fold id
-
-    def test_indices(self, fold):
-        return np.flatnonzero(self.assignments == fold)
-
-    def train_indices(self, fold):
-        return np.flatnonzero(self.assignments != fold)
-
-
-@dataclass
 class SearchResult:
     candidates: list  # dicts as reported: params, fold_scores (cv) or oob_rows (oob), mean_score
     best_index: int
     scoring: str
     seed: int
+    model: object  # the winner fitted on the whole training matrix: the member's model
     method: str = "cv"  # "cv" or "oob"
-    model: object = None  # the winner fitted on the training matrix, for an oob search
 
     @property
     def best_params(self):
@@ -76,7 +66,8 @@ class SearchResult:
 
 
 def kfold_indices(n, k, seed):
-    """Seeded shuffle then contiguous chunking; fold sizes differ by <= 1."""
+    """The fold plan: the fold id in 0..k-1 of each of n rows, from a seeded
+    shuffle cut into k contiguous chunks, so fold sizes differ by <= 1."""
     if k < 2:
         raise DataError(f"k must be >= 2, got {k}")
     if k > n:
@@ -89,7 +80,7 @@ def kfold_indices(n, k, seed):
         size = base + (1 if fold < extra else 0)
         assignments[order[start : start + size]] = fold
         start += size
-    return FoldPlan(k=k, assignments=assignments)
+    return assignments
 
 
 def score_predictions(scoring, y, yhat):
@@ -101,18 +92,19 @@ def score_predictions(scoring, y, yhat):
 
 
 def fold_matrices(table, y, plan):
-    """Per-fold (X_tr, y_tr, X_te, y_te, prep) for a RawTable and fold plan.
+    """Per-fold (X_tr, y_tr, X_te, y_te, prep) for a RawTable and a fold
+    plan, the fold id of each row as kfold_indices returns it.
 
     Each fold's preprocessor is fit on its training complement only and
     returned, so leakage checks can inspect its statistics.
     """
     y = np.asarray(y, dtype=float)
-    if table.n_rows != len(y) or len(y) != len(plan.assignments):
+    if table.n_rows != len(y) or len(y) != len(plan):
         raise DataError("fold plan does not cover the data")
     folds = []
-    for fold in range(plan.k):
-        tr = plan.train_indices(fold)
-        te = plan.test_indices(fold)
+    for fold in range(int(plan.max()) + 1):
+        tr = np.flatnonzero(plan != fold)
+        te = np.flatnonzero(plan == fold)
         if len(tr) == 0:
             raise DataError(f"fold {fold} has an empty training complement")
         train_rows = table.take_rows(tr.tolist())
@@ -143,9 +135,8 @@ def cross_validate_pipeline(family, params, table, y, plan, scoring, seed=0):
 
 
 def enumerate_grid(grid):
-    """Cartesian product of a param grid, in deterministic order."""
-    if not grid:
-        raise DataError("empty parameter grid")
+    """Cartesian product of a param grid, in deterministic order; the empty
+    grid is one empty assignment, the family's defaults."""
     names = sorted(grid)
     combos = []
     for values in itertools.product(*(grid[name] for name in names)):
@@ -159,39 +150,40 @@ def _rank(score, index):
     return -score, index
 
 
-def randomized_search(family, grid, n_iter, folds, seed, train=None):
-    """Sample up to n_iter distinct grid assignments and rank them by score.
+def randomized_search(family, grid, n_iter, folds, seed, train):
+    """Sample up to n_iter distinct grid assignments, rank them by score and
+    fit the winner as the member's model.
 
-    A family whose table entry has no ``oob`` is scored by CV on ``folds``,
-    the matrices of fold_matrices, built once per train and shared by every
-    candidate. A family with one is scored out of bag on ``train``, the
-    tuple (X, y, fit_seed) of the full training matrix, its targets and the
-    seed of the member's fit, and the result holds the winner's model.
-    ``seed`` drives the candidate draw and the CV fit seeds. Candidates are
-    scored by the family's DEFAULT_SCORING; ties in score go to the earliest
-    sampled candidate.
+    ``train`` is the tuple (X, y, fit_seed) of the full training matrix, its
+    targets and the seed of the member's fit. A family whose table entry
+    has no ``oob`` is scored by CV on ``folds``, the matrices of
+    fold_matrices, built once per train and shared by every candidate, and
+    its winner is then fit on ``train``. A family with one is scored out of
+    bag on ``train``, and the winner's model is a prefix of a fit made
+    there. ``seed`` drives the candidate draw and the CV fit seeds.
+    Candidates are scored by the entry's ``scoring``; ties in score go to
+    the earliest sampled candidate.
     """
     if n_iter < 1:
         raise DataError("n_iter must be >= 1")
-    oob = families.check_family(family).oob
+    entry = families.check_family(family)
     families.check_grid(family, grid)
-    scoring = families.DEFAULT_SCORING[family]
 
     combos = enumerate_grid(grid)
     m = min(n_iter, len(combos))
     drawn = [combos[int(c)] for c in np.random.default_rng(seed).permutation(len(combos))[:m]]
-    if oob is not None:
-        if train is None:
-            raise DataError(f"{family} is searched out of bag and needs the training matrix")
-        candidates, best_index, model = _oob_search(family, oob, drawn, train, scoring)
-        return SearchResult(candidates, best_index, scoring, seed, method="oob", model=model)
+    if entry.oob is not None:
+        candidates, best_index, model = _oob_search(family, entry.oob, drawn, train, entry.scoring)
+        return SearchResult(candidates, best_index, entry.scoring, seed, model, method="oob")
 
     candidates = []
     for i, params in enumerate(drawn):
-        fold_scores = [float(s) for s in cross_validate(family, params, folds, scoring, seed=mix_seed(seed, i))]
+        fold_scores = [float(s) for s in cross_validate(family, params, folds, entry.scoring, seed=mix_seed(seed, i))]
         candidates.append({"params": params, "fold_scores": fold_scores, "mean_score": float(np.mean(fold_scores))})
     best_index = min(range(m), key=lambda i: _rank(candidates[i]["mean_score"], i))
-    return SearchResult(candidates, best_index, scoring, seed)
+    X, y, fit_seed = train
+    model = families.fit_family(family, drawn[best_index], X, y, seed=fit_seed)
+    return SearchResult(candidates, best_index, entry.scoring, seed, model)
 
 
 def _oob_search(family, oob, drawn, train, scoring):

@@ -854,6 +854,9 @@ BAD_GRID_LISTS = {
     "config_grid_random_forest_n_estimators_2_63": ("random_forest", "n_estimators", [2**63]),
     "config_grid_gbt_rounds_2_63": ("gbt", "rounds", [2**63]),
     "config_grid_ridge_max_iter_2_63": ("ridge", "max_iter", [2**63]),
+    # a repeat would draw and cross-validate the same candidate twice; values compare by ==
+    "config_grid_ridge_alpha_repeats": ("ridge", "alpha", [1.0, 1.0, 1.0]),
+    "config_grid_ridge_alpha_int_repeats_as_float": ("ridge", "alpha", [1, 0.5, 1.0]),
 }
 
 

@@ -3,6 +3,7 @@ import datetime
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from coldstart.ingest import (
     parse_length_to_minutes,
     read_credits,
     read_episodes,
+    read_genre_aliases,
     read_genres,
     read_platform,
     write_csv,
@@ -248,6 +250,32 @@ def test_load_csv_missing_header_and_empty_file(tmp_path):
     empty.write_text("")
     with pytest.raises(DataError):
         load_csv(empty, [ColumnSchema("a", "numeric")])
+
+
+def test_every_reader_skips_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the file with a BOM, which must
+    # not become part of the first header name
+    paths = generate(SynthConfig(n_series=6, seed=5), tmp_path / "plain")
+    alias = tmp_path / "plain" / "aliases.csv"
+    alias.write_text("alias,canonical\nSci-Fi,scifi\n", encoding="utf-8")
+    readers = {
+        paths["episodes"]: read_episodes,
+        paths["credits"]: read_credits,
+        paths["genres"]: read_genres,
+        paths["platform"]: read_platform,
+        alias: read_genre_aliases,
+    }
+    (tmp_path / "bom").mkdir()
+    for path, read in readers.items():
+        bom = tmp_path / "bom" / Path(path).name
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        want, got = read(path), read(bom)
+        if isinstance(want, dict):
+            assert got == want
+            continue
+        assert got.schemas == want.schemas
+        for name in want.column_names:
+            assert cells(got.column(name)) == cells(want.column(name)), (path, name)
 
 
 def test_read_episodes_views_optional(tmp_path):

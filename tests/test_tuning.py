@@ -7,7 +7,7 @@ import pytest
 from conftest import TINY_GRIDS
 from test_acceptance import REDUCED_GRIDS
 
-from coldstart import trees, tuning
+from coldstart import families, trees, tuning
 from coldstart.data import ColumnSchema, RawTable
 from coldstart.errors import DataError, UndefinedMetricError
 from coldstart.linear import fit_linear
@@ -50,14 +50,12 @@ def cv_folds(X, y, k, seed):
 
 def test_kfold_exact_division():
     plan = kfold_indices(10, 5, seed=0)
-    sizes = [len(plan.test_indices(f)) for f in range(5)]
-    assert sizes == [2, 2, 2, 2, 2]
+    assert np.bincount(plan).tolist() == [2, 2, 2, 2, 2]
 
 
 def test_kfold_uneven_sizes():
     plan = kfold_indices(7, 3, seed=0)
-    sizes = sorted((len(plan.test_indices(f)) for f in range(3)), reverse=True)
-    assert sizes == [3, 2, 2]
+    assert sorted(np.bincount(plan).tolist(), reverse=True) == [3, 2, 2]
 
 
 def test_kfold_determinism_and_partition():
@@ -68,11 +66,11 @@ def test_kfold_determinism_and_partition():
         seed = int(rng.integers(0, 1 << 30))
         plan = kfold_indices(n, k, seed)
         again = kfold_indices(n, k, seed)
-        assert np.array_equal(plan.assignments, again.assignments)
-        all_rows = np.concatenate([plan.test_indices(f) for f in range(k)])
-        assert sorted(all_rows.tolist()) == list(range(n))
-        sizes = {len(plan.test_indices(f)) for f in range(k)}
-        assert max(sizes) - min(sizes) <= 1
+        assert np.array_equal(plan, again)
+        # one fold id per row, and every fold of 0..k-1 holds a row
+        assert len(plan) == n and plan.min() == 0 and plan.max() == k - 1
+        sizes = np.bincount(plan)
+        assert len(sizes) == k and sizes.max() - sizes.min() <= 1
 
 
 def test_kfold_bounds():
@@ -133,20 +131,25 @@ def test_pipeline_cv_fits_preprocessor_per_fold():
 def test_enumerate_grid_and_errors():
     combos = enumerate_grid({"a": [1, 2], "b": ["x"]})
     assert combos == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-    with pytest.raises(DataError):
-        enumerate_grid({})
-    # an empty value list is checked by check_grid, which randomized_search runs first
+    # the product of no value lists is one empty assignment: the family's defaults
+    assert enumerate_grid({}) == [{}]
+    # an empty or repeating value list is checked by check_grid, which randomized_search runs first
+    train = (np.zeros((4, 1)), np.arange(4.0), 0)
     with pytest.raises(DataError, match="'alpha' has no candidate values"):
         check_grid("ridge", {"alpha": []})
     with pytest.raises(DataError, match="'alpha' has no candidate values"):
-        randomized_search("ridge", {"alpha": []}, n_iter=1, folds=[], seed=0)
+        randomized_search("ridge", {"alpha": []}, n_iter=1, folds=[], seed=0, train=train)
+    with pytest.raises(DataError, match=r"^ridge parameter 'alpha' repeats 1\.0$"):
+        randomized_search("ridge", {"alpha": [1, 0.5, 1.0]}, n_iter=3, folds=[], seed=0, train=train)
 
 
 def test_search_single_assignment_wins():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
-    result = randomized_search("decision_tree", {"max_depth": [2]}, n_iter=5, folds=cv_folds(X, y, 3, 0), seed=0)
+    result = randomized_search(
+        "decision_tree", {"max_depth": [2]}, n_iter=5, folds=cv_folds(X, y, 3, 0), seed=0, train=(X, y, 0)
+    )
     assert len(result.candidates) == 1
     assert result.best_params == {"max_depth": 2}
 
@@ -156,7 +159,7 @@ def test_search_exhausts_grid_without_replacement():
     X = rng.normal(size=(30, 2))
     y = X[:, 0] * 2 + rng.normal(scale=0.1, size=30)
     grid = {"alpha": [0.001, 0.1, 10.0]}
-    result = randomized_search("ridge", grid, n_iter=50, folds=cv_folds(X, y, 3, 9), seed=9)
+    result = randomized_search("ridge", grid, n_iter=50, folds=cv_folds(X, y, 3, 9), seed=9, train=(X, y, 0))
     tried = sorted(c["params"]["alpha"] for c in result.candidates)
     assert tried == [0.001, 0.1, 10.0]
 
@@ -167,8 +170,8 @@ def test_search_determinism_and_winner_is_max():
     y = X @ np.array([1.0, 0.0, -1.0]) + rng.normal(scale=0.2, size=40)
     grid = {"alpha": [0.001, 0.01, 0.1, 1.0, 10.0]}
     folds = cv_folds(X, y, 5, 42)
-    a = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42)
-    b = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42)
+    a = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42, train=(X, y, 0))
+    b = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42, train=(X, y, 0))
     assert a.to_dict() == b.to_dict()
     assert len(a.candidates) == 3
     best_mean = a.candidates[a.best_index]["mean_score"]
@@ -180,7 +183,7 @@ def test_search_tie_goes_to_earliest_sampled():
     y = np.array([1.0, 1.0, 1.0, 1.0])
     # constant target: every candidate scores identically under neg_mape
     grid = {"max_depth": [2, 3, 4]}
-    result = randomized_search("decision_tree", grid, n_iter=3, folds=cv_folds(X, y, 2, 1), seed=1)
+    result = randomized_search("decision_tree", grid, n_iter=3, folds=cv_folds(X, y, 2, 1), seed=1, train=(X, y, 0))
     assert result.best_index == 0
 
 
@@ -191,7 +194,8 @@ def test_search_on_raw_table_runs_pipeline_mode():
     table = RawTable([ColumnSchema("x", "numeric")], {"x": values})
     y = values * 3.0 + 5.0 + rng.normal(scale=0.1, size=n)
     folds = fold_matrices(table, y, kfold_indices(n, 5, 42))
-    result = randomized_search("ridge", {"alpha": [0.001, 1.0]}, n_iter=4, folds=folds, seed=42)
+    train = (values.reshape(-1, 1), y, 0)
+    result = randomized_search("ridge", {"alpha": [0.001, 1.0]}, n_iter=4, folds=folds, seed=42, train=train)
     assert len(result.candidates) == 2
     assert result.best_params["alpha"] == 0.001
     assert result.candidates[result.best_index]["mean_score"] > 0.9
@@ -201,9 +205,9 @@ def test_search_input_validation():
     X, y = np.zeros((10, 1)), np.zeros(10)
     folds = cv_folds(X, y, 2, 0)
     with pytest.raises(DataError):
-        randomized_search("ridge", {"alpha": [1.0]}, n_iter=0, folds=folds, seed=0)
+        randomized_search("ridge", {"alpha": [1.0]}, n_iter=0, folds=folds, seed=0, train=(X, y, 0))
     with pytest.raises(DataError):
-        randomized_search("mystery", {"alpha": [1.0]}, n_iter=1, folds=folds, seed=0)
+        randomized_search("mystery", {"alpha": [1.0]}, n_iter=1, folds=folds, seed=0, train=(X, y, 0))
     with pytest.raises(DataError):
         fold_matrices(numeric_table(X), y[:9], kfold_indices(10, 2, 0))
 
@@ -235,7 +239,7 @@ def test_search_fits_no_preprocessor(monkeypatch):
     y = X[:, 0] + rng.normal(scale=0.1, size=40)
     folds = cv_folds(X, y, 4, 3)
     calls = _count_preprocessor_fits(monkeypatch)
-    result = randomized_search("ridge", {"alpha": [0.01, 0.1, 1.0]}, n_iter=3, folds=folds, seed=3)
+    result = randomized_search("ridge", {"alpha": [0.01, 0.1, 1.0]}, n_iter=3, folds=folds, seed=3, train=(X, y, 0))
     assert len(result.candidates) == 3
     assert len(calls) == 0  # every candidate is scored on the given fold matrices
 
@@ -367,8 +371,6 @@ def test_forest_search_without_scored_rows_is_undefined():
     X, y = np.ones((1, 2)), np.ones(1)
     with pytest.raises(UndefinedMetricError, match="no training row is out of bag at n_estimators=2"):
         randomized_search("random_forest", {"n_estimators": [2]}, n_iter=1, folds=[], seed=0, train=(X, y, 0))
-    with pytest.raises(DataError, match="random_forest is searched out of bag and needs the training matrix"):
-        randomized_search("random_forest", {"n_estimators": [2]}, n_iter=1, folds=[], seed=0)
 
 
 def test_run_train_fits_each_forest_group_once_and_never_refits(tmp_path, monkeypatch):
@@ -397,3 +399,39 @@ def test_run_train_fits_each_forest_group_once_and_never_refits(tmp_path, monkey
     member = next(m for m in load_json(result["bundle"])["members"] if m["family"] == "random_forest")
     assert member["params"] == resolve_params("random_forest", best)
     assert len(member["model"]["trees"]["sizes"]) == best["n_estimators"]
+
+
+@pytest.mark.parametrize(
+    "family, grid",
+    [
+        ("ridge", {"alpha": [0.001, 0.1, 10.0]}),
+        # a feature draw per split, so the fit seed shows in the tree
+        ("decision_tree", {"max_depth": [2, 4], "min_samples_split": [2, 10], "max_features": ["sqrt"]}),
+    ],
+)
+def test_cv_search_returns_the_winner_fit_on_the_training_matrix(family, grid):
+    # the model is the member's: the winner's params, the whole training
+    # matrix and the member's fit seed, not a fold's fit or a fit at defaults
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(40, 3))
+    y = np.exp(X @ [0.5, -0.3, 0.2] + 0.2 * rng.normal(size=40))
+    fit_seed = 31
+    result = randomized_search(family, grid, n_iter=4, folds=cv_folds(X, y, 3, 2), seed=3, train=(X, y, fit_seed))
+    assert result.method == "cv" and result.best_index > 0  # the winner is not merely the first drawn
+    to_dict = families.check_family(family).to_dict
+    assert to_dict(result.model) == to_dict(fit_family(family, result.best_params, X, y, seed=fit_seed))
+
+
+def test_empty_grid_trains_the_family_defaults(tmp_path):
+    data = tmp_path / "data"
+    generate(SynthConfig(n_series=8, episodes_min=4, episodes_max=6, seed=2), data)
+    paths = {name: str(data / f"{name}.csv") for name in ("episodes", "credits", "genres", "platform")}
+    config = RunConfig(
+        **paths, out_dir=str(tmp_path / "out"), seed=4, families=["ridge"], n_iter=3, cv_folds=2,
+        grids={"ridge": {}}, target_transform="log1p", top_k=1,
+    )
+    result = run_train(config)
+    entry = load_json(result["report"])["cv_results"]["ridge"]
+    assert [c["params"] for c in entry["candidates"]] == [{}]
+    (member,) = load_json(result["bundle"])["members"]
+    assert member["params"] == DEFAULT_PARAMS["ridge"]
