@@ -85,10 +85,6 @@ class RawTable:
     def __len__(self):
         return self.n_rows
 
-    @property
-    def column_names(self):
-        return [s.name for s in self.schemas]
-
     def column(self, name):
         if name not in self.columns:
             raise SchemaError(f"no column named {name!r}")
@@ -156,18 +152,22 @@ def validate_target(values):
 def build_dataset(table):
     """Split a raw table into (features-only table, target vector).
 
-    Exactly one column must have role ``target``. Id and target columns are
-    excluded from the returned feature table, which shares the other
-    columns; row order is preserved so target[i] pairs with feature row i.
+    Exactly one column must have role ``target``, and its values pass
+    validate_target. Id and target columns are excluded from the returned
+    feature table, which shares the other columns; row order is preserved
+    so target[i] pairs with feature row i, and a missing target is named by
+    its data row, i + 2 in a file with a header.
     """
-    targets = [s for s in table.schemas if s.role == "target"]
-    if len(targets) != 1:
+    targets = [s.name for s in table.schemas if s.role == "target"]
+    if not targets:  # ingest leaves out a views column that holds no value
+        raise SchemaError("the views are missing: the table has no target column")
+    if len(targets) > 1:
         raise SchemaError(f"expected exactly one target column, got {len(targets)}")
-    target_name = targets[0].name
 
-    raw_target = table.column(target_name)
-    if np.isnan(raw_target).any():
-        raise DataError(f"target column {target_name!r} contains missing values")
+    raw_target = table.column(targets[0])
+    missing = np.flatnonzero(np.isnan(raw_target))
+    if len(missing):
+        raise DataError(f"target column {targets[0]!r} is missing values (first at data row {missing[0] + 2})")
     return feature_table(table), validate_target(raw_target)
 
 

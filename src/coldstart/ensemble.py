@@ -52,6 +52,10 @@ class EnsembleBundle:
         mapes = [m.validation_mape for m in self.members]
         if any(b < a for a, b in zip(mapes, mapes[1:])):
             raise DataError("members must be sorted by ascending validation MAPE")
+        families = [m.family for m in self.members]
+        repeated = [f for i, f in enumerate(families) if f in families[:i]]
+        if repeated:  # a report keys weights and validation by family
+            raise DataError(f"bundle members repeat the family {repeated[0]!r}")
 
 
 def select_top_models(candidates, k=3):
@@ -152,7 +156,7 @@ def bundle_from_dict(d):
     if not isinstance(meta, dict) or meta.get("target_transform") not in TARGET_TRANSFORMS:
         raise DataError(f"bundle meta must be an object whose target_transform is one of {TARGET_TRANSFORMS}")
     try:
-        bundle = EnsembleBundle(
+        return EnsembleBundle(
             members=[_member_from_dict(i, m) for i, m in enumerate(d["members"])],
             preprocessor=preprocessor_from_dict(d["preprocessor"]),
             scheme=d["scheme"],
@@ -160,8 +164,3 @@ def bundle_from_dict(d):
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"malformed bundle: {type(exc).__name__}: {exc}") from exc
-    families = [m.family for m in bundle.members]
-    repeated = [f for i, f in enumerate(families) if f in families[:i]]
-    if repeated:  # a report keys weights and validation by family
-        raise DataError(f"bundle members repeat the family {repeated[0]!r}")
-    return bundle

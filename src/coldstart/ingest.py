@@ -255,17 +255,21 @@ def read_platform(path):
 
 
 def read_genre_aliases(path):
-    """alias,canonical pairs; genres not listed pass through verbatim."""
+    """alias,canonical pairs; genres not listed pass through verbatim.
+
+    An alias maps to one genre: a row repeating an earlier row is legal, a
+    row giving its alias another canonical genre is a DataError naming both rows.
+    """
     schema = [ColumnSchema("alias", "categorical"), ColumnSchema("canonical", "categorical")]
     table = load_csv(path, schema)
-    mapping = {}
-    for i in range(table.n_rows):
-        alias = table.column("alias")[i]
-        canonical = table.column("canonical")[i]
+    first = {}  # alias -> (canonical, the data row that first maps it)
+    for i, (alias, canonical) in enumerate(zip(table.column("alias"), table.column("canonical"))):
         if alias is None or canonical is None:
             raise DataError(f"{path}: row {i + 2} has an empty alias mapping")
-        mapping[alias] = canonical
-    return mapping
+        mapped, row = first.setdefault(alias, (canonical, i + 2))
+        if mapped != canonical:
+            raise DataError(f"{path}: row {i + 2} maps alias {alias!r} to {canonical!r}, but row {row} maps it to {mapped!r}")
+    return {alias: canonical for alias, (canonical, _) in first.items()}
 
 
 def apply_genre_aliases(genres, alias_map):

@@ -1,5 +1,7 @@
 """Forecast error metrics, error buckets, and feature importance.
 
+``metric_report`` gives a report's metrics for one set of views as the JSON
+object they are written as; the pipeline's score_bundle is its one caller.
 MAPE follows the exclude-and-count policy for zero targets: cold-start data
 can legitimately contain zero-view rows, so those rows are dropped from the
 mean and reported in ``n_excluded_zero_target`` instead of raising. When
@@ -9,7 +11,7 @@ SMAPE uses the factor-2 numerator with |y| + |yhat| in the denominator
 (range 0..200) and defines the both-zero term as 0.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +30,6 @@ IMPORTANCE_CHUNK_ROWS = 4096
 # feature j's repeat r shuffles with seed mix_seed(seed, j * 1000 + r); the
 # bound keeps those seeds distinct, as a repeat 1000 would reuse feature j+1's
 IMPORTANCE_MAX_REPEATS = 1000
-
-
-@dataclass
-class MetricReport:
-    mape: float | None  # None where every target is zero
-    smape: float
-    r2: float | None  # None where R2 is undefined
-    n_scored: int
-    n_excluded_zero_target: int
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -147,9 +137,9 @@ def pearson_matrix(named_vectors):
 
 
 def metric_report(y, yhat):
-    """MAPE + SMAPE + R2 in one record with the zero-target bookkeeping.
+    """MAPE, SMAPE and R2 with the zero-target bookkeeping, as a JSON object.
 
-    MAPE is None where every target is zero, and R2 where ``r2`` is
+    ``mape`` is None where every target is zero, and ``r2`` where R2 is
     undefined (fewer than 2 rows, or constant targets), so that any
     non-empty set of episodes still gets a report.
     """
@@ -158,13 +148,13 @@ def metric_report(y, yhat):
         r2_value = r2(y, yhat)
     except DataError:
         r2_value = None
-    return MetricReport(
-        mape=mape(y, yhat) if np.any(y != 0) else None,
-        smape=smape(y, yhat),
-        r2=r2_value,
-        n_scored=int(np.sum(y != 0)),
-        n_excluded_zero_target=mape_excluded_count(y),
-    )
+    return {
+        "mape": mape(y, yhat) if np.any(y != 0) else None,
+        "smape": smape(y, yhat),
+        "r2": r2_value,
+        "n_scored": int(np.sum(y != 0)),
+        "n_excluded_zero_target": mape_excluded_count(y),
+    }
 
 
 def error_buckets(y, yhat):

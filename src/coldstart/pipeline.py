@@ -9,14 +9,16 @@ plots.
 Everything derives from the run seed, so two runs with the same config
 produce byte-identical artifacts.
 
-score_bundle computes a report's scoring section (selection, weights,
-member and ensemble metrics, clamp counts, error buckets, per-series
-accuracy) from a bundle's member views on rows with known views, and
-returns the ensemble's views with it for the scatter plot. All three
-scoring commands use it: train writes it into the training report, from
-the holdout views its family loop already computed, evaluate writes it as
-the evaluation report, and verify recomputes it from the holdout episodes
-and compares it with the training report exactly.
+score_bundle is the one code path from views to report numbers: it
+computes a report's scoring section (selection, weights, candidate and
+ensemble metrics, clamp counts, error buckets, per-series accuracy) from
+views keyed by family on rows with known views, and returns the
+ensemble's views with it for the scatter plot. All three scoring commands
+use it: train writes it into the training report, from the holdout views
+of every candidate that its family loop already computed, evaluate writes
+it as the evaluation report, and verify recomputes it from the holdout
+episodes and compares it with the training report exactly. Scored views
+pass build_dataset's target rule, as training targets do.
 """
 
 import datetime
@@ -169,15 +171,17 @@ def member_views(member, X, mode):
     return np.where(clamped, 0.0, views), clamped
 
 
-def _fold_views(members, member_results):
+def _fold_views(members, results):
     """Weighted sum of member views, in member order, and the union of their clamp masks.
 
-    Views that overflow to inf or NaN (from finite but huge bundle numbers)
-    are a DataError.
+    ``results`` maps each member's family to its (views, clamped) pair, and
+    may hold other families too. Views that overflow to inf or NaN (from
+    finite but huge bundle numbers) are a DataError.
     """
     total = None
     clamped = None
-    for m, (views, neg) in zip(members, member_results):
+    for m in members:
+        views, neg = results[m.family]
         total = m.weight * views if total is None else total + m.weight * views
         clamped = neg if clamped is None else clamped | neg
     bad = np.flatnonzero(~np.isfinite(total))
@@ -187,12 +191,12 @@ def _fold_views(members, member_results):
 
 
 def bundle_member_views(bundle, X):
-    """member_views of each bundle member on X, in member order; a
+    """{family: member_views} of each bundle member on X, in member order; a
     DataError, such as a width fault, names its member."""
-    results = []
+    results = {}
     for i, m in enumerate(bundle.members):
         try:
-            results.append(member_views(m, X, bundle.meta["target_transform"]))
+            results[m.family] = member_views(m, X, bundle.meta["target_transform"])
         except DataError as exc:
             raise DataError(f"bundle member {i} ({m.family}): {exc}") from None
     return results
@@ -249,23 +253,24 @@ def score_bundle(bundle, results, y, series_ids):
     """A report's scoring section for the bundle on rows with known views
     y, and the ensemble's views.
 
-    ``results`` holds each member's (views, clamped) pair on those rows, in
-    member order, as bundle_member_views returns them. The section is plain
-    JSON: the members (``selected``, ``weights``), each member's metrics and
-    clamp count, the ensemble's, the error buckets of the best member
-    (before) and of the ensemble (after), and per-series accuracy. The
-    ensemble is folded from the members' views as predict_views folds them,
-    so every float equals a prediction there.
+    ``results`` maps a family to its (views, clamped) pair on those rows:
+    the members', as bundle_member_views returns them, or every training
+    candidate's. The section is plain JSON: the members (``selected``,
+    ``weights``), each family's metrics and clamp count (``validation`` and
+    ``validation_clamped``, every family of ``results``), the ensemble's,
+    the error buckets of the best member (before) and of the ensemble
+    (after), and per-series accuracy. The ensemble is folded from the
+    members' views alone, as predict_views folds them, so every float
+    equals a prediction there.
     """
     ensemble, ensemble_clamped = _fold_views(bundle.members, results)
-    families = [m.family for m in bundle.members]
-    before = error_buckets(y, results[0][0])
+    before = error_buckets(y, results[bundle.members[0].family][0])
     section = {
-        "selected": families,
+        "selected": [m.family for m in bundle.members],
         "weights": {m.family: m.weight for m in bundle.members},
-        "validation": {f: metric_report(y, views).to_dict() for f, (views, _) in zip(families, results)},
-        "validation_clamped": {f: int(neg.sum()) for f, (_, neg) in zip(families, results)},
-        "ensemble_validation": metric_report(y, ensemble).to_dict(),
+        "validation": {f: metric_report(y, views) for f, (views, _) in results.items()},
+        "validation_clamped": {f: int(neg.sum()) for f, (_, neg) in results.items()},
+        "ensemble_validation": metric_report(y, ensemble),
         "ensemble_clamped": int(ensemble_clamped.sum()),
         "error_buckets": {
             "edges": list(before.edges),
@@ -336,9 +341,7 @@ def run_train(config):
     folds = fold_matrices(train_table, y_fit, plan)
 
     cv_results = {}
-    validation = {}
     candidates = []
-    clamp_counts = {}
     hold_results = {}  # family -> (views, clamped) on the holdout
     for fi, family in enumerate(config.families):
         grid = config.grids.get(family, DEFAULT_GRIDS[family])
@@ -353,11 +356,8 @@ def run_train(config):
             continue
         cv_results[family] = search.to_dict()
         member = EnsembleMember(family, resolve_params(family, search.best_params), search.model, validation_mape=None)
-        views, clamped = hold_results[family] = member_views(member, X_hold.values, config.target_transform)
-        report = metric_report(y_hold, views)
-        validation[family] = report.to_dict()
-        clamp_counts[family] = int(clamped.sum())
-        member.validation_mape = report.mape
+        views, _ = hold_results[family] = member_views(member, X_hold.values, config.target_transform)
+        member.validation_mape = mape(y_hold, views)  # y_hold has a nonzero view, checked above
         candidates.append(member)
 
     digest = config_digest(config.to_dict())
@@ -375,13 +375,8 @@ def run_train(config):
     )
 
     series_ids = table.column("series_id")
-    # the members predicted the holdout in the family loop; reuse those views
-    section, hold_views = score_bundle(
-        bundle,
-        [hold_results[m.family] for m in bundle.members],
-        y_hold,
-        [series_ids[i] for i in hold_idx.tolist()],
-    )
+    # every candidate predicted the holdout in the family loop; score those views
+    section, hold_views = score_bundle(bundle, hold_results, y_hold, [series_ids[i] for i in hold_idx.tolist()])
     perm = permutation_importance(
         lambda values: predict_views(bundle, values)[0],
         X_hold,
@@ -416,9 +411,6 @@ def run_train(config):
         "cv_results": cv_results,
         "scheme": config.scheme,
         **section,
-        # every fitted candidate, where the section has the members only
-        "validation": validation,
-        "validation_clamped": clamp_counts,
         "importance": {
             "permutation": perm.to_dict(),
             "impurity": None if impurity is None else impurity.to_dict(),
@@ -448,8 +440,8 @@ def load_bundle(path):
 def _load_for_scoring(bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path):
     """Load a bundle and scoring inputs and build their features.
 
-    Returns (bundle, episodes, table, X) with X transformed by the bundle's
-    own preprocessor.
+    Returns (bundle, table, X) with X transformed by the bundle's own
+    preprocessor.
     """
     bundle = load_bundle(bundle_path)
     try:
@@ -465,12 +457,12 @@ def _load_for_scoring(bundle_path, episodes_path, credits_path, genres_path, pla
         warnings.filterwarnings("ignore", message=".*for unknown series.*")
         table, _ = build_model_table(episodes, credits, genres, platform, reference)
     X = transform(bundle.preprocessor, feature_table(table))
-    return bundle, episodes, table, X
+    return bundle, table, X
 
 
 def run_predict(bundle_path, episodes_path, credits_path, genres_path, platform_path, out_path, alias_path=None):
     """Write predictions.csv for new episodes; returns a summary dict."""
-    bundle, _, table, X = _load_for_scoring(
+    bundle, table, X = _load_for_scoring(
         bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
     views, clamped = predict_views(bundle, X.values)
@@ -486,25 +478,16 @@ def run_predict(bundle_path, episodes_path, credits_path, genres_path, platform_
     return {"out": out_path, "n_rows": int(len(views)), "n_clamped": int(clamped.sum())}
 
 
-def _require_views(episodes):
-    views = episodes.columns.get("views", np.full(episodes.n_rows, np.nan))
-    missing = np.flatnonzero(np.isnan(views))
-    if len(missing):
-        raise DataError(
-            f"episodes are missing views values (first at data row {missing[0] + 2})"
-        )
-    return views
-
-
 def run_evaluate(bundle_path, episodes_path, credits_path, genres_path, platform_path, out_dir, alias_path=None):
     """Score a bundle against episodes with known views; writes report + plots.
 
     The report is the scoring section of score_bundle plus a schema version.
+    The views must pass the training target rule: present, finite and >= 0.
     """
-    bundle, episodes, table, X = _load_for_scoring(
+    bundle, table, X = _load_for_scoring(
         bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
-    y = _require_views(episodes)
+    _, y = build_dataset(table)
     section, views = score_bundle(bundle, bundle_member_views(bundle, X.values), y, table.column("series_id"))
 
     os.makedirs(out_dir, exist_ok=True)
@@ -533,15 +516,14 @@ def run_verify(bundle_path, report_path, episodes_path, credits_path, genres_pat
     missing key, or a value of another JSON kind than the recomputed one,
     is a DataError: the report is malformed, not unreproduced.
     """
-    bundle, episodes, table, X = _load_for_scoring(
+    bundle, table, X = _load_for_scoring(
         bundle_path, episodes_path, credits_path, genres_path, platform_path, alias_path
     )
     report = load_json(report_path)
     if not isinstance(report, dict):
         raise DataError(f"{report_path}: training report must be a JSON object")
-    section, _ = score_bundle(
-        bundle, bundle_member_views(bundle, X.values), _require_views(episodes), table.column("series_id")
-    )
+    _, y = build_dataset(table)
+    section, _ = score_bundle(bundle, bundle_member_views(bundle, X.values), y, table.column("series_id"))
 
     stored = {key: report[key] for key in section if key in report}
     for key in ("validation", "validation_clamped"):

@@ -54,7 +54,6 @@ class SearchResult:
         return self.candidates[self.best_index]["params"]
 
     def to_dict(self):
-        # a CV entry keeps the layout it had before out-of-bag entries existed
         method = {} if self.method == "cv" else {"method": self.method}
         return {
             **method,

@@ -297,7 +297,7 @@ def test_evaluate_on_holdout_reproduces_training_section(tiny_run, tmp_path):
     assert doc == want
 
 
-def test_evaluate_rejects_missing_views(tiny_run, tmp_path):
+def test_evaluate_rejects_missing_views(tiny_run, tmp_path, capsys):
     lines = open(tiny_run.result["holdout_episodes"]).read().splitlines()
     header = lines[0].split(",")
     views_pos = header.index("views")
@@ -316,6 +316,60 @@ def test_evaluate_rejects_missing_views(tiny_run, tmp_path):
         "--out", str(tmp_path / "eval"),
     )
     assert code == 3
+    assert "first at data row 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify"])
+def test_scoring_rejects_a_negative_view_as_training_does(command, tiny_run, tmp_path, capsys):
+    rows = list(csv.reader(open(tiny_run.result["holdout_episodes"], newline="")))
+    rows[2][rows[0].index("views")] = "-500"
+    bad = tmp_path / "episodes.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    inputs = [
+        "--episodes", str(bad),
+        "--credits", str(tiny_run.data_dir / "credits.csv"),
+        "--genres", str(tiny_run.data_dir / "genres.csv"),
+        "--platform", str(tiny_run.data_dir / "platform.csv"),
+    ]
+    if command == "evaluate":
+        argv = ["evaluate", "--bundle", tiny_run.result["bundle"], *inputs, "--out", str(tmp_path / "eval")]
+    else:
+        argv = ["verify", "--bundle", tiny_run.result["bundle"], "--report", tiny_run.result["report"], *inputs]
+    assert run_cli(*argv) == 3
+    assert "target contains negative values" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_train_names_the_data_row_of_a_missing_view(tiny_run, tmp_path, capsys):
+    rows = list(csv.reader(open(tiny_run.data_dir / "episodes.csv", newline="")))
+    rows[4][rows[0].index("views")] = ""
+    gap = tmp_path / "episodes.csv"
+    with open(gap, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**tiny_run.config.to_dict(), "episodes": str(gap)}))
+    code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert "target column 'views' is missing values (first at data row 5)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_conflicting_genre_alias_exits_3_naming_both_rows(tiny_run, tmp_path, capsys):
+    aliases = tmp_path / "aliases.csv"
+    aliases.write_text("alias,canonical\nSci-Fi,scifi\nSci-Fi,drama\n", encoding="utf-8")
+    code = run_cli(
+        "predict",
+        "--bundle", tiny_run.result["bundle"],
+        "--episodes", str(tiny_run.data_dir / "episodes.csv"),
+        "--credits", str(tiny_run.data_dir / "credits.csv"),
+        "--genres", str(tiny_run.data_dir / "genres.csv"),
+        "--platform", str(tiny_run.data_dir / "platform.csv"),
+        "--genre-alias", str(aliases),
+        "--out", str(tmp_path / "predictions.csv"),
+    )
+    assert code == 3
+    assert "row 3 maps alias 'Sci-Fi' to 'drama', but row 2 maps it to 'scifi'" in capsys.readouterr().err
 
 
 def test_evaluate_one_episode_reports_null_r2(tiny_run, tmp_path, capsys):
@@ -1042,6 +1096,8 @@ BAD_INPUTS = {
     "platform_duplicate_row": ("platform", _duplicated_platform_row),
     "episodes_length_unparsed": ("episodes", _csv_cell("episodes.csv", "length", "ninety")),
     "holdout_views_inf": ("holdout", _csv_cell("holdout", "views", "inf")),
+    # scored views obey the training target rule
+    "holdout_views_negative": ("holdout", _csv_cell("holdout", "views", "-500")),
     "report_not_an_object": ("report", lambda run: b'["validation"]'),
     "report_mape_not_a_number": (
         "report", _edited("report", lambda d: d["ensemble_validation"].update(mape="low"))

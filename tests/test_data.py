@@ -21,7 +21,7 @@ def test_build_dataset_role_forced_projection():
         ]
     )
     features, y = build_dataset(table)
-    assert features.column_names == ["length_min"]
+    assert [s.name for s in features.schemas] == ["length_min"]
     assert list(y) == [100.0, 200.0, 300.0]
 
 
@@ -48,7 +48,7 @@ def test_build_dataset_counts():
         ]
     )
     features, y = build_dataset(table)
-    assert len(features.column_names) == 3
+    assert len(features.schemas) == 3
     assert len(y) == n
 
 

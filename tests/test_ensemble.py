@@ -87,7 +87,11 @@ def test_zero_error_rejected_then_fallback():
     with pytest.raises(DataError, match="nonnegative"):
         compute_weights([-1.0, 1.0])
     bundle = build_bundle(
-        [constant_member(1.0, 0.0), constant_member(2.0, 1.0), constant_member(3.0, 0.0)],
+        [
+            constant_member(1.0, 0.0),
+            constant_member(2.0, 1.0, family="lasso"),
+            constant_member(3.0, 0.0, family="elastic_net"),
+        ],
         PREP,
         scheme="inverse_error",
     )
@@ -114,8 +118,8 @@ def test_weight_monotonicity():
 def test_ensemble_predict_hand_arithmetic():
     members = [
         constant_member(10.0, validation_mape=1.0, weight=0.5),
-        constant_member(20.0, validation_mape=2.0, weight=0.3),
-        constant_member(30.0, validation_mape=3.0, weight=0.2),
+        constant_member(20.0, validation_mape=2.0, weight=0.3, family="lasso"),
+        constant_member(30.0, validation_mape=3.0, weight=0.2, family="elastic_net"),
     ]
     bundle = EnsembleBundle(members=members, preprocessor=PREP, scheme="inverse_error", meta=META)
     pred, _ = predict_views(bundle, np.zeros((1, 1)))
@@ -125,12 +129,12 @@ def test_ensemble_predict_hand_arithmetic():
 def test_identical_members_identity_and_degenerate_weights():
     members = [
         constant_member(7.0, 1.0, weight=1.0),
-        constant_member(9.0, 2.0, weight=0.0),
+        constant_member(9.0, 2.0, weight=0.0, family="lasso"),
     ]
     bundle = EnsembleBundle(members, PREP, "inverse_error", META)
     assert predict_views(bundle, np.zeros((3, 1)))[0][0] == 7.0
 
-    same = [constant_member(4.0, 1.0, 0.5), constant_member(4.0, 1.0, 0.5)]
+    same = [constant_member(4.0, 1.0, 0.5), constant_member(4.0, 1.0, 0.5, family="lasso")]
     bundle = EnsembleBundle(same, PREP, "equal", META)
     assert np.allclose(predict_views(bundle, np.zeros((2, 1)))[0], 4.0)
 
@@ -139,10 +143,10 @@ def test_prediction_within_member_envelope():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(20, 2))
     models = []
-    for error in [5.0, 7.0, 11.0]:
+    for family, error in zip(("ridge", "lasso", "elastic_net"), [5.0, 7.0, 11.0]):
         coef = rng.normal(size=2)
         models.append(
-            EnsembleMember("ridge", {}, LinearModel(coef, float(rng.normal()), True, 1), error)
+            EnsembleMember(family, {}, LinearModel(coef, float(rng.normal()), True, 1), error)
         )
     bundle = build_bundle(models, PREP, meta=META)
     # members are combined after clamping negative views to zero
@@ -155,7 +159,9 @@ def test_prediction_within_member_envelope():
 
 def test_selection_invariant_under_submission_order():
     errors = {"a": 4.0, "b": 9.0, "c": 2.0, "d": 7.0}
-    models = {name: constant_member(i, errors[name]) for i, name in enumerate("abcd")}
+    # the three selected members need distinct families; b, the worst, is never selected
+    families = {"a": "ridge", "b": "ridge", "c": "lasso", "d": "elastic_net"}
+    models = {name: constant_member(i, errors[name], family=families[name]) for i, name in enumerate("abcd")}
     baseline = None
     for perm in itertools.permutations("abcd"):
         candidates = [models[n] for n in perm]
@@ -169,10 +175,19 @@ def test_selection_invariant_under_submission_order():
 def test_members_sorted_ascending_enforced():
     members = [
         constant_member(1.0, validation_mape=5.0, weight=0.5),
-        constant_member(2.0, validation_mape=3.0, weight=0.5),
+        constant_member(2.0, validation_mape=3.0, weight=0.5, family="lasso"),
     ]
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="sorted"):
         EnsembleBundle(members, PREP, "inverse_error")
+
+
+def test_members_repeating_a_family_rejected_in_memory():
+    # a report keys weights and validation by family, for built and loaded bundles alike
+    members = [constant_member(1.0, 3.0, 0.5), constant_member(2.0, 5.0, 0.5)]
+    with pytest.raises(DataError, match="bundle members repeat the family 'ridge'"):
+        EnsembleBundle(members, PREP, "inverse_error", META)
+    with pytest.raises(DataError, match="repeat the family 'ridge'"):
+        build_bundle(members, PREP, meta=META)
 
 
 def test_weight_sum_enforced():

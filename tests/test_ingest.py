@@ -186,7 +186,7 @@ def test_column_parse_matches_rowwise_reference(tmp_path):
             outcomes.add("error")
         else:
             table = load_csv(path, schema)
-            assert {name: cells(table.column(name)) for name in table.column_names} == want
+            assert {name: cells(table.column(name)) for name in table.columns} == want
             outcomes.add("table")
     assert outcomes == {"error", "table"}
 
@@ -274,7 +274,7 @@ def test_every_reader_skips_a_utf8_byte_order_mark(tmp_path):
             assert got == want
             continue
         assert got.schemas == want.schemas
-        for name in want.column_names:
+        for name in want.columns:
             assert cells(got.column(name)) == cells(want.column(name)), (path, name)
 
 
@@ -282,7 +282,7 @@ def test_read_episodes_views_optional(tmp_path):
     path = tmp_path / "eps.csv"
     path.write_text("series_id,episode_id,release_date,length\nS1,E1,2016-01-01,30m\n")
     table = read_episodes(path)
-    assert "views" not in table.column_names
+    assert "views" not in table.columns
     assert cells(table.column("length_minutes")) == [30.0]
 
 
@@ -502,7 +502,7 @@ def test_aggregation_permutation_invariant():
         rng.shuffle(genres)
         rng.shuffle(platform)
         again = consolidate(episodes, credits, genres, platform)
-        for name in base.column_names:
+        for name in base.columns:
             assert cells(base.column(name)) == cells(again.column(name))
 
 
@@ -514,6 +514,17 @@ def test_genre_aliases():
     # unmapped genres pass through verbatim
     same = apply_genre_aliases(genres, {})
     assert same.column("genre") == ["Sci-Fi", "scifi"]
+
+
+def test_genre_alias_maps_to_one_genre(tmp_path):
+    path = tmp_path / "aliases.csv"
+    # an exact repeat of a row is legal
+    path.write_text("alias,canonical\nSci-Fi,scifi\nRom-Com,comedy\nSci-Fi,scifi\n", encoding="utf-8")
+    assert read_genre_aliases(path) == {"Sci-Fi": "scifi", "Rom-Com": "comedy"}
+    # a second canonical genre for one alias names both rows
+    path.write_text("alias,canonical\nSci-Fi,scifi\nRom-Com,comedy\nSci-Fi,drama\n", encoding="utf-8")
+    with pytest.raises(DataError, match="row 4 maps alias 'Sci-Fi' to 'drama', but row 2 maps it to 'scifi'"):
+        read_genre_aliases(path)
 
 
 def reference_consolidate(episodes, credits, genres, platform):
@@ -619,7 +630,7 @@ def test_consolidate_matches_row_reference():
                 warnings.simplefilter("always")
                 got = consolidate_metadata(*tables)
             assert got.schemas == want_schemas
-            assert _typed({name: cells(got.column(name)) for name in got.column_names}) == _typed(want)
+            assert _typed({name: cells(got.column(name)) for name in got.columns}) == _typed(want)
             assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
 
 
@@ -698,7 +709,7 @@ def test_numbers_are_float64_arrays_from_csv_to_features(tmp_path):
             if s.role in NUMERIC_ROLES:
                 assert missing(rows, s.name) == [missing(features, s.name)[i] for i in indices]
     kept = check(features.drop_columns(["exposures", "month"]))
-    assert all(kept.column(name) is features.column(name) for name in kept.column_names)
+    assert all(kept.column(name) is features.column(name) for name in kept.columns)
 
     for role in NUMERIC_ROLES:
         for column in ([1.0, None], np.array([1, 2]), np.zeros((2, 1)), (1.0, 2.0)):

@@ -54,8 +54,8 @@ def test_mape_examples():
     assert mape([3.0, 7.0], [3.0, 7.0]) == 0.0
     assert mape([0.0, 100.0], [5.0, 100.0]) == 0.0  # zero-target row excluded
     report = metric_report(np.array([0.0, 100.0]), np.array([5.0, 100.0]))
-    assert report.n_excluded_zero_target == 1
-    assert report.n_scored == 1
+    assert report["n_excluded_zero_target"] == 1
+    assert report["n_scored"] == 1
     with pytest.raises(DataError):
         mape([0.0, 0.0], [1.0, 1.0])
 

@@ -1,5 +1,6 @@
 """The README states what the code defines: the bundle schema version, the
-retired versions, and the parameter domains."""
+retired versions and the parameter domains; and its quick start reads only
+files that an earlier step writes."""
 
 import re
 from pathlib import Path
@@ -30,3 +31,27 @@ def test_readme_domain_table_lists_exactly_the_domains():
             break
         rows.append(re.match(r"\| `(\w+)` \|", line).group(1))
     assert sorted(rows) == sorted(DOMAINS) and len(rows) == len(DOMAINS)
+
+
+def quick_start_commands():
+    """The quick start's commands, each as its list of words."""
+    lines = README.splitlines()
+    start = lines.index("## Quick start")
+    block = lines[lines.index("```sh", start) + 1 : lines.index("```", start + 2)]
+    text = "\n".join(line for line in block if not line.lstrip().startswith("#"))
+    return [cmd.split() for cmd in text.replace("\\\n", " ").splitlines() if cmd.strip()]
+
+
+def test_quick_start_reads_only_what_an_earlier_step_writes():
+    written = []  # the directories the --out of earlier commands write
+    read = 0
+    for words in quick_start_commands():
+        flags = dict(zip(words[2::2], words[3::2]))
+        for flag in ("--episodes", "--credits", "--genres", "--platform", "--bundle", "--report"):
+            if flag in flags:
+                path = flags[flag]
+                assert any(path.startswith(out) for out in written), f"{words[1]} {flag} {path}: no earlier step writes it"
+                read += 1
+        if "--out" in flags and flags["--out"].endswith("/"):
+            written.append(flags["--out"])
+    assert read == 20 and written == ["data/", "run/", "new/", "eval/"]
