@@ -138,14 +138,15 @@ class FeatureMatrix:
 
 
 def validate_target(values):
-    """Check target invariants and return a float64 vector."""
+    """Check target invariants and return a float64 vector. A fault names
+    its first value's data row: value i is data row i + 2 in a file with a
+    header."""
     y = np.asarray(values, dtype=float)
     if y.ndim != 1:
         raise DataError("target must be 1-D")
-    if not np.all(np.isfinite(y)):
-        raise DataError("target contains missing or non-finite values")
-    if np.any(y < 0):
-        raise DataError("target contains negative values")
+    for bad, fault in ((~np.isfinite(y), "missing or non-finite"), (y < 0, "negative")):
+        if bad.any():
+            raise DataError(f"target contains {fault} values (first at data row {int(bad.argmax()) + 2})")
     return y
 
 

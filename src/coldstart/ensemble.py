@@ -19,7 +19,7 @@ SCHEMES = ("inverse_error", "equal")
 # the target scales a model may be fit on; its predictions are inverted to views
 TARGET_TRANSFORMS = ("none", "log1p")
 
-BUNDLE_SCHEMA_VERSION = 10
+BUNDLE_SCHEMA_VERSION = 11
 
 
 @dataclass

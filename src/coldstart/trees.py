@@ -29,16 +29,20 @@ A bundle stores each model's trees as one packed block: the node count of
 each tree, and three arrays over the nodes in preorder, trees in model
 order, each stored as fixed little-endian bytes, deflated by zlib at its
 default level and base64-encoded. They hold only what prediction reads:
-``feature`` for every node, ``threshold`` for each internal node and
-``value`` for each leaf. The decoder reads the node count from ``sizes``
-first and inflates ``feature`` to exactly that many entries, then the
-other arrays to the internal-node and leaf counts that ``feature`` gives,
-before any wider copy of ``feature``; no inflate writes more than one byte past the entries it
-expects, so a small stream that claims to hold more cannot make a large
-array. Each array is then one ``np.frombuffer``, and the checks run on
-whole arrays. ``n_samples`` and ``impurity_decrease`` feed impurity
-importance only, which runs on the fitted trees in memory; a decoded tree
-holds None for them.
+``feature`` for every node, in the narrowest of int8, int16 and int32 that
+holds -1 and the model's last column (worked out from ``n_features``, never
+stored); ``threshold`` for each internal node; and ``value`` for each leaf,
+as 8 byte planes (byte 0 of every value, then byte 1, ...), which puts the
+leaf values' shared sign and exponent bytes next to each other for deflate
+(a byte-shuffle filter; Alted 2010, CiSE 12(2)). The decoder reads the node
+count from ``sizes`` first and inflates ``feature`` to exactly that many
+entries, then the other arrays to the internal-node and leaf counts that
+``feature`` gives, before any wider copy of ``feature``; no inflate writes
+more than one byte past the entries it expects, so a small stream that
+claims to hold more cannot make a large array. Each array is then one
+``np.frombuffer``, and the checks run on whole arrays. ``n_samples`` and
+``impurity_decrease`` feed impurity importance only, which runs on the
+fitted trees in memory; a decoded tree holds None for them.
 
 Split search works on rank codes, not on the float values. Each fit codes
 every column of X once, by ``rank_code``: a value's code is the number of
@@ -583,17 +587,13 @@ def impurity_by_feature(trees, n_features):
 
 # --- bundle codec: one packed block per model ---------------------------------
 
-# a block's arrays: its key, the little-endian dtype it is packed as, and the
-# nodes it holds an entry for (internal nodes or leaves; None for every node)
-BLOCK_ARRAYS = (
-    ("feature", "<i4", None),
-    ("threshold", "<f8", True),
-    ("value", "<f8", False),
-)
+def _feature_dtype(n_features):
+    """The narrowest little-endian integer that holds -1 and ``n_features - 1``."""
+    return next((dtype for dtype in ("<i1", "<i2") if n_features - 1 <= np.iinfo(dtype).max), "<i4")
 
 
-def _pack(a, dtype):
-    return base64.b64encode(zlib.compress(np.ascontiguousarray(a, dtype=dtype).tobytes())).decode("ascii")
+def _pack(a):
+    return base64.b64encode(zlib.compress(np.asarray(a).tobytes())).decode("ascii")
 
 
 def _unpack(text, name, dtype, count, held_by):
@@ -625,44 +625,59 @@ def _unpack(text, name, dtype, count, held_by):
     return np.frombuffer(raw, dtype=dtype)
 
 
-def trees_to_block(trees):
-    """The trees as one packed block: ``sizes`` (each tree's node count) and
-    three deflated base64 arrays of the nodes in preorder, trees in order,
-    holding what prediction reads and the leaf flags cannot give:
-    ``feature`` per node (-1 at a leaf), ``threshold`` per internal node,
-    ``value`` per leaf."""
-    internal = np.concatenate([np.empty(0, dtype=bool)] + [t.feature >= 0 for t in trees])
-    block = {"sizes": [int(t.feature.size) for t in trees]}
-    for name, dtype, at_internal in BLOCK_ARRAYS:
-        nodes = np.concatenate([np.empty(0, dtype=dtype)] + [getattr(t, name) for t in trees])
-        block[name] = _pack(nodes if at_internal is None else nodes[internal == at_internal], dtype)
-    return block
+def trees_to_block(trees, n_features):
+    """The trees of a model with ``n_features`` columns as one packed block:
+    ``sizes`` (each tree's node count) and three deflated base64 arrays of
+    the nodes in preorder, trees in order, holding what prediction reads and
+    the leaf flags cannot give: ``feature`` per node (-1 at a leaf) in
+    ``_feature_dtype(n_features)``, ``threshold`` per internal node and
+    ``value`` per leaf as 8 byte planes."""
+    feature = np.concatenate([np.empty(0, dtype=int)] + [t.feature for t in trees])
+    internal = feature >= 0
+    threshold = np.concatenate([np.empty(0)] + [t.threshold for t in trees])[internal]
+    value = np.ascontiguousarray(np.concatenate([np.empty(0)] + [t.value for t in trees])[~internal], dtype="<f8")
+    return {
+        "sizes": [int(t.feature.size) for t in trees],
+        "feature": _pack(feature.astype(_feature_dtype(n_features))),
+        "threshold": _pack(threshold.astype("<f8")),
+        # row k of the transposed (leaves, 8) byte matrix is plane k
+        "value": _pack(value.view(np.uint8).reshape(-1, 8).T),
+    }
 
 
-def trees_from_block(block):
-    """Decode a packed block into its trees, each a view into the block's
-    arrays, rejecting what predict_tree could not walk to a leaf: arrays
-    that do not inflate to the counts that ``sizes`` and ``feature`` give,
-    non-finite numbers, and leaf flags that break the shape rule, which
-    prediction reads the right children from. Entries the block does not
-    hold (``threshold`` at a leaf, ``value`` at an internal node) are 0;
-    the split statistics are None."""
+def trees_from_block(block, n_features):
+    """Decode the packed block of a model with ``n_features`` columns into
+    its trees, each a view into the block's arrays, rejecting what
+    predict_tree could not walk to a leaf: arrays that do not inflate to the
+    counts that ``sizes`` and ``feature`` give, non-finite numbers, a split
+    feature that is not a column below ``n_features``, and leaf flags that
+    break the shape rule, which prediction reads the right children from.
+    Entries the block does not hold (``threshold`` at a leaf, ``value`` at an
+    internal node) are 0; the split statistics are None."""
     sizes = block["sizes"]
     # sizes below 2**31 keep the inflate's byte counts (8 a node) within zlib's C ssize_t
     if not isinstance(sizes, list) or not all(type(s) is int and 1 <= s < 2**31 for s in sizes):
         raise DataError("tree block 'sizes' must be a list of positive integers below 2**31")
     n = sum(sizes)
-    feature = _unpack(block["feature"], "feature", "<i4", n, "nodes")
-    # the other arrays inflate to counts taken from the <i4 array, before any
-    # wider copy of it, so that a block whose sizes claim more nodes than its
-    # streams hold costs no more than the inflate of feature
+    feature = _unpack(block["feature"], "feature", _feature_dtype(n_features), n, "nodes")
+    # the other arrays inflate to counts taken from the packed feature array,
+    # before any wider copy of it, so that a block whose sizes claim more
+    # nodes than its streams hold costs no more than the inflate of feature
     n_internal = int(np.count_nonzero(feature >= 0))
-    counts = {True: (n_internal, "internal nodes"), False: (n - n_internal, "leaves")}
-    packed = {name: _unpack(block[name], name, dtype, *counts[at]) for name, dtype, at in BLOCK_ARRAYS[1:]}
-    for name in ("threshold", "value"):
-        if not np.isfinite(packed[name]).all():
+    threshold = _unpack(block["threshold"], "threshold", "<f8", n_internal, "internal nodes")
+    planes = _unpack(block["value"], "value", "<f8", n - n_internal, "leaves")
+    # plane k is row k of an (8, leaves) byte matrix; its transpose holds the values
+    value = np.ascontiguousarray(planes.view(np.uint8).reshape(8, -1).T).view("<f8").ravel()
+    for name, a in (("threshold", threshold), ("value", value)):
+        if not np.isfinite(a).all():
             raise DataError(f"tree block {name!r} must hold finite numbers")
     feature = feature.astype(np.int64)
+    outside = (feature < -1) | (feature >= n_features)
+    if outside.any():
+        k = int(outside.argmax())
+        raise DataError(
+            f"tree block 'feature' holds {feature[k]} at node {k}, neither -1 (a leaf) nor a column below {n_features}"
+        )
     internal = feature >= 0
 
     sizes = np.array(sizes, dtype=np.int64)
@@ -681,8 +696,8 @@ def trees_from_block(block):
         raise DataError(f"tree {t} of {sizes[t]} nodes breaks the shape rule: its leaf flags {shape}")
 
     arrays = {"feature": feature, "threshold": np.zeros(n), "value": np.zeros(n)}
-    arrays["threshold"][internal] = packed["threshold"]
-    arrays["value"][~internal] = packed["value"]
+    arrays["threshold"][internal] = threshold
+    arrays["value"][~internal] = value
     return [Tree(**{name: a[s:e] for name, a in arrays.items()}) for s, e in zip(starts.tolist(), ends.tolist())]
 
 
@@ -691,7 +706,7 @@ def trees_from_block(block):
 # and a boosted model's learning rate
 def forest_to_dict(model):
     """The tree model's fitted state; ``base_prediction`` for a boosted model only."""
-    d = {"n_features": model.n_features, "trees": trees_to_block(model.trees)}
+    d = {"n_features": model.n_features, "trees": trees_to_block(model.trees, model.n_features)}
     if model.learning_rate is not None:
         d["base_prediction"] = model.base_prediction
     return d
@@ -702,9 +717,9 @@ def forest_from_dict(d, n_trees, learning_rate=None):
     member's n_estimators, rounds, or 1 for a decision tree. Given a
     ``learning_rate``, the model is boosted and reads its ``base_prediction``,
     made a float, as an int would make predict_forest's sum an int array."""
-    decoded = trees_from_block(d["trees"])
+    n_features = whole_number(d["n_features"], "n_features", 0)
+    decoded = trees_from_block(d["trees"], n_features)
     if len(decoded) != n_trees:
         raise DataError(f"tree block holds {len(decoded)} trees, but its params give {n_trees}")
-    n_features = whole_number(d["n_features"], "n_features", 0)
     base = 0.0 if learning_rate is None else float(finite_number(d["base_prediction"], "base_prediction"))
     return ForestModel(decoded, n_features, base, learning_rate)

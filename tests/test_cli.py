@@ -14,9 +14,9 @@ from coldstart.errors import DataError
 from coldstart.families import DEFAULT_PARAMS
 from coldstart.pipeline import RunConfig, _json_kind, load_bundle, run_evaluate, run_predict, run_train, run_verify
 from coldstart.synth import SynthConfig, generate
-from coldstart.trees import trees_from_block, trees_to_block
-from coldstart.util import load_json
-from tree_oracles import stack_right
+from coldstart.trees import Tree, trees_from_block, trees_to_block
+from coldstart.util import dump_json, load_json
+from tree_oracles import feature_dtype, planes, stack_right, unplaned
 
 
 def run_cli(*args):
@@ -337,7 +337,7 @@ def test_scoring_rejects_a_negative_view_as_training_does(command, tiny_run, tmp
     else:
         argv = ["verify", "--bundle", tiny_run.result["bundle"], "--report", tiny_run.result["report"], *inputs]
     assert run_cli(*argv) == 3
-    assert "target contains negative values" in capsys.readouterr().err
+    assert "target contains negative values (first at data row 3)" in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
 
 
@@ -543,6 +543,14 @@ def test_bundle_encoding_is_deterministic(tiny_run):
     assert first == second
 
 
+def test_reencoded_bundle_is_byte_identical(tiny_run, tmp_path):
+    # every stream, the narrow feature stream and the leaf value planes among
+    # them, decodes to what encodes it again
+    again = tmp_path / "bundle.json"
+    dump_json(bundle_to_dict(load_bundle(tiny_run.result["bundle"])), again, compact=True)
+    assert again.read_bytes() == open(tiny_run.result["bundle"], "rb").read()
+
+
 def test_bundle_round_trip_predicts_identically(tiny_run):
     bundle = load_bundle(tiny_run.result["bundle"])
     clone = bundle_from_dict(bundle_to_dict(bundle))
@@ -591,9 +599,6 @@ def _member(doc, family):
     return next(m for m in doc["members"] if m["family"] == family)
 
 
-BLOCK_DTYPES = {"feature": "<i4", "threshold": "<f8", "value": "<f8"}
-
-
 def _inflated(text, dtype):
     """A packed block array decoded without the codec: base64, inflate, dtype."""
     return np.frombuffer(zlib.decompress(base64.b64decode(text)), dtype=dtype).copy()
@@ -603,20 +608,32 @@ def _deflated(raw):
     return base64.b64encode(zlib.compress(raw)).decode("ascii")
 
 
+def _block_arrays(model):
+    """A tree model dict's packed arrays decoded without the codec: feature
+    per node, threshold per internal node, value per leaf."""
+    block = model["trees"]
+    return {
+        "feature": _inflated(block["feature"], feature_dtype(model["n_features"])),
+        "threshold": _inflated(block["threshold"], "<f8"),
+        "value": unplaned(zlib.decompress(base64.b64decode(block["value"]))).copy(),
+    }
+
+
 def _gbt_block(edit):
     """Content maker: the tiny run's bundle after ``edit(sizes, arrays)`` on
     the gbt member's packed tree block. ``arrays`` holds the block's arrays
     decoded (feature per node, threshold per internal node, value per leaf),
-    and each is deflated back from its own dtype and bytes (or from the
-    bytes the edit puts in its place)."""
+    and each is deflated back from its own dtype and bytes, the leaf values
+    as their byte planes (or from the bytes the edit puts in its place)."""
 
     def edit_bundle(doc):
         model = _member(doc, "gbt")["model"]
-        block = model["trees"]
-        sizes = block["sizes"]
-        arrays = {k: _inflated(block[k], t) for k, t in BLOCK_DTYPES.items()}
+        sizes = model["trees"]["sizes"]
+        arrays = _block_arrays(model)
         edit(sizes, arrays)
         packed = {k: a if isinstance(a, bytes) else a.tobytes() for k, a in arrays.items()}
+        if not isinstance(arrays["value"], bytes):
+            packed["value"] = planes(arrays["value"])
         model["trees"] = {"sizes": sizes, **{k: _deflated(raw) for k, raw in packed.items()}}
 
     return _edited("bundle", edit_bundle)
@@ -641,7 +658,7 @@ def _split_feature_at_width(doc):
     """Point the gbt member's first split at column ``n_features``, one past
     the last column of the matrix it scores."""
     model = _member(doc, "gbt")["model"]
-    feature = _inflated(model["trees"]["feature"], "<i4")
+    feature = _block_arrays(model)["feature"]
     feature[np.flatnonzero(feature >= 0)[0]] = model["n_features"]
     model["trees"]["feature"] = _deflated(feature.tobytes())
 
@@ -660,9 +677,34 @@ def _right(tree):
     return np.where(tree.feature >= 0, stack_right(tree.feature), 0)
 
 
+def _as_v10(doc):
+    """A bundle in the version-10 layout: each tree block stores ``feature``
+    as <i4 and ``value`` in plain byte order."""
+    doc["schema_version"] = 10
+    for member in doc["members"]:
+        if member["family"] in V3_TREE_KEYS:
+            model = member["model"]
+            arrays = _block_arrays(model)
+            model["trees"]["feature"] = _deflated(arrays["feature"].astype("<i4").tobytes())
+            model["trees"]["value"] = _deflated(arrays["value"].tobytes())
+
+
+def _v10_trees(block):
+    """The trees of a version-10 block, each as a Tree of its nodes
+    (threshold 0 at a leaf, value 0 at an internal node)."""
+    feature = _inflated(block["feature"], "<i4").astype(int)
+    internal = feature >= 0
+    threshold, value = np.zeros(feature.size), np.zeros(feature.size)
+    threshold[internal] = _inflated(block["threshold"], "<f8")
+    value[~internal] = _inflated(block["value"], "<f8")
+    ends = np.cumsum(block["sizes"])
+    return [Tree(feature[e - n:e], threshold[e - n:e], value[e - n:e]) for n, e in zip(block["sizes"], ends)]
+
+
 def _as_v9(doc):
-    """A bundle in the version-9 layout: a decision tree's model holds no
-    ``n_features``."""
+    """A bundle in the version-9 layout: the version-10 one, with a decision
+    tree's model holding no ``n_features``."""
+    _as_v10(doc)
     doc["schema_version"] = 9
     for member in doc["members"]:
         if member["family"] == "decision_tree":
@@ -691,7 +733,7 @@ def _as_v7(doc):
     for member in doc["members"]:
         if member["family"] in V3_TREE_KEYS:
             block = member["model"]["trees"]
-            right = [_right(t)[t.feature >= 0] for t in trees_from_block(block)]
+            right = [_right(t)[t.feature >= 0] for t in _v10_trees(block)]
             block["right"] = _deflated(np.concatenate([np.empty(0, dtype="<i4"), *right]).astype("<i4").tobytes())
 
 
@@ -722,7 +764,7 @@ def _as_v5(doc):
     for member in doc["members"]:
         if member["family"] in V3_TREE_KEYS:
             block = member["model"]["trees"]
-            for k in (*BLOCK_DTYPES, "right"):
+            for k in ("feature", "threshold", "value", "right"):
                 block[k] = base64.b64encode(zlib.decompress(base64.b64decode(block[k]))).decode("ascii")
 
 
@@ -747,7 +789,7 @@ def _as_v3(doc):
             decoded = [
                 {"feature": t.feature.tolist(), "threshold": t.threshold.tolist(), "right": _right(t).tolist(),
                  "value": t.value.tolist()}
-                for t in trees_from_block(model.pop("trees"))
+                for t in _v10_trees(model.pop("trees"))
             ]
             model[key] = decoded[0] if key == "root" else decoded
 
@@ -813,7 +855,8 @@ def _forest_member(doc):
 
 def _first_trees(model, n):
     """Cut a tree model dict's block to its first ``n`` trees."""
-    model["trees"] = trees_to_block(trees_from_block(model["trees"])[:n])
+    width = model["n_features"]
+    model["trees"] = trees_to_block(trees_from_block(model["trees"], width)[:n], width)
 
 
 def _forest_of_5_said_3(doc):
@@ -1016,6 +1059,7 @@ BAD_INPUTS = {
     "bundle_schema_version_7": ("bundle", _edited("bundle", _as_v7)),
     "bundle_schema_version_8": ("bundle", _edited("bundle", _as_v8)),
     "bundle_schema_version_9": ("bundle", _edited("bundle", _as_v9)),
+    "bundle_schema_version_10": ("bundle", _edited("bundle", _as_v10)),
     # a tree model's block holds the tree count its params give
     "bundle_forest_n_estimators_disagrees": ("bundle", _edited("bundle", _forest_of_5_said_3)),
     "bundle_gbt_rounds_disagrees": ("bundle", _edited("bundle", lambda d: _member(d, "gbt")["params"].update(rounds=2))),
@@ -1069,7 +1113,11 @@ BAD_INPUTS = {
     "tree_threshold_nan": ("bundle", _gbt_block(lambda s, a: a["threshold"].__setitem__(0, np.nan))),
     "tree_threshold_minus_inf": ("bundle", _gbt_block(lambda s, a: a["threshold"].__setitem__(0, -np.inf))),
     "tree_value_nan": ("bundle", _gbt_block(lambda s, a: a["value"].__setitem__(0, np.nan))),
+    # a split feature is -1 at a leaf or a column of the model's width, checked at load
     "tree_split_feature_equal_to_width": ("bundle", _edited("bundle", _split_feature_at_width)),
+    "tree_leaf_flag_minus_5": (
+        "bundle", _gbt_block(lambda s, a: a["feature"].__setitem__(np.flatnonzero(a["feature"] < 0)[0], -5))
+    ),
     "tree_block_bad_base64": (
         "bundle", _edited("bundle", lambda d: _member(d, "gbt")["model"]["trees"].update(feature="AAAA!AAA"))
     ),
@@ -1119,6 +1167,8 @@ BUNDLE_MESSAGES = {
     "bundle_member_weight_negative": "bundle member 1 (ridge) weight must be in [0, 1], got -0.1",
     "bundle_member_validation_mape_negative": "bundle member 0 (lasso) validation_mape must be >= 0, got -5",
     "bundle_decision_tree_width": "bundle member 0 (decision_tree): tree model expects ",
+    "tree_split_feature_equal_to_width": "bundle member 2 (gbt): tree block 'feature' holds ",
+    "tree_leaf_flag_minus_5": "bundle member 2 (gbt): tree block 'feature' holds -5 at node ",
 }
 
 
@@ -1169,5 +1219,8 @@ def test_bad_input_exits_with_documented_code(case, tiny_run, tmp_path, capsys):
         if case == "bundle_decision_tree_width":
             width = _member(load_json(tiny_run.result["bundle"]), "gbt")["model"]["n_features"]
             assert f"expects {width} features, got {width + 1}" in err
+        if case == "tree_split_feature_equal_to_width":
+            width = _member(load_json(tiny_run.result["bundle"]), "gbt")["model"]["n_features"]
+            assert f"holds {width} at node 0, neither -1 (a leaf) nor a column below {width}" in err
     else:
         assert code in (2, 3), err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,19 @@ def test_build_dataset_preserves_row_order():
 def test_build_dataset_rejects_negative_target():
     table = make_table([("x", "numeric", [1.0]), ("views", "target", [-1.0])])
     with pytest.raises(DataError):
+        build_dataset(table)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(-1.0, "target contains negative values"), (np.inf, "target contains missing or non-finite values"),
+     (-np.inf, "target contains missing or non-finite values")],
+)
+def test_build_dataset_names_the_data_row_of_a_bad_view(bad, message):
+    # value i is data row i + 2 of a file with a header; the first bad one is named
+    views = [10.0, 20.0, bad, 40.0, bad]
+    table = make_table([("x", "numeric", [1.0] * 5), ("views", "target", views)])
+    with pytest.raises(DataError, match=re.escape(f"{message} (first at data row 4)")):
         build_dataset(table)
 
 

@@ -28,7 +28,7 @@ from coldstart.trees import (
     trees_to_block,
 )
 from coldstart.util import dump_json, load_json, mix_seed
-from tree_oracles import stack_right
+from tree_oracles import feature_dtype, planes, stack_right, unplaned
 
 FIXTURE_X = np.array([[1.0], [2.0], [3.0], [4.0]])
 FIXTURE_Y = np.array([0.0, 0.0, 10.0, 10.0])
@@ -501,7 +501,7 @@ def test_forest_deterministic_and_distinct_trees():
     assert np.array_equal(predict_forest(f1, X), predict_forest(f2, X))
     assert forest_to_dict(f1) == forest_to_dict(f2)
     # bootstrap + feature subsets should differentiate the trees
-    assert trees_to_block(f1.trees[:1]) != trees_to_block(f1.trees[1:2])
+    assert trees_to_block(f1.trees[:1], f1.n_features) != trees_to_block(f1.trees[1:2], f1.n_features)
 
 
 def test_forest_tree_equals_grow_on_its_bootstrap_rows():
@@ -758,16 +758,22 @@ def test_decoded_split_feature_at_the_width_is_a_data_error(kind):
     X = rng.normal(size=(40, 3))
     y = X[:, 0] + rng.normal(scale=0.1, size=40)
     if kind == "forest":
-        d = forest_to_dict(fit_random_forest(X, y, TreeParams(max_depth=3), 4))
-        from_dict, predict = (lambda d: forest_from_dict(d, 4)), predict_forest
+        model, from_dict = fit_random_forest(X, y, TreeParams(max_depth=3), 4), (lambda d: forest_from_dict(d, 4))
     else:
-        d = forest_to_dict(fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3)))
-        from_dict, predict = (lambda d: forest_from_dict(d, 4, 0.5)), predict_forest
-    feature = unpack_block(d["trees"])["feature"].copy()
-    feature[np.flatnonzero(feature >= 0)[-1]] = 3
+        model, from_dict = fit_gbt(X, y, 4, 0.5, TreeParams(max_depth=3)), (lambda d: forest_from_dict(d, 4, 0.5))
+    d = forest_to_dict(model)
+    feature = unpack_block(d["trees"], 3)["feature"].copy()
+    k = np.flatnonzero(feature >= 0)[-1]
+    feature[k] = 3
     d["trees"]["feature"] = deflated(feature.tobytes())
+    # the loader rejects it, before any prediction plan is built
+    with pytest.raises(DataError, match=re.escape(f"holds 3 at node {k}, neither -1 (a leaf) nor a column below 3")):
+        from_dict(d)
+    # the plan still checks the width, which guards a fitted model
+    last = model.trees[-1].feature
+    last[np.flatnonzero(last >= 0)[-1]] = 3
     with pytest.raises(DataError, match="tree references feature 3 but input has 3"):
-        predict(from_dict(d), X)
+        predict_forest(model, X)
 
 
 def test_serialization_round_trips():
@@ -790,12 +796,14 @@ def test_serialization_round_trips():
     assert np.array_equal(predict_forest(gbt, X), predict_forest(gclone, X))
 
 
-def unpack_block(block):
+def unpack_block(block, n_features):
     """A block's arrays, decoded without the codec: base64, then inflate,
-    then fixed little-endian dtypes."""
-    dtypes = {"feature": "<i4", "threshold": "<f8", "value": "<f8"}
+    then fixed little-endian dtypes, the leaf values from their planes."""
+    raw = {name: zlib.decompress(base64.b64decode(block[name])) for name in ("feature", "threshold", "value")}
     return {
-        name: np.frombuffer(zlib.decompress(base64.b64decode(block[name])), dtype=dtype) for name, dtype in dtypes.items()
+        "feature": np.frombuffer(raw["feature"], dtype=feature_dtype(n_features)),
+        "threshold": np.frombuffer(raw["threshold"], dtype="<f8"),
+        "value": unplaned(raw["value"]),
     }
 
 
@@ -805,10 +813,13 @@ def deflated(raw):
 
 
 def pack_block(sizes, arrays):
-    """A block holding ``arrays`` as given: each array's own dtype and bytes
-    (or the bytes given in its place), deflated."""
-    block = {name: deflated(a if isinstance(a, bytes) else np.asarray(a).tobytes()) for name, a in arrays.items()}
-    return {"sizes": sizes, **block}
+    """A block holding ``arrays`` as given: each array's own dtype and bytes,
+    ``value`` as its byte planes (or the bytes given in place of an array),
+    deflated."""
+    raw = {name: np.asarray(a).tobytes() for name, a in arrays.items() if not isinstance(a, bytes)}
+    if "value" in raw:
+        raw["value"] = planes(arrays["value"])
+    return {"sizes": sizes, **{name: deflated(raw.get(name, a)) for name, a in arrays.items()}}
 
 
 def codec_models():
@@ -847,7 +858,7 @@ def test_codec_stores_only_what_prediction_reads():
         assert sorted(block) == ["feature", "sizes", "threshold", "value"]
         assert block["sizes"] == [t.feature.size for t in fitted]
         # the block holds what prediction reads and nothing else, in preorder
-        packed = unpack_block(block)
+        packed = unpack_block(block, model.n_features)
         feature = np.concatenate([np.empty(0, dtype=int)] + [t.feature for t in fitted])
         internal = feature >= 0
         cat = {name: np.concatenate([np.empty(0)] + [getattr(t, name) for t in fitted]) for name in TREE_ARRAYS[:3]}
@@ -887,12 +898,45 @@ def test_empty_block_is_a_zero_round_gbt():
     assert clone.trees == [] and np.array_equal(predict_forest(clone, FIXTURE_X), predict_forest(model, FIXTURE_X))
 
 
+@pytest.mark.parametrize("n_features", [1, 128, 129, 32_768, 32_769])
+def test_feature_stream_is_the_narrowest_integer_for_the_width(n_features):
+    # a stump on the last column and a leaf: -1 and n_features - 1 must both fit
+    last = n_features - 1
+    model = ForestModel([trees.Tree(np.array([last, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([0.0, 1.0, 2.0])),
+                         trees.Tree(np.array([-1]), np.array([0.0]), np.array([3.0]))], n_features)
+    d = forest_to_dict(model)
+    raw = zlib.decompress(base64.b64decode(d["trees"]["feature"]))
+    assert raw == np.array([last, -1, -1, -1], dtype=feature_dtype(n_features)).tobytes()
+    clone = forest_from_dict(json.loads(json.dumps(d)), 2)
+    assert forest_to_dict(clone) == d
+    for tree, got in zip(model.trees, clone.trees):
+        assert got.feature.tolist() == tree.feature.tolist()
+    X = np.zeros((2, n_features))
+    X[1, last] = 1.0
+    assert predict_forest(clone, X).tolist() == [2.0, 2.5]
+
+
+def test_leaf_values_keep_every_bit_through_the_byte_planes():
+    values = np.array([-0.0, 5e-324, 1.7e308, -1.7e308, 0.1, -2.5])
+    # a left chain in preorder: internal nodes 0-4, then the six leaves
+    feature = np.array([0] * 5 + [-1] * 6)
+    value = np.concatenate([np.zeros(5), values])
+    d = forest_to_dict(ForestModel([trees.Tree(feature, np.zeros(11), value)], 1))
+    assert zlib.decompress(base64.b64decode(d["trees"]["value"])) == planes(values)
+    (got,) = forest_from_dict(d, 1).trees
+    assert got.value.tobytes() == value.tobytes()
+
+
+# the columns of the trees in _stump_block: their feature stream is <i1
+STUMP_WIDTH = 3
+
+
 def _stump_block():
     """Two trees: a stump (nodes 0-2) and a three-split tree (nodes 0-6), as
     per-kind arrays (feature per node, threshold per internal node, value
     per leaf)."""
     return [3, 7], {
-        "feature": np.array([0, -1, -1, 1, 0, -1, -1, 2, -1, -1], dtype="<i4"),
+        "feature": np.array([0, -1, -1, 1, 0, -1, -1, 2, -1, -1], dtype="<i1"),
         "threshold": np.array([0.5, 1.0, -0.0, 2.0]),
         "value": np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
     }
@@ -906,8 +950,13 @@ def _edit(edit):
 
 def _stream(name, edit):
     """A block edit: ``name`` stored as base64 of ``edit(raw)``, where ``raw``
-    is the array's bytes."""
-    return lambda s, a: {**pack_block(s, a), name: base64.b64encode(edit(a[name].tobytes())).decode("ascii")}
+    is the array's bytes as the block stores them (the leaf values as planes)."""
+
+    def stream(s, a):
+        raw = planes(a[name]) if name == "value" else a[name].tobytes()
+        return {**pack_block(s, a), name: base64.b64encode(edit(raw)).decode("ascii")}
+
+    return stream
 
 
 MALFORMED_BLOCKS = {
@@ -917,20 +966,20 @@ MALFORMED_BLOCKS = {
     ),
     "a feature that is not an integer": (
         lambda s, a: a.update(feature=a["feature"].astype("<f8")),
-        "'feature' inflates past the 40 bytes of its 10 nodes",
+        "'feature' inflates past the 10 bytes of its 10 nodes",
     ),
     "sizes not integers": (lambda s, a: s.__setitem__(0, 3.0), "positive integers"),
     "a zero size": (lambda s, a: s.insert(0, 0), "positive integers"),
     "sizes not a list": (lambda s, a: pack_block(7, a), "positive integers"),
     "a size past the 2**31 bound": (lambda s, a: s.__setitem__(0, 2**31), "positive integers below 2**31"),
     "sizes that do not sum to the node count": (
-        lambda s, a: s.__setitem__(1, 8), "'feature' inflates to 40 bytes, not the 44 of its 11 nodes"
+        lambda s, a: s.__setitem__(1, 8), "'feature' inflates to 10 bytes, not the 11 of its 11 nodes"
     ),
     # leaf flags that break the shape rule, each a tree a walk could not finish
     # or nodes no walk reaches; the counts stay consistent
     "a node no node points to": (  # tree 1's node 4 made a leaf closes the tree there
         lambda s, a: a.update(
-            feature=np.array([0, -1, -1, 1, 0, -1, -1, -1, -1, -1], dtype="<i4"),
+            feature=np.array([0, -1, -1, 1, 0, -1, -1, -1, -1, -1], dtype="<i1"),
             threshold=a["threshold"][:-1],
             value=np.append(a["value"], 7.0),
         ),
@@ -938,7 +987,7 @@ MALFORMED_BLOCKS = {
     ),
     "a right child past the last node": (  # node 1 made internal: its right child would be node 3
         lambda s, a: a.update(
-            feature=np.array([0, 0, -1, 1, 0, -1, -1, 2, -1, -1], dtype="<i4"),
+            feature=np.array([0, 0, -1, 1, 0, -1, -1, 2, -1, -1], dtype="<i1"),
             threshold=np.insert(a["threshold"], 1, 0.5),
             value=a["value"][1:],
         ),
@@ -954,7 +1003,7 @@ MALFORMED_BLOCKS = {
     ),
     "a last node that is internal": (
         lambda s, a: a.update(
-            feature=np.array([0, -1, 0, 1, 0, -1, -1, 2, -1, -1], dtype="<i4"),
+            feature=np.array([0, -1, 0, 1, 0, -1, -1, 2, -1, -1], dtype="<i1"),
             threshold=np.array([0.5, 0.5, 1.0, -0.0, 2.0]),
             value=a["value"][1:],
         ),
@@ -970,6 +1019,27 @@ MALFORMED_BLOCKS = {
         lambda s, a: a.update(threshold=a["threshold"].tobytes() + b"\0"),
         "'threshold' inflates past the 32 bytes of its 4 internal nodes",
     ),
+    "leaf value planes one byte past the leaves": (
+        _stream("value", lambda raw: zlib.compress(raw + b"\0")),
+        "'value' inflates past the 48 bytes of its 6 leaves",
+    ),
+    "a wider feature stream than the width gives": (
+        lambda s, a: a.update(feature=a["feature"].astype("<i2")),
+        "'feature' inflates past the 10 bytes of its 10 nodes",
+    ),
+    # a split feature is -1 at a leaf or a column of the model's width
+    "a leaf flag below -1": (
+        lambda s, a: a["feature"].__setitem__(5, -5),
+        "'feature' holds -5 at node 5, neither -1 (a leaf) nor a column below 3",
+    ),
+    "a split feature at the width": (
+        lambda s, a: a["feature"].__setitem__(7, 3),
+        "'feature' holds 3 at node 7, neither -1 (a leaf) nor a column below 3",
+    ),
+    "the most negative int8": (
+        lambda s, a: a["feature"].__setitem__(1, -128),
+        "'feature' holds -128 at node 1, neither -1 (a leaf) nor a column below 3",
+    ),
     "a raw array, as version 5 stored it": (_stream("feature", lambda raw: raw), "'feature' is not a zlib stream"),
     "a truncated stream": (
         _stream("threshold", lambda raw: zlib.compress(raw)[:-2]), "'threshold' is a truncated zlib stream"
@@ -984,16 +1054,16 @@ MALFORMED_BLOCKS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
 def test_block_rejects_malformed(case):
     edit, message = MALFORMED_BLOCKS[case]
-    assert len(trees_from_block(pack_block(*_stump_block()))) == 2
+    assert len(trees_from_block(pack_block(*_stump_block()), STUMP_WIDTH)) == 2
     with pytest.raises(DataError, match=re.escape(message)):
-        trees_from_block(_edit(edit))
+        trees_from_block(_edit(edit), STUMP_WIDTH)
 
 
 def test_inflate_stops_one_byte_past_the_declared_entries():
     # 50 MB of zeros deflate to ~51 KB; a one-leaf tree holds one value and no threshold
     bomb = base64.b64encode(zlib.compress(bytes(50_000_000))).decode("ascii")
-    block = pack_block([1], {"feature": np.array([-1], dtype="<i4"), "threshold": [], "value": [2.5]})
-    (tree,) = trees_from_block(block)
+    block = pack_block([1], {"feature": np.array([-1], dtype="<i1"), "threshold": [], "value": [2.5]})
+    (tree,) = trees_from_block(block, 1)
     assert tree.value.tolist() == [2.5]
     for name, message in [
         ("value", "'value' inflates past the 8 bytes of its 1 leaves"),
@@ -1003,7 +1073,7 @@ def test_inflate_stops_one_byte_past_the_declared_entries():
         tracemalloc.start()
         try:
             with pytest.raises(DataError, match=re.escape(message)):
-                trees_from_block({**block, name: bomb})
+                trees_from_block({**block, name: bomb}, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1022,18 +1092,20 @@ def _traced_peak(call):
 def test_a_node_count_the_streams_do_not_hold_costs_only_the_feature_inflate():
     # sizes claim 2.5 million nodes and feature inflates to that many zeros,
     # all internal, but threshold is empty: the block is rejected before any
-    # copy of feature wider than its <i4 entries
+    # copy of feature wider than its entries (<i1 at 40 columns, <i4 at 40 000)
     n = 2_500_000
-    feature = base64.b64encode(zlib.compress(bytes(4 * n))).decode("ascii")
-    block = {**pack_block([n], {"feature": b"", "threshold": b"", "value": b""}), "feature": feature}
-    inflate = _traced_peak(lambda: trees._unpack(feature, "feature", "<i4", n, "nodes"))
+    for n_features in (40, 40_000):
+        dtype = feature_dtype(n_features)
+        feature = base64.b64encode(zlib.compress(bytes(np.dtype(dtype).itemsize * n))).decode("ascii")
+        block = {**pack_block([n], {"feature": b"", "threshold": b"", "value": b""}), "feature": feature}
+        inflate = _traced_peak(lambda: trees._unpack(feature, "feature", dtype, n, "nodes"))
 
-    def decode():
-        match = re.escape("'threshold' inflates to 0 bytes, not the 20000000 of its 2500000")
-        with pytest.raises(DataError, match=match):
-            trees_from_block(block)
+        def decode():
+            match = re.escape("'threshold' inflates to 0 bytes, not the 20000000 of its 2500000")
+            with pytest.raises(DataError, match=match):
+                trees_from_block(block, n_features)
 
-    assert _traced_peak(decode) <= 1.1 * inflate
+        assert _traced_peak(decode) <= 1.1 * inflate, n_features
 
 
 def test_tree_models_check_their_tree_count():
@@ -1047,7 +1119,7 @@ def test_tree_models_check_their_tree_count():
         forest_from_dict(gbt, 2, 0.5)
     sizes, arrays = _stump_block()
     empty = forest_to_dict(fit_gbt(FIXTURE_X, FIXTURE_Y, rounds=0, learning_rate=0.5, tree_params=TreeParams()))["trees"]
-    for block, count in ((pack_block(sizes, arrays), 2), (empty, 0)):
+    for block, count in ((pack_block(sizes, arrays), 2), (empty, 0)):  # the stump block is 3 columns wide
         with pytest.raises(DataError, match=f"tree block holds {count} trees, but its params give 1"):
             FAMILY_TABLE["decision_tree"].from_dict({"n_features": 3, "trees": block}, DEFAULT_PARAMS["decision_tree"])
 
@@ -1057,7 +1129,7 @@ def test_tree_models_check_their_tree_count():
 def test_tree_from_dict_rejects_non_finite_numbers(name, bad):
     tree = ForestModel([fit_decision_tree(FIXTURE_X, FIXTURE_Y, TreeParams(max_depth=1))], 1)
     d = forest_to_dict(tree)
-    arrays = unpack_block(d["trees"])
+    arrays = unpack_block(d["trees"], 1)
     arrays[name] = arrays[name].copy()
     arrays[name][0] = bad
     with pytest.raises(DataError, match=f"{name!r} must hold finite numbers"):

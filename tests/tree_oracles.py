@@ -1,4 +1,5 @@
-"""A reference reading of tree shapes, shared by the tests."""
+"""A reference reading of tree shapes and of the packed block's byte
+layout, shared by the tests."""
 
 import numpy as np
 
@@ -19,3 +20,21 @@ def stack_right(feature):
         if f >= 0:
             waiting.append(k)
     return right
+
+
+def feature_dtype(n_features):
+    """The feature stream's dtype for a model ``n_features`` columns wide:
+    int8 up to 128 columns, int16 up to 32 768, else int32."""
+    return "<i1" if n_features <= 128 else "<i2" if n_features <= 32_768 else "<i4"
+
+
+def planes(values):
+    """The <f8 ``values`` as a block stores leaf values: byte 0 of every value, then byte 1, ..."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return b"".join(raw[k::8] for k in range(8))
+
+
+def unplaned(raw):
+    """The <f8 values whose byte planes ``raw`` holds."""
+    n = len(raw) // 8
+    return np.frombuffer(bytes(raw[k * n + i] for i in range(n) for k in range(8)), dtype="<f8")
