@@ -9,6 +9,8 @@ equally.
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import DataError
 from .families import check_family, resolve_params
 from .preprocess import preprocessor_from_dict, preprocessor_to_dict
@@ -20,6 +22,19 @@ SCHEMES = ("inverse_error", "equal")
 TARGET_TRANSFORMS = ("none", "log1p")
 
 BUNDLE_SCHEMA_VERSION = 11
+
+
+def fit_targets(views, mode):
+    """Views on the scale a model is fit on under target transform ``mode``."""
+    return np.log1p(views) if mode == "log1p" else np.asarray(views, dtype=float)
+
+
+def predicted_views(raw, mode):
+    """Raw predictions under ``mode`` as views, negatives clamped to 0, and the clamped-row mask."""
+    raw = np.asarray(raw, dtype=float)
+    views = np.expm1(raw) if mode == "log1p" else raw
+    clamped = views < 0
+    return np.where(clamped, 0.0, views), clamped
 
 
 @dataclass

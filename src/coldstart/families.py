@@ -7,7 +7,8 @@ pin learning rate 0.5.
 
 A family is searched by k-fold CV unless its entry has an ``oob``: the
 random forest is scored out of bag, one fit per group of candidates that
-differ in ``n_estimators`` alone (see tuning).
+differ in ``n_estimators`` alone (see tuning). Every search ranks its
+candidates by one criterion, MAPE on views, as the holdout is scored.
 
 DOMAINS holds the one rule for each parameter's values; resolve_params, the
 one place that applies it, checks every fit, grid value and bundle member.
@@ -20,6 +21,7 @@ no parameter, since prediction reads none. Every tree family's model is a
 trees.ForestModel, a gbt's with a learning rate.
 """
 
+import math
 import sys
 from collections import namedtuple
 
@@ -30,9 +32,8 @@ from .errors import DataError
 # to_dict(model) -> the model's fitted state as bundle JSON, and
 # from_dict(model dict, resolved params) -> the model;
 # trees(model) -> the model's list of trees.Tree, None for a non-tree family;
-# oob: an Oob for a family searched out of bag, None for one searched by CV;
-# scoring: the score its search ranks candidates by (tuning.score_predictions)
-Family = namedtuple("Family", "fit predict to_dict from_dict trees oob scoring")
+# oob: an Oob for a family searched out of bag, None for one searched by CV
+Family = namedtuple("Family", "fit predict to_dict from_dict trees oob")
 
 # size names the parameter whose smaller values are prefixes of one fit:
 # candidates that differ in it alone share the fit at their largest value.
@@ -50,9 +51,7 @@ def _tree_params(p, seed):
 
 
 # lasso, ridge and elastic net share one entry and differ in their default
-# l1_ratio only. A search scores the linear families by R-squared and the
-# tree families by MAPE, both on the scale the member is fit on: the log
-# views under target_transform log1p, the views otherwise.
+# l1_ratio only
 _LINEAR = Family(
     fit=lambda p, X, y, seed: linear.fit_linear(
         X, y, alpha=p["alpha"], l1_ratio=p["l1_ratio"], tol=p["tol"], max_iter=p["max_iter"]
@@ -62,7 +61,6 @@ _LINEAR = Family(
     from_dict=lambda d, p: linear.linear_from_dict(d),
     trees=None,
     oob=None,
-    scoring="r2",
 )
 
 # the three tree families share one entry and differ in fit and from_dict
@@ -73,7 +71,6 @@ _TREE = Family(
     from_dict=None,
     trees=lambda model: model.trees,
     oob=None,
-    scoring="neg_mape",
 )
 
 # Entries look fit and predict functions up through their module at call
@@ -138,6 +135,9 @@ DEFAULT_PARAMS = {
     "elastic_net": {"alpha": 1.0, "l1_ratio": 0.5, "tol": 1e-6, "max_iter": 10000},
 }
 
+# the most assignments a grid may have; the largest default grid has 27
+MAX_GRID_ASSIGNMENTS = 10_000
+
 _ALPHAS = [0.001, 0.01, 0.1, 1.0, 10.0, 100.0]
 
 DEFAULT_GRIDS = {
@@ -178,18 +178,23 @@ def resolve_params(family, params=None):
 
 
 def check_grid(family, grid):
-    """DataError unless each value list of ``grid`` is non-empty, each value
-    passes resolve_params (a parameter of the family, in its domain) and no
-    value equals an earlier one of its list, so that every grid assignment
-    is distinct. An empty grid is one candidate, the family's defaults."""
+    """DataError unless ``grid`` has at most MAX_GRID_ASSIGNMENTS assignments,
+    each value list is non-empty, each value passes resolve_params (a
+    parameter of the family, in its domain) and none equals an earlier one
+    of its list. An empty grid is one assignment, the family's defaults."""
     check_family(family)
+    count = math.prod(len(values) for values in grid.values())
+    if count > MAX_GRID_ASSIGNMENTS:
+        raise DataError(f"{family} grid has {count} assignments, more than the {MAX_GRID_ASSIGNMENTS} allowed")
     for name, values in grid.items():
         if not values:
             raise DataError(f"{family} parameter {name!r} has no candidate values, got {values!r}")
-        for i, value in enumerate(values):
+        seen = set()  # a value in its domain is hashable, and 1 == 1.0 share a hash
+        for value in values:
             resolve_params(family, {name: value})
-            if value in values[:i]:
+            if value in seen:
                 raise DataError(f"{family} parameter {name!r} repeats {value!r}")
+            seen.add(value)
 
 
 def fit_family(family, params, X, y, seed=0):

@@ -2,10 +2,10 @@
 
 run_train wires the full path — ingest, consolidation, holdout split,
 one leak-free fold plan, randomized search per family on it (out of bag on
-the training matrix for the random forest), each search returning its
-member's model, top-3 selection, inverse-error weighting — and emits
-bundle.json, training_report.json, the holdout episodes CSV, and the SVG
-plots.
+the training matrix for the random forest) by MAPE on views, each search
+returning its member's model, top-3 selection, inverse-error weighting —
+and emits bundle.json, training_report.json, the holdout episodes CSV and
+the SVG plots.
 Everything derives from the run seed, so two runs with the same config
 produce byte-identical artifacts.
 
@@ -38,6 +38,7 @@ from .ensemble import (
     bundle_from_dict,
     bundle_to_dict,
     compute_weights,
+    predicted_views,
 )
 from .errors import DataError, UndefinedMetricError
 from .families import DEFAULT_GRIDS, FAMILIES, FAMILY_TABLE, check_grid, predict_family, resolve_params
@@ -155,20 +156,9 @@ class RunConfig:
         return cls(**d)
 
 
-def transform_target(y, mode):
-    return np.log1p(y) if mode == "log1p" else np.asarray(y, dtype=float)
-
-
-def invert_target(pred, mode):
-    return np.expm1(pred) if mode == "log1p" else np.asarray(pred, dtype=float)
-
-
 def member_views(member, X, mode):
     """One member's view-scale predictions plus its clamped-row mask."""
-    raw = np.asarray(predict_family(member.family, member.model, X), dtype=float)
-    views = invert_target(raw, mode)
-    clamped = views < 0
-    return np.where(clamped, 0.0, views), clamped
+    return predicted_views(predict_family(member.family, member.model, X), mode)
 
 
 def _fold_views(members, results):
@@ -331,27 +321,25 @@ def run_train(config):
             "every holdout episode has zero views, so holdout MAPE is undefined "
             "and the ensemble weights cannot be derived from it"
         )
-    y_fit = transform_target(y_train, config.target_transform)
 
     prep = fit_preprocessor(train_table)
     X_train = transform(prep, train_table)
     X_hold = transform(prep, hold_table)
     # one fold plan for every family's search, so families compete on the same folds
-    plan = kfold_indices(len(y_fit), config.cv_folds, mix_seed(config.seed, 2000))
-    folds = fold_matrices(train_table, y_fit, plan)
+    plan = kfold_indices(len(y_train), config.cv_folds, mix_seed(config.seed, 2000))
+    folds = fold_matrices(train_table, y_train, plan)
 
     cv_results = {}
     candidates = []
     hold_results = {}  # family -> (views, clamped) on the holdout
     for fi, family in enumerate(config.families):
         grid = config.grids.get(family, DEFAULT_GRIDS[family])
-        train = (X_train.values, y_fit, mix_seed(config.seed, 1000 + fi))  # the member's fit seed
+        train = (X_train.values, y_train, config.target_transform, mix_seed(config.seed, 1000 + fi))  # the member's fit
         try:
             search = randomized_search(family, grid, config.n_iter, folds, seed=mix_seed(config.seed, fi), train=train)
         except UndefinedMetricError as exc:
-            # a search score is undefined on some targets: r2 on a fold of one
-            # row or of constant targets, MAPE on a fold of zero targets, and
-            # the out-of-bag score where no training row is out of bag
+            # a search's MAPE is undefined on a fold whose views are all zero,
+            # and out of bag where no training row is out of bag
             warnings.warn(f"{family}: dropped, its search score is undefined ({exc})")
             continue
         cv_results[family] = search.to_dict()

@@ -2,18 +2,17 @@
 hyperparameter search.
 
 Search candidates are drawn without replacement from the grid's cartesian
-product and scored by the ``scoring`` of their family's table entry; every
-evaluation seed derives deterministically from the search seed, so
-identical inputs always reproduce the same candidate sequence, scores, and
-winner. Every search returns its member's model: the winner fitted on the
-whole training matrix with the member's fit seed.
+product and ranked, in every family, by -MAPE of their clamped view
+predictions against the stored views, as the holdout is scored. Every seed
+derives from the search seed, so identical inputs reproduce the candidates,
+scores and winner. Every search returns its member's model: the winner
+fitted on the whole training matrix with the member's fit seed.
 
 A fold plan is the fold id of each training row, as kfold_indices returns
 it. A family searched by CV is scored on the matrices of fold_matrices,
 which fits the preprocessor inside each fold's training complement, so no
 statistics leak across folds. run_train builds them once per train, so
-every candidate of these families is scored on the same folds, and the
-search then fits the winner on the whole training matrix.
+every candidate of these families is scored on the same folds.
 
 A family whose table entry has an ``oob`` (the random forest) is scored
 out of bag instead (Breiman 2001, "Random forests", Machine Learning 45):
@@ -35,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, metrics
+from .ensemble import fit_targets, predicted_views
 from .errors import DataError, UndefinedMetricError
 from .preprocess import fit_preprocessor, transform
 from .util import mix_seed
@@ -44,7 +44,6 @@ from .util import mix_seed
 class SearchResult:
     candidates: list  # dicts as reported: params, fold_scores (cv) or oob_rows (oob), mean_score
     best_index: int
-    scoring: str
     seed: int
     model: object  # the winner fitted on the whole training matrix: the member's model
     method: str = "cv"  # "cv" or "oob"
@@ -59,7 +58,6 @@ class SearchResult:
             **method,
             "candidates": [dict(c) for c in self.candidates],
             "best_index": self.best_index,
-            "scoring": self.scoring,
             "seed": self.seed,
         }
 
@@ -82,17 +80,14 @@ def kfold_indices(n, k, seed):
     return assignments
 
 
-def score_predictions(scoring, y, yhat):
-    if scoring == "r2":
-        return metrics.r2(y, yhat)
-    if scoring == "neg_mape":
-        return -metrics.mape(y, yhat)
-    raise DataError(f"unknown scoring {scoring!r}")
+def score_predictions(y, raw, mode):
+    """A search score: -MAPE in percent of raw predictions under ``mode``, as clamped views, against views y."""
+    return -metrics.mape(y, predicted_views(raw, mode)[0])
 
 
 def fold_matrices(table, y, plan):
-    """Per-fold (X_tr, y_tr, X_te, y_te, prep) for a RawTable and a fold
-    plan, the fold id of each row as kfold_indices returns it.
+    """Per-fold (X_tr, y_tr, X_te, y_te, prep) for a RawTable, its views y
+    and a fold plan, the fold id of each row as kfold_indices returns it.
 
     Each fold's preprocessor is fit on its training complement only and
     returned, so leakage checks can inspect its statistics.
@@ -114,33 +109,29 @@ def fold_matrices(table, y, plan):
     return folds
 
 
-def cross_validate(family, params, folds, scoring, seed=0):
-    """Per-fold scores for one candidate over the matrices of fold_matrices."""
+def cross_validate(family, params, folds, mode, seed=0):
+    """Per-fold scores for one candidate over the matrices of fold_matrices, each fit under ``mode``."""
     scores = []
     for fold, (X_tr, y_tr, X_te, y_te, _) in enumerate(folds):
-        model = families.fit_family(family, params, X_tr, y_tr, seed=mix_seed(seed, fold))
-        yhat = families.predict_family(family, model, X_te)
-        scores.append(score_predictions(scoring, y_te, yhat))
+        model = families.fit_family(family, params, X_tr, fit_targets(y_tr, mode), seed=mix_seed(seed, fold))
+        scores.append(score_predictions(y_te, families.predict_family(family, model, X_te), mode))
     return scores
 
 
-def cross_validate_pipeline(family, params, table, y, plan, scoring, seed=0):
+def cross_validate_pipeline(family, params, table, y, plan, mode, seed=0):
     """Scores for one candidate with preprocessing fit inside each fold.
 
     Returns (scores, fold_preprocessors).
     """
     folds = fold_matrices(table, y, plan)
-    return cross_validate(family, params, folds, scoring, seed), [f[4] for f in folds]
+    return cross_validate(family, params, folds, mode, seed), [f[4] for f in folds]
 
 
 def enumerate_grid(grid):
     """Cartesian product of a param grid, in deterministic order; the empty
     grid is one empty assignment, the family's defaults."""
     names = sorted(grid)
-    combos = []
-    for values in itertools.product(*(grid[name] for name in names)):
-        combos.append(dict(zip(names, values)))
-    return combos
+    return [dict(zip(names, values)) for values in itertools.product(*(grid[name] for name in names))]
 
 
 def _rank(score, index):
@@ -153,15 +144,15 @@ def randomized_search(family, grid, n_iter, folds, seed, train):
     """Sample up to n_iter distinct grid assignments, rank them by score and
     fit the winner as the member's model.
 
-    ``train`` is the tuple (X, y, fit_seed) of the full training matrix, its
-    targets and the seed of the member's fit. A family whose table entry
-    has no ``oob`` is scored by CV on ``folds``, the matrices of
-    fold_matrices, built once per train and shared by every candidate, and
-    its winner is then fit on ``train``. A family with one is scored out of
-    bag on ``train``, and the winner's model is a prefix of a fit made
-    there. ``seed`` drives the candidate draw and the CV fit seeds.
-    Candidates are scored by the entry's ``scoring``; ties in score go to
-    the earliest sampled candidate.
+    ``train`` is the tuple (X, y, mode, fit_seed) of the member's fit: the
+    full training matrix, its views, the target transform and the seed. A
+    family whose table entry has no ``oob`` is scored by CV on ``folds``,
+    the matrices of fold_matrices, built once per train and shared by every
+    candidate, and its winner is then fit on ``train``. A family with one is
+    scored out of bag on ``train``, and the winner's model is a prefix of a
+    fit made there. ``seed`` drives the candidate draw and the CV fit seeds.
+    Candidates are scored by score_predictions under ``mode``; ties in score
+    go to the earliest sampled candidate.
     """
     if n_iter < 1:
         raise DataError("n_iter must be >= 1")
@@ -172,21 +163,21 @@ def randomized_search(family, grid, n_iter, folds, seed, train):
     m = min(n_iter, len(combos))
     drawn = [combos[int(c)] for c in np.random.default_rng(seed).permutation(len(combos))[:m]]
     if entry.oob is not None:
-        candidates, best_index, model = _oob_search(family, entry.oob, drawn, train, entry.scoring)
-        return SearchResult(candidates, best_index, entry.scoring, seed, model, method="oob")
+        candidates, best_index, model = _oob_search(family, entry.oob, drawn, train)
+        return SearchResult(candidates, best_index, seed, model, method="oob")
 
+    X, y, mode, fit_seed = train
     candidates = []
     for i, params in enumerate(drawn):
-        fold_scores = [float(s) for s in cross_validate(family, params, folds, entry.scoring, seed=mix_seed(seed, i))]
+        fold_scores = [float(s) for s in cross_validate(family, params, folds, mode, seed=mix_seed(seed, i))]
         candidates.append({"params": params, "fold_scores": fold_scores, "mean_score": float(np.mean(fold_scores))})
     best_index = min(range(m), key=lambda i: _rank(candidates[i]["mean_score"], i))
-    X, y, fit_seed = train
-    model = families.fit_family(family, drawn[best_index], X, y, seed=fit_seed)
-    return SearchResult(candidates, best_index, entry.scoring, seed, model)
+    model = families.fit_family(family, drawn[best_index], X, fit_targets(y, mode), seed=fit_seed)
+    return SearchResult(candidates, best_index, seed, model)
 
 
-def _oob_search(family, oob, drawn, train, scoring):
-    """Score the drawn candidates out of bag on ``train`` = (X, y, fit_seed).
+def _oob_search(family, oob, drawn, train):
+    """Score the drawn candidates out of bag on ``train`` = (X, y, mode, fit_seed).
 
     Candidates that differ only in ``oob.size`` form a group, fit once with
     fit_seed at the group's largest size; each candidate is scored on the
@@ -195,7 +186,7 @@ def _oob_search(family, oob, drawn, train, scoring):
     draws, and the winner's prefix is the model the member would be refit
     as. Returns (candidates, best_index, winner's model).
     """
-    X, y, fit_seed = train
+    X, y, mode, fit_seed = train
     sizes = [families.resolve_params(family, params)[oob.size] for params in drawn]
     groups = {}
     for i, params in enumerate(drawn):
@@ -205,11 +196,11 @@ def _oob_search(family, oob, drawn, train, scoring):
     best, model = None, None
     for rest, members in groups.items():
         group_sizes = sorted({sizes[i] for i in members})
-        fitted = families.fit_family(family, {**dict(rest), oob.size: group_sizes[-1]}, X, y, seed=fit_seed)
+        fitted = families.fit_family(family, {**dict(rest), oob.size: group_sizes[-1]}, X, fit_targets(y, mode), seed=fit_seed)
         for size, (prefix, prediction, scored) in zip(group_sizes, oob.prefixes(fitted, X, fit_seed, group_sizes)):
             if not scored.any():
                 raise UndefinedMetricError(f"no training row is out of bag at {oob.size}={size}")
-            score = float(score_predictions(scoring, y[scored], prediction[scored]))
+            score = float(score_predictions(y[scored], prediction[scored], mode))
             for i in members:
                 if sizes[i] == size:
                     candidates[i] = {"params": drawn[i], "oob_rows": int(np.count_nonzero(scored)), "mean_score": score}

@@ -420,7 +420,7 @@ def test_a9_pipeline_hygiene():
     y = np.arange(n, dtype=float) + 1.0
     plan = kfold_indices(n, 4, seed=3)
     _, preps = cross_validate_pipeline(
-        "decision_tree", {"max_depth": 2}, table, y, plan, "neg_mape"
+        "decision_tree", {"max_depth": 2}, table, y, plan, "none"
     )
     means = [p.numeric[0].mean for p in preps]
     assert len(set(means)) == len(means), "fold preprocessors saw identical stats"

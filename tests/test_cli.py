@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from coldstart.cli import main
+from coldstart.data import split_indices
 from coldstart.ensemble import bundle_from_dict, bundle_to_dict
 from coldstart.errors import DataError
 from coldstart.families import DEFAULT_PARAMS
@@ -133,18 +134,54 @@ def test_train_cli_flags_override_config(tmp_path, tiny_run):
     assert not (tmp_path / "out_a").exists()
 
 
-def test_train_drops_the_families_whose_cv_score_is_undefined(tmp_path):
-    # the linear families are scored by r2, undefined on a fold of one row
-    # where the MAPE that scores gbt is not: 7 training rows in 5 folds
+def _small_synth(tmp_path):
+    """Input paths of 9 episodes in 3 series: 7 training rows, 2 held out."""
     data = tmp_path / "data"
     generate(SynthConfig(n_series=3, episodes_min=2, episodes_max=3, seed=1), data)
-    paths = {name: str(data / f"{name}.csv") for name in ("episodes", "credits", "genres", "platform")}
-    config = RunConfig(**paths, out_dir=str(tmp_path / "out"), families=["gbt", "lasso"], n_iter=1, cv_folds=5)
-    with pytest.warns(UserWarning, match=r"lasso: dropped, its search score is undefined \(r2 needs at least 2 rows\)"):
+    return {name: str(data / f"{name}.csv") for name in ("episodes", "credits", "genres", "platform")}
+
+
+def test_train_keeps_a_linear_family_on_folds_of_one_row(tmp_path):
+    # 7 training rows in 5 folds: MAPE on views scores a fold of one row
+    config = RunConfig(**_small_synth(tmp_path), out_dir=str(tmp_path / "out"), families=["gbt", "lasso"], n_iter=1, cv_folds=5)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message=".*dropped.*")
         result = run_train(config)
     report = load_json(result["report"])
     assert report["n_train"] == 7
-    assert report["selected"] == ["gbt"] and list(report["cv_results"]) == ["gbt"]
+    assert sorted(report["selected"]) == ["gbt", "lasso"] and list(report["cv_results"]) == ["gbt", "lasso"]
+    assert all(len(report["cv_results"][f]["candidates"][0]["fold_scores"]) == 5 for f in ("gbt", "lasso"))
+
+
+def test_train_drops_the_families_whose_cv_score_is_undefined(tmp_path):
+    # one training view is 0, so its fold of one row (7 rows in 7 folds) has
+    # no MAPE; the random forest is scored out of bag on every training row
+    # and stays
+    paths = _small_synth(tmp_path)
+    with open(paths["episodes"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    train_idx, _ = split_indices(len(rows) - 1, 0.2, 42)
+    zeroed = rows[1 + int(train_idx[0])]
+    zeroed[-1] = "0"
+    with open(paths["episodes"], "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    config = RunConfig(
+        **paths, out_dir=str(tmp_path / "out"), families=["gbt", "lasso", "random_forest"], n_iter=1, cv_folds=7,
+        grids={"random_forest": {"n_estimators": [20]}},
+    )
+    with pytest.warns(UserWarning) as caught:
+        result = run_train(config)
+    dropped = sorted(str(w.message) for w in caught if "dropped" in str(w.message))
+    assert dropped == [
+        f"{family}: dropped, its search score is undefined (MAPE undefined: all targets are zero)"
+        for family in ("gbt", "lasso")
+    ]
+    report = load_json(result["report"])
+    assert report["n_train"] == 7 and report["seed"] == 42
+    with open(result["holdout_episodes"], newline="") as fh:
+        assert zeroed[:2] not in [row[:2] for row in csv.reader(fh)]
+    assert report["selected"] == ["random_forest"] and list(report["cv_results"]) == ["random_forest"]
+    assert report["cv_results"]["random_forest"]["candidates"][0]["oob_rows"] == 7
 
 
 @pytest.mark.parametrize("field, value", [("scheme", "median"), ("top_k", 0), ("top_k", -4)])
@@ -974,6 +1011,20 @@ def test_bad_grid_value_exits_3_before_any_input_is_read(case, tmp_path, capsys)
     assert family in err and repr(name) in err and repr(values[0] if values else values) in err
 
 
+# 100 x 101 = 10 100 random forest assignments, above families.MAX_GRID_ASSIGNMENTS
+BIG_GRIDS = {"random_forest": {"n_estimators": list(range(1, 101)), "min_samples_split": list(range(2, 103))}}
+
+
+def test_a_grid_above_the_assignment_bound_exits_3_before_any_input_is_read(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(_config(grids=BIG_GRIDS)(None))
+    inputs = [arg for n in ("episodes", "credits", "genres", "platform") for arg in (f"--{n}", str(tmp_path / n))]
+    assert run_cli("train", "--config", str(config), *inputs, "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "No such file" not in err
+    assert "random_forest grid has 10100 assignments, more than the 10000 allowed" in err
+
+
 # run settings outside their range: case -> (config fields, what the message names)
 BAD_RUN_SETTINGS = {
     "n_iter_zero": ({"n_iter": 0}, "n_iter must be >= 1, got 0"),
@@ -1016,6 +1067,7 @@ BAD_INPUTS = {
     "config_grid_values_not_a_list": ("config", _config(grids={"lasso": {"alpha": 0.1}})),
     "config_grid_unknown_family": ("config", _config(grids={"bogus": {"alpha": [1.0]}})),
     "config_grid_unknown_parameter": ("config", _config(grids={"ridge": {"alfa": [1.0]}})),
+    "config_grid_above_the_assignment_bound": ("config", _config(grids=BIG_GRIDS)),
     **{case: ("config", _bad_grid_config(*spec)) for case, spec in BAD_GRID_LISTS.items()},
     "config_reference_date_not_a_date": ("config", _config(reference_date="2016-13-45")),
     "config_scheme_unknown": ("config", _config(scheme="median")),

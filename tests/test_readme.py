@@ -1,12 +1,12 @@
 """The README states what the code defines: the bundle schema version, the
-retired versions and the parameter domains; and its quick start reads only
-files that an earlier step writes."""
+retired versions, the parameter domains and the grid bound; and its quick
+start reads only files that an earlier step writes."""
 
 import re
 from pathlib import Path
 
 from coldstart.ensemble import BUNDLE_SCHEMA_VERSION
-from coldstart.families import DOMAINS
+from coldstart.families import DOMAINS, MAX_GRID_ASSIGNMENTS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -31,6 +31,12 @@ def test_readme_domain_table_lists_exactly_the_domains():
             break
         rows.append(re.match(r"\| `(\w+)` \|", line).group(1))
     assert sorted(rows) == sorted(DOMAINS) and len(rows) == len(DOMAINS)
+
+
+def test_readme_names_the_grid_assignment_bound():
+    flat = " ".join(README.split())
+    assert f"a grid with more than {MAX_GRID_ASSIGNMENTS} assignments" in flat
+    assert f"more than the {MAX_GRID_ASSIGNMENTS} allowed" in flat
 
 
 def quick_start_commands():

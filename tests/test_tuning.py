@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from conftest import TINY_GRIDS
 from test_acceptance import REDUCED_GRIDS
 
-from coldstart import families, trees, tuning
+from coldstart import families, pipeline, trees, tuning
 from coldstart.data import ColumnSchema, RawTable
 from coldstart.errors import DataError, UndefinedMetricError
 from coldstart.linear import fit_linear
@@ -16,6 +18,7 @@ from coldstart.families import (
     DEFAULT_PARAMS,
     DOMAINS,
     FAMILIES,
+    MAX_GRID_ASSIGNMENTS,
     check_grid,
     fit_family,
     predict_family,
@@ -80,25 +83,28 @@ def test_kfold_bounds():
         kfold_indices(5, 6, seed=0)
 
 
-def test_cross_validate_mean_predictor_scores_near_zero_r2():
+def test_cross_validate_scores_the_mean_predictor_by_its_mape():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(100, 2))
-    y = rng.normal(size=100)  # feature-independent target
+    y = 50.0 + rng.normal(size=100)  # feature-independent views
     plan = kfold_indices(100, 5, seed=0)
-    # a depth-limited stump-free tree: min_samples_split too high to split
+    # min_samples_split too high to split: each fold predicts its training mean
     folds = fold_matrices(numeric_table(X), y, plan)
-    scores = cross_validate("decision_tree", {"min_samples_split": 1000}, folds, "r2")
-    assert all(abs(s) < 0.25 for s in scores)  # R^2 of the train-mean predictor
+    scores = cross_validate("decision_tree", {"min_samples_split": 1000}, folds, "none")
+    for fold, score in enumerate(scores):
+        y_te, mean = y[plan == fold], y[plan != fold].mean()
+        assert score == -100.0 * float(np.mean(np.abs(y_te - np.full(len(y_te), mean)) / y_te))
+        assert -2.5 < score < 0  # the views spread 1 around 50
 
 
 def test_cross_validate_no_peeking_at_test_fold():
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(60, 1))
-    y = X[:, 0] + rng.normal(scale=0.5, size=60)  # noisy: memorizing cannot reach 1
+    y = 5.0 + X[:, 0] + rng.normal(scale=0.5, size=60)  # noisy: memorizing cannot reach 0 error
     plan = kfold_indices(60, 5, seed=1)
     folds = fold_matrices(numeric_table(X), y, plan)
-    scores = cross_validate("decision_tree", {"max_depth": None, "min_samples_split": 2}, folds, "r2")
-    assert all(s < 0.999 for s in scores)
+    scores = cross_validate("decision_tree", {"max_depth": None, "min_samples_split": 2}, folds, "none")
+    assert all(s < -1.0 for s in scores)
 
 
 def test_leave_one_out_equivalent():
@@ -106,7 +112,7 @@ def test_leave_one_out_equivalent():
     y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     plan = kfold_indices(5, 5, seed=0)
     folds = fold_matrices(numeric_table(X), y, plan)
-    scores = cross_validate("decision_tree", {"min_samples_split": 2}, folds, "neg_mape")
+    scores = cross_validate("decision_tree", {"min_samples_split": 2}, folds, "none")
     assert len(scores) == 5  # each score from a 4-row fit
 
 
@@ -121,7 +127,7 @@ def test_pipeline_cv_fits_preprocessor_per_fold():
     y = np.arange(40, dtype=float) + 1
     plan = kfold_indices(40, 4, seed=7)
     scores, preps = cross_validate_pipeline(
-        "decision_tree", {"max_depth": 2}, table, y, plan, "neg_mape"
+        "decision_tree", {"max_depth": 2}, table, y, plan, "none"
     )
     assert len(scores) == 4 and len(preps) == 4
     means = [p.numeric[0].mean for p in preps]
@@ -134,7 +140,7 @@ def test_enumerate_grid_and_errors():
     # the product of no value lists is one empty assignment: the family's defaults
     assert enumerate_grid({}) == [{}]
     # an empty or repeating value list is checked by check_grid, which randomized_search runs first
-    train = (np.zeros((4, 1)), np.arange(4.0), 0)
+    train = (np.zeros((4, 1)), np.arange(4.0), "none", 0)
     with pytest.raises(DataError, match="'alpha' has no candidate values"):
         check_grid("ridge", {"alpha": []})
     with pytest.raises(DataError, match="'alpha' has no candidate values"):
@@ -148,7 +154,7 @@ def test_search_single_assignment_wins():
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
     result = randomized_search(
-        "decision_tree", {"max_depth": [2]}, n_iter=5, folds=cv_folds(X, y, 3, 0), seed=0, train=(X, y, 0)
+        "decision_tree", {"max_depth": [2]}, n_iter=5, folds=cv_folds(X, y, 3, 0), seed=0, train=(X, y, "none", 0)
     )
     assert len(result.candidates) == 1
     assert result.best_params == {"max_depth": 2}
@@ -159,7 +165,7 @@ def test_search_exhausts_grid_without_replacement():
     X = rng.normal(size=(30, 2))
     y = X[:, 0] * 2 + rng.normal(scale=0.1, size=30)
     grid = {"alpha": [0.001, 0.1, 10.0]}
-    result = randomized_search("ridge", grid, n_iter=50, folds=cv_folds(X, y, 3, 9), seed=9, train=(X, y, 0))
+    result = randomized_search("ridge", grid, n_iter=50, folds=cv_folds(X, y, 3, 9), seed=9, train=(X, y, "none", 0))
     tried = sorted(c["params"]["alpha"] for c in result.candidates)
     assert tried == [0.001, 0.1, 10.0]
 
@@ -170,8 +176,8 @@ def test_search_determinism_and_winner_is_max():
     y = X @ np.array([1.0, 0.0, -1.0]) + rng.normal(scale=0.2, size=40)
     grid = {"alpha": [0.001, 0.01, 0.1, 1.0, 10.0]}
     folds = cv_folds(X, y, 5, 42)
-    a = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42, train=(X, y, 0))
-    b = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42, train=(X, y, 0))
+    a = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42, train=(X, y, "none", 0))
+    b = randomized_search("lasso", grid, n_iter=3, folds=folds, seed=42, train=(X, y, "none", 0))
     assert a.to_dict() == b.to_dict()
     assert len(a.candidates) == 3
     best_mean = a.candidates[a.best_index]["mean_score"]
@@ -181,9 +187,9 @@ def test_search_determinism_and_winner_is_max():
 def test_search_tie_goes_to_earliest_sampled():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([1.0, 1.0, 1.0, 1.0])
-    # constant target: every candidate scores identically under neg_mape
+    # constant target: every candidate scores identically
     grid = {"max_depth": [2, 3, 4]}
-    result = randomized_search("decision_tree", grid, n_iter=3, folds=cv_folds(X, y, 2, 1), seed=1, train=(X, y, 0))
+    result = randomized_search("decision_tree", grid, n_iter=3, folds=cv_folds(X, y, 2, 1), seed=1, train=(X, y, "none", 0))
     assert result.best_index == 0
 
 
@@ -192,22 +198,22 @@ def test_search_on_raw_table_runs_pipeline_mode():
     n = 50
     values = rng.normal(size=n)
     table = RawTable([ColumnSchema("x", "numeric")], {"x": values})
-    y = values * 3.0 + 5.0 + rng.normal(scale=0.1, size=n)
+    y = values * 3.0 + 20.0 + rng.normal(scale=0.1, size=n)  # views, all positive
     folds = fold_matrices(table, y, kfold_indices(n, 5, 42))
-    train = (values.reshape(-1, 1), y, 0)
+    train = (values.reshape(-1, 1), y, "none", 0)
     result = randomized_search("ridge", {"alpha": [0.001, 1.0]}, n_iter=4, folds=folds, seed=42, train=train)
     assert len(result.candidates) == 2
     assert result.best_params["alpha"] == 0.001
-    assert result.candidates[result.best_index]["mean_score"] > 0.9
+    assert result.candidates[result.best_index]["mean_score"] > -1.0  # MAPE below 1%
 
 
 def test_search_input_validation():
     X, y = np.zeros((10, 1)), np.zeros(10)
     folds = cv_folds(X, y, 2, 0)
     with pytest.raises(DataError):
-        randomized_search("ridge", {"alpha": [1.0]}, n_iter=0, folds=folds, seed=0, train=(X, y, 0))
+        randomized_search("ridge", {"alpha": [1.0]}, n_iter=0, folds=folds, seed=0, train=(X, y, "none", 0))
     with pytest.raises(DataError):
-        randomized_search("mystery", {"alpha": [1.0]}, n_iter=1, folds=folds, seed=0, train=(X, y, 0))
+        randomized_search("mystery", {"alpha": [1.0]}, n_iter=1, folds=folds, seed=0, train=(X, y, "none", 0))
     with pytest.raises(DataError):
         fold_matrices(numeric_table(X), y[:9], kfold_indices(10, 2, 0))
 
@@ -239,7 +245,7 @@ def test_search_fits_no_preprocessor(monkeypatch):
     y = X[:, 0] + rng.normal(scale=0.1, size=40)
     folds = cv_folds(X, y, 4, 3)
     calls = _count_preprocessor_fits(monkeypatch)
-    result = randomized_search("ridge", {"alpha": [0.01, 0.1, 1.0]}, n_iter=3, folds=folds, seed=3, train=(X, y, 0))
+    result = randomized_search("ridge", {"alpha": [0.01, 0.1, 1.0]}, n_iter=3, folds=folds, seed=3, train=(X, y, "none", 0))
     assert len(result.candidates) == 3
     assert len(calls) == 0  # every candidate is scored on the given fold matrices
 
@@ -347,7 +353,7 @@ def test_forest_candidates_score_out_of_bag_on_prefixes_of_one_fit_per_group(mon
         return original(X, y, params, n_estimators)
 
     monkeypatch.setattr(trees, "fit_random_forest", counting)
-    result = randomized_search("random_forest", grid, n_iter=6, folds=[], seed=3, train=(X, y, fit_seed))
+    result = randomized_search("random_forest", grid, n_iter=6, folds=[], seed=3, train=(X, y, "none", fit_seed))
     # two groups (max_depth 2 and None), each fit once at its largest size
     assert sorted(fits, key=str) == [(2, 8), (None, 8)]
     entry = result.to_dict()
@@ -359,7 +365,7 @@ def test_forest_candidates_score_out_of_bag_on_prefixes_of_one_fit_per_group(mon
         standalone = fit_family("random_forest", params, X, y, seed=fit_seed)
         ((_, prediction, scored),) = trees.forest_oob(standalone, X, fit_seed, [params["n_estimators"]])
         assert c["oob_rows"] == int(scored.sum())
-        assert c["mean_score"] == tuning.score_predictions("neg_mape", y[scored], prediction[scored])
+        assert c["mean_score"] == tuning.score_predictions(y[scored], prediction[scored], "none")
         if c is result.candidates[result.best_index]:
             assert trees.forest_to_dict(result.model) == trees.forest_to_dict(standalone)
     scores = [c["mean_score"] for c in result.candidates]
@@ -370,7 +376,87 @@ def test_forest_search_without_scored_rows_is_undefined():
     # one training row, drawn by every bootstrap: no tree leaves a row out
     X, y = np.ones((1, 2)), np.ones(1)
     with pytest.raises(UndefinedMetricError, match="no training row is out of bag at n_estimators=2"):
-        randomized_search("random_forest", {"n_estimators": [2]}, n_iter=1, folds=[], seed=0, train=(X, y, 0))
+        randomized_search("random_forest", {"n_estimators": [2]}, n_iter=1, folds=[], seed=0, train=(X, y, "none", 0))
+
+
+def _neg_mape_on_views(views, raw, mode):
+    """The search score written out: -MAPE of the views that raw predictions
+    under ``mode`` stand for, each negative one clamped to 0, against views."""
+    predicted = np.maximum(np.expm1(raw) if mode == "log1p" else np.asarray(raw, dtype=float), 0.0)
+    mask = views != 0
+    return -100.0 * float(np.mean(np.abs(views[mask] - predicted[mask]) / views[mask]))
+
+
+@pytest.mark.parametrize("family, grid", [("ridge", {"alpha": [0.01, 1.0]}), ("decision_tree", {"max_depth": [2, 4]})])
+def test_log1p_fold_scores_are_mape_on_the_stored_views(family, grid):
+    # each fold is fit on log1p of its views and scored on the views
+    # themselves, not on expm1(log1p(views)), which differs from them in the
+    # last bits of most rows
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(60, 3))
+    views = np.exp(6.0 + X @ [0.8, -0.5, 0.3] + 0.3 * rng.normal(size=60))
+    assert np.count_nonzero(np.expm1(np.log1p(views)) != views) > 30
+    plan = kfold_indices(60, 4, 5)
+    folds = fold_matrices(numeric_table(X), views, plan)
+    result = randomized_search(family, grid, n_iter=2, folds=folds, seed=8, train=(X, views, "log1p", 0))
+    assert len(result.candidates) == 2
+    for i, c in enumerate(result.candidates):
+        assert len(c["fold_scores"]) == 4
+        for fold, score in enumerate(c["fold_scores"]):
+            X_tr, _, X_te, y_te, _ = folds[fold]
+            assert y_te.tobytes() == views[plan == fold].tobytes()
+            fold_seed = mix_seed(mix_seed(8, i), fold)
+            model = fit_family(family, c["params"], X_tr, np.log1p(views[plan != fold]), seed=fold_seed)
+            assert score == _neg_mape_on_views(y_te, predict_family(family, model, X_te), "log1p")
+        assert c["mean_score"] == float(np.mean(c["fold_scores"]))
+
+
+def test_forest_oob_score_is_mape_on_the_views_of_the_rows_it_scores():
+    X, views = _forest_data()
+    views = 1000.0 * views
+    fit_seed = 5
+    grid = {"n_estimators": [3, 9], "max_depth": [3]}
+    result = randomized_search("random_forest", grid, n_iter=2, folds=[], seed=1, train=(X, views, "log1p", fit_seed))
+    for c in result.candidates:
+        params = resolve_params("random_forest", c["params"])
+        forest = fit_family("random_forest", params, X, np.log1p(views), seed=fit_seed)
+        ((_, raw, scored),) = trees.forest_oob(forest, X, fit_seed, [params["n_estimators"]])
+        assert c["oob_rows"] == int(scored.sum())
+        assert c["mean_score"] == _neg_mape_on_views(views[scored], raw[scored], "log1p")
+    assert min(c["oob_rows"] for c in result.candidates) < len(views)  # a row every tree drew is not scored
+
+
+def test_a_negative_linear_fold_prediction_is_scored_as_zero_views():
+    x = np.linspace(0.0, 1.0, 30)
+    views = 1.0 + 100.0 * x**4  # convex: a least-squares line dips below 0 near x = 0
+    folds = fold_matrices(numeric_table(x.reshape(-1, 1)), views, kfold_indices(30, 3, 0))
+    scores = cross_validate("ridge", {"alpha": 0.0}, folds, "none", seed=4)
+    negative = 0
+    for fold, (score, (X_tr, y_tr, X_te, y_te, _)) in enumerate(zip(scores, folds)):
+        raw = predict_family("ridge", fit_family("ridge", {"alpha": 0.0}, X_tr, y_tr, seed=mix_seed(4, fold)), X_te)
+        negative += int(np.count_nonzero(raw < 0))
+        assert score == _neg_mape_on_views(y_te, raw, "none")
+    assert negative > 0
+
+
+def test_a_grid_above_the_assignment_bound_fails_before_its_values_are_read():
+    assert MAX_GRID_ASSIGNMENTS == 10_000
+    assert max(len(tuning.enumerate_grid(grid)) for grid in DEFAULT_GRIDS.values()) == 27
+    # 80 invalid, repeating values per list: the count is the first check
+    grid = {name: ["x"] * 80 for name in ("n_estimators", "min_samples_split", "max_depth")}
+    grid["max_features"] = ["all", "third", "sqrt"]
+    message = r"^random_forest grid has 1536000 assignments, more than the 10000 allowed$"
+    with pytest.raises(DataError, match=message):
+        check_grid("random_forest", grid)
+    with pytest.raises(DataError, match=message):
+        randomized_search("random_forest", grid, n_iter=1, folds=[], seed=0, train=(np.ones((4, 1)), np.ones(4), "none", 0))
+    alphas = [float(i) for i in range(MAX_GRID_ASSIGNMENTS)]
+    check_grid("ridge", {"alpha": alphas})
+    with pytest.raises(DataError, match=r"^ridge grid has 10001 assignments, more than the 10000 allowed$"):
+        check_grid("ridge", {"alpha": alphas + [0.5]})
+    # repeats are found in a long list too, and an int repeats its equal float
+    with pytest.raises(DataError, match=r"^ridge parameter 'alpha' repeats 5$"):
+        check_grid("ridge", {"alpha": alphas[:-1] + [5]})
 
 
 def test_run_train_fits_each_forest_group_once_and_never_refits(tmp_path, monkeypatch):
@@ -416,10 +502,39 @@ def test_cv_search_returns_the_winner_fit_on_the_training_matrix(family, grid):
     X = rng.normal(size=(40, 3))
     y = np.exp(X @ [0.5, -0.3, 0.2] + 0.2 * rng.normal(size=40))
     fit_seed = 31
-    result = randomized_search(family, grid, n_iter=4, folds=cv_folds(X, y, 3, 2), seed=3, train=(X, y, fit_seed))
+    result = randomized_search(family, grid, n_iter=4, folds=cv_folds(X, y, 3, 2), seed=3, train=(X, y, "none", fit_seed))
     assert result.method == "cv" and result.best_index > 0  # the winner is not merely the first drawn
     to_dict = families.check_family(family).to_dict
     assert to_dict(result.model) == to_dict(fit_family(family, result.best_params, X, y, seed=fit_seed))
+
+
+def test_run_train_searches_on_the_stored_views(tmp_path, monkeypatch):
+    # under log1p the folds and the member's train tuple carry views; only
+    # the search's fits see log views
+    data = tmp_path / "data"
+    generate(SynthConfig(n_series=8, episodes_min=4, episodes_max=6, seed=2), data)
+    paths = {name: str(data / f"{name}.csv") for name in ("episodes", "credits", "genres", "platform")}
+    seen = []
+    original = pipeline.randomized_search
+
+    def spy(family, grid, n_iter, folds, seed, train):
+        seen.append((folds, train))
+        return original(family, grid, n_iter, folds, seed=seed, train=train)
+
+    monkeypatch.setattr(pipeline, "randomized_search", spy)
+    config = RunConfig(
+        **paths, out_dir=str(tmp_path / "out"), seed=4, families=["ridge"], n_iter=1, cv_folds=3,
+        grids={"ridge": {"alpha": [0.1]}}, target_transform="log1p", top_k=1,
+    )
+    result = run_train(config)
+    ((folds, (_, y, mode, _)),) = seen
+    with open(paths["episodes"]) as fh:
+        views = Counter(float(row["views"]) for row in csv.DictReader(fh))
+    with open(result["holdout_episodes"]) as fh:
+        views.subtract(Counter(float(row["views"]) for row in csv.DictReader(fh)))
+    assert mode == "log1p"
+    assert sorted(y.tolist()) == sorted(views.elements())
+    assert sorted(np.concatenate([fold[3] for fold in folds]).tolist()) == sorted(y.tolist())
 
 
 def test_empty_grid_trains_the_family_defaults(tmp_path):
